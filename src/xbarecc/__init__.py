@@ -54,12 +54,10 @@ from .checkmem import (
     DeviceCounts,
     Event,
     Machine,
-    ShifterMap,
     TimingModel,
     UnitTimeline,
     check_chain_cycles,
     device_counts,
-    shifter_map,
     touched_check_cells,
     xor3_tree_levels,
 )

@@ -1,9 +1,11 @@
 """Check Memory (CMEM) architecture model and its timed protocols.
 
 The CMEM extends the data crossbar (MEM) with m check-bit crossbars per
-bank, processing crossbars that compute XOR3 off the critical path, a
-checking crossbar that compares syndromes to zero, and barrel shifters
-that reroute MEM lines into per-block diagonal order.
+bank, processing crossbars that compute XOR3 off the critical path, and a
+checking crossbar that compares syndromes to zero. The barrel shifters
+that route MEM lines into per-block diagonal order appear only as the
+diagonal index math of :func:`touched_check_cells` and in the transistor
+count of :func:`device_counts`.
 
 A critical operation (one that writes ECC-covered data) runs the
 cancel/perform/add protocol: copy old bits out, execute in MEM, copy new
@@ -21,20 +23,14 @@ from .engine import (
     CrossbarState,
     EngineConfig,
     MicroOp,
+    OpKind,
     Orientation,
     apply_op_inplace,
     format_op,
     init_op,
     validate_op,
 )
-from .geometry import (
-    Bank,
-    CellAddr,
-    Geometry,
-    GeometryError,
-    block_decompose,
-    diags_of_cell,
-)
+from .geometry import Bank, Geometry, GeometryError
 from .parity import (
     BlockParity,
     Diagnosis,
@@ -42,8 +38,8 @@ from .parity import (
     DiagonalConflictError,
     compute_syndrome,
     decode_syndrome,
+    diag_sums,
     encode_block,
-    update_parity,
 )
 
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
@@ -164,57 +160,39 @@ class UnitTimeline:
             busy.add(c)
 
 
-@dataclass(frozen=True)
-class ShifterMap:
-    """Line-to-(diagonal slot, block ordinal) routing for one fixed line.
+def _written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :meth:`MicroOp.written_cells`: (rows, cols) in lane order."""
+    lanes = np.array(op.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
+    line = np.full_like(lanes, op.output_line)
+    return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
 
-    Entry r of each bank is where MEM line r lands after the per-block
-    barrel shift: the check-bit slot it feeds and which block along the
-    line it belongs to.
+
+def touched_check_cells(op: MicroOp, geom: Geometry) -> np.ndarray:
+    """One (bank, diag, block_row, block_col) row per check-bit an op touches.
+
+    Bank 0 is :attr:`Bank.LEADING` and 1 is :attr:`Bank.COUNTER`. The
+    leading rows come first, row k of each half belonging to the k-th
+    written cell. Raises :class:`DiagonalConflictError` if one op would
+    touch a check-bit twice; row/column-parallel ops never do, so this is
+    an internal guard.
     """
-
-    leading: tuple[tuple[int, int], ...]
-    counter: tuple[tuple[int, int], ...]
-
-
-def shifter_map(orientation: Orientation, fixed_line: int, geom: Geometry) -> ShifterMap:
-    """Routing used when an op writes the given fixed line (column for ROW
-    ops, row for COLUMN ops); the moving lines are the op's lanes."""
-    if not 0 <= fixed_line < geom.n:
-        raise GeometryError(f"line {fixed_line} outside [0,{geom.n})")
-    m = geom.m
-    f = fixed_line % m
-    lead = []
-    ctr = []
-    for line in range(geom.n):
-        local = line % m
-        ordinal = line // m
-        if orientation is Orientation.ROW:
-            # moving index is the row i, fixed is the column j
-            lead.append(((local + f) % m, ordinal))
-            ctr.append(((local - f) % m, ordinal))
-        else:
-            # moving index is the column j, fixed is the row i
-            lead.append(((f + local) % m, ordinal))
-            ctr.append(((f - local) % m, ordinal))
-    return ShifterMap(tuple(lead), tuple(ctr))
-
-
-def touched_check_cells(op: MicroOp, geom: Geometry) -> dict[tuple, tuple[int, int]]:
-    """Map (bank, diag, block_row, block_col) -> written local cell.
-
-    Raises :class:`DiagonalConflictError` if one op would touch a check-bit
-    twice; row/column-parallel ops never do, so this is an internal guard.
-    """
-    touched: dict[tuple, tuple[int, int]] = {}
-    for row, col in op.written_cells():
-        bc = block_decompose(CellAddr(row, col), geom)
-        for diag in diags_of_cell(bc.local_i, bc.local_j, geom.m):
-            key = (diag.bank, diag.idx, bc.block_row, bc.block_col)
-            if key in touched:
-                raise DiagonalConflictError(
-                    f"op touches check-bit {key} twice")
-            touched[key] = (bc.local_i, bc.local_j)
+    rows, cols = _written_cells(op)
+    n, m, nb = geom.n, geom.m, geom.blocks_per_side
+    if rows.size and not (min(rows.min(), cols.min()) >= 0
+                          and max(rows.max(), cols.max()) < n):
+        raise GeometryError(f"op writes cells outside the {n}x{n} crossbar")
+    i, j = rows % m, cols % m
+    touched = np.column_stack([
+        np.repeat((0, 1), rows.size),
+        np.concatenate([(i + j) % m, (i - j) % m]),
+        np.tile(rows // m, 2),
+        np.tile(cols // m, 2),
+    ])
+    keys = np.sort(np.ravel_multi_index(touched.T, (2, m, nb, nb)))
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        key = tuple(int(k) for k in np.unravel_index(repeated[0], (2, m, nb, nb)))
+        raise DiagonalConflictError(f"op touches check-bit {key} twice")
     return touched
 
 
@@ -241,10 +219,7 @@ class CheckMem:
         """Encode every block of the given memory contents."""
         geom = state.geom
         m, nb = geom.m, geom.blocks_per_side
-        idx = np.arange(m)
-        blocks = state.cells.reshape(nb, m, nb, m).transpose(0, 2, 1, 3).astype(np.int64)
-        lead = blocks[..., idx[:, None], (idx[None, :] - idx[:, None]) % m].sum(axis=2) & 1
-        ctr = blocks[..., idx[:, None], (idx[:, None] - idx[None, :]) % m].sum(axis=2) & 1
+        lead, ctr = diag_sums(state.cells.reshape(nb, m, nb, m).transpose(0, 2, 1, 3))
         # lead[br, bc, d] -> plane[d, bc, br]
         return cls(geom, {
             Bank.LEADING: lead.transpose(2, 1, 0).astype(np.uint8),
@@ -279,43 +254,15 @@ class CheckMem:
 
 
 @dataclass
-class ProcessingCrossbar:
-    """11 x n scratch crossbar computing XOR3 off the critical path."""
-
-    rows: np.ndarray
-    busy_until: int = 0
-
-
-@dataclass
 class PcPair:
     """One processing crossbar per bank; a critical op occupies a whole pair."""
 
     index: int
-    leading: ProcessingCrossbar
-    counter: ProcessingCrossbar
     busy_until: int = 0
-
-    @classmethod
-    def create(cls, index: int, n: int) -> "PcPair":
-        return cls(index,
-                   ProcessingCrossbar(np.zeros((PC_ROWS, n), dtype=np.uint8)),
-                   ProcessingCrossbar(np.zeros((PC_ROWS, n), dtype=np.uint8)))
 
     @property
     def unit(self) -> str:
         return f"PC{self.index}"
-
-
-@dataclass
-class CheckingCrossbar:
-    """2 x n row pair holding block syndromes for the zero compare."""
-
-    cells: np.ndarray
-    busy_until: int = 0
-
-    @classmethod
-    def create(cls, n: int) -> "CheckingCrossbar":
-        return cls(np.zeros((2, n), dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -344,6 +291,10 @@ class CriticalOpResult:
     stall_cycles: int
 
 
+_BANKS = tuple(Bank)  # bank column of a touched_check_cells row -> Bank
+_BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
+
+
 def _cbx_unit(bank: Bank, diag: int) -> str:
     return f"CBX:{bank.value}:{diag}"
 
@@ -357,8 +308,7 @@ class Machine:
     """
 
     def __init__(self, state: CrossbarState, timing: TimingModel | None = None,
-                 pc_pairs: int = 3, engine_cfg: EngineConfig | None = None,
-                 pc_forwarding: bool = False):
+                 pc_pairs: int = 3, engine_cfg: EngineConfig | None = None):
         if pc_pairs < 1:
             raise ValueError(f"need at least one processing-crossbar pair, got {pc_pairs}")
         self.geom = state.geom
@@ -366,15 +316,14 @@ class Machine:
         self.checkmem = CheckMem.from_state(state)
         self.timing = timing or TimingModel()
         self.engine_cfg = engine_cfg or EngineConfig()
-        self.pc_forwarding = pc_forwarding
-        self.pcs = [PcPair.create(i, self.geom.n) for i in range(pc_pairs)]
-        self.checker = CheckingCrossbar.create(self.geom.n)
+        self.pcs = [PcPair(i) for i in range(pc_pairs)]
         self.timeline = UnitTimeline()
         self.events: list[Event] = []
         self.stall_cycles = 0
         self.pcs_used: set[int] = set()
-        # first cycle at which each in-flight check-bit cell is readable again
-        self._cell_ready: dict[tuple, int] = {}
+        # first cycle at which each in-flight check-bit cell is readable again,
+        # keyed by a (bank, diag, block_row, block_col) row of touched_check_cells
+        self._cell_ready: dict[tuple[int, int, int, int], int] = {}
 
     @classmethod
     def blank(cls, geom: Geometry, **kwargs) -> "Machine":
@@ -424,18 +373,15 @@ class Machine:
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
         touched = touched_check_cells(op, self.geom)
+        keys = list(map(tuple, touched.tolist()))
 
         mem_ready = max(earliest, self.timeline.next_free("MEM"))
-        lower = mem_ready
-        if not self.pc_forwarding:
-            for key in touched:
-                ready = self._cell_ready.get(key, 0)
-                lower = max(lower, ready - c)  # read happens at t + c
-
+        ready = max((self._cell_ready.get(key, 0) for key in keys), default=0)
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index
-        cbx_units = sorted({_cbx_unit(bank, diag) for bank, diag, _, _ in touched})
-        t = lower
+        cbx_units = sorted({_cbx_unit(_BANKS[bank], diag)
+                            for bank, diag in {key[:2] for key in keys}})
+        t = max(mem_ready, ready - c)  # read happens at t + c
         pair = None
         while True:
             free = [p for p in self.pcs if p.busy_until <= t]
@@ -465,55 +411,22 @@ class Machine:
         for unit in cbx_units:
             self.timeline.reserve_sparse(unit, read_at, c)
             self.timeline.reserve_sparse(unit, write_at, wb)
-        ready_at = write_at + wb
-        for key in touched:
-            self._cell_ready[key] = ready_at
+        self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
 
-        # functional effect: capture old bits, execute, fold deltas per block
-        cells = op.written_cells()
-        old_bits = {cell: int(self.state.cells[cell]) for cell in cells}
-        fixed_line = op.output_line
-        smap = shifter_map(op.orientation, fixed_line, self.geom)
-        nb = self.geom.blocks_per_side
-        if op.orientation is Orientation.ROW:
-            line_old = self.state.cells[:, fixed_line].copy()
-        else:
-            line_old = self.state.cells[fixed_line, :].copy()
-        stored_bits = {key: int(self.checkmem.planes[key[0]][key[1], key[3], key[2]])
-                       for key in touched}
+        # functional effect: each touched check-bit becomes old ^ new ^ stored
+        rows, cols = _written_cells(op)
+        old = self.state.cells[rows, cols]
         apply_op_inplace(self.state.cells, op, self.engine_cfg)
-        per_block: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-        for row, col in cells:
-            new = int(self.state.cells[row, col])
-            bc = block_decompose(CellAddr(row, col), self.geom)
-            per_block.setdefault((bc.block_row, bc.block_col), []).append(
-                (bc.local_i, bc.local_j, old_bits[(row, col)], new))
-        for (br, bcol), deltas in per_block.items():
-            self.checkmem.set_parity(
-                br, bcol, update_parity(self.checkmem.parity(br, bcol), deltas))
+        delta = old ^ self.state.cells[rows, cols]
+        for half, bank in zip(np.split(touched, 2), Bank):
+            _, diag, br, bcol = half.T
+            self.checkmem.planes[bank][diag, bcol, br] ^= delta
 
-        # operand-row fidelity: old/new data arrive through the shifters in
-        # (diagonal slot, block ordinal) order; stored check-bits join them
-        if op.orientation is Orientation.ROW:
-            line_new = self.state.cells[:, fixed_line]
-        else:
-            line_new = self.state.cells[fixed_line, :]
-        for xbar, bank, routing in ((pair.leading, Bank.LEADING, smap.leading),
-                                    (pair.counter, Bank.COUNTER, smap.counter)):
-            pos = np.fromiter((slot * nb + ordinal for slot, ordinal in routing),
-                              dtype=int, count=self.geom.n)
-            xbar.rows[:3, :] = 0
-            xbar.rows[0, pos] = line_old
-            xbar.rows[2, pos] = line_new
-            for (kbank, diag, kbr, kbc), bit in stored_bits.items():
-                if kbank is bank:
-                    ordinal = kbr if op.orientation is Orientation.ROW else kbc
-                    xbar.rows[1, diag * nb + ordinal] = bit
-
-        diags = ";".join(
-            f"{bank.value[0].upper()}{diag}@{br},{bcol}"
-            for (bank, diag, br, bcol) in sorted(
-                touched, key=lambda k: (k[0].value, k[1], k[2], k[3])))
+        # sorted by (bank name, diag, block_row, block_col): counter before leading
+        order = np.lexsort((touched[:, 3], touched[:, 2], touched[:, 1], -touched[:, 0]))
+        diags = ";".join(f"{_BANK_TAGS[bank]}{diag}@{br},{bcol}"
+                         for bank, diag, br, bcol in touched[order].tolist())
+        fixed_line = op.output_line
         self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair.index}", span=c)
         self.log(t + c, "MEM", "op", format_op(op) + " critical=1")
         self.log(t + c, pair.unit, "load_check", f"cells={diags}", span=c)
@@ -549,10 +462,10 @@ class Machine:
         while not all(self.timeline.sparse_free(_cbx_unit(bank, diag), t, wb)
                       for bank in Bank for diag in range(m)):
             t += 1
-        for bank in Bank:
+        for b, bank in enumerate(_BANKS):
             for diag in range(m):
                 self.timeline.reserve_sparse(_cbx_unit(bank, diag), t, wb)
-                self._cell_ready[(bank, diag, block_row, block_col)] = t + wb
+                self._cell_ready[(b, diag, block_row, block_col)] = t + wb
         self.timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
@@ -603,7 +516,6 @@ class Machine:
             for d in range(m):
                 self.timeline.reserve_sparse(_cbx_unit(bank, d), syn_at, c)
         self.timeline.reserve("CHECK", zero_at, zc)
-        self.checker.busy_until = zero_at + zc
 
         self.log(t, "SCHED", "check_row",
                  f"index={index} orient={orientation.value}")

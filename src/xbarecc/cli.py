@@ -6,6 +6,7 @@ carry no timestamps, so repeated runs are byte-identical. Exit codes:
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from .reliability import (
     injection_campaign,
     monte_carlo_block_failure,
     sweep,
+    sweep_points,
     sweep_to_csv,
 )
 from .scheduler import (
@@ -42,6 +44,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# Upper bounds on user-sized allocations, checked before anything is built
+MAX_TRIALS = 1_000_000  # inject --trials; block scope draws one int64 per trial
+MAX_SWEEP_POINTS = 10_000  # reliability grid size
 
 
 class UsageError(Exception):
@@ -330,6 +336,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_inject(args) -> int:
     cfg = resolve_config(args)
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if args.scope == CampaignScope.BLOCK:
         est = monte_carlo_block_failure(args.pbit, cfg.block_size, args.trials,
                                         cfg.seed)
@@ -373,10 +381,18 @@ def cmd_inject(args) -> int:
 
 def cmd_reliability(args) -> int:
     cfg = resolve_config(args)
+    for flag in ("lambda_min", "lambda_max", "points_per_decade"):
+        if not math.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite")
     if args.lambda_min <= 0 or args.lambda_min >= args.lambda_max:
         raise UsageError(
             f"need 0 < lambda-min < lambda-max, got {args.lambda_min} "
             f"and {args.lambda_max}")
+    points = sweep_points(args.lambda_min, args.lambda_max, args.points_per_decade)
+    if points > MAX_SWEEP_POINTS:
+        raise UsageError(
+            f"grid of {points} points exceeds {MAX_SWEEP_POINTS}; "
+            f"lower --points-per-decade or narrow the lambda range")
     params = ReliabilityParams(
         lambda_fit=args.lambda_min,
         t_hours=args.t_hours,

@@ -95,14 +95,18 @@ class Diagnosis:
         return cls(DiagnosisKind.UNCORRECTABLE)
 
 
-def _diag_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = block.shape[0]
+def diag_sums(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading and counter check-bits of every m x m block in ``blocks[..., m, m]``.
+
+    Returns two ``[..., m]`` arrays; entry d is the parity of diagonal d.
+    """
+    m = blocks.shape[-1]
     idx = np.arange(m)
-    # gather[i, d] = block[i, (d - i) mod m] so column d collects leading diagonal d
-    lead = block[idx[:, None], (idx[None, :] - idx[:, None]) % m]
-    # gather[i, d] = block[i, (i - d) mod m] collects counter diagonal d
-    ctr = block[idx[:, None], (idx[:, None] - idx[None, :]) % m]
-    return lead.sum(axis=0) & 1, ctr.sum(axis=0) & 1
+    # gather[..., i, d] = block[i, (d - i) mod m] so column d collects leading diagonal d
+    lead = blocks[..., idx[:, None], (idx[None, :] - idx[:, None]) % m]
+    # gather[..., i, d] = block[i, (i - d) mod m] collects counter diagonal d
+    ctr = blocks[..., idx[:, None], (idx[:, None] - idx[None, :]) % m]
+    return lead.sum(axis=-2) & 1, ctr.sum(axis=-2) & 1
 
 
 def encode_block(block: np.ndarray) -> BlockParity:
@@ -113,13 +117,15 @@ def encode_block(block: np.ndarray) -> BlockParity:
         raise CodecError(f"block must be square, got {block.shape}")
     if m % 2 == 0:
         raise GeometryError(f"block size must be odd, got {m}")
-    lead, ctr = _diag_sums(block.astype(np.int64, copy=False))
+    lead, ctr = diag_sums(block.astype(np.int64, copy=False))
     return BlockParity(tuple(int(b) for b in lead), tuple(int(b) for b in ctr))
 
 
 def update_parity(parity: BlockParity,
                   cells_old_new: list[tuple[int, int, int, int]]) -> BlockParity:
     """Fold (i, j, old_bit, new_bit) deltas into the stored check-bits.
+
+    The scalar oracle for the array fold of :meth:`Machine.critical_op`.
 
     Requires at most one updated cell per (bank, diagonal); a violation is a
     scheduler bug and raises :class:`DiagonalConflictError`.

@@ -108,6 +108,12 @@ class SweepRow:
         return self.mttf_proposed_h / self.mttf_baseline_h
 
 
+def sweep_points(lambda_min: float, lambda_max: float, points_per_decade: float) -> int:
+    """Size of the grid :func:`sweep` evaluates over [lambda_min, lambda_max]."""
+    decades = math.log10(lambda_max) - math.log10(lambda_min)
+    return max(2, round(decades * points_per_decade) + 1)
+
+
 def sweep(lambda_min: float, lambda_max: float, points_per_decade: float = 3.5,
           params: ReliabilityParams | None = None) -> list[SweepRow]:
     """Evaluate both curves on a log-spaced error-rate grid.
@@ -122,8 +128,7 @@ def sweep(lambda_min: float, lambda_max: float, points_per_decade: float = 3.5,
     if points_per_decade <= 0:
         raise ValueError("points_per_decade must be positive")
     base = params or ReliabilityParams(lambda_fit=lambda_min)
-    decades = math.log10(lambda_max) - math.log10(lambda_min)
-    count = max(2, round(decades * points_per_decade) + 1)
+    count = sweep_points(lambda_min, lambda_max, points_per_decade)
     grid = np.logspace(math.log10(lambda_min), math.log10(lambda_max), count)
     rows = []
     for lam in grid:

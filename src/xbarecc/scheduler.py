@@ -229,8 +229,7 @@ def build_actions(rp: RowProgram) -> tuple[Action, ...]:
     return tuple(actions)
 
 
-def run_actions(machine: Machine, actions: tuple[Action, ...],
-                gate_floor_after_check: bool = True) -> ScheduleRun:
+def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
     """Issue actions in order against the machine's unit timelines.
 
     Function ops are held until the input check (plus any corrections it
@@ -249,8 +248,7 @@ def run_actions(machine: Machine, actions: tuple[Action, ...],
                              for r in row_reports)
             uncorrectable += sum(r.diagnosis.kind is DiagnosisKind.UNCORRECTABLE
                                  for r in row_reports)
-            if gate_floor_after_check:
-                floor = max(floor, done)
+            floor = max(floor, done)
         elif action.kind is ActionKind.BLOCK_RESET:
             machine.block_ecc_reset(*action.block, earliest=floor)
         elif action.critical:
@@ -327,10 +325,6 @@ class ScheduleStats:
     init_cycles: int  # output-preset ops inside the baseline count
 
 
-def _reschedule(rp: RowProgram, tm: TimingModel, k: int) -> EccSchedule:
-    return insert_ecc(rp, rp.geom, tm, k)
-
-
 def min_pc_pairs(rp: RowProgram, tm: TimingModel, k_max: int = 8) -> int:
     """Smallest pair count with zero stalls, by binary search over k.
 
@@ -339,12 +333,12 @@ def min_pc_pairs(rp: RowProgram, tm: TimingModel, k_max: int = 8) -> int:
     timing models.
     """
     hi = k_max
-    while _reschedule(rp, tm, hi).stall_cycles > 0 and hi < 64:
+    while insert_ecc(rp, rp.geom, tm, hi).stall_cycles > 0 and hi < 64:
         hi *= 2
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _reschedule(rp, tm, mid).stall_cycles == 0:
+        if insert_ecc(rp, rp.geom, tm, mid).stall_cycles == 0:
             hi = mid
         else:
             lo = mid + 1

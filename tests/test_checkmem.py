@@ -1,5 +1,6 @@
-"""Check Memory model: shifters, pipelines, block checks, device counts."""
+"""Check Memory model: check-bit layout, pipelines, block checks, device counts."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,7 +13,6 @@ from xbarecc.checkmem import (
     TimingModel,
     check_chain_cycles,
     device_counts,
-    shifter_map,
     touched_check_cells,
     xor3_tree_levels,
 )
@@ -25,8 +25,8 @@ from xbarecc.engine import (
     nor_op,
     not_op,
 )
-from xbarecc.geometry import Bank, Geometry, GeometryError, leading_diag
-from xbarecc.parity import DiagnosisKind, encode_block
+from xbarecc.geometry import Bank, Geometry, GeometryError
+from xbarecc.parity import DiagnosisKind, encode_block, update_parity
 
 G9 = Geometry(9, 3)
 
@@ -39,36 +39,6 @@ def random_consistent_machine(seed, geom=G9, **kw) -> Machine:
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, 2, size=(geom.n, geom.n), dtype=np.uint8)
     return Machine(CrossbarState(geom, cells), **kw)
-
-
-class TestShifterMap:
-    def test_zero_offset_is_identity_within_groups(self):
-        smap = shifter_map(Orientation.ROW, 0, G9)
-        for line in range(9):
-            assert smap.leading[line] == (line % 3, line // 3)
-            assert smap.counter[line] == (line % 3, line // 3)
-
-    def test_rotation_example(self):
-        smap = shifter_map(Orientation.ROW, 1, G9)
-        assert [smap.leading[r][0] for r in (0, 1, 2)] == [1, 2, 0]
-
-    def test_leading_slot_matches_diag_index(self):
-        for c in range(9):
-            smap = shifter_map(Orientation.ROW, c, G9)
-            for r in range(9):
-                assert smap.leading[r][0] == leading_diag(r % 3, c % 3, 3)
-                assert smap.leading[r][1] == r // 3
-
-    def test_bijection_every_fixed_line(self):
-        for orientation in Orientation:
-            for fixed in range(9):
-                smap = shifter_map(orientation, fixed, G9)
-                for bank_map in (smap.leading, smap.counter):
-                    assert len(set(bank_map)) == 9
-
-    def test_out_of_range_line(self):
-        with pytest.raises(GeometryError):
-            shifter_map(Orientation.ROW, 9, G9)
 
 
 class TestCheckMemLayout:
@@ -163,13 +133,6 @@ class TestCriticalOp:
         r2 = machine.critical_op(init_op(Orientation.ROW, 0, {0}))
         assert r1.issue_cycle == 0
         assert r2.issue_cycle == 11  # reads at 12, first cycle the cell is fresh
-        assert machine.consistent()
-
-    def test_forwarding_flag_removes_hazard_stall(self):
-        machine = machine9(pc_pairs=4, pc_forwarding=True)
-        machine.critical_op(init_op(Orientation.ROW, 0, {0}))
-        r2 = machine.critical_op(init_op(Orientation.ROW, 0, {0}))
-        assert r2.issue_cycle == 3
         assert machine.consistent()
 
     def test_interleaved_criticals_and_checks_stay_consistent(self):
@@ -373,3 +336,72 @@ class TestDeviceCounts:
     def test_invalid_geometry(self):
         with pytest.raises(GeometryError):
             device_counts(10, 3, 1)
+
+
+class TestMultiLaneCriticalOps:
+    """Full-lane critical ops at 45/5. One PC pair stalls on the busy pair;
+    four pairs stall on same-cell hazards and check-bit crossbar conflicts.
+
+    The digests pin the event log and both check-bit planes; the fold of
+    the scalar :func:`update_parity` per block is the oracle for the planes.
+    """
+
+    GEOM = Geometry(45, 5)
+    # pc_pairs -> (sha256 of the event lines, sha256 of both planes)
+    DIGESTS = {
+        1: ("d6061f047d6ff95431bd5c9b2aa334a48cbfe4765049803a5e02b93aac47d3f9",
+            "de36f749a8d29b87324324d3861704eb4de737165e8815175fe0af3f472c3b40"),
+        4: ("4530348a6869e9acb9a2cb4c6e455c24c5afab46c079baea83af425befcbb505",
+            "de36f749a8d29b87324324d3861704eb4de737165e8815175fe0af3f472c3b40"),
+    }
+
+    def _program(self):
+        lanes = frozenset(range(45))
+        ops = []
+        # ROW ops write columns in block columns 0, 2 and 8; init+NOR on one
+        # column hits the same check-bits back to back
+        for out, ins in ((3, (0, 1)), (12, (2, 3)), (44, (12, 40)), (13, (3, 44))):
+            ops += [init_op(Orientation.ROW, out, lanes),
+                    nor_op(Orientation.ROW, ins, out, lanes)]
+        # COLUMN ops write rows in block rows 1 and 6, one of them twice
+        for out, ins in ((7, (20, 21)), (33, (7,)), (7, (0, 44))):
+            ops += [init_op(Orientation.COLUMN, out, lanes),
+                    nor_op(Orientation.COLUMN, ins, out, lanes)]
+        return ops
+
+    def _run(self, pc_pairs):
+        rng = np.random.default_rng(2045)
+        cells = rng.integers(0, 2, size=(45, 45), dtype=np.uint8)
+        machine = Machine(CrossbarState(self.GEOM, cells), pc_pairs=pc_pairs)
+        m, nb = 5, 9
+        oracle = {(br, bc): encode_block(machine.state.block(br, bc))
+                  for br in range(nb) for bc in range(nb)}
+        machine.block_ecc_reset(4, 2)
+        oracle[(4, 2)] = encode_block(np.ones((m, m), dtype=np.uint8))
+        for op in self._program():
+            before = machine.state.cells.copy()
+            machine.critical_op(op)
+            per_block = {}
+            for row, col in op.written_cells():
+                per_block.setdefault((row // m, col // m), []).append(
+                    (row % m, col % m, int(before[row, col]),
+                     int(machine.state.cells[row, col])))
+            for key, deltas in per_block.items():
+                oracle[key] = update_parity(oracle[key], deltas)
+        events = "\n".join(ev.to_line() for ev in machine.events).encode()
+        planes = b"".join(machine.checkmem.planes[bank].tobytes() for bank in Bank)
+        return (machine, oracle, hashlib.sha256(events).hexdigest(),
+                hashlib.sha256(planes).hexdigest())
+
+    @pytest.mark.parametrize("pc_pairs", [1, 4])
+    def test_planes_equal_the_scalar_fold_per_block(self, pc_pairs):
+        machine, oracle, _, _ = self._run(pc_pairs)
+        for (br, bc), parity in oracle.items():
+            assert machine.checkmem.parity(br, bc) == parity
+        assert machine.consistent()
+        assert machine.stall_cycles > 0
+
+    @pytest.mark.parametrize("pc_pairs", [1, 4])
+    def test_events_and_planes_match_pinned_digests(self, pc_pairs):
+        _, _, events_sha, planes_sha = self._run(pc_pairs)
+        assert (events_sha, planes_sha) == self.DIGESTS[pc_pairs]

@@ -9,12 +9,15 @@ from xbarecc.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_SWEEP_POINTS,
+    MAX_TRIALS,
     RunConfig,
     load_config,
     main,
     read_schedule_file,
 )
 from xbarecc.netlist import bundled_dir, load_bundled
+from xbarecc.reliability import sweep_points
 
 
 @pytest.fixture
@@ -150,6 +153,14 @@ class TestInjectCommand:
         assert "blocks_observed=200" in text
         assert "flips_injected=" in text
 
+    @pytest.mark.parametrize("scope", ["block", "machine"])
+    def test_trials_past_the_bound_are_a_usage_error(self, scope, capsys):
+        # rejected before any trial is drawn or machine built
+        rc = main(["inject", "--scope", scope, "--pbit", "0.01",
+                   "--trials", str(MAX_TRIALS + 1)])
+        assert rc == EXIT_USAGE
+        assert f"at most {MAX_TRIALS}" in capsys.readouterr().err
+
 
 class TestReliabilityCommand:
     def test_csv_includes_reference_rates_and_improvement(self, capsys):
@@ -166,6 +177,20 @@ class TestReliabilityCommand:
     def test_inverted_range_is_usage_error(self):
         assert main(["reliability", "--lambda-min", "10",
                      "--lambda-max", "0.1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--points-per-decade", "--lambda-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_sizing_flag_is_usage_error(self, flag, value, capsys):
+        assert main(["reliability", flag, value]) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_grid_past_the_bound_is_usage_error(self, capsys):
+        # one decade at MAX_SWEEP_POINTS - 1 points per decade is the largest grid
+        assert sweep_points(1.0, 10.0, MAX_SWEEP_POINTS - 1) == MAX_SWEEP_POINTS
+        rc = main(["reliability", "--lambda-min", "1", "--lambda-max", "10",
+                   "--points-per-decade", str(MAX_SWEEP_POINTS)])
+        assert rc == EXIT_USAGE
+        assert f"exceeds {MAX_SWEEP_POINTS}" in capsys.readouterr().err
 
 
 class TestAreaCommand:
