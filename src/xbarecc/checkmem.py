@@ -233,8 +233,8 @@ class CheckMem:
 
     def parity(self, block_row: int, block_col: int) -> BlockParity:
         return BlockParity(
-            tuple(int(b) for b in self.planes[Bank.LEADING][:, block_col, block_row]),
-            tuple(int(b) for b in self.planes[Bank.COUNTER][:, block_col, block_row]),
+            tuple(self.planes[Bank.LEADING][:, block_col, block_row].tolist()),
+            tuple(self.planes[Bank.COUNTER][:, block_col, block_row].tolist()),
         )
 
     def set_parity(self, block_row: int, block_col: int, parity: BlockParity) -> None:
@@ -531,10 +531,14 @@ class Machine:
         # functional: per-block syndrome, decode, correct
         reports: list[BlockReport] = []
         done = zero_at + zc
+        # stored check-bits of the whole line, [block][diag], read once
+        line = (np.s_[:, :, index] if orientation is Orientation.ROW
+                else np.s_[:, index, :])
+        lead, ctr = (self.checkmem.planes[bank][line].T.tolist() for bank in Bank)
         for k in range(nb):
             br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
             block = self.state.block(br, bc)
-            stored = self.checkmem.parity(br, bc)
+            stored = BlockParity(tuple(lead[k]), tuple(ctr[k]))
             diag = decode_syndrome(compute_syndrome(block, stored))
             reports.append(BlockReport(br, bc, diag))
             if diag.kind is DiagnosisKind.CLEAN:

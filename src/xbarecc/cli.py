@@ -18,6 +18,7 @@ from .geometry import Geometry, GeometryError
 from .netlist import NetlistError, load_netlist
 from .parity import DiagonalConflictError
 from .reliability import (
+    MIN_BLOCK_TRIALS,
     CampaignScope,
     FaultCampaign,
     ReliabilityParams,
@@ -106,10 +107,22 @@ def load_config(path: str) -> RunConfig:
             values[key] = int(val)
         except ValueError:
             raise InputError(f"{path}:{lineno}: {key} needs an integer, got {val!r}")
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    try:
+        cfg.timing()
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if cfg.pc_pairs < 1 or cfg.seed < 0:
+        raise InputError(f"{path}: need pc_pairs >= 1 and seed >= 0, "
+                         f"got {cfg.pc_pairs} and {cfg.seed}")
+    return cfg
 
 
 def resolve_config(args) -> RunConfig:
+    if getattr(args, "pc_pairs", None) is not None and args.pc_pairs < 1:
+        raise UsageError(f"-k/--pc-pairs must be at least 1, got {args.pc_pairs}")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {}
     for flag, key in (("n", "n"), ("block_size", "block_size"),
@@ -188,33 +201,32 @@ def read_schedule_file(path: Path) -> ReplaySchedule:
             continue
         if line.startswith("#"):
             continue
-        try:
+        try:  # MicroOpError is a ValueError
             ev = Event.from_line(line)
-        except ValueError as exc:
+            operands = dict(tok.partition("=")[::2] for tok in ev.operands.split())
+            if ev.action == "check_row":
+                actions.append(Action(ActionKind.CHECK_ROW,
+                                      index=int(operands["index"]),
+                                      orientation=Orientation(operands["orient"])))
+            elif ev.action == "block_reset":
+                br, bc = operands["block"].split(",")
+                actions.append(Action(ActionKind.BLOCK_RESET, block=(int(br), int(bc))))
+            elif ev.action == "op" and operands.get("reset") != "1":
+                actions.append(Action(ActionKind.OP, op=parse_op(ev.operands),
+                                      critical=operands.get("critical") == "1"))
+        except (KeyError, ValueError) as exc:
             raise InputError(f"{path}:{lineno}: {exc}")
-        operands = dict(tok.partition("=")[::2] for tok in ev.operands.split())
-        if ev.action == "check_row":
-            actions.append(Action(ActionKind.CHECK_ROW,
-                                  index=int(operands["index"]),
-                                  orientation=Orientation(operands["orient"])))
-        elif ev.action == "block_reset":
-            br, bc = operands["block"].split(",")
-            actions.append(Action(ActionKind.BLOCK_RESET, block=(int(br), int(bc))))
-        elif ev.action == "op" and operands.get("reset") != "1":
-            try:
-                op = parse_op(ev.operands)
-            except MicroOpError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}")
-            actions.append(Action(ActionKind.OP, op=op,
-                                  critical=operands.get("critical") == "1"))
     try:
         geom = Geometry(int(meta["n"]), int(meta["m"]))
         timing_vals = dict(kv.split(":") for kv in meta["timing"].split(","))
         timing = TimingModel(**{k: int(v) for k, v in timing_vals.items()})
+        pc_pairs = int(meta["pc_pairs"])
+        if pc_pairs < 1:
+            raise ValueError(f"pc_pairs must be >= 1, got {pc_pairs}")
         schedule = ReplaySchedule(
             name=meta.get("netlist", path.stem),
             geom=geom,
-            pc_pairs=int(meta["pc_pairs"]),
+            pc_pairs=pc_pairs,
             timing=timing,
             input_columns=_parse_columns(meta.get("inputs", "")),
             output_columns=_parse_columns(meta.get("outputs", "")),
@@ -338,6 +350,12 @@ def cmd_inject(args) -> int:
     cfg = resolve_config(args)
     if args.trials > MAX_TRIALS:
         raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    min_trials = MIN_BLOCK_TRIALS if args.scope == CampaignScope.BLOCK else 1
+    if args.trials < min_trials:
+        raise UsageError(f"--trials must be at least {min_trials} with "
+                         f"--scope {args.scope}, got {args.trials}")
+    if not 0 <= args.pbit <= 1:
+        raise UsageError(f"--pbit must be in [0, 1], got {args.pbit}")
     if args.scope == CampaignScope.BLOCK:
         est = monte_carlo_block_failure(args.pbit, cfg.block_size, args.trials,
                                         cfg.seed)
@@ -381,9 +399,13 @@ def cmd_inject(args) -> int:
 
 def cmd_reliability(args) -> int:
     cfg = resolve_config(args)
-    for flag in ("lambda_min", "lambda_max", "points_per_decade"):
+    for flag in ("lambda_min", "lambda_max", "points_per_decade", "t_hours"):
         if not math.isfinite(getattr(args, flag)):
             raise UsageError(f"--{flag.replace('_', '-')} must be finite")
+    for flag in ("points_per_decade", "t_hours", "capacity_bits"):
+        if getattr(args, flag) <= 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be positive, "
+                             f"got {getattr(args, flag)}")
     if args.lambda_min <= 0 or args.lambda_min >= args.lambda_max:
         raise UsageError(
             f"need 0 < lambda-min < lambda-max, got {args.lambda_min} "
@@ -503,10 +525,10 @@ def main(argv=None) -> int:
         print(f"xbarecc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InputError, NetlistError, RowCapacityError, GeometryError,
-            MicroOpError, FileNotFoundError, ValueError) as exc:
+            MicroOpError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"xbarecc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DiagonalConflictError, RuntimeError) as exc:
+    except (DiagonalConflictError, RuntimeError, ValueError) as exc:
         print(f"xbarecc: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

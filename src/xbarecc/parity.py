@@ -7,6 +7,8 @@ incrementally with the XOR of old and new data. A single flipped bit
 (data or check) leaves a syndrome signature that identifies it uniquely.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,7 +82,7 @@ class Diagnosis:
 
     @classmethod
     def clean(cls) -> "Diagnosis":
-        return cls(DiagnosisKind.CLEAN)
+        return _CLEAN
 
     @classmethod
     def data_error(cls, i: int, j: int) -> "Diagnosis":
@@ -95,18 +97,32 @@ class Diagnosis:
         return cls(DiagnosisKind.UNCORRECTABLE)
 
 
+_CLEAN = Diagnosis(DiagnosisKind.CLEAN)
+
+
+@functools.cache
+def _diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index of the diagonals: ``(rows, cols)``, each ``[2, m, m]``.
+
+    Entry ``[bank, i, d]`` is the cell of row i on diagonal d: column
+    (d - i) mod m on leading diagonal d, (i - d) mod m on counter diagonal d.
+    """
+    i = np.arange(m)[:, None]
+    d = np.arange(m)[None, :]
+    rows = np.broadcast_to(i, (2, m, m)).copy()  # contiguous gathers faster
+    cols = np.stack([(d - i) % m, (i - d) % m])
+    return rows, cols
+
+
 def diag_sums(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading and counter check-bits of every m x m block in ``blocks[..., m, m]``.
 
-    Returns two ``[..., m]`` arrays; entry d is the parity of diagonal d.
+    Returns two ``[..., m]`` uint8 arrays; entry d is the parity of diagonal d.
     """
-    m = blocks.shape[-1]
-    idx = np.arange(m)
-    # gather[..., i, d] = block[i, (d - i) mod m] so column d collects leading diagonal d
-    lead = blocks[..., idx[:, None], (idx[None, :] - idx[:, None]) % m]
-    # gather[..., i, d] = block[i, (i - d) mod m] collects counter diagonal d
-    ctr = blocks[..., idx[:, None], (idx[:, None] - idx[None, :]) % m]
-    return lead.sum(axis=-2) & 1, ctr.sum(axis=-2) & 1
+    rows, cols = _diag_index(blocks.shape[-1])
+    # a uint8 sum wraps mod 256, which keeps the low bit
+    sums = blocks[..., rows, cols].sum(axis=-2, dtype=np.uint8) & 1
+    return sums[..., 0, :], sums[..., 1, :]
 
 
 def encode_block(block: np.ndarray) -> BlockParity:
@@ -117,8 +133,8 @@ def encode_block(block: np.ndarray) -> BlockParity:
         raise CodecError(f"block must be square, got {block.shape}")
     if m % 2 == 0:
         raise GeometryError(f"block size must be odd, got {m}")
-    lead, ctr = diag_sums(block.astype(np.int64, copy=False))
-    return BlockParity(tuple(int(b) for b in lead), tuple(int(b) for b in ctr))
+    lead, ctr = diag_sums(block)
+    return BlockParity(tuple(lead.tolist()), tuple(ctr.tolist()))
 
 
 def update_parity(parity: BlockParity,
@@ -155,8 +171,8 @@ def compute_syndrome(block: np.ndarray, stored: BlockParity) -> Syndrome:
     if computed.m != stored.m:
         raise CodecError(f"stored parity length {stored.m} != block size {computed.m}")
     return Syndrome(
-        tuple(a ^ b for a, b in zip(computed.leading, stored.leading)),
-        tuple(a ^ b for a, b in zip(computed.counter, stored.counter)),
+        tuple(map(operator.xor, computed.leading, stored.leading)),
+        tuple(map(operator.xor, computed.counter, stored.counter)),
     )
 
 

@@ -177,13 +177,16 @@ class MonteCarloEstimate:
         return self.ci_low <= value <= self.ci_high
 
 
+MIN_BLOCK_TRIALS = 10_000  # fewest trials that give a meaningful 95% interval
+
+
 def monte_carlo_block_failure(p: float, m: int, trials: int,
                               seed: int) -> MonteCarloEstimate:
     """Sampled block-failure probability: >= 2 flips among m*m iid cells.
 
     Independent oracle for :func:`block_failure_probability`.
     """
-    if trials < 10_000:
+    if trials < MIN_BLOCK_TRIALS:
         raise ValueError(f"need at least 1e4 trials for a meaningful CI, got {trials}")
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0,1]")
@@ -246,8 +249,6 @@ class CampaignReport:
 
 def _classify_block(flips: int, checked: bool, restored: bool,
                     diagnosis_kind, report: CampaignReport) -> None:
-    if flips == 0:
-        return
     report.flips_injected += flips
     if not checked:
         report.silent += flips
@@ -308,31 +309,26 @@ def injection_campaign(machine_factory, campaign: FaultCampaign,
             diag_by_block = {(r.block_row, r.block_col): r.diagnosis.kind
                              for r in run.reports}
 
-        for br in range(nb):
-            for bc in range(nb):
-                flips = int(flips_per_block[br, bc])
-                checked = (br, bc) in diag_by_block
-                if checked:
-                    report.blocks_observed += 1
-                if flips == 0:
-                    continue
-                if not checked:
-                    _classify_block(flips, False, False, None, report)
-                    continue
-                kind = diag_by_block[(br, bc)]
-                if workload is None:
-                    # nothing rewrites blocks after a pure check pass, so the
-                    # pre-injection contents are the ground truth
-                    lo, hi = br * m, (br + 1) * m
-                    restored = np.array_equal(
-                        machine.state.cells[lo:hi, bc * m:(bc + 1) * m],
-                        golden[lo:hi, bc * m:(bc + 1) * m])
-                else:
-                    # the program may overwrite the block afterwards; a lone
-                    # flip with a locating diagnosis is always repaired
-                    restored = (flips == 1 and kind in (
-                        DiagnosisKind.DATA_ERROR, DiagnosisKind.CHECK_BIT_ERROR))
-                if not restored:
-                    report.blocks_failed += 1
-                _classify_block(flips, True, restored, kind, report)
+        report.blocks_observed += len(diag_by_block)
+        for br, bc in zip(*np.nonzero(flips_per_block)):
+            flips = int(flips_per_block[br, bc])
+            if (br, bc) not in diag_by_block:
+                _classify_block(flips, False, False, None, report)
+                continue
+            kind = diag_by_block[(br, bc)]
+            if workload is None:
+                # nothing rewrites blocks after a pure check pass, so the
+                # pre-injection contents are the ground truth
+                lo, hi = br * m, (br + 1) * m
+                restored = np.array_equal(
+                    machine.state.cells[lo:hi, bc * m:(bc + 1) * m],
+                    golden[lo:hi, bc * m:(bc + 1) * m])
+            else:
+                # the program may overwrite the block afterwards; a lone
+                # flip with a locating diagnosis is always repaired
+                restored = (flips == 1 and kind in (
+                    DiagnosisKind.DATA_ERROR, DiagnosisKind.CHECK_BIT_ERROR))
+            if not restored:
+                report.blocks_failed += 1
+            _classify_block(flips, True, restored, kind, report)
     return report

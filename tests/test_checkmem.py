@@ -405,3 +405,73 @@ class TestMultiLaneCriticalOps:
     def test_events_and_planes_match_pinned_digests(self, pc_pairs):
         _, _, events_sha, planes_sha = self._run(pc_pairs)
         assert (events_sha, planes_sha) == self.DIGESTS[pc_pairs]
+
+
+class TestCheckPathPinned:
+    """A full-memory check at 45/5 over every diagnosis kind, in both
+    orientations: two single data flips, a leading and a counter check-bit
+    flip, a two-flip block and a leading+counter check-bit pair (the blind
+    spot, miscorrected as a data error), each in a distinct block.
+
+    The digests pin the report tuples, the event lines, the final cells and
+    both check-bit planes.
+    """
+
+    GEOM = Geometry(45, 5)
+    # orientation -> sha256 of (reports, events, cells, planes)
+    DIGESTS = {
+        Orientation.ROW: (
+            "57876ca93277e0907b47eaa31d5f57517a5ad55f400713b5b04cb467191863b6",
+            "5ac65b5db79f6059ca5d3f1f11713cf13b42b714ca4d972fe8d28411d85a4485",
+            "24411c3c56b5118310233f51e0e45c7031677503f8366940a3ddfdf414209dae",
+            "852349c7adb885f83c578500c3566d5ea74a01a2c776913b9617aaa34c9b8505"),
+        Orientation.COLUMN: (
+            "30f6d7e37fd1de3103032d0e7cbaca2ff09d2b3bb4bbed8daa7c891812ac75f2",
+            "c1db231242594809c3cf7adfaaa8cee4d3199869bc3a47b3761b0727d7ed5e60",
+            "24411c3c56b5118310233f51e0e45c7031677503f8366940a3ddfdf414209dae",
+            "852349c7adb885f83c578500c3566d5ea74a01a2c776913b9617aaa34c9b8505"),
+    }
+
+    def _run(self, orientation):
+        rng = np.random.default_rng(4505)
+        cells = rng.integers(0, 2, size=(45, 45), dtype=np.uint8)
+        machine = Machine(CrossbarState(self.GEOM, cells), pc_pairs=2)
+        machine.inject_data_flip(1, 2)                  # block (0, 0)
+        machine.inject_data_flip(23, 41)                # block (4, 8)
+        machine.inject_check_flip(Bank.LEADING, 3, 2, 5)
+        machine.inject_check_flip(Bank.COUNTER, 0, 8, 1)
+        machine.inject_data_flip(30, 30)                # block (6, 6), twice
+        machine.inject_data_flip(33, 34)
+        machine.inject_check_flip(Bank.LEADING, 1, 7, 3)  # block (7, 3), blind spot
+        machine.inject_check_flip(Bank.COUNTER, 4, 7, 3)
+        summary = machine.full_memory_check(orientation)
+        reports = [(r.block_row, r.block_col, r.diagnosis.kind.value, r.diagnosis.i,
+                    r.diagnosis.j, r.diagnosis.bank and r.diagnosis.bank.value,
+                    r.diagnosis.idx) for r in summary.reports]
+        events = "\n".join(ev.to_line() for ev in machine.events)
+        planes = b"".join(machine.checkmem.planes[bank].tobytes() for bank in Bank)
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            repr(reports).encode(), events.encode(),
+            machine.state.cells.tobytes(), planes))
+        return summary, digests
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_every_diagnosis_kind_is_reported(self, orientation):
+        summary, _ = self._run(orientation)
+        dirty = {(r.block_row, r.block_col): r.diagnosis.kind
+                 for r in summary.reports
+                 if r.diagnosis.kind is not DiagnosisKind.CLEAN}
+        assert dirty == {
+            (0, 0): DiagnosisKind.DATA_ERROR,
+            (4, 8): DiagnosisKind.DATA_ERROR,
+            (2, 5): DiagnosisKind.CHECK_BIT_ERROR,
+            (8, 1): DiagnosisKind.CHECK_BIT_ERROR,
+            (6, 6): DiagnosisKind.UNCORRECTABLE,
+            (7, 3): DiagnosisKind.DATA_ERROR,
+        }
+        assert (summary.clean, summary.corrected, summary.uncorrectable) == (75, 5, 1)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_reports_events_cells_and_planes_match_pinned_digests(self, orientation):
+        _, digests = self._run(orientation)
+        assert digests == self.DIGESTS[orientation]

@@ -7,6 +7,7 @@ import pytest
 
 from xbarecc.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_SWEEP_POINTS,
@@ -62,6 +63,11 @@ class TestScheduleCommand:
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["schedule", str(tmp_path / "none.nl")]) == EXIT_INPUT
+
+    def test_undecodable_netlist_is_input_error(self, tmp_path):
+        bad = tmp_path / "bad.nl"
+        bad.write_bytes(b"\xff\xfe .inputs a\n")
+        assert main(["schedule", str(bad)] + SMALL) == EXIT_INPUT
 
     def test_capacity_exceeded_is_input_error(self, corpus_dir):
         rc = main(["schedule", str(corpus_dir / "ripple_adder4.nl"),
@@ -129,6 +135,18 @@ class TestSimulateCommand:
         bad.write_text("not a schedule\n")
         assert main(["simulate", str(bad), "--inputs", "a=0"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("old, new", [
+        ("index=0", "index=x"), ("orient=row", "orient=diagonal"),
+        ("pc_pairs=4", "pc_pairs=0")])
+    def test_corrupt_schedule_record_is_input_error(self, corpus_dir, tmp_path,
+                                                    old, new):
+        events = self.schedule(corpus_dir, tmp_path)
+        text = events.read_text()
+        assert old in text
+        events.write_text(text.replace(old, new, 1))
+        assert main(["simulate", str(events), "--inputs", "a=0,b=0,cin=0"]) \
+            == EXIT_INPUT
+
     def test_schedule_file_round_trip(self, corpus_dir, tmp_path):
         events = self.schedule(corpus_dir, tmp_path)
         replay = read_schedule_file(events)
@@ -152,6 +170,36 @@ class TestInjectCommand:
         text = capsys.readouterr().out
         assert "blocks_observed=200" in text
         assert "flips_injected=" in text
+
+    def test_machine_scope_report_text_is_pinned(self, capsys):
+        rc = main(["inject", "--scope", "machine", "-n", "45", "-m", "5",
+                   "--pbit", "0.01", "--trials", "6", "--seed", "11"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == (
+            "scope=machine n=45 m=5 p_bit=0.01 trials=6 seed=11\n"
+            "flips_injected=125\n"
+            "corrected=99\n"
+            "uncorrectable=26\n"
+            "miscorrected=0\n"
+            "silent=0\n"
+            "blocks_observed=486\n"
+            "blocks_failed=12\n"
+            "failed_block_frequency=0.02469135802\n"
+            "closed_form_block_failure=0.0257591054\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--scope", "machine", "--trials", "0"],
+        ["--scope", "block", "--trials", "9999"],
+        ["--pbit", "2"],
+        ["--pbit", "nan"],
+        ["--pbit", "-0.5"],
+        ["--seed", "-1"],
+        ["-k", "0"],
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, flags, capsys):
+        args = ["inject", "--pbit", "0.01", "-n", "30", "-m", "3"] + flags
+        assert main(args) == EXIT_USAGE
+        assert "xbarecc: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scope", ["block", "machine"])
     def test_trials_past_the_bound_are_a_usage_error(self, scope, capsys):
@@ -184,6 +232,24 @@ class TestReliabilityCommand:
         assert main(["reliability", flag, value]) == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-hours", "inf"), ("--t-hours", "nan"), ("--t-hours", "0"),
+        ("--t-hours", "-1"), ("--capacity-bits", "0"), ("--capacity-bits", "-1"),
+        ("--points-per-decade", "0"), ("--points-per-decade", "-1")])
+    def test_non_positive_or_non_finite_flag_is_usage_error(self, flag, value,
+                                                            capsys):
+        assert main(["reliability", flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any sweep runs
+        assert "xbarecc: error:" in captured.err
+
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("broken invariant")
+        monkeypatch.setattr("xbarecc.cli.sweep", broken)
+        assert main(["reliability"]) == EXIT_INTERNAL
+        assert "internal invariant violated" in capsys.readouterr().err
+
     def test_grid_past_the_bound_is_usage_error(self, capsys):
         # one decade at MAX_SWEEP_POINTS - 1 points per decade is the largest grid
         assert sweep_points(1.0, 10.0, MAX_SWEEP_POINTS - 1) == MAX_SWEEP_POINTS
@@ -209,6 +275,9 @@ class TestAreaCommand:
     def test_bad_geometry(self, capsys):
         assert main(["area", "-n", "10", "-m", "3"]) == EXIT_INPUT
 
+    def test_zero_pc_pairs_is_usage_error(self, capsys):
+        assert main(["area", "-k", "0"]) == EXIT_USAGE
+
 
 class TestConfig:
     def test_load_and_override(self, tmp_path):
@@ -216,6 +285,12 @@ class TestConfig:
         cfgfile.write_text("n=30\nblock_size=3\npc_pairs=2\nxor3_cycles=6\n")
         cfg = load_config(str(cfgfile))
         assert cfg == RunConfig(n=30, block_size=3, pc_pairs=2, xor3_cycles=6)
+
+    @pytest.mark.parametrize("line", ["xor3_cycles=0", "pc_pairs=0", "seed=-1"])
+    def test_out_of_range_value_is_input_error(self, tmp_path, line, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        assert main(["area", "--config", str(cfgfile)]) == EXIT_INPUT
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -23,6 +23,7 @@ from xbarecc.parity import (
     apply_correction,
     compute_syndrome,
     decode_syndrome,
+    diag_sums,
     encode_block,
     update_parity,
 )
@@ -76,6 +77,54 @@ class TestEncode:
     def test_non_square_rejected(self):
         with pytest.raises(CodecError):
             encode_block(np.zeros((3, 5), dtype=np.uint8))
+
+
+def loop_parity(block) -> BlockParity:
+    """Pure-Python oracle: XOR every cell into its two diagonals."""
+    m = len(block)
+    lead, ctr = [0] * m, [0] * m
+    for i in range(m):
+        for j in range(m):
+            bit = int(block[i][j])
+            lead[leading_diag(i, j, m)] ^= bit
+            ctr[counter_diag(i, j, m)] ^= bit
+    return BlockParity(tuple(lead), tuple(ctr))
+
+
+class TestCodecAgainstLoop:
+    """``diag_sums`` and ``encode_block`` against :func:`loop_parity`."""
+
+    DTYPES = [np.uint8, np.bool_, np.int64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", [1, 3, 5, 15])
+    def test_one_block(self, m, dtype):
+        rng = np.random.default_rng(m)
+        for _ in range(4):
+            block = random_block(rng, m).astype(dtype)
+            expect = loop_parity(block)
+            assert encode_block(block) == expect
+            lead, ctr = diag_sums(block)
+            assert (tuple(lead.tolist()), tuple(ctr.tolist())) == \
+                (expect.leading, expect.counter)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", [1, 3, 5, 15])
+    def test_stack_of_blocks(self, m, dtype):
+        blocks = np.random.default_rng(100 + m).integers(
+            0, 2, size=(2, 3, m, m)).astype(dtype)
+        lead, ctr = diag_sums(blocks)
+        assert lead.shape == ctr.shape == (2, 3, m)
+        for a, b in itertools.product(range(2), range(3)):
+            expect = loop_parity(blocks[a, b])
+            assert tuple(lead[a, b].tolist()) == expect.leading
+            assert tuple(ctr[a, b].tolist()) == expect.counter
+
+    def test_sums_past_255_keep_their_parity(self):
+        # each diagonal of an all-ones 257 x 257 block sums to 257
+        block = np.ones((257, 257), dtype=np.uint8)
+        assert encode_block(block) == loop_parity(block) == \
+            BlockParity((1,) * 257, (1,) * 257)
 
 
 class TestUpdateParity:
