@@ -173,13 +173,15 @@ class ReplaySchedule:
     scheduled_cycles: int
 
 
-def _parse_columns(text: str) -> dict[str, int]:
+def _parse_columns(text: str, n: int) -> dict[str, int]:
     cols = {}
     if not text:
         return cols
     for part in text.split(","):
         name, _, col = part.partition(":")
         cols[name] = int(col)
+        if not 0 <= cols[name] < n:
+            raise ValueError(f"column of {name!r} is {col}, outside [0, {n})")
     return cols
 
 
@@ -228,8 +230,8 @@ def read_schedule_file(path: Path) -> ReplaySchedule:
             geom=geom,
             pc_pairs=pc_pairs,
             timing=timing,
-            input_columns=_parse_columns(meta.get("inputs", "")),
-            output_columns=_parse_columns(meta.get("outputs", "")),
+            input_columns=_parse_columns(meta.get("inputs", ""), geom.n),
+            output_columns=_parse_columns(meta.get("outputs", ""), geom.n),
             actions=tuple(actions),
             scheduled_cycles=int(meta.get("total_cycles", "0")),
         )
@@ -357,6 +359,9 @@ def cmd_inject(args) -> int:
     if not 0 <= args.pbit <= 1:
         raise UsageError(f"--pbit must be in [0, 1], got {args.pbit}")
     if args.scope == CampaignScope.BLOCK:
+        if cfg.block_size < 1 or cfg.block_size % 2 == 0:
+            raise UsageError(f"-m/--block-size must be odd and at least 1, "
+                             f"got {cfg.block_size}")
         est = monte_carlo_block_failure(args.pbit, cfg.block_size, args.trials,
                                         cfg.seed)
         closed = block_failure_probability(args.pbit, cfg.block_size)

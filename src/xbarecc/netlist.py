@@ -116,21 +116,31 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
         if out not in defined:
             raise NetlistError(f"undefined output {out!r}")
 
-    # Kahn topological sort; leftover gates mean a cycle
-    ordered: list[Gate] = []
-    resolved = set(inputs)
-    pending = dict(raw_gates)
-    while pending:
-        ready = [gid for gid, (_, g) in pending.items()
-                 if all(op in resolved for op in g.operands)]
-        if not ready:
-            cyclic = ", ".join(sorted(pending))
-            raise NetlistError(f"cyclic dependency among gates: {cyclic}")
-        for gid in ready:
-            ordered.append(pending.pop(gid)[1])
-            resolved.add(gid)
+    # Kahn topological sort computing each gate's depth (gates on its longest
+    # path from an input); leftover gates mean a cycle. Ordering by
+    # (depth, file position) lists the gates wave by wave, in file order.
+    waiting = dict.fromkeys(raw_gates, 0)
+    users: dict[str, list[str]] = {}
+    for gid, (_, gate) in raw_gates.items():
+        for op in gate.operands:
+            if op in raw_gates:
+                waiting[gid] += 1
+                users.setdefault(op, []).append(gid)
+    depth = dict.fromkeys(raw_gates, 0)
+    resolved = [gid for gid, count in waiting.items() if count == 0]
+    for gid in resolved:  # grows while it is walked
+        for user in users.get(gid, ()):
+            depth[user] = max(depth[user], depth[gid] + 1)
+            waiting[user] -= 1
+            if waiting[user] == 0:
+                resolved.append(user)
+    if len(resolved) < len(raw_gates):
+        cyclic = ", ".join(sorted(set(raw_gates).difference(resolved)))
+        raise NetlistError(f"cyclic dependency among gates: {cyclic}")
+    ordered = sorted(raw_gates, key=depth.__getitem__)
 
-    return Netlist(name, tuple(inputs), tuple(outputs), tuple(ordered))
+    return Netlist(name, tuple(inputs), tuple(outputs),
+                   tuple(raw_gates[gid][1] for gid in ordered))
 
 
 def load_netlist(path) -> Netlist:

@@ -103,6 +103,15 @@ def map_to_row(netlist: Netlist, geom: Geometry) -> RowProgram:
         for op in gate.operands:
             consumers.setdefault(op, []).append(pos)
 
+    # Netlist.fanout of every value: gates reading it, each once, plus
+    # one if it is an output
+    fanout = dict.fromkeys(refcount, 0)
+    for gate in gates:
+        for op in set(gate.operands):
+            fanout[op] += 1
+    for out in outputs:
+        fanout[out] += 1
+
     cell_map = dict(input_columns)
     emitted = [False] * len(gates)
     # ready heap keyed largest fanout first, then program order
@@ -112,7 +121,7 @@ def map_to_row(netlist: Netlist, geom: Geometry) -> RowProgram:
         missing = sum(op not in cell_map for op in set(gate.operands))
         deps_left.append(missing)
         if missing == 0:
-            heapq.heappush(ready, (-netlist.fanout(gate.gate_id), pos))
+            heapq.heappush(ready, (-fanout[gate.gate_id], pos))
 
     ops: list[MicroOp] = []
     lanes = frozenset({PROGRAM_ROW})
@@ -139,14 +148,13 @@ def map_to_row(netlist: Netlist, geom: Geometry) -> RowProgram:
         for operand in set(gate.operands):
             refcount[operand] -= gate.operands.count(operand)
             if (refcount[operand] == 0 and operand not in output_columns
-                    and operand not in input_columns
-                    and operand not in outputs):
+                    and operand not in input_columns):
                 heapq.heappush(free_cols, cell_map[operand])
         for nxt in consumers.get(gate.gate_id, []):
             deps_left[nxt] -= sum(
                 op == gate.gate_id for op in set(gates[nxt].operands))
             if deps_left[nxt] == 0 and not emitted[nxt]:
-                heapq.heappush(ready, (-netlist.fanout(gates[nxt].gate_id), nxt))
+                heapq.heappush(ready, (-fanout[gates[nxt].gate_id], nxt))
 
     if scheduled != len(gates):
         raise NetlistError("internal error: not all gates scheduled")
@@ -325,37 +333,60 @@ class ScheduleStats:
     init_cycles: int  # output-preset ops inside the baseline count
 
 
-def min_pc_pairs(rp: RowProgram, tm: TimingModel, k_max: int = 8) -> int:
-    """Smallest pair count with zero stalls, by binary search over k.
+def _pair_cap(k_max: int) -> int:
+    """First k_max * 2**j that is at least 64, or k_max when larger."""
+    if k_max < 1:
+        raise ValueError(f"need at least one processing-crossbar pair, got {k_max}")
+    cap = k_max
+    while cap < 64:
+        cap *= 2
+    return cap
 
-    Stalls are non-increasing in k (more pairs never delay an issue), so
-    bisection is exact. Falls back to doubling past k_max for pathological
-    timing models.
+
+def _pairs_read_off(schedule: EccSchedule, cap: int) -> int | None:
+    """min_pc_pairs as far as one schedule decides it, else None."""
+    if schedule.stall_cycles == 0:
+        return min(max(1, schedule.pc_pairs_used), cap)
+    if schedule.pc_pairs >= cap:
+        return cap
+    return None
+
+
+def min_pc_pairs(rp: RowProgram, tm: TimingModel, k_max: int = 8) -> int:
+    """Smallest pair count with zero stalls, capped, from one schedule.
+
+    Every unit takes the lowest free pair, so a stall-free run with k pairs
+    issues each action exactly as any run with more pairs does, and uses
+    the fewest pairs any stall-free run needs: with one pair fewer, the
+    first action that took the highest pair finds every lower one busy and
+    stalls. The answer is the pairs a stall-free schedule used (at least
+    1), capped at the first k_max * 2**j that is at least 64 (k_max itself
+    when larger); a schedule that still stalls at the cap gives the cap.
+    One ``insert_ecc`` at the cap decides it.
     """
-    hi = k_max
-    while insert_ecc(rp, rp.geom, tm, hi).stall_cycles > 0 and hi < 64:
-        hi *= 2
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if insert_ecc(rp, rp.geom, tm, mid).stall_cycles == 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    cap = _pair_cap(k_max)
+    return _pairs_read_off(insert_ecc(rp, rp.geom, tm, cap), cap)
 
 
 def report(schedule: EccSchedule) -> ScheduleStats:
-    """Latency statistics of one schedule, including the PC-pair sweep."""
+    """Latency statistics of one schedule, including the minimum pair count.
+
+    ``min_pc_pairs`` (k_max 8, cap 64) is read off this schedule by the
+    same rule when it is stall-free or has at least 64 pairs; otherwise one
+    more schedule at the cap decides it.
+    """
     baseline = schedule.baseline_cycles
     proposed = schedule.total_cycles
     overhead = 100.0 * (proposed - baseline) / baseline if baseline else 0.0
     inits = sum(1 for op in schedule.row_program.ops if op.kind is OpKind.INIT)
+    pairs = _pairs_read_off(schedule, _pair_cap(8))
+    if pairs is None:
+        pairs = min_pc_pairs(schedule.row_program, schedule.timing)
     return ScheduleStats(
         baseline=baseline,
         proposed=proposed,
         overhead_percent=overhead,
-        min_pc_pairs=min_pc_pairs(schedule.row_program, schedule.timing),
+        min_pc_pairs=pairs,
         stall_cycles=schedule.stall_cycles,
         input_check_cycles=schedule.input_check_cycles,
         critical_ops=schedule.critical_ops,

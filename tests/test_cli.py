@@ -2,9 +2,11 @@
 
 import itertools
 import shutil
+from collections import Counter
 
 import pytest
 
+from xbarecc import cli, scheduler
 from xbarecc.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -17,7 +19,9 @@ from xbarecc.cli import (
     main,
     read_schedule_file,
 )
-from xbarecc.netlist import bundled_dir, load_bundled
+from xbarecc.checkmem import TimingModel
+from xbarecc.geometry import Geometry
+from xbarecc.netlist import Netlist, bundled_dir, load_bundled, load_netlist
 from xbarecc.reliability import sweep_points
 
 
@@ -73,6 +77,34 @@ class TestScheduleCommand:
         rc = main(["schedule", str(corpus_dir / "ripple_adder4.nl"),
                    "-n", "15", "-m", "3"])
         assert rc == EXIT_INPUT
+
+    def test_one_schedule_per_netlist_and_no_fanout_scans(self, corpus_dir,
+                                                          tmp_path, monkeypatch):
+        # report reads min_pc_pairs off the schedule it gets; only a
+        # schedule that stalls at k=3 needs a second one at the cap
+        geom, paths = Geometry(30, 3), sorted(corpus_dir.glob("*.nl"))
+        stalling = sum(
+            scheduler.insert_ecc(scheduler.map_to_row(load_netlist(path), geom),
+                                 geom, TimingModel(), 3).stall_cycles > 0
+            for path in paths)
+        assert stalling >= 1
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scheduler, "insert_ecc",
+                            counted("insert_ecc", scheduler.insert_ecc))
+        monkeypatch.setattr(cli, "insert_ecc", scheduler.insert_ecc)
+        monkeypatch.setattr(Netlist, "fanout", counted("fanout", Netlist.fanout))
+        rc = main(["schedule", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
+                   "-n", "30", "-m", "3", "-k", "3"])
+        assert rc == EXIT_OK
+        assert calls["insert_ecc"] == len(paths) + stalling
+        assert calls["fanout"] == 0
 
 
 class TestSimulateCommand:
@@ -147,6 +179,20 @@ class TestSimulateCommand:
         assert main(["simulate", str(events), "--inputs", "a=0,b=0,cin=0"]) \
             == EXIT_INPUT
 
+    @pytest.mark.parametrize("old, new", [
+        ("inputs=a:0", "inputs=a:99"), ("inputs=a:0", "inputs=a:30"),
+        ("inputs=a:0", "inputs=a:-1"), ("outputs=sum:3", "outputs=sum:99"),
+        ("outputs=sum:3", "outputs=sum:-1")])
+    def test_column_outside_the_row_is_input_error(self, corpus_dir, tmp_path,
+                                                   old, new, capsys):
+        events = self.schedule(corpus_dir, tmp_path)
+        text = events.read_text()
+        assert old in text
+        events.write_text(text.replace(old, new, 1))
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) \
+            == EXIT_INPUT
+        assert "outside [0, 30)" in capsys.readouterr().err
+
     def test_schedule_file_round_trip(self, corpus_dir, tmp_path):
         events = self.schedule(corpus_dir, tmp_path)
         replay = read_schedule_file(events)
@@ -200,6 +246,15 @@ class TestInjectCommand:
         args = ["inject", "--pbit", "0.01", "-n", "30", "-m", "3"] + flags
         assert main(args) == EXIT_USAGE
         assert "xbarecc: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["0", "-3", "4"])
+    def test_block_scope_rejects_an_impossible_block(self, m, capsys):
+        rc = main(["inject", "--scope", "block", "--pbit", "0.1",
+                   "--trials", "10000", "-m", m])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "odd and at least 1" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("scope", ["block", "machine"])
     def test_trials_past_the_bound_are_a_usage_error(self, scope, capsys):

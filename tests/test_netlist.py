@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarecc.netlist import (
     BUNDLED,
@@ -112,3 +114,79 @@ class TestEvaluation:
     def test_all_bundled_parse(self):
         for name in BUNDLED:
             load_bundled(name)
+
+
+# ----------------------------------------------------------------------
+# gate order against the wave-by-wave Kahn sort
+
+def wave_kahn_order(inputs, gates):
+    """Oracle: repeatedly take, in file order, every pending gate whose
+    operands are all resolved; raise like parse_netlist on a cycle."""
+    ordered = []
+    resolved = set(inputs)
+    pending = {gate_id: (kind, operands) for gate_id, kind, operands in gates}
+    while pending:
+        ready = [gid for gid, (_, ops) in pending.items()
+                 if all(op in resolved for op in ops)]
+        if not ready:
+            cyclic = ", ".join(sorted(pending))
+            raise NetlistError(f"cyclic dependency among gates: {cyclic}")
+        for gid in ready:
+            ordered.append((gid, *pending.pop(gid)))
+            resolved.add(gid)
+    return ordered
+
+
+@st.composite
+def shuffled_netlists(draw, acyclic):
+    """(inputs, gates in file order, text). Operands name only earlier gates
+    when acyclic, any gate (itself included) otherwise."""
+    inputs = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    n_gates = draw(st.integers(0, 25))
+    gate_ids = [f"g{k}" for k in range(n_gates)]
+    gates = []
+    for k, gid in enumerate(gate_ids):
+        pool = inputs + (gate_ids[:k] if acyclic else gate_ids)
+        kind = draw(st.sampled_from(("NOR", "NOT")))
+        operands = tuple(draw(st.sampled_from(pool))
+                         for _ in range(2 if kind == "NOR" else 1))
+        gates.append((gid, kind, operands))
+    lines = draw(st.permutations(
+        [".inputs " + " ".join(inputs), ".outputs " + inputs[0]] + gates))
+    in_file = [line for line in lines if isinstance(line, tuple)]
+    text = "".join((line if isinstance(line, str) else
+                    f"{line[0]} = {line[1]} " + " ".join(line[2])) + "\n"
+                   for line in lines)
+    return inputs, in_file, text
+
+
+def parsed_order(text):
+    return [(g.gate_id, g.kind, g.operands) for g in parse_netlist(text).gates]
+
+
+class TestParseOrderOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=shuffled_netlists(acyclic=True))
+    def test_dag_order_matches_wave_sort(self, case):
+        inputs, gates, text = case
+        assert parsed_order(text) == wave_kahn_order(inputs, gates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=shuffled_netlists(acyclic=False))
+    def test_cycle_message_matches_wave_sort(self, case):
+        inputs, gates, text = case
+        try:
+            expected = wave_kahn_order(inputs, gates)
+        except NetlistError as exc:
+            with pytest.raises(NetlistError) as got:
+                parse_netlist(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parsed_order(text) == expected
+
+    def test_gates_downstream_of_a_cycle_are_listed(self):
+        text = (".inputs a\n.outputs a\nz = NOT y\nx = NOR a y\n"
+                "y = NOT x\nw = NOT a\nv = NOT v\n")
+        with pytest.raises(NetlistError) as got:
+            parse_netlist(text)
+        assert str(got.value) == "cyclic dependency among gates: v, x, y, z"

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarecc.checkmem import TimingModel, check_chain_cycles
 from xbarecc.engine import CrossbarState, OpKind, execute
@@ -286,3 +288,90 @@ class TestAmortizedOverhead:
                          if ev.unit == "MEM" and ev.action == "copy_row")
             gate_ops = 6
             assert mem_busy - resets - copies <= 3 * gate_ops
+
+
+# ----------------------------------------------------------------------
+# min_pc_pairs read off one schedule, against the search it replaced
+
+def bisected_min_pc_pairs(rp, tm, k_max=8):
+    """Oracle: double k past k_max until stall-free or at least 64, then
+    bisect [1, k] for the smallest stall-free pair count."""
+    hi = k_max
+    while insert_ecc(rp, rp.geom, tm, hi).stall_cycles > 0 and hi < 64:
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if insert_ecc(rp, rp.geom, tm, mid).stall_cycles == 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@st.composite
+def dag_row_programs(draw):
+    """A random NOR/NOT DAG (at most 4 inputs, 10 gates, 6 outputs) mapped
+    to 30/3, 45/3 or 45/5."""
+    geom = draw(st.sampled_from((Geometry(30, 3), Geometry(45, 3), Geometry(45, 5))))
+    values = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    lines = [".inputs " + " ".join(values)]
+    for g in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("NOR", "NOT") if len(values) > 1 else ("NOT",)))
+        arity = 2 if kind == "NOR" else 1  # a MAGIC NOR reads two distinct cells
+        operands = draw(st.lists(st.sampled_from(values), min_size=arity,
+                                 max_size=arity, unique=True))
+        lines.append(f"g{g} = {kind} " + " ".join(operands))
+        values.append(f"g{g}")
+    outputs = draw(st.lists(st.sampled_from(values), min_size=1, max_size=6,
+                            unique=True))
+    lines.append(".outputs " + " ".join(outputs))
+    return map_to_row(parse_netlist("\n".join(lines) + "\n"), geom)
+
+
+# xor3 and writeback long enough that some stalls never vanish (answer = cap)
+timing_models = st.builds(TimingModel, xor3_cycles=st.integers(1, 60),
+                          writeback_cycles=st.integers(1, 6))
+
+
+class TestMinPcPairsExact:
+    @settings(max_examples=80, deadline=None)
+    @given(rp=dag_row_programs(), tm=timing_models,
+           k_max=st.sampled_from((1, 3, 8, 70)))
+    def test_matches_bisection(self, rp, tm, k_max):
+        assert min_pc_pairs(rp, tm, k_max) == bisected_min_pc_pairs(rp, tm, k_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rp=dag_row_programs(), tm=timing_models,
+           k=st.sampled_from((1, 3, 64, 100)))
+    def test_report_matches_bisection(self, rp, tm, k):
+        stats = report(insert_ecc(rp, rp.geom, tm, k))
+        assert stats.min_pc_pairs == bisected_min_pc_pairs(rp, tm)
+
+    @pytest.mark.parametrize("k_max, cap", [(1, 64), (3, 96), (8, 64), (70, 70)])
+    def test_stalls_that_never_vanish_give_the_cap(self, k_max, cap):
+        text = ".inputs a\n.outputs " + " ".join(f"y{k}" for k in range(6)) \
+            + "\n" + "\n".join(f"y{k} = NOT a" for k in range(6)) + "\n"
+        rp = map_to_row(parse_netlist(text), G30)
+        tm = TimingModel(xor3_cycles=60, writeback_cycles=6)
+        assert insert_ecc(rp, G30, tm, cap).stall_cycles > 0
+        assert min_pc_pairs(rp, tm, k_max) == cap
+        assert bisected_min_pc_pairs(rp, tm, k_max) == cap
+
+    def test_stall_free_schedule_past_the_cap_gives_the_cap(self):
+        # 80 critical ops, each holding a pair for 304 cycles, 3 cycles apart
+        geom = Geometry(105, 3)
+        text = ".inputs a\n.outputs " + " ".join(f"y{k}" for k in range(80)) \
+            + "\n" + "\n".join(f"y{k} = NOT a" for k in range(80)) + "\n"
+        rp = map_to_row(parse_netlist(text), geom)
+        tm = TimingModel(xor3_cycles=300)
+        schedule = insert_ecc(rp, geom, tm, 100)
+        assert schedule.stall_cycles == 0 and schedule.pc_pairs_used == 80
+        assert report(schedule).min_pc_pairs == 64 == bisected_min_pc_pairs(rp, tm)
+        assert min_pc_pairs(rp, tm, 70) == 70 == bisected_min_pc_pairs(rp, tm, 70)
+
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_no_pairs_rejected(self, k_max):
+        _, rp, _ = schedule_bundled("mux2")
+        with pytest.raises(ValueError, match="at least one"):
+            min_pc_pairs(rp, TM, k_max)
