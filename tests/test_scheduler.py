@@ -329,6 +329,13 @@ def dag_row_programs(draw):
     return map_to_row(parse_netlist("\n".join(lines) + "\n"), geom)
 
 
+def not_fan(count):
+    """One input feeding `count` NOT gates, each an output."""
+    outs = [f"y{k}" for k in range(count)]
+    return parse_netlist(".inputs a\n.outputs " + " ".join(outs) + "\n"
+                         + "".join(f"{y} = NOT a\n" for y in outs))
+
+
 # xor3 and writeback long enough that some stalls never vanish (answer = cap)
 timing_models = st.builds(TimingModel, xor3_cycles=st.integers(1, 60),
                           writeback_cycles=st.integers(1, 6))
@@ -350,9 +357,7 @@ class TestMinPcPairsExact:
 
     @pytest.mark.parametrize("k_max, cap", [(1, 64), (3, 96), (8, 64), (70, 70)])
     def test_stalls_that_never_vanish_give_the_cap(self, k_max, cap):
-        text = ".inputs a\n.outputs " + " ".join(f"y{k}" for k in range(6)) \
-            + "\n" + "\n".join(f"y{k} = NOT a" for k in range(6)) + "\n"
-        rp = map_to_row(parse_netlist(text), G30)
+        rp = map_to_row(not_fan(6), G30)
         tm = TimingModel(xor3_cycles=60, writeback_cycles=6)
         assert insert_ecc(rp, G30, tm, cap).stall_cycles > 0
         assert min_pc_pairs(rp, tm, k_max) == cap
@@ -361,9 +366,7 @@ class TestMinPcPairsExact:
     def test_stall_free_schedule_past_the_cap_gives_the_cap(self):
         # 80 critical ops, each holding a pair for 304 cycles, 3 cycles apart
         geom = Geometry(105, 3)
-        text = ".inputs a\n.outputs " + " ".join(f"y{k}" for k in range(80)) \
-            + "\n" + "\n".join(f"y{k} = NOT a" for k in range(80)) + "\n"
-        rp = map_to_row(parse_netlist(text), geom)
+        rp = map_to_row(not_fan(80), geom)
         tm = TimingModel(xor3_cycles=300)
         schedule = insert_ecc(rp, geom, tm, 100)
         assert schedule.stall_cycles == 0 and schedule.pc_pairs_used == 80
