@@ -16,8 +16,10 @@ and write the result back. The MEM is occupied for only the three transfer
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .engine import (
     CrossbarState,
@@ -38,7 +40,7 @@ from .parity import (
     DiagonalConflictError,
     compute_syndrome,
     decode_syndrome,
-    diag_sums,
+    diag_parity,
     encode_block,
 )
 
@@ -218,13 +220,17 @@ class CheckMem:
     def from_state(cls, state: CrossbarState) -> "CheckMem":
         """Encode every block of the given memory contents."""
         geom = state.geom
-        m, nb = geom.m, geom.blocks_per_side
-        lead, ctr = diag_sums(state.cells.reshape(nb, m, nb, m).transpose(0, 2, 1, 3))
-        # lead[br, bc, d] -> plane[d, bc, br]
-        return cls(geom, {
-            Bank.LEADING: lead.transpose(2, 1, 0).astype(np.uint8),
-            Bank.COUNTER: ctr.transpose(2, 1, 0).astype(np.uint8),
-        })
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        cells = np.ascontiguousarray(state.cells)
+        # [block_row, block_col] -> the cells from the block's first to its
+        # last, rows n apart: a read-only view, no copy of the memory
+        spans = as_strided(cells, (nb, nb, (m - 1) * n + m),
+                           (m * cells.strides[0], m * cells.strides[1], cells.strides[1]),
+                           writeable=False)
+        # sums[br, bc, bank, d] -> plane[d, bc, br]
+        sums = diag_parity(spans, m, n).transpose(2, 3, 1, 0)
+        return cls(geom, {bank: np.ascontiguousarray(sums[b])
+                          for b, bank in enumerate(Bank)})
 
     @property
     def total_bits(self) -> int:
@@ -295,10 +301,6 @@ _BANKS = tuple(Bank)  # bank column of a touched_check_cells row -> Bank
 _BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
 
-def _cbx_unit(bank: Bank, diag: int) -> str:
-    return f"CBX:{bank.value}:{diag}"
-
-
 class Machine:
     """One MEM + CMEM instance with its unit timelines and event log.
 
@@ -321,9 +323,14 @@ class Machine:
         self.events: list[Event] = []
         self.stall_cycles = 0
         self.pcs_used: set[int] = set()
+        m = self.geom.m
+        # check-bit crossbar of (bank column b, diag d) at index b * m + d
+        self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
+                                for bank in _BANKS for d in range(m))
         # first cycle at which each in-flight check-bit cell is readable again,
-        # keyed by a (bank, diag, block_row, block_col) row of touched_check_cells
-        self._cell_ready: dict[tuple[int, int, int, int], int] = {}
+        # keyed by the flat index of a (bank, diag, block_row, block_col) row of
+        # touched_check_cells in a [2, m, nb, nb] array
+        self._cell_ready: dict[int, int] = {}
 
     @classmethod
     def blank(cls, geom: Geometry, **kwargs) -> "Machine":
@@ -372,15 +379,18 @@ class Machine:
         validate_op(self.state, op, self.engine_cfg)
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
+        m, nb = self.geom.m, self.geom.blocks_per_side
         touched = touched_check_cells(op, self.geom)
-        keys = list(map(tuple, touched.tolist()))
+        bank, diag, br, bcol = touched.T
+        crossbar = bank * m + diag
+        keys = ((crossbar * nb + br) * nb + bcol).tolist()
 
         mem_ready = max(earliest, self.timeline.next_free("MEM"))
-        ready = max((self._cell_ready.get(key, 0) for key in keys), default=0)
+        ready = max(map(self._cell_ready.get, keys, repeat(0)), default=0)
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index
-        cbx_units = sorted({_cbx_unit(_BANKS[bank], diag)
-                            for bank, diag in {key[:2] for key in keys}})
+        cbx_units = [self._cbx_units[u]
+                     for u in np.flatnonzero(np.bincount(crossbar)).tolist()]
         t = max(mem_ready, ready - c)  # read happens at t + c
         pair = None
         while True:
@@ -418,14 +428,14 @@ class Machine:
         old = self.state.cells[rows, cols]
         apply_op_inplace(self.state.cells, op, self.engine_cfg)
         delta = old ^ self.state.cells[rows, cols]
-        for half, bank in zip(np.split(touched, 2), Bank):
-            _, diag, br, bcol = half.T
-            self.checkmem.planes[bank][diag, bcol, br] ^= delta
+        for half, plane_bank in zip(np.split(touched, 2), Bank):
+            _, d, r, col = half.T
+            self.checkmem.planes[plane_bank][d, col, r] ^= delta
 
         # sorted by (bank name, diag, block_row, block_col): counter before leading
-        order = np.lexsort((touched[:, 3], touched[:, 2], touched[:, 1], -touched[:, 0]))
-        diags = ";".join(f"{_BANK_TAGS[bank]}{diag}@{br},{bcol}"
-                         for bank, diag, br, bcol in touched[order].tolist())
+        tags, *columns = touched[np.lexsort((bcol, br, diag, -bank))].T.tolist()
+        diags = ";".join(map("{}{}@{},{}".format, map(_BANK_TAGS.__getitem__, tags),
+                             *columns))
         fixed_line = op.output_line
         self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair.index}", span=c)
         self.log(t + c, "MEM", "op", format_op(op) + " critical=1")
@@ -443,29 +453,31 @@ class Machine:
         all-ones odd-sized block is all-ones in both banks, so the
         controller writes it in a single pass.
         """
-        m = self.geom.m
+        m, nb = self.geom.m, self.geom.blocks_per_side
+        if not (0 <= block_row < nb and 0 <= block_col < nb):
+            raise GeometryError(
+                f"block ({block_row},{block_col}) outside the {nb}x{nb} blocks")
         t0 = max(earliest, self.timeline.next_free("MEM"))
         base_row, base_col = block_row * m, block_col * m
         lanes = frozenset(range(base_row, base_row + m))
         self.log(t0, "SCHED", "block_reset", f"block={block_row},{block_col}")
-        t = t0
+        # m row-parallel Init ops, one per line of the block, one cycle each
+        self.timeline.reserve("MEM", t0, m)
+        self.state.cells[base_row:base_row + m, base_col:base_col + m] = 1
         for lc in range(m):
             op = init_op(Orientation.ROW, base_col + lc, lanes)
-            self.timeline.reserve("MEM", t, 1)
-            apply_op_inplace(self.state.cells, op, self.engine_cfg)
-            self.log(t, "MEM", "op", format_op(op) + " critical=0 reset=1")
-            t += 1
+            self.log(t0 + lc, "MEM", "op", format_op(op) + " critical=0 reset=1")
         ones = BlockParity((1,) * m, (1,) * m)
         self.checkmem.set_parity(block_row, block_col, ones)
         wb = self.timing.writeback_cycles
-        t = max(t, self.timeline.next_free("CTRL"))
-        while not all(self.timeline.sparse_free(_cbx_unit(bank, diag), t, wb)
-                      for bank in Bank for diag in range(m)):
+        t = max(t0 + m, self.timeline.next_free("CTRL"))
+        while not all(self.timeline.sparse_free(unit, t, wb) for unit in self._cbx_units):
             t += 1
-        for b, bank in enumerate(_BANKS):
-            for diag in range(m):
-                self.timeline.reserve_sparse(_cbx_unit(bank, diag), t, wb)
-                self._cell_ready[(b, diag, block_row, block_col)] = t + wb
+        for unit in self._cbx_units:
+            self.timeline.reserve_sparse(unit, t, wb)
+        # the block's check-bit in every crossbar: flat indices nb*nb apart
+        self._cell_ready.update(dict.fromkeys(
+            range(block_row * nb + block_col, 2 * m * nb * nb, nb * nb), t + wb))
         self.timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
@@ -496,8 +508,8 @@ class Machine:
             if self.timeline.next_free("CHECK") > syn_at + x:
                 t += 1
                 continue
-            if any(not self.timeline.sparse_free(_cbx_unit(bank, d), syn_at, c)
-                   for bank in Bank for d in range(m)):
+            if not all(self.timeline.sparse_free(unit, syn_at, c)
+                       for unit in self._cbx_units):
                 t += 1
                 continue
             pair = free[0]
@@ -512,9 +524,8 @@ class Machine:
         zero_at = syn_at + x
         pair.busy_until = zero_at
         self.pcs_used.add(pair.index)
-        for bank in Bank:
-            for d in range(m):
-                self.timeline.reserve_sparse(_cbx_unit(bank, d), syn_at, c)
+        for unit in self._cbx_units:
+            self.timeline.reserve_sparse(unit, syn_at, c)
         self.timeline.reserve("CHECK", zero_at, zc)
 
         self.log(t, "SCHED", "check_row",
@@ -531,15 +542,23 @@ class Machine:
         # functional: per-block syndrome, decode, correct
         reports: list[BlockReport] = []
         done = zero_at + zc
+        # the line's blocks, copied once as [block][m][m]; blocks are disjoint
+        # and each is decoded before its own correction, so a correction never
+        # touches a block that is still to be read from the copy
+        lines = slice(index * m, (index + 1) * m)
+        if orientation is Orientation.ROW:
+            blocks = self.state.cells[lines].reshape(m, nb, m).transpose(1, 0, 2)
+            planes = np.s_[:, :, index]
+        else:
+            blocks = self.state.cells[:, lines].reshape(nb, m, m)
+            planes = np.s_[:, index, :]
+        blocks = np.ascontiguousarray(blocks)
         # stored check-bits of the whole line, [block][diag], read once
-        line = (np.s_[:, :, index] if orientation is Orientation.ROW
-                else np.s_[:, index, :])
-        lead, ctr = (self.checkmem.planes[bank][line].T.tolist() for bank in Bank)
+        lead, ctr = (self.checkmem.planes[bank][planes].T.tolist() for bank in Bank)
         for k in range(nb):
             br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
-            block = self.state.block(br, bc)
             stored = BlockParity(tuple(lead[k]), tuple(ctr[k]))
-            diag = decode_syndrome(compute_syndrome(block, stored))
+            diag = decode_syndrome(compute_syndrome(blocks[k], stored))
             reports.append(BlockReport(br, bc, diag))
             if diag.kind is DiagnosisKind.CLEAN:
                 continue
@@ -562,7 +581,7 @@ class Machine:
             else:
                 self.checkmem.flip_bit(diag.bank, diag.idx, br, bc)
                 write_at = done
-                unit = _cbx_unit(diag.bank, diag.idx)
+                unit = self._cbx_units[_BANKS.index(diag.bank) * m + diag.idx]
                 while not self.timeline.sparse_free(unit, write_at,
                                                     tm.correction_write_cycles):
                     write_at += 1

@@ -143,7 +143,7 @@ def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
     for line in (*op.input_lines, op.output_line):
         if not 0 <= line < n:
             raise MicroOpError(f"line index {line} outside [0,{n})")
-    for lane in op.lane_mask:
+    for lane in (min(op.lane_mask), max(op.lane_mask)):
         if not 0 <= lane < n:
             raise MicroOpError(f"lane index {lane} outside [0,{n})")
     if op.kind is OpKind.NOR and len(op.input_lines) > cfg.fan_in_max:
@@ -203,8 +203,8 @@ def format_op(op: MicroOp) -> str:
         f"kind={op.kind.value}",
         f"orient={op.orientation.value}",
         f"out={op.output_line}",
-        f"in={','.join(str(i) for i in op.input_lines) or '-'}",
-        f"lanes={','.join(str(l) for l in op.lanes)}",
+        f"in={','.join(map(str, op.input_lines)) or '-'}",
+        f"lanes={','.join(map(str, op.lanes))}",
     ]
     if op.kind is OpKind.WRITE:
         parts.append(f"value={op.value}")

@@ -100,6 +100,10 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 raise NetlistError(
                     f"line {lineno}: {kind} takes {_GATE_KINDS[kind]} operand(s), "
                     f"got {len(operands)}")
+            for k, operand in enumerate(operands):
+                if operand in operands[:k]:
+                    raise NetlistError(
+                        f"line {lineno}: gate {gate_id!r} names operand {operand!r} twice")
             if gate_id in raw_gates or gate_id in inputs:
                 raise NetlistError(f"line {lineno}: {gate_id!r} defined twice")
             raw_gates[gate_id] = (lineno, Gate(gate_id, kind, operands))
@@ -147,7 +151,10 @@ def load_netlist(path) -> Netlist:
     from pathlib import Path
 
     p = Path(path)
-    return parse_netlist(p.read_text(), name=p.stem)
+    try:
+        return parse_netlist(p.read_text(), name=p.stem)
+    except NetlistError as exc:
+        raise NetlistError(f"{p}: {exc}") from None
 
 
 BUNDLED = ("passthrough", "not_chain", "mux2", "full_adder",

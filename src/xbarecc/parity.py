@@ -101,17 +101,30 @@ _CLEAN = Diagnosis(DiagnosisKind.CLEAN)
 
 
 @functools.cache
-def _diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index of the diagonals: ``(rows, cols)``, each ``[2, m, m]``.
+def _diag_index(m: int, pitch: int) -> np.ndarray:
+    """Flat gather index of the diagonals, ``[m, 2, m]``.
 
-    Entry ``[bank, i, d]`` is the cell of row i on diagonal d: column
-    (d - i) mod m on leading diagonal d, (i - d) mod m on counter diagonal d.
+    Entry ``[i, bank, d]`` is the offset ``i * pitch + j`` of the cell of row
+    i on diagonal d, for blocks whose rows start ``pitch`` elements apart:
+    column j = (d - i) mod m on leading diagonal d, (i - d) mod m on counter
+    diagonal d.
     """
     i = np.arange(m)[:, None]
     d = np.arange(m)[None, :]
-    rows = np.broadcast_to(i, (2, m, m)).copy()  # contiguous gathers faster
-    cols = np.stack([(d - i) % m, (i - d) % m])
-    return rows, cols
+    return i[:, None] * pitch + np.stack([(d - i) % m, (i - d) % m], axis=1)
+
+
+def diag_parity(flat: np.ndarray, m: int, pitch: int) -> np.ndarray:
+    """Check-bits ``[..., 2, m]`` of the m x m bit blocks laid out along the
+    last axis of ``flat``, row i of each block starting at offset ``i * pitch``.
+
+    Entry ``[..., 0, d]`` is the parity of leading diagonal d, ``[..., 1, d]``
+    that of counter diagonal d. The one gather of the codec.
+    """
+    idx = _diag_index(m, pitch)
+    # a single block skips the per-subspace set-up of ``[..., idx]``
+    cells = flat[idx] if flat.ndim == 1 else flat[..., idx]
+    return np.bitwise_xor.reduce(cells, axis=-3, dtype=np.uint8)
 
 
 def diag_sums(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,22 +132,26 @@ def diag_sums(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns two ``[..., m]`` uint8 arrays; entry d is the parity of diagonal d.
     """
-    rows, cols = _diag_index(blocks.shape[-1])
-    # a uint8 sum wraps mod 256, which keeps the low bit
-    sums = blocks[..., rows, cols].sum(axis=-2, dtype=np.uint8) & 1
+    m = blocks.shape[-1]
+    sums = diag_parity(blocks.reshape(*blocks.shape[:-2], m * m), m, m)
     return sums[..., 0, :], sums[..., 1, :]
 
 
-def encode_block(block: np.ndarray) -> BlockParity:
-    """Compute the 2m check-bits of one m x m block."""
+def _block_bits(block) -> list[list[int]]:
+    """``[leading, counter]`` check-bits of one m x m block, as Python ints."""
     block = np.asarray(block)
     m = block.shape[0]
     if block.shape != (m, m):
         raise CodecError(f"block must be square, got {block.shape}")
     if m % 2 == 0:
         raise GeometryError(f"block size must be odd, got {m}")
-    lead, ctr = diag_sums(block)
-    return BlockParity(tuple(lead.tolist()), tuple(ctr.tolist()))
+    return diag_parity(block.reshape(m * m), m, m).tolist()
+
+
+def encode_block(block: np.ndarray) -> BlockParity:
+    """Compute the 2m check-bits of one m x m block."""
+    lead, ctr = _block_bits(block)
+    return BlockParity(tuple(lead), tuple(ctr))
 
 
 def update_parity(parity: BlockParity,
@@ -167,12 +184,12 @@ def update_parity(parity: BlockParity,
 
 def compute_syndrome(block: np.ndarray, stored: BlockParity) -> Syndrome:
     """XOR of freshly computed and stored parity."""
-    computed = encode_block(block)
-    if computed.m != stored.m:
-        raise CodecError(f"stored parity length {stored.m} != block size {computed.m}")
+    lead, ctr = _block_bits(block)
+    if len(lead) != stored.m:
+        raise CodecError(f"stored parity length {stored.m} != block size {len(lead)}")
     return Syndrome(
-        tuple(map(operator.xor, computed.leading, stored.leading)),
-        tuple(map(operator.xor, computed.counter, stored.counter)),
+        tuple(map(operator.xor, lead, stored.leading)),
+        tuple(map(operator.xor, ctr, stored.counter)),
     )
 
 

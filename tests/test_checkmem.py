@@ -1,12 +1,17 @@
 """Check Memory model: check-bit layout, pipelines, block checks, device counts."""
 
+import copy
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xbarecc import checkmem
 from xbarecc.checkmem import (
+    BlockReport,
     CheckMem,
     Event,
     Machine,
@@ -20,13 +25,23 @@ from xbarecc.engine import (
     CrossbarState,
     EngineConfig,
     Orientation,
+    apply_op_inplace,
     execute,
+    format_op,
     init_op,
     nor_op,
     not_op,
 )
 from xbarecc.geometry import Bank, Geometry, GeometryError
-from xbarecc.parity import DiagnosisKind, encode_block, update_parity
+from xbarecc.parity import (
+    BlockParity,
+    DiagnosisKind,
+    Syndrome,
+    apply_correction,
+    decode_syndrome,
+    encode_block,
+    update_parity,
+)
 
 G9 = Geometry(9, 3)
 
@@ -475,3 +490,187 @@ class TestCheckPathPinned:
     def test_reports_events_cells_and_planes_match_pinned_digests(self, orientation):
         _, digests = self._run(orientation)
         assert digests == self.DIGESTS[orientation]
+
+
+# ----------------------------------------------------------------------
+# the line check and the block reset against scalar oracles
+
+def oracle_line_check(machine, index, orientation):
+    """Expected result of ``check_block_row`` from the scalar codec.
+
+    Each block of the line is re-encoded and compared with its stored
+    check-bits, then decoded and corrected on copies. Returns the reports,
+    the final cells and check-bits, and the (unit, action, operands) of
+    every record logged after the check's fixed prologue.
+    """
+    geom = machine.geom
+    m, nb = geom.m, geom.blocks_per_side
+    cells = machine.state.cells.copy()
+    cm = machine.checkmem.copy()
+    reports, records = [], []
+    for k in range(nb):
+        br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
+        block = cells[br * m:(br + 1) * m, bc * m:(bc + 1) * m]
+        stored = cm.parity(br, bc)
+        fresh = encode_block(block)
+        diag = decode_syndrome(Syndrome(
+            tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
+            tuple(a ^ b for a, b in zip(fresh.counter, stored.counter))))
+        reports.append(BlockReport(br, bc, diag))
+        if diag.kind is DiagnosisKind.CLEAN:
+            continue
+        records.append(("CTRL", "read_syndrome",
+                        f"block={br},{bc} result={diag.kind.value}"))
+        if diag.kind is DiagnosisKind.UNCORRECTABLE:
+            continue
+        fixed, parity = apply_correction(block, stored, diag)
+        block[...] = fixed
+        cm.set_parity(br, bc, parity)
+        if diag.kind is DiagnosisKind.DATA_ERROR:
+            records.append(("MEM", "correct_data",
+                            f"cell={br * m + diag.i},{bc * m + diag.j}"))
+        else:
+            records.append((f"CBX:{diag.bank.value}:{diag.idx}", "correct_check",
+                            f"block={br},{bc} diag={diag.idx}"))
+    return reports, cells, cm, records
+
+
+@st.composite
+def faulty_lines(draw):
+    """A geometry, a line of blocks and up to two faults in each block.
+
+    A fault is a data-bit or a stored check-bit flip; the explicit pair of
+    one leading and one counter check-bit flip is the decoder's blind spot.
+    """
+    geom = draw(st.sampled_from([Geometry(45, 3), Geometry(45, 5), Geometry(63, 7)]))
+    m, nb = geom.m, geom.blocks_per_side
+    diag = st.integers(0, m - 1)
+    data = st.tuples(st.just("data"), diag, diag)
+    check = st.tuples(st.just("check"), st.sampled_from(list(Bank)), diag)
+    blind = st.tuples(diag, diag).map(
+        lambda dd: [("check", Bank.LEADING, dd[0]), ("check", Bank.COUNTER, dd[1])])
+    faults = st.one_of(st.lists(st.one_of(data, check), max_size=2), blind)
+    return (geom, draw(st.sampled_from(list(Orientation))), draw(st.integers(0, nb - 1)),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.lists(faults, min_size=nb, max_size=nb)))
+
+
+class TestLineCheckOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=faulty_lines())
+    def test_reports_cells_planes_and_events_match_the_scalar_oracle(self, case):
+        geom, orientation, index, seed, faults = case
+        m, nb = geom.m, geom.blocks_per_side
+        machine = random_consistent_machine(seed, geom)
+        for k, block_faults in enumerate(faults):
+            br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
+            for kind, a, b in block_faults:
+                if kind == "data":
+                    machine.inject_data_flip(br * m + a, bc * m + b)
+                else:
+                    machine.inject_check_flip(a, b, br, bc)
+        # a flip in a block off the line stays where it is
+        machine.inject_data_flip(((index + 1) % nb) * m, ((index + 1) % nb) * m)
+        reports, cells, cm, records = oracle_line_check(machine, index, orientation)
+        logged = len(machine.events)
+
+        got, done = machine.check_block_row(index, orientation)
+
+        assert got == reports
+        assert np.array_equal(machine.state.cells, cells)
+        assert machine.checkmem == cm
+        events = machine.events[logged:]
+        prologue = 1 + m + (xor3_tree_levels(m) > 0) + 2
+        assert [ev.action for ev in events[:prologue]] == (
+            ["check_row"] + ["copy_row"] * m + ["xor3_tree"] * (xor3_tree_levels(m) > 0)
+            + ["syndrome_xor3", "zero_compare"])
+        assert [(ev.unit, ev.action, ev.operands) for ev in events[prologue:]] == records
+        assert done == max(ev.end for ev in events)
+
+
+class TestOneSyndromePerBlock:
+    """One ``compute_syndrome`` call per checked block, as the benchmark's
+    per-layer counters assume."""
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_full_memory_check_at_45_5(self, orientation, monkeypatch):
+        calls = []
+        real = checkmem.compute_syndrome
+
+        def counted(block, stored):
+            calls.append(block.shape)
+            return real(block, stored)
+
+        monkeypatch.setattr(checkmem, "compute_syndrome", counted)
+        geom = Geometry(45, 5)
+        machine = random_consistent_machine(45, geom)
+        machine.inject_data_flip(7, 31)
+        summary = machine.full_memory_check(orientation)
+        assert calls == [(5, 5)] * geom.blocks_per_side ** 2
+        assert summary.corrected == 1
+
+
+def reset_by_init_ops(machine, block_row, block_col, earliest=0):
+    """Oracle of ``block_ecc_reset``: one Init op per line of the block, then
+    the all-ones check-bits written directly."""
+    m, nb = machine.geom.m, machine.geom.blocks_per_side
+    t0 = max(earliest, machine.timeline.next_free("MEM"))
+    base_row, base_col = block_row * m, block_col * m
+    lanes = frozenset(range(base_row, base_row + m))
+    machine.log(t0, "SCHED", "block_reset", f"block={block_row},{block_col}")
+    t = t0
+    for lc in range(m):
+        op = init_op(Orientation.ROW, base_col + lc, lanes)
+        machine.timeline.reserve("MEM", t, 1)
+        apply_op_inplace(machine.state.cells, op, machine.engine_cfg)
+        machine.log(t, "MEM", "op", format_op(op) + " critical=0 reset=1")
+        t += 1
+    machine.checkmem.set_parity(block_row, block_col, BlockParity((1,) * m, (1,) * m))
+    wb = machine.timing.writeback_cycles
+    t = max(t, machine.timeline.next_free("CTRL"))
+    units = [(b, d, f"CBX:{bank.value}:{d}")
+             for b, bank in enumerate(Bank) for d in range(m)]
+    while not all(machine.timeline.sparse_free(unit, t, wb) for _, _, unit in units):
+        t += 1
+    for b, d, unit in units:
+        machine.timeline.reserve_sparse(unit, t, wb)
+        key = int(np.ravel_multi_index((b, d, block_row, block_col), (2, m, nb, nb)))
+        machine._cell_ready[key] = t + wb
+    machine.timeline.reserve("CTRL", t, wb)
+    machine.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
+    return t + wb
+
+
+class TestBlockResetOracle:
+    GEOM = Geometry(45, 5)
+
+    def _busy_machine(self, timing):
+        """A machine whose MEM, CTRL and check-bit crossbars are all in use."""
+        machine = random_consistent_machine(4505, self.GEOM, timing=timing, pc_pairs=1)
+        lanes = frozenset(range(45))
+        machine.critical_op(init_op(Orientation.ROW, 12, lanes))
+        machine.inject_data_flip(11, 3)
+        machine.check_block_row(2)
+        machine.critical_op(nor_op(Orientation.ROW, (3, 4), 12, lanes))
+        return machine
+
+    @pytest.mark.parametrize("timing", [TimingModel(), TimingModel(writeback_cycles=3)])
+    @pytest.mark.parametrize("block, earliest", [((2, 2), 0), ((0, 8), 0), ((8, 2), 40)])
+    def test_matches_a_loop_of_init_ops(self, timing, block, earliest):
+        machine = self._busy_machine(timing)
+        oracle = copy.deepcopy(machine)
+        done = machine.block_ecc_reset(*block, earliest=earliest)
+        assert done == reset_by_init_ops(oracle, *block, earliest=earliest)
+        assert machine.events == oracle.events
+        assert np.array_equal(machine.state.cells, oracle.state.cells)
+        assert machine.checkmem == oracle.checkmem
+        assert machine._cell_ready == oracle._cell_ready
+        assert machine.timeline._next_free == oracle.timeline._next_free
+        assert machine.timeline._busy == oracle.timeline._busy
+
+    @pytest.mark.parametrize("block", [(9, 0), (0, 9), (-1, 0)])
+    def test_block_outside_the_crossbar_rejected(self, block):
+        machine = Machine.blank(self.GEOM)
+        with pytest.raises(GeometryError):
+            machine.block_ecc_reset(*block)
+        assert machine.events == []

@@ -52,6 +52,14 @@ class TestScheduleCommand:
             assert key in stats
         assert (out / "full_adder.events").exists()
 
+    def test_operand_named_twice_names_the_file_line_and_gate(self, tmp_path, capsys):
+        path = tmp_path / "twice.nl"
+        path.write_text(".inputs a\n.outputs y\ny = NOR a a\n")
+        rc = main(["schedule", str(path), "--out-dir", str(tmp_path / "out")] + SMALL)
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"xbarecc: input error: {path}: line 3: gate 'y' names operand 'a' twice\n")
+
     def test_corpus_mode_summary(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
         rc = main(["schedule", str(corpus_dir), "--out-dir", str(out)] + SMALL)

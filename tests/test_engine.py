@@ -96,6 +96,13 @@ class TestInitAndPreconditions:
         with pytest.raises(MicroOpError):
             execute(state, init_op(Orientation.ROW, 0, {11}))
 
+    @pytest.mark.parametrize("lanes, bad", [({0, 4, 11}, 11), ({-1, 3}, -1),
+                                            (set(range(10)) | {10}, 10)])
+    def test_out_of_range_lane_is_named(self, lanes, bad):
+        state = CrossbarState.zeros(GEOM)
+        with pytest.raises(MicroOpError, match=rf"lane index {bad} outside \[0,{GEOM.n}\)"):
+            execute(state, init_op(Orientation.ROW, 0, lanes))
+
     def test_output_cannot_be_input(self):
         with pytest.raises(MicroOpError):
             nor_op(Orientation.ROW, (2, 3), 2, {0})
@@ -183,6 +190,13 @@ class TestOpSerialization:
         ]
         for op in ops:
             assert parse_op(format_op(op)) == op
+
+    def test_record_text_is_pinned(self):
+        assert format_op(nor_op(Orientation.COLUMN, (7, 2), 4, {10, 3, 0})) == \
+            "kind=nor orient=column out=4 in=7,2 lanes=0,3,10"
+        assert format_op(MicroOp(OpKind.WRITE, Orientation.ROW, (), 3, frozenset({1}),
+                                 value=0)) == \
+            "kind=write orient=row out=3 in=- lanes=1 value=0"
 
     def test_bad_record_rejected(self):
         with pytest.raises(MicroOpError):

@@ -57,6 +57,11 @@ class TestParsing:
         assert [g.gate_id for g in nl.gates] == ["g1", "y"]
         assert nl.evaluate({"a": 0}) == {"y": 0}
 
+    def test_operand_named_twice(self):
+        with pytest.raises(NetlistError) as got:
+            parse_netlist(".inputs a\n.outputs y\ny = NOR a a\n")
+        assert str(got.value) == "line 3: gate 'y' names operand 'a' twice"
+
     def test_redefinition_rejected(self):
         with pytest.raises(NetlistError, match="defined twice"):
             parse_netlist(".inputs a\n.outputs y\ny = NOT a\ny = NOT a\n")
@@ -140,16 +145,18 @@ def wave_kahn_order(inputs, gates):
 @st.composite
 def shuffled_netlists(draw, acyclic):
     """(inputs, gates in file order, text). Operands name only earlier gates
-    when acyclic, any gate (itself included) otherwise."""
+    when acyclic, any gate (itself included) otherwise; a NOR's two operands
+    differ."""
     inputs = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
     n_gates = draw(st.integers(0, 25))
     gate_ids = [f"g{k}" for k in range(n_gates)]
     gates = []
     for k, gid in enumerate(gate_ids):
         pool = inputs + (gate_ids[:k] if acyclic else gate_ids)
-        kind = draw(st.sampled_from(("NOR", "NOT")))
-        operands = tuple(draw(st.sampled_from(pool))
-                         for _ in range(2 if kind == "NOR" else 1))
+        kind = draw(st.sampled_from(("NOR", "NOT") if len(pool) > 1 else ("NOT",)))
+        arity = 2 if kind == "NOR" else 1
+        operands = tuple(draw(st.lists(st.sampled_from(pool), min_size=arity,
+                                       max_size=arity, unique=True)))
         gates.append((gid, kind, operands))
     lines = draw(st.permutations(
         [".inputs " + " ".join(inputs), ".outputs " + inputs[0]] + gates))

@@ -127,6 +127,47 @@ class TestCodecAgainstLoop:
             BlockParity((1,) * 257, (1,) * 257)
 
 
+class TestSyndromeAgainstLoop:
+    """``compute_syndrome`` against :func:`loop_parity` XOR the stored bits,
+    on contiguous blocks and on strided views of a larger array."""
+
+    DTYPES = [np.uint8, np.bool_, np.int64]
+
+    @staticmethod
+    def views(big, m):
+        yield np.ascontiguousarray(big[:m, :m])
+        yield big[1:m + 1, 2:m + 2]            # rows a whole big row apart
+        yield big[::3, ::4][:m, :m]            # neither axis unit-stride
+        yield big.T[:m, :m]                    # transposed
+        yield big[m - 1::-1, :m]               # rows walked backwards
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", [1, 3, 5, 15])
+    def test_contiguous_and_strided_blocks(self, m, dtype):
+        rng = np.random.default_rng(300 + m)
+        big = rng.integers(0, 2, size=(3 * m + 1, 4 * m + 2)).astype(dtype)
+        for block in self.views(big, m):
+            assert block.shape == (m, m)
+            lead, ctr = rng.integers(0, 2, size=(2, m)).tolist()
+            stored = BlockParity(tuple(lead), tuple(ctr))
+            fresh = loop_parity(block)
+            assert compute_syndrome(block, stored) == Syndrome(
+                tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
+                tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
+            assert compute_syndrome(block, fresh).is_zero()
+
+    def test_error_paths_keep_their_types_and_order(self):
+        three, four = (BlockParity((0,) * k, (0,) * k) for k in (3, 4))
+        # a non-square block is reported before the stored length
+        with pytest.raises(CodecError, match="must be square"):
+            compute_syndrome(np.zeros((3, 5), dtype=np.uint8), four)
+        # an even block size is reported before the stored length
+        with pytest.raises(GeometryError, match="must be odd"):
+            compute_syndrome(np.zeros((4, 4), dtype=np.uint8), three)
+        with pytest.raises(CodecError, match="stored parity length 3 != block size 5"):
+            compute_syndrome(np.zeros((5, 5), dtype=np.uint8), three)
+
+
 class TestUpdateParity:
     def test_no_change_is_identity(self):
         parity = BlockParity((1, 0, 1), (0, 1, 0))
