@@ -122,19 +122,10 @@ def diag_parity(flat: np.ndarray, m: int, pitch: int) -> np.ndarray:
     that of counter diagonal d. The one gather of the codec.
     """
     idx = _diag_index(m, pitch)
-    # a single block skips the per-subspace set-up of ``[..., idx]``
+    # a single block skips the per-subspace set-up of ``[..., idx]``, which
+    # costs 2-3 us on top of the ~11 us of one 15 x 15 ``compute_syndrome``
     cells = flat[idx] if flat.ndim == 1 else flat[..., idx]
     return np.bitwise_xor.reduce(cells, axis=-3, dtype=np.uint8)
-
-
-def diag_sums(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading and counter check-bits of every m x m block in ``blocks[..., m, m]``.
-
-    Returns two ``[..., m]`` uint8 arrays; entry d is the parity of diagonal d.
-    """
-    m = blocks.shape[-1]
-    sums = diag_parity(blocks.reshape(*blocks.shape[:-2], m * m), m, m)
-    return sums[..., 0, :], sums[..., 1, :]
 
 
 def _block_bits(block) -> list[list[int]]:

@@ -2,7 +2,7 @@
 """Paired A/B runs of the benchmark on two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --workload simd [--pairs 10]
-        [--seconds 25] [--metric work_per_ref_s] [--first-seed 1]
+        [--seconds 25] [--first-seed 1]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed (``--first-seed``, then one more per pair). The side that runs
@@ -11,8 +11,8 @@ neither. For every end-to-end metric of ``BENCHMARK.json`` it prints the
 median and quartiles of each side, the number of pairs the change won and
 the number in which both sides read the same (the simulated ``sim_*``
 metrics of a pure speed-up are the same in every pair).
-For ``--metric`` it also prints the verdict of the claim rule: the change
-wins at least 9 of every 10 pairs, and its median is better than the
+On ``work_per_ref_s`` it also prints the verdict of the claim rule: the
+change wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
 
 Standard library only. Nothing is written besides what ``perfbench/run.py``
@@ -46,14 +46,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def claim_verdict(parent: list[float], change: list[float], higher_is_better: bool,
-                  min_win_share: float = 0.9) -> tuple[int, bool, str]:
+CLAIMED = "work_per_ref_s"  # the metric the claim rule is applied to
+
+
+def claim_verdict(parent: list[float], change: list[float],
+                  higher_is_better: bool) -> tuple[int, bool, str]:
     """Pairs won by the change, and whether the claim rule holds."""
     sign = 1 if higher_is_better else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     q1, med_parent, q3 = quartiles(parent)
     gap = sign * (statistics.median(change) - med_parent)
-    needed = math.ceil(min_win_share * len(parent))
+    needed = math.ceil(0.9 * len(parent))
     holds = wins >= needed and gap > q3 - q1
     why = (f"{wins}/{len(parent)} pairs won (need {needed}), median gap {gap:.6g} "
            f"vs parent IQR {q3 - q1:.6g}")
@@ -67,8 +70,6 @@ def parse_args(argv=None):
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--metric", default="work_per_ref_s",
-                   help="end-to-end metric the claim rule is applied to")
     p.add_argument("--first-seed", type=int, default=1)
     return p.parse_args(argv)
 
@@ -79,8 +80,6 @@ def main(argv=None) -> int:
         sys.exit("ab: --pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    if args.metric not in better:
-        sys.exit(f"ab: no end-to-end metric {args.metric!r}; have {sorted(better)}")
     sides = {"parent": args.parent, "change": args.change}
     results = {side: [] for side in sides}
     for i in range(args.pairs):
@@ -89,7 +88,7 @@ def main(argv=None) -> int:
         for side in order:
             results[side].append(run_once(sides[side], args.workload, seed, args.seconds))
         line = "  ".join(
-            f"{side}={results[side][-1]['metrics'][args.metric]['value']:.6g}"
+            f"{side}={results[side][-1]['metrics'][CLAIMED]['value']:.6g}"
             for side in sides)
         print(f"pair {i + 1}/{args.pairs} seed {seed} first={order[0]}: {line}", flush=True)
 
@@ -106,11 +105,11 @@ def main(argv=None) -> int:
         same = sum(p == c for p, c in zip(values["parent"], values["change"]))
         cols = ["/".join(f"{q:.6g}" for q in quartiles(values[side])) for side in sides]
         print(f"{name:28s} {cols[0]:36s} {cols[1]:36s} {wins:>4}  {same:>4}")
-    values = {side: [r["metrics"][args.metric]["value"] for r in results[side]]
+    values = {side: [r["metrics"][CLAIMED]["value"] for r in results[side]]
               for side in sides}
     _, holds, why = claim_verdict(values["parent"], values["change"],
-                                  better[args.metric] == "higher")
-    print(f"\nclaim on {args.metric}: {'HOLDS' if holds else 'DOES NOT HOLD'} ({why})")
+                                  better[CLAIMED] == "higher")
+    print(f"\nclaim on {CLAIMED}: {'HOLDS' if holds else 'DOES NOT HOLD'} ({why})")
     return 0
 
 
