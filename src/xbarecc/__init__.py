@@ -28,12 +28,9 @@ from .engine import (
     OpKind,
     Orientation,
     UninitializedOutputError,
-    cycle_count,
     execute,
-    init_lines,
     init_op,
     nor_op,
-    not_op,
 )
 from .parity import (
     BlockParity,

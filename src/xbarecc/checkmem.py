@@ -45,11 +45,13 @@ from .parity import (
 )
 
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
+MAX_STEP_CYCLES = 1_000  # per timing step; the timelines keep a set entry per busy cycle
 
 
 @dataclass(frozen=True)
 class TimingModel:
-    """Cycle costs of the CMEM protocol steps. All configurable, all >= 1."""
+    """Cycle costs of the CMEM protocol steps. All configurable, each in
+    [1, MAX_STEP_CYCLES]."""
 
     xor3_cycles: int = 8
     copy_cycles: int = 1
@@ -60,8 +62,8 @@ class TimingModel:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= MAX_STEP_CYCLES:
+                raise ValueError(f"{name} must be in [1, {MAX_STEP_CYCLES}]")
 
     @property
     def mem_cycles_per_critical(self) -> int:
@@ -163,7 +165,7 @@ class UnitTimeline:
 
 
 def _written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :meth:`MicroOp.written_cells`: (rows, cols) in lane order."""
+    """(rows, cols) of the cells an op writes, in lane order; none for READ."""
     lanes = np.array(op.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
     line = np.full_like(lanes, op.output_line)
     return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
@@ -232,11 +234,6 @@ class CheckMem:
         return cls(geom, {bank: np.ascontiguousarray(sums[b])
                           for b, bank in enumerate(Bank)})
 
-    @property
-    def total_bits(self) -> int:
-        nb = self.geom.blocks_per_side
-        return 2 * self.geom.m * nb * nb
-
     def parity(self, block_row: int, block_col: int) -> BlockParity:
         return BlockParity(
             tuple(self.planes[Bank.LEADING][:, block_col, block_row].tolist()),
@@ -290,13 +287,6 @@ class CheckSummary:
     reports: tuple[BlockReport, ...]
 
 
-@dataclass(frozen=True)
-class CriticalOpResult:
-    issue_cycle: int
-    pc_index: int
-    stall_cycles: int
-
-
 _BANKS = tuple(Bank)  # bank column of a touched_check_cells row -> Bank
 _BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
@@ -310,14 +300,14 @@ class Machine:
     """
 
     def __init__(self, state: CrossbarState, timing: TimingModel | None = None,
-                 pc_pairs: int = 3, engine_cfg: EngineConfig | None = None):
+                 pc_pairs: int = 3):
         if pc_pairs < 1:
             raise ValueError(f"need at least one processing-crossbar pair, got {pc_pairs}")
         self.geom = state.geom
         self.state = state.copy()
         self.checkmem = CheckMem.from_state(state)
         self.timing = timing or TimingModel()
-        self.engine_cfg = engine_cfg or EngineConfig()
+        self.engine_cfg = EngineConfig()
         self.pcs = [PcPair(i) for i in range(pc_pairs)]
         self.timeline = UnitTimeline()
         self.events: list[Event] = []
@@ -374,8 +364,9 @@ class Machine:
         self.log(t, "MEM", "op", format_op(op) + " critical=0")
         return t
 
-    def critical_op(self, op: MicroOp, earliest: int = 0) -> CriticalOpResult:
-        """Run the cancel/perform/add protocol around one MAGIC op."""
+    def critical_op(self, op: MicroOp, earliest: int = 0) -> int:
+        """Run the cancel/perform/add protocol around one MAGIC op; returns
+        its issue cycle."""
         validate_op(self.state, op, self.engine_cfg)
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
@@ -443,7 +434,7 @@ class Machine:
         self.log(t + c + 1, "MEM", "copy_new", f"line={fixed_line} pc={pair.index}", span=c)
         self.log(t + 2 * c + 1, pair.unit, "xor3", f"line={fixed_line}", span=x)
         self.log(write_at, pair.unit, "writeback", f"cells={diags}", span=wb)
-        return CriticalOpResult(t, pair.index, stall)
+        return t
 
     def block_ecc_reset(self, block_row: int, block_col: int,
                         earliest: int = 0) -> int:

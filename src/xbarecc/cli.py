@@ -49,6 +49,7 @@ EXIT_INTERNAL = 3
 # Upper bounds on user-sized allocations, checked before anything is built
 MAX_TRIALS = 1_000_000  # inject --trials; block scope draws one int64 per trial
 MAX_SWEEP_POINTS = 10_000  # reliability grid size
+MAX_PC_PAIRS = 1_024  # -k/pc_pairs; every critical op and check scans all pairs
 
 
 class UsageError(Exception):
@@ -67,28 +68,15 @@ class RunConfig:
     block_size: int = 15
     pc_pairs: int = 3
     seed: int = 0
-    xor3_cycles: int = 8
-    copy_cycles: int = 1
-    writeback_cycles: int = 1
-    controller_read_cycles: int = 1
-    correction_write_cycles: int = 1
-    zero_compare_cycles: int = 1
+    timing: TimingModel = TimingModel()
 
     def geometry(self) -> Geometry:
         return Geometry(self.n, self.block_size)
 
-    def timing(self) -> TimingModel:
-        return TimingModel(
-            xor3_cycles=self.xor3_cycles,
-            copy_cycles=self.copy_cycles,
-            writeback_cycles=self.writeback_cycles,
-            controller_read_cycles=self.controller_read_cycles,
-            correction_write_cycles=self.correction_write_cycles,
-            zero_compare_cycles=self.zero_compare_cycles,
-        )
 
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+# config keys: the RunConfig fields, with each TimingModel field in place of timing
+_TIMING_KEYS = {f.name for f in fields(TimingModel)}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig) if f.name != "timing"} | _TIMING_KEYS
 
 
 def load_config(path: str) -> RunConfig:
@@ -107,20 +95,21 @@ def load_config(path: str) -> RunConfig:
             values[key] = int(val)
         except ValueError:
             raise InputError(f"{path}:{lineno}: {key} needs an integer, got {val!r}")
-    cfg = RunConfig(**values)
+    timing = {key: values.pop(key) for key in _TIMING_KEYS & values.keys()}
     try:
-        cfg.timing()
+        cfg = RunConfig(timing=TimingModel(**timing), **values)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
-    if cfg.pc_pairs < 1 or cfg.seed < 0:
-        raise InputError(f"{path}: need pc_pairs >= 1 and seed >= 0, "
-                         f"got {cfg.pc_pairs} and {cfg.seed}")
+    if not 1 <= cfg.pc_pairs <= MAX_PC_PAIRS or cfg.seed < 0:
+        raise InputError(f"{path}: need 1 <= pc_pairs <= {MAX_PC_PAIRS} and "
+                         f"seed >= 0, got {cfg.pc_pairs} and {cfg.seed}")
     return cfg
 
 
 def resolve_config(args) -> RunConfig:
-    if getattr(args, "pc_pairs", None) is not None and args.pc_pairs < 1:
-        raise UsageError(f"-k/--pc-pairs must be at least 1, got {args.pc_pairs}")
+    k = getattr(args, "pc_pairs", None)
+    if k is not None and not 1 <= k <= MAX_PC_PAIRS:
+        raise UsageError(f"-k/--pc-pairs must be in [1, {MAX_PC_PAIRS}], got {k}")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
@@ -223,8 +212,8 @@ def read_schedule_file(path: Path) -> ReplaySchedule:
         timing_vals = dict(kv.split(":") for kv in meta["timing"].split(","))
         timing = TimingModel(**{k: int(v) for k, v in timing_vals.items()})
         pc_pairs = int(meta["pc_pairs"])
-        if pc_pairs < 1:
-            raise ValueError(f"pc_pairs must be >= 1, got {pc_pairs}")
+        if not 1 <= pc_pairs <= MAX_PC_PAIRS:
+            raise ValueError(f"pc_pairs must be in [1, {MAX_PC_PAIRS}], got {pc_pairs}")
         schedule = ReplaySchedule(
             name=meta.get("netlist", path.stem),
             geom=geom,
@@ -266,7 +255,7 @@ def cmd_schedule(args) -> int:
     paths = sorted(src.glob("*.nl")) if src.is_dir() else [src]
     if not paths:
         raise InputError(f"no .nl files under {src}")
-    geom, tm = cfg.geometry(), cfg.timing()
+    geom, tm = cfg.geometry(), cfg.timing
     all_stats = []
     for path in paths:
         nl = load_netlist(path)
@@ -375,9 +364,8 @@ def cmd_inject(args) -> int:
         ]
     else:
         geom = cfg.geometry()
-        campaign = FaultCampaign(seed=cfg.seed, trials=args.trials,
-                                 p_bit=args.pbit, scope=CampaignScope.MACHINE)
-        factory = lambda: Machine.blank(geom, timing=cfg.timing(),
+        campaign = FaultCampaign(seed=cfg.seed, trials=args.trials, p_bit=args.pbit)
+        factory = lambda: Machine.blank(geom, timing=cfg.timing,
                                         pc_pairs=cfg.pc_pairs)
         rep = injection_campaign(factory, campaign)
         closed = block_failure_probability(args.pbit, geom.m)

@@ -65,22 +65,10 @@ class MicroOp:
     def lanes(self) -> tuple[int, ...]:
         return tuple(sorted(self.lane_mask))
 
-    def written_cells(self) -> list[tuple[int, int]]:
-        """(row, col) cells this op writes; empty for READ."""
-        if self.kind is OpKind.READ:
-            return []
-        if self.orientation is Orientation.ROW:
-            return [(lane, self.output_line) for lane in self.lanes]
-        return [(self.output_line, lane) for lane in self.lanes]
-
 
 def nor_op(orientation: Orientation, inputs: tuple[int, ...], output: int,
            lanes) -> MicroOp:
     return MicroOp(OpKind.NOR, orientation, tuple(inputs), output, frozenset(lanes))
-
-
-def not_op(orientation: Orientation, input_line: int, output: int, lanes) -> MicroOp:
-    return MicroOp(OpKind.NOR, orientation, (input_line,), output, frozenset(lanes))
 
 
 def init_op(orientation: Orientation, output: int, lanes) -> MicroOp:
@@ -111,13 +99,6 @@ class CrossbarState:
     @classmethod
     def zeros(cls, geom: Geometry) -> "CrossbarState":
         return cls(geom, np.zeros((geom.n, geom.n), dtype=np.uint8))
-
-    @classmethod
-    def from_array(cls, geom: Geometry, arr) -> "CrossbarState":
-        a = np.asarray(arr, dtype=np.uint8)
-        if not np.isin(a, (0, 1)).all():
-            raise MicroOpError("cell values must be 0 or 1")
-        return cls(geom, a.copy())
 
     def copy(self) -> "CrossbarState":
         return CrossbarState(self.geom, self.cells.copy())
@@ -181,20 +162,6 @@ def execute(state: CrossbarState, op: MicroOp,
     new = state.copy()
     apply_op_inplace(new.cells, op, cfg)
     return new
-
-
-def init_lines(state: CrossbarState, orientation: Orientation, lines, lane_mask,
-               cfg: EngineConfig = EngineConfig()) -> tuple[CrossbarState, list[MicroOp]]:
-    """Preset the named cells to 1, one Init op (= one cycle) per line."""
-    ops = [init_op(orientation, line, lane_mask) for line in lines]
-    for op in ops:
-        state = execute(state, op, cfg)
-    return state, ops
-
-
-def cycle_count(trace: list[MicroOp]) -> int:
-    """Cycles consumed by a trace: one per op."""
-    return len(trace)
 
 
 def format_op(op: MicroOp) -> str:

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+MAX_N = 4_096  # crossbar side; the model allocates n x n cells and their parity
+
+
 class GeometryError(ValueError):
     """Invalid crossbar/block dimensions or out-of-range coordinates."""
 
@@ -30,8 +33,9 @@ class Geometry:
     m: int
 
     def __post_init__(self):
-        if self.m < 3 or self.n < self.m:
-            raise GeometryError(f"need n >= m >= 3, got n={self.n}, m={self.m}")
+        if self.m < 3 or not self.m <= self.n <= MAX_N:
+            raise GeometryError(
+                f"need {MAX_N} >= n >= m >= 3, got n={self.n}, m={self.m}")
         if self.n % self.m != 0:
             raise GeometryError(f"block size {self.m} must divide crossbar size {self.n}")
         if self.m % 2 == 0:

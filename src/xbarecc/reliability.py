@@ -201,6 +201,8 @@ def monte_carlo_block_failure(p: float, m: int, trials: int,
 # fault-injection campaigns against the machine model
 
 class CampaignScope:
+    """The two ``inject --scope`` choices: one sampled block or a whole machine."""
+
     BLOCK = "block"
     MACHINE = "machine"
 
@@ -210,27 +212,24 @@ class FaultCampaign:
     seed: int
     trials: int
     p_bit: float
-    scope: str = CampaignScope.MACHINE
-    forced_flips: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.p_bit <= 1:
             raise ValueError(f"p_bit {self.p_bit} outside [0,1]")
-        if self.scope not in (CampaignScope.BLOCK, CampaignScope.MACHINE):
-            raise ValueError(f"unknown scope {self.scope!r}")
 
 
 @dataclass
 class CampaignReport:
     """Per-flip outcome counts over a whole campaign.
 
-    corrected: flips repaired by a check before doing harm.
-    uncorrectable: flips in blocks the check detected but could not repair.
-    miscorrected: flips in blocks a check "repaired" into a wrong state.
-    silent: flips in blocks never checked during the campaign, plus
-    multi-flip patterns that cancelled in the syndrome.
+    Every flip lands in a block that the trial's check diagnosed:
+    corrected: the check restored the block's pre-injection contents.
+    uncorrectable: the check flagged the block as beyond repair.
+    miscorrected: the check "repaired" the block into a wrong state.
+    silent: the flips cancelled in the syndrome, so the check saw a clean
+    block and left it corrupted.
     """
 
     trials: int = 0
@@ -247,12 +246,9 @@ class CampaignReport:
         return self.blocks_failed / self.blocks_observed if self.blocks_observed else 0.0
 
 
-def _classify_block(flips: int, checked: bool, restored: bool,
-                    diagnosis_kind, report: CampaignReport) -> None:
+def _classify_block(flips: int, restored: bool, diagnosis_kind,
+                    report: CampaignReport) -> None:
     report.flips_injected += flips
-    if not checked:
-        report.silent += flips
-        return
     if restored:
         report.corrected += flips
     elif diagnosis_kind is DiagnosisKind.UNCORRECTABLE:
@@ -263,21 +259,14 @@ def _classify_block(flips: int, checked: bool, restored: bool,
         report.miscorrected += flips
 
 
-def injection_campaign(machine_factory, campaign: FaultCampaign,
-                       workload=None) -> CampaignReport:
-    """Inject uniform iid flips, run the workload, classify every flip.
+def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignReport:
+    """Inject uniform iid flips, run one full-memory check, classify every flip.
 
     ``machine_factory`` builds a pristine machine per trial (campaigns must
-    not share mutable state across trials); for schedule workloads it must
-    seed the function inputs. ``workload`` is either ``None`` (one
-    full-memory check per trial, classified by comparing every block
-    against its pre-injection contents) or an ``EccSchedule``, in which
-    case only the program's block row is ever checked, the program then
-    legitimately rewrites its output/scratch blocks, and flips are
-    classified from the check reports plus the per-block flip counts.
+    not share mutable state across trials). The check reports every block,
+    and nothing rewrites a block after a pure check pass, so each block is
+    classified by comparing it against its pre-injection contents.
     """
-    from .scheduler import EccSchedule, run_actions  # local: avoid import cycle
-
     report = CampaignReport(trials=campaign.trials)
 
     for trial in range(campaign.trials):
@@ -287,48 +276,23 @@ def injection_campaign(machine_factory, campaign: FaultCampaign,
         machine = machine_factory()
         geom = machine.geom
         golden = machine.state.cells.copy()
-        if campaign.forced_flips:
-            mask = np.zeros_like(golden, dtype=bool)
-            for row, col in campaign.forced_flips:
-                mask[row, col] = True
-        else:
-            mask = rng.random(golden.shape) < campaign.p_bit
+        mask = rng.random(golden.shape) < campaign.p_bit
         machine.state.cells[mask] ^= 1
 
         m, nb = geom.m, geom.blocks_per_side
         flips_per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
 
-        if workload is None:
-            summary = machine.full_memory_check()
-            diag_by_block = {(r.block_row, r.block_col): r.diagnosis.kind
-                             for r in summary.reports}
-        else:
-            if not isinstance(workload, EccSchedule):
-                raise TypeError("workload must be an EccSchedule or None")
-            run = run_actions(machine, workload.actions)
-            diag_by_block = {(r.block_row, r.block_col): r.diagnosis.kind
-                             for r in run.reports}
-
+        summary = machine.full_memory_check()
+        diag_by_block = {(r.block_row, r.block_col): r.diagnosis.kind
+                         for r in summary.reports}
         report.blocks_observed += len(diag_by_block)
         for br, bc in zip(*np.nonzero(flips_per_block)):
-            flips = int(flips_per_block[br, bc])
-            if (br, bc) not in diag_by_block:
-                _classify_block(flips, False, False, None, report)
-                continue
-            kind = diag_by_block[(br, bc)]
-            if workload is None:
-                # nothing rewrites blocks after a pure check pass, so the
-                # pre-injection contents are the ground truth
-                lo, hi = br * m, (br + 1) * m
-                restored = np.array_equal(
-                    machine.state.cells[lo:hi, bc * m:(bc + 1) * m],
-                    golden[lo:hi, bc * m:(bc + 1) * m])
-            else:
-                # the program may overwrite the block afterwards; a lone
-                # flip with a locating diagnosis is always repaired
-                restored = (flips == 1 and kind in (
-                    DiagnosisKind.DATA_ERROR, DiagnosisKind.CHECK_BIT_ERROR))
+            lo, hi = br * m, (br + 1) * m
+            restored = np.array_equal(
+                machine.state.cells[lo:hi, bc * m:(bc + 1) * m],
+                golden[lo:hi, bc * m:(bc + 1) * m])
             if not restored:
                 report.blocks_failed += 1
-            _classify_block(flips, True, restored, kind, report)
+            _classify_block(int(flips_per_block[br, bc]), restored,
+                            diag_by_block[(br, bc)], report)
     return report

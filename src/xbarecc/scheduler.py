@@ -11,7 +11,7 @@ required units are free.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .checkmem import Event, Machine, TimingModel, check_chain_cycles
@@ -20,7 +20,6 @@ from .engine import (
     MicroOp,
     OpKind,
     Orientation,
-    cycle_count,
     init_op,
     nor_op,
 )
@@ -43,13 +42,12 @@ class RowProgram:
     netlist: Netlist
     geom: Geometry
     ops: tuple[MicroOp, ...]
-    cell_map: dict[str, int]  # value id -> column holding it at end of program
     input_columns: dict[str, int]
     output_columns: dict[str, int]
 
     @property
     def baseline_cycles(self) -> int:
-        return cycle_count(list(self.ops))
+        return len(self.ops)  # one cycle per op
 
     @property
     def input_block_cols(self) -> tuple[int, ...]:
@@ -160,7 +158,7 @@ def map_to_row(netlist: Netlist, geom: Geometry) -> RowProgram:
         raise NetlistError("internal error: not all gates scheduled")
 
     out_cols = {name: cell_map[name] for name in outputs}
-    return RowProgram(netlist, geom, tuple(ops), cell_map, input_columns, out_cols)
+    return RowProgram(netlist, geom, tuple(ops), input_columns, out_cols)
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +201,10 @@ class EccSchedule:
 class ScheduleRun:
     """Result of executing a schedule on a concrete machine."""
 
-    outputs: dict[str, int]
     total_cycles: int
     corrected: int
     uncorrectable: int
-    reports: list
-    events: list[Event]
+    outputs: dict[str, int] = field(default_factory=dict)
     machine: Machine | None = None
 
 
@@ -245,12 +241,10 @@ def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
     """
     floor = 0
     corrected = uncorrectable = 0
-    reports = []
     for action in actions:
         if action.kind is ActionKind.CHECK_ROW:
             row_reports, done = machine.check_block_row(
                 action.index, action.orientation)
-            reports.extend(row_reports)
             corrected += sum(r.diagnosis.kind in (DiagnosisKind.DATA_ERROR,
                                                   DiagnosisKind.CHECK_BIT_ERROR)
                              for r in row_reports)
@@ -263,9 +257,7 @@ def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
             machine.critical_op(action.op, earliest=floor)
         else:
             machine.noncritical_op(action.op, earliest=floor)
-    outputs = {}
-    return ScheduleRun(outputs, machine.horizon, corrected, uncorrectable,
-                       reports, list(machine.events))
+    return ScheduleRun(machine.horizon, corrected, uncorrectable)
 
 
 def insert_ecc(rp: RowProgram, geom: Geometry, tm: TimingModel,
@@ -285,7 +277,7 @@ def insert_ecc(rp: RowProgram, geom: Geometry, tm: TimingModel,
         timing=tm,
         pc_pairs=k_pc_pairs,
         actions=actions,
-        events=tuple(run.events),
+        events=tuple(machine.events),
         total_cycles=run.total_cycles,
         baseline_cycles=rp.baseline_cycles,
         stall_cycles=machine.stall_cycles,

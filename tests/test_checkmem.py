@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from xbarecc import checkmem
 from xbarecc.checkmem import (
     BlockReport,
-    CheckMem,
     Event,
     Machine,
     TimingModel,
@@ -30,7 +29,6 @@ from xbarecc.engine import (
     format_op,
     init_op,
     nor_op,
-    not_op,
 )
 from xbarecc.geometry import Bank, Geometry, GeometryError
 from xbarecc.parity import (
@@ -67,10 +65,6 @@ class TestCheckMemLayout:
                     # crossbar d, cell (a, b) = (block_col, block_row)
                     assert cm.planes[Bank.LEADING][d, bc, br] == parity.leading[d]
                     assert cm.planes[Bank.COUNTER][d, bc, br] == parity.counter[d]
-
-    def test_total_bits(self):
-        cm = CheckMem.from_state(CrossbarState.zeros(Geometry(1020, 15)))
-        assert cm.total_bits == 2 * 15 * 68 * 68
 
 
 class TestOneTouchPerDiagonal:
@@ -115,11 +109,10 @@ class TestCriticalOp:
 
     def test_single_pair_serializes_on_writeback(self):
         machine = machine9(pc_pairs=1)
-        r1 = machine.critical_op(init_op(Orientation.ROW, 0, {0}))
-        r2 = machine.critical_op(init_op(Orientation.ROW, 4, {3}))
-        assert r1.issue_cycle == 0
-        assert r2.issue_cycle == 12  # after the first writeback frees the pair
-        assert r2.stall_cycles == 12 - 3
+        assert machine.critical_op(init_op(Orientation.ROW, 0, {0})) == 0
+        # after the first writeback frees the pair
+        assert machine.critical_op(init_op(Orientation.ROW, 4, {3})) == 12
+        assert machine.stall_cycles == 12 - 3
 
     def test_four_pairs_reach_steady_state_every_three_cycles(self):
         machine = machine9(pc_pairs=4)
@@ -128,8 +121,7 @@ class TestCriticalOp:
             # distinct blocks and diagonals: no hazards, only unit contention
             out = (3 * k) % 9
             lane = 3 * ((k // 3) % 3)
-            res = machine.critical_op(init_op(Orientation.ROW, out, {lane}))
-            issues.append(res.issue_cycle)
+            issues.append(machine.critical_op(init_op(Orientation.ROW, out, {lane})))
         assert issues == [3 * k for k in range(8)]
         assert machine.stall_cycles == 0
         assert len(machine.pcs_used) == 4
@@ -143,11 +135,10 @@ class TestCriticalOp:
 
     def test_same_cell_hazard_stalls_until_writeback(self):
         machine = machine9(pc_pairs=4)
-        r1 = machine.critical_op(init_op(Orientation.ROW, 0, {0}))
-        # column 0 again: same (block, diagonal) cells before writeback landed
-        r2 = machine.critical_op(init_op(Orientation.ROW, 0, {0}))
-        assert r1.issue_cycle == 0
-        assert r2.issue_cycle == 11  # reads at 12, first cycle the cell is fresh
+        assert machine.critical_op(init_op(Orientation.ROW, 0, {0})) == 0
+        # column 0 again: same (block, diagonal) cells before writeback landed;
+        # reads at 12, first cycle the cell is fresh
+        assert machine.critical_op(init_op(Orientation.ROW, 0, {0})) == 11
         assert machine.consistent()
 
     def test_interleaved_criticals_and_checks_stay_consistent(self):
@@ -397,7 +388,10 @@ class TestMultiLaneCriticalOps:
             before = machine.state.cells.copy()
             machine.critical_op(op)
             per_block = {}
-            for row, col in op.written_cells():
+            written = ([(lane, op.output_line) for lane in op.lanes]
+                       if op.orientation is Orientation.ROW
+                       else [(op.output_line, lane) for lane in op.lanes])
+            for row, col in written:
                 per_block.setdefault((row // m, col // m), []).append(
                     (row % m, col % m, int(before[row, col]),
                      int(machine.state.cells[row, col])))

@@ -3,6 +3,7 @@
 import itertools
 import shutil
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -177,7 +178,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("old, new", [
         ("index=0", "index=x"), ("orient=row", "orient=diagonal"),
-        ("pc_pairs=4", "pc_pairs=0")])
+        ("pc_pairs=4", "pc_pairs=0"), ("pc_pairs=4", "pc_pairs=1025"),
+        ("n=30 m=3", "n=4101 m=3"), ("xor3_cycles:8", "xor3_cycles:1001")])
     def test_corrupt_schedule_record_is_input_error(self, corpus_dir, tmp_path,
                                                     old, new):
         events = self.schedule(corpus_dir, tmp_path)
@@ -341,15 +343,57 @@ class TestAreaCommand:
     def test_zero_pc_pairs_is_usage_error(self, capsys):
         assert main(["area", "-k", "0"]) == EXIT_USAGE
 
+    def test_sizes_past_their_bounds(self, capsys):
+        # 17 divides 4097, so only the size bound rejects it
+        assert main(["area", "-n", "4097", "-m", "17"]) == EXIT_INPUT
+        assert main(["area", "-k", "1025"]) == EXIT_USAGE
+        assert main(["area", "-n", "4095", "-m", "15", "-k", "1024"]) == EXIT_OK
+
 
 class TestConfig:
     def test_load_and_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("n=30\nblock_size=3\npc_pairs=2\nxor3_cycles=6\n")
         cfg = load_config(str(cfgfile))
-        assert cfg == RunConfig(n=30, block_size=3, pc_pairs=2, xor3_cycles=6)
+        assert cfg == RunConfig(n=30, block_size=3, pc_pairs=2,
+                                timing=TimingModel(xor3_cycles=6))
 
-    @pytest.mark.parametrize("line", ["xor3_cycles=0", "pc_pairs=0", "seed=-1"])
+    def test_every_timing_key_reaches_schedule_and_replay(self, corpus_dir,
+                                                          tmp_path, capsys):
+        timing = TimingModel(xor3_cycles=5, copy_cycles=2, writeback_cycles=3,
+                             controller_read_cycles=4, correction_write_cycles=6,
+                             zero_compare_cycles=7)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{f.name}={getattr(timing, f.name)}\n"
+                                   for f in fields(TimingModel)))
+        assert load_config(str(cfgfile)).timing == timing
+        out = tmp_path / "out"
+        assert main(["schedule", fa_path(corpus_dir), "--out-dir", str(out),
+                     "--config", str(cfgfile)] + SMALL) == EXIT_OK
+        events = out / "full_adder.events"
+        assert ("# meta timing=xor3_cycles:5,copy_cycles:2,writeback_cycles:3,"
+                "controller_read_cycles:4,correction_write_cycles:6,"
+                "zero_compare_cycles:7") in events.read_text().splitlines()
+        replay = read_schedule_file(events)
+        assert replay.timing == timing
+        # the replay's cycles follow the file's timing, correction costs included
+        geom = Geometry(30, 3)
+        sched = scheduler.insert_ecc(scheduler.map_to_row(load_bundled("full_adder"),
+                                                          geom), geom, timing, 4)
+        run = scheduler.execute_schedule(sched, {"a": 1, "b": 0, "cin": 1},
+                                         flips=((1, 1),))
+        capsys.readouterr()
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=1",
+                     "--flip", "1,1"]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert f"scheduled_cycles={sched.total_cycles}\n" in text
+        assert f"actual_cycles={run.total_cycles}\n" in text
+        assert run.total_cycles > sched.total_cycles
+
+    @pytest.mark.parametrize("line", [
+        "xor3_cycles=0", "pc_pairs=0", "seed=-1", "pc_pairs=1025",
+        "n=4097\nblock_size=17",
+        *(f"{f.name}=1001" for f in fields(TimingModel))])
     def test_out_of_range_value_is_input_error(self, tmp_path, line, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(line + "\n")

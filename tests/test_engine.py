@@ -13,13 +13,10 @@ from xbarecc.engine import (
     OpKind,
     Orientation,
     UninitializedOutputError,
-    cycle_count,
     execute,
     format_op,
-    init_lines,
     init_op,
     nor_op,
-    not_op,
     parse_op,
 )
 from xbarecc.geometry import Geometry
@@ -44,7 +41,7 @@ class TestNorTruthTable:
     @pytest.mark.parametrize("a,expect", [(0, 1), (1, 0)])
     def test_not_via_single_input_nor(self, a, expect):
         state = state_with([[a, 1]])
-        out = execute(state, not_op(Orientation.ROW, 0, 1, {0}))
+        out = execute(state, nor_op(Orientation.ROW, (0,), 1, {0}))
         assert out.cells[0, 1] == expect
 
     def test_row_parallel_example(self):
@@ -56,15 +53,12 @@ class TestNorTruthTable:
 
 class TestInitAndPreconditions:
     def test_init_column_all_rows(self):
-        state, ops = init_lines(CrossbarState.zeros(GEOM), Orientation.ROW,
-                                [5], range(9))
+        state = execute(CrossbarState.zeros(GEOM), init_op(Orientation.ROW, 5, range(9)))
         assert (state.cells[:, 5] == 1).all()
         assert state.cells.sum() == 9
-        assert cycle_count(ops) == 1
 
     def test_init_then_nor_passes_precondition(self):
-        state, _ = init_lines(CrossbarState.zeros(GEOM), Orientation.ROW,
-                              [2], {0})
+        state = execute(CrossbarState.zeros(GEOM), init_op(Orientation.ROW, 2, {0}))
         execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}))
 
     def test_empty_lane_mask_rejected(self):
@@ -83,7 +77,7 @@ class TestInitAndPreconditions:
         assert out.cells[0, 2] == 1
 
     def test_fan_in_limit(self):
-        state, _ = init_lines(CrossbarState.zeros(GEOM), Orientation.ROW, [4], {0})
+        state = execute(CrossbarState.zeros(GEOM), init_op(Orientation.ROW, 4, {0}))
         with pytest.raises(MicroOpError):
             execute(state, nor_op(Orientation.ROW, (0, 1, 2), 4, {0}))
         wide = EngineConfig(fan_in_max=6)
@@ -118,15 +112,6 @@ class TestReadWriteKinds:
         state = state_with([[1, 1, 1]])
         op = MicroOp(OpKind.WRITE, Orientation.ROW, (), 1, frozenset({0}), value=0)
         assert execute(state, op).cells[0, 1] == 0
-
-
-class TestCycleCount:
-    def test_empty(self):
-        assert cycle_count([]) == 0
-
-    def test_three_ops(self):
-        ops = [init_op(Orientation.ROW, i, {0}) for i in range(3)]
-        assert cycle_count(ops) == 3
 
 
 def random_states(n=9):
@@ -184,7 +169,7 @@ class TestOpSerialization:
     def test_round_trip(self):
         ops = [
             nor_op(Orientation.ROW, (0, 1), 2, {0, 3, 5}),
-            not_op(Orientation.COLUMN, 7, 8, {2}),
+            nor_op(Orientation.COLUMN, (7,), 8, {2}),
             init_op(Orientation.ROW, 4, {1}),
             MicroOp(OpKind.WRITE, Orientation.ROW, (), 3, frozenset({0}), value=0),
         ]

@@ -9,7 +9,7 @@ from xbarecc.checkmem import Machine
 from xbarecc.engine import CrossbarState
 from xbarecc.geometry import Geometry
 from xbarecc.reliability import (
-    CampaignScope,
+    CampaignReport,
     FaultCampaign,
     ReliabilityParams,
     block_failure_probability,
@@ -204,6 +204,20 @@ class TestInjectionCampaign:
         rep2 = injection_campaign(lambda: Machine.blank(geom), campaign)
         assert rep1 == rep2
 
+    @pytest.mark.parametrize("n, m, expected", [
+        (30, 3, CampaignReport(trials=4, flips_injected=730, corrected=124,
+                               uncorrectable=474, miscorrected=122, silent=10,
+                               blocks_observed=400, blocks_failed=228)),
+        (45, 5, CampaignReport(trials=4, flips_injected=1622, corrected=6,
+                               uncorrectable=1501, miscorrected=101, silent=14,
+                               blocks_observed=324, blocks_failed=317)),
+    ])
+    def test_every_outcome_class_pinned(self, n, m, expected):
+        # at p=0.2 most blocks take several flips, so all four classes occur
+        geom = Geometry(n, m)
+        campaign = FaultCampaign(seed=3, trials=4, p_bit=0.2)
+        assert injection_campaign(lambda: Machine.blank(geom), campaign) == expected
+
     def test_machine_level_frequency_tracks_closed_form(self):
         geom = Geometry(150, 15)
         rng_state = np.random.default_rng(31)
@@ -231,33 +245,8 @@ class TestInjectionCampaign:
         assert run.corrected == 1
         assert run.outputs == nl.evaluate(assign)
 
-    def test_schedule_workload_classifies_unchecked_rows_silent(self):
-        from xbarecc.checkmem import Machine as M
-        from xbarecc.checkmem import TimingModel
-        from xbarecc.engine import CrossbarState as CS
-        from xbarecc.netlist import load_bundled
-        from xbarecc.scheduler import PROGRAM_ROW, insert_ecc, map_to_row
-
-        geom = Geometry(30, 3)
-        nl = load_bundled("not_chain")
-        rp = map_to_row(nl, geom)
-        schedule = insert_ecc(rp, geom, TimingModel(), 2)
-
-        def factory():
-            state = CS.zeros(geom)
-            state.cells[PROGRAM_ROW, rp.input_columns["a"]] = 1
-            return M(state, pc_pairs=2)
-
-        # a flip far below the program's block row is never looked at
-        campaign = FaultCampaign(seed=0, trials=1, p_bit=0.0,
-                                 forced_flips=((20, 20),))
-        rep = injection_campaign(factory, campaign, workload=schedule)
-        assert rep.silent == 1 and rep.corrected == 0
-
     def test_campaign_validation(self):
         with pytest.raises(ValueError):
             FaultCampaign(seed=0, trials=0, p_bit=0.1)
         with pytest.raises(ValueError):
             FaultCampaign(seed=0, trials=1, p_bit=1.5)
-        with pytest.raises(ValueError):
-            FaultCampaign(seed=0, trials=1, p_bit=0.1, scope="bogus")
