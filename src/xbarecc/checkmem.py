@@ -15,6 +15,8 @@ and write the result back. The MEM is occupied for only the three transfer
 """
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -45,7 +47,7 @@ from .parity import (
 )
 
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
-MAX_STEP_CYCLES = 1_000  # per timing step; the timelines keep a set entry per busy cycle
+MAX_STEP_CYCLES = 1_000  # per timing step; config files and schedule headers set it
 
 
 @dataclass(frozen=True)
@@ -133,46 +135,68 @@ class Event:
 
 
 class UnitTimeline:
-    """Next-free cycle per unit, plus busy-cycle sets for the check-bit
-    crossbars whose reads and writebacks straddle idle gaps."""
+    """Busy windows per unit, each a sorted flat ``[start, end, start, end, ...]``
+    list of disjoint half-open windows. MEM, CTRL, CHECK and the pairs are
+    booked in order (:meth:`reserve`); check-bit crossbar reads and writebacks
+    may fill an earlier idle gap (:meth:`book`). :meth:`first_free` is how a
+    unit waits."""
 
     def __init__(self):
-        self._next_free: dict[str, int] = {}
-        self._busy: dict[str, set[int]] = {}
+        self._windows: defaultdict[str, list[int]] = defaultdict(list)
 
     def next_free(self, unit: str) -> int:
-        return self._next_free.get(unit, 0)
+        windows = self._windows.get(unit)
+        return windows[-1] if windows else 0
 
-    def reserve(self, unit: str, start: int, span: int = 1) -> None:
-        if start < self.next_free(unit):
+    def reserve(self, unit: str, start: int, span: int) -> None:
+        windows = self._windows[unit]
+        free = windows[-1] if windows else 0
+        if start < free:
+            raise RuntimeError(f"unit {unit} reserved at {start} before its free cycle {free}")
+        if windows and start == free:
+            windows[-1] = start + span
+        else:
+            windows += (start, start + span)
+
+    def book(self, unit: str, start: int, span: int) -> None:
+        windows = self._windows[unit]
+        end = start + span
+        i = bisect_right(windows, start)  # odd: start lies in a busy window
+        if i % 2 or (i < len(windows) and end > windows[i]):
             raise RuntimeError(
-                f"unit {unit} reserved at {start} before its free cycle "
-                f"{self.next_free(unit)}")
-        self._next_free[unit] = start + span
+                f"unit {unit} double-booked at cycle {start if i % 2 else windows[i]}")
+        # merge with a window that ends at start or starts at end
+        lo = i - (i > 0 and windows[i - 1] == start)
+        hi = i + (i < len(windows) and windows[i] == end)
+        windows[lo:hi] = [start] * (lo == i) + [end] * (hi == i)
 
-    def sparse_free(self, unit: str, start: int, span: int = 1) -> bool:
-        busy = self._busy.get(unit)
-        if not busy:
-            return True
-        return not any(c in busy for c in range(start, start + span))
+    def first_free(self, units, start: int, windows) -> int:
+        """Least t >= start at which every (offset, span) window
+        [t + offset, t + offset + span) is idle on every unit. A window that
+        overlaps a busy one overlaps it until it starts at that window's end,
+        so the search jumps straight there."""
+        t, moved = start, True
+        while moved:
+            moved = False
+            for busy in filter(None, map(self._windows.get, units)):
+                for offset, span in windows:
+                    i = bisect_right(busy, t + offset)
+                    if i % 2 or (i < len(busy) and t + offset + span > busy[i]):
+                        t, moved = busy[i | 1] - offset, True  # that window's end
+        return t
 
-    def reserve_sparse(self, unit: str, start: int, span: int = 1) -> None:
-        busy = self._busy.setdefault(unit, set())
-        for c in range(start, start + span):
-            if c in busy:
-                raise RuntimeError(f"unit {unit} double-booked at cycle {c}")
-            busy.add(c)
 
-
-def _written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
+def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the cells an op writes, in lane order; none for READ."""
     lanes = np.array(op.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
     line = np.full_like(lanes, op.output_line)
     return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
 
 
-def touched_check_cells(op: MicroOp, geom: Geometry) -> np.ndarray:
-    """One (bank, diag, block_row, block_col) row per check-bit an op touches.
+def touched_check_cells(rows: np.ndarray, cols: np.ndarray,
+                        geom: Geometry) -> np.ndarray:
+    """One (bank, diag, block_row, block_col) row per check-bit that writing
+    the cells (rows, cols) of :func:`written_cells` touches.
 
     Bank 0 is :attr:`Bank.LEADING` and 1 is :attr:`Bank.COUNTER`. The
     leading rows come first, row k of each half belonging to the k-th
@@ -180,7 +204,6 @@ def touched_check_cells(op: MicroOp, geom: Geometry) -> np.ndarray:
     touch a check-bit twice; row/column-parallel ops never do, so this is
     an internal guard.
     """
-    rows, cols = _written_cells(op)
     n, m, nb = geom.n, geom.m, geom.blocks_per_side
     if rows.size and not (min(rows.min(), cols.min()) >= 0
                           and max(rows.max(), cols.max()) < n):
@@ -256,18 +279,6 @@ class CheckMem:
                 and all(np.array_equal(self.planes[b], other.planes[b]) for b in Bank))
 
 
-@dataclass
-class PcPair:
-    """One processing crossbar per bank; a critical op occupies a whole pair."""
-
-    index: int
-    busy_until: int = 0
-
-    @property
-    def unit(self) -> str:
-        return f"PC{self.index}"
-
-
 @dataclass(frozen=True)
 class BlockReport:
     """Diagnosis of one block from one check pass."""
@@ -308,11 +319,11 @@ class Machine:
         self.checkmem = CheckMem.from_state(state)
         self.timing = timing or TimingModel()
         self.engine_cfg = EngineConfig()
-        self.pcs = [PcPair(i) for i in range(pc_pairs)]
         self.timeline = UnitTimeline()
         self.events: list[Event] = []
         self.stall_cycles = 0
-        self.pcs_used: set[int] = set()
+        # processing-crossbar pairs, one crossbar per bank each
+        self._pc_units = tuple(f"PC{i}" for i in range(pc_pairs))
         m = self.geom.m
         # check-bit crossbar of (bank column b, diag d) at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
@@ -325,6 +336,23 @@ class Machine:
     @classmethod
     def blank(cls, geom: Geometry, **kwargs) -> "Machine":
         return cls(CrossbarState.zeros(geom), **kwargs)
+
+    @property
+    def pcs_used(self) -> set[int]:
+        """Indices of the processing-crossbar pairs that have been busy."""
+        return {i for i, unit in enumerate(self._pc_units)
+                if self.timeline.next_free(unit)}
+
+    def _pair_free_from(self) -> int:
+        """First cycle some pair is free; nothing books it before it is taken."""
+        return min(map(self.timeline.next_free, self._pc_units))
+
+    def _take_pair(self, t: int, span: int) -> int:
+        """Occupy the lowest-numbered pair free at t for span cycles."""
+        pair = next(i for i, unit in enumerate(self._pc_units)
+                    if self.timeline.next_free(unit) <= t)
+        self.timeline.reserve(self._pc_units[pair], t, span)
+        return pair
 
     @property
     def horizon(self) -> int:
@@ -371,7 +399,8 @@ class Machine:
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
         m, nb = self.geom.m, self.geom.blocks_per_side
-        touched = touched_check_cells(op, self.geom)
+        rows, cols = written_cells(op)
+        touched = touched_check_cells(rows, cols, self.geom)
         bank, diag, br, bcol = touched.T
         crossbar = bank * m + diag
         keys = ((crossbar * nb + br) * nb + bcol).tolist()
@@ -382,21 +411,10 @@ class Machine:
         # along the written line share a diagonal index
         cbx_units = [self._cbx_units[u]
                      for u in np.flatnonzero(np.bincount(crossbar)).tolist()]
-        t = max(mem_ready, ready - c)  # read happens at t + c
-        pair = None
-        while True:
-            free = [p for p in self.pcs if p.busy_until <= t]
-            if not free:
-                t = min(p.busy_until for p in self.pcs)
-                continue
-            read_at, write_at = t + c, t + 2 * c + 1 + x
-            if any(not (self.timeline.sparse_free(unit, read_at, c)
-                        and self.timeline.sparse_free(unit, write_at, wb))
-                   for unit in cbx_units):
-                t += 1
-                continue
-            pair = free[0]
-            break
+        # the read happens at t + c and the writeback at t + 2c + 1 + x
+        t = self.timeline.first_free(
+            cbx_units, max(mem_ready, ready - c, self._pair_free_from()),
+            ((c, c), (2 * c + 1 + x, wb)))
 
         stall = t - mem_ready
         if stall > 0:
@@ -406,16 +424,14 @@ class Machine:
 
         # reservations
         self.timeline.reserve("MEM", t, tm.mem_cycles_per_critical)
-        pair.busy_until = t + tm.pc_cycles_per_critical
-        self.pcs_used.add(pair.index)
+        pair = self._take_pair(t, tm.pc_cycles_per_critical)
         read_at, write_at = t + c, t + 2 * c + 1 + x
         for unit in cbx_units:
-            self.timeline.reserve_sparse(unit, read_at, c)
-            self.timeline.reserve_sparse(unit, write_at, wb)
+            self.timeline.book(unit, read_at, c)
+            self.timeline.book(unit, write_at, wb)
         self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
 
         # functional effect: each touched check-bit becomes old ^ new ^ stored
-        rows, cols = _written_cells(op)
         old = self.state.cells[rows, cols]
         apply_op_inplace(self.state.cells, op, self.engine_cfg)
         delta = old ^ self.state.cells[rows, cols]
@@ -428,12 +444,12 @@ class Machine:
         diags = ";".join(map("{}{}@{},{}".format, map(_BANK_TAGS.__getitem__, tags),
                              *columns))
         fixed_line = op.output_line
-        self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair.index}", span=c)
+        self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair}", span=c)
         self.log(t + c, "MEM", "op", format_op(op) + " critical=1")
-        self.log(t + c, pair.unit, "load_check", f"cells={diags}", span=c)
-        self.log(t + c + 1, "MEM", "copy_new", f"line={fixed_line} pc={pair.index}", span=c)
-        self.log(t + 2 * c + 1, pair.unit, "xor3", f"line={fixed_line}", span=x)
-        self.log(write_at, pair.unit, "writeback", f"cells={diags}", span=wb)
+        self.log(t + c, f"PC{pair}", "load_check", f"cells={diags}", span=c)
+        self.log(t + c + 1, "MEM", "copy_new", f"line={fixed_line} pc={pair}", span=c)
+        self.log(t + 2 * c + 1, f"PC{pair}", "xor3", f"line={fixed_line}", span=x)
+        self.log(write_at, f"PC{pair}", "writeback", f"cells={diags}", span=wb)
         return t
 
     def block_ecc_reset(self, block_row: int, block_col: int,
@@ -461,11 +477,10 @@ class Machine:
         ones = BlockParity((1,) * m, (1,) * m)
         self.checkmem.set_parity(block_row, block_col, ones)
         wb = self.timing.writeback_cycles
-        t = max(t0 + m, self.timeline.next_free("CTRL"))
-        while not all(self.timeline.sparse_free(unit, t, wb) for unit in self._cbx_units):
-            t += 1
+        t = self.timeline.first_free(
+            self._cbx_units, max(t0 + m, self.timeline.next_free("CTRL")), ((0, wb),))
         for unit in self._cbx_units:
-            self.timeline.reserve_sparse(unit, t, wb)
+            self.timeline.book(unit, t, wb)
         # the block's check-bit in every crossbar: flat indices nb*nb apart
         self._cell_ready.update(dict.fromkeys(
             range(block_row * nb + block_col, 2 * m * nb * nb, nb * nb), t + wb))
@@ -488,46 +503,33 @@ class Machine:
         levels = xor3_tree_levels(m)
 
         mem_ready = max(earliest, self.timeline.next_free("MEM"))
-        t = mem_ready
-        pair = None
-        while True:
-            free = [p for p in self.pcs if p.busy_until <= t]
-            if not free:
-                t = min(p.busy_until for p in self.pcs)
-                continue
-            syn_at = t + m * c + levels * x
-            if self.timeline.next_free("CHECK") > syn_at + x:
-                t += 1
-                continue
-            if not all(self.timeline.sparse_free(unit, syn_at, c)
-                       for unit in self._cbx_units):
-                t += 1
-                continue
-            pair = free[0]
-            break
+        syn = m * c + levels * x  # the stored check-bits are read at t + syn
+        check_ready = self.timeline.next_free("CHECK") - syn - x  # compare at t + syn + x
+        t = self.timeline.first_free(
+            self._cbx_units, max(mem_ready, self._pair_free_from(), check_ready),
+            ((syn, c),))
         if t > mem_ready:
             self.stall_cycles += t - mem_ready
             self.log(mem_ready, "SCHED", "stall",
                      f"check={index} wait={t - mem_ready}", span=t - mem_ready)
 
         self.timeline.reserve("MEM", t, m * c)
-        syn_at = t + m * c + levels * x
+        syn_at = t + syn
         zero_at = syn_at + x
-        pair.busy_until = zero_at
-        self.pcs_used.add(pair.index)
+        pair = self._take_pair(t, zero_at - t)
         for unit in self._cbx_units:
-            self.timeline.reserve_sparse(unit, syn_at, c)
+            self.timeline.book(unit, syn_at, c)
         self.timeline.reserve("CHECK", zero_at, zc)
 
         self.log(t, "SCHED", "check_row",
                  f"index={index} orient={orientation.value}")
         for k in range(m):
             line = index * m + k
-            self.log(t + k * c, "MEM", "copy_row", f"line={line} pc={pair.index}", span=c)
+            self.log(t + k * c, "MEM", "copy_row", f"line={line} pc={pair}", span=c)
         if levels:
-            self.log(t + m * c, pair.unit, "xor3_tree",
+            self.log(t + m * c, f"PC{pair}", "xor3_tree",
                      f"vectors={m} levels={levels}", span=levels * x)
-        self.log(syn_at, pair.unit, "syndrome_xor3", "banks=leading,counter", span=x)
+        self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
         self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
 
         # functional: per-block syndrome, decode, correct
@@ -571,12 +573,10 @@ class Machine:
                          span=tm.correction_write_cycles)
             else:
                 self.checkmem.flip_bit(diag.bank, diag.idx, br, bc)
-                write_at = done
                 unit = self._cbx_units[_BANKS.index(diag.bank) * m + diag.idx]
-                while not self.timeline.sparse_free(unit, write_at,
-                                                    tm.correction_write_cycles):
-                    write_at += 1
-                self.timeline.reserve_sparse(unit, write_at, tm.correction_write_cycles)
+                write_at = self.timeline.first_free(
+                    (unit,), done, ((0, tm.correction_write_cycles),))
+                self.timeline.book(unit, write_at, tm.correction_write_cycles)
                 self.log(write_at, unit, "correct_check",
                          f"block={br},{bc} diag={diag.idx}",
                          span=tm.correction_write_cycles)

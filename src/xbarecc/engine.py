@@ -6,7 +6,7 @@ be preset to 1 (the MAGIC initialization convention), which the engine
 enforces by default so that compilers forgetting Init ops fail loudly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -48,6 +48,7 @@ class MicroOp:
     output_line: int
     lane_mask: frozenset[int]
     value: int = 1  # written bit for WRITE ops; INIT always writes 1
+    lanes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # sorted lane_mask
 
     def __post_init__(self):
         if self.output_line in self.input_lines:
@@ -60,10 +61,7 @@ class MicroOp:
             raise MicroOpError("NOR needs at least one input line")
         if self.value not in (0, 1):
             raise MicroOpError(f"bit value must be 0 or 1, got {self.value}")
-
-    @property
-    def lanes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.lane_mask))
+        object.__setattr__(self, "lanes", tuple(sorted(self.lane_mask)))
 
 
 def nor_op(orientation: Orientation, inputs: tuple[int, ...], output: int,

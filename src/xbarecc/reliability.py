@@ -276,10 +276,14 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
         machine = machine_factory()
         geom = machine.geom
         golden = machine.state.cells.copy()
-        mask = rng.random(golden.shape) < campaign.p_bit
+        m, nb = geom.m, geom.blocks_per_side
+        # drawn one block row at a time: the same stream as one whole-memory
+        # draw, without its n x n float64 temporary
+        mask = np.empty(golden.shape, dtype=bool)
+        for rows in mask.reshape(nb, m, geom.n):
+            np.less(rng.random(rows.shape), campaign.p_bit, out=rows)
         machine.state.cells[mask] ^= 1
 
-        m, nb = geom.m, geom.blocks_per_side
         flips_per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
 
         summary = machine.full_memory_check()

@@ -8,7 +8,13 @@ import itertools
 import numpy as np
 import pytest
 
-from xbarecc.checkmem import Machine, TimingModel, device_counts, touched_check_cells
+from xbarecc.checkmem import (
+    Machine,
+    TimingModel,
+    device_counts,
+    touched_check_cells,
+    written_cells,
+)
 from xbarecc.engine import CrossbarState, Orientation, init_op
 from xbarecc.geometry import Bank, Geometry
 from xbarecc.netlist import BUNDLED, load_bundled
@@ -171,7 +177,7 @@ def test_c07_one_touch_per_diagonal():
         for out in range(9):
             for lanes in masks:
                 op = init_op(orientation, out, lanes)
-                touched = touched_check_cells(op, geom)  # raises on double touch
+                touched = touched_check_cells(*written_cells(op), geom)  # raises on double touch
                 assert len(touched) == 2 * len(lanes)
                 checked += 1
     assert checked == 2 * 9 * (9 + 84 + 1)

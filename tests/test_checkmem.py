@@ -15,9 +15,11 @@ from xbarecc.checkmem import (
     Event,
     Machine,
     TimingModel,
+    UnitTimeline,
     check_chain_cycles,
     device_counts,
     touched_check_cells,
+    written_cells,
     xor3_tree_levels,
 )
 from xbarecc.engine import (
@@ -78,7 +80,7 @@ class TestOneTouchPerDiagonal:
             for out in range(9):
                 for lanes in lane_masks:
                     op = init_op(orientation, out, lanes)
-                    touched = touched_check_cells(op, G9)  # raises on conflict
+                    touched = touched_check_cells(*written_cells(op), G9)
                     assert len(touched) == 2 * len(lanes)
                     count += 1
         assert count == 2 * 9 * (9 + 84 + 1)
@@ -624,10 +626,12 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     t = max(t, machine.timeline.next_free("CTRL"))
     units = [(b, d, f"CBX:{bank.value}:{d}")
              for b, bank in enumerate(Bank) for d in range(m)]
-    while not all(machine.timeline.sparse_free(unit, t, wb) for _, _, unit in units):
+    # step one cycle at a time, asking the timeline only whether t itself is free
+    while any(machine.timeline.first_free((unit,), t, ((0, wb),)) != t
+              for _, _, unit in units):
         t += 1
     for b, d, unit in units:
-        machine.timeline.reserve_sparse(unit, t, wb)
+        machine.timeline.book(unit, t, wb)
         key = int(np.ravel_multi_index((b, d, block_row, block_col), (2, m, nb, nb)))
         machine._cell_ready[key] = t + wb
     machine.timeline.reserve("CTRL", t, wb)
@@ -659,8 +663,7 @@ class TestBlockResetOracle:
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
         assert machine._cell_ready == oracle._cell_ready
-        assert machine.timeline._next_free == oracle.timeline._next_free
-        assert machine.timeline._busy == oracle.timeline._busy
+        assert machine.timeline._windows == oracle.timeline._windows
 
     @pytest.mark.parametrize("block", [(9, 0), (0, 9), (-1, 0)])
     def test_block_outside_the_crossbar_rejected(self, block):
@@ -668,3 +671,91 @@ class TestBlockResetOracle:
         with pytest.raises(GeometryError):
             machine.block_ecc_reset(*block)
         assert machine.events == []
+
+
+# ----------------------------------------------------------------------
+# the interval timeline against the per-cycle model
+
+class BusySets:
+    """Oracle of :class:`UnitTimeline`: one set of busy cycles per unit,
+    searched one cycle at a time."""
+
+    def __init__(self):
+        self.busy: dict[str, set[int]] = {}
+
+    def next_free(self, unit):
+        return max(self.busy.get(unit) or {-1}) + 1
+
+    def reserve(self, unit, start, span):
+        if start < self.next_free(unit):
+            raise RuntimeError(f"unit {unit} reserved at {start} before its free "
+                               f"cycle {self.next_free(unit)}")
+        self.book(unit, start, span)
+
+    def book(self, unit, start, span):
+        busy = self.busy.setdefault(unit, set())
+        clash = busy.intersection(range(start, start + span))
+        if clash:
+            raise RuntimeError(f"unit {unit} double-booked at cycle {min(clash)}")
+        busy.update(range(start, start + span))
+
+    def first_free(self, units, start, windows):
+        t = start
+        while any(c in self.busy.get(unit, ()) for unit in units
+                  for offset, span in windows for c in range(t + offset, t + offset + span)):
+            t += 1
+        return t
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestTimelineOracle:
+    UNITS = ("MEM", "PC0", "CBX:leading:0")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_reserve_book_and_first_free_match_busy_sets(self, data):
+        timeline, oracle = UnitTimeline(), BusySets()
+        spans = st.integers(1, 4)
+        for _ in range(data.draw(st.integers(1, 30))):
+            action = data.draw(st.sampled_from(["reserve", "book", "first_free"]))
+            if action == "first_free":
+                units = data.draw(st.lists(st.sampled_from(self.UNITS), unique=True))
+                windows = data.draw(st.lists(st.tuples(st.integers(0, 8), spans),
+                                             min_size=1, max_size=3))
+                start = data.draw(st.integers(0, 40))
+                assert (timeline.first_free(units, start, windows)
+                        == oracle.first_free(units, start, windows))
+                continue
+            unit, span = data.draw(st.sampled_from(self.UNITS)), data.draw(spans)
+            if action == "reserve":  # at, just before or just after the free cycle
+                start = oracle.next_free(unit) + data.draw(st.integers(-2, 2))
+            else:  # anywhere, so gaps, edges and overlaps all occur
+                start = data.draw(st.integers(0, 40))
+            assert (outcome(getattr(timeline, action), unit, start, span)
+                    == outcome(getattr(oracle, action), unit, start, span))
+            for name in self.UNITS:
+                windows = timeline._windows.get(name, [])
+                # sorted, disjoint, non-empty, touching windows merged
+                assert all(a < b for a, b in zip(windows, windows[1:]))
+                assert {c for s, e in zip(windows[::2], windows[1::2])
+                        for c in range(s, e)} == oracle.busy.get(name, set())
+                assert timeline.next_free(name) == oracle.next_free(name)
+
+    def test_both_guards_raise(self):
+        timeline = UnitTimeline()
+        timeline.reserve("MEM", 2, 3)
+        with pytest.raises(RuntimeError, match="MEM reserved at 4 before its free cycle 5"):
+            timeline.reserve("MEM", 4, 1)
+        timeline.book("CBX:leading:0", 5, 2)
+        timeline.book("CBX:leading:0", 1, 2)
+        with pytest.raises(RuntimeError, match="double-booked at cycle 5"):
+            timeline.book("CBX:leading:0", 3, 4)
+        with pytest.raises(RuntimeError, match="double-booked at cycle 2"):
+            timeline.book("CBX:leading:0", 2, 1)
+        assert timeline._windows == {"MEM": [2, 5], "CBX:leading:0": [1, 3, 5, 7]}

@@ -2,6 +2,7 @@
 
 import itertools
 import shutil
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -209,6 +210,28 @@ class TestSimulateCommand:
         assert replay.geom.n == 30 and replay.geom.m == 3
         assert set(replay.input_columns) == {"a", "b", "cin"}
         assert any(a.critical for a in replay.actions)
+
+    def test_replaying_many_long_checks_keeps_memory_small(self, corpus_dir, tmp_path,
+                                                           capsys):
+        # every record's units are busy for about copy_cycles x m cycles; a
+        # timeline that grew with busy cycles peaked at ~85 MiB here
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("copy_cycles=1000\n")
+        out = tmp_path / "out"
+        assert main(["schedule", str(corpus_dir / "mux2.nl"), "--out-dir", str(out),
+                     "--config", str(cfgfile)] + SMALL) == EXIT_OK
+        events = out / "mux2.events"
+        lines = events.read_text().splitlines()
+        check = next(line for line in lines if "\tcheck_row\t" in line)
+        events.write_text("\n".join(lines + [check] * 200) + "\n")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(events), "--inputs", "a=0,b=1,sel=1"]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "output.y=1" in capsys.readouterr().out
+        assert peak < 8 * 2**20
 
 
 class TestInjectCommand:
