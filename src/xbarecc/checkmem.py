@@ -48,6 +48,8 @@ from .parity import (
 
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
 MAX_STEP_CYCLES = 1_000  # per timing step; config files and schedule headers set it
+_BANKS = tuple(Bank)  # first index of CheckMem.planes -> Bank
+_BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
 
 @dataclass(frozen=True)
@@ -158,17 +160,22 @@ class UnitTimeline:
         else:
             windows += (start, start + span)
 
-    def book(self, unit: str, start: int, span: int) -> None:
-        windows = self._windows[unit]
-        end = start + span
-        i = bisect_right(windows, start)  # odd: start lies in a busy window
-        if i % 2 or (i < len(windows) and end > windows[i]):
-            raise RuntimeError(
-                f"unit {unit} double-booked at cycle {start if i % 2 else windows[i]}")
-        # merge with a window that ends at start or starts at end
-        lo = i - (i > 0 and windows[i - 1] == start)
-        hi = i + (i < len(windows) and windows[i] == end)
-        windows[lo:hi] = [start] * (lo == i) + [end] * (hi == i)
+    def book(self, units, t: int, windows) -> None:
+        """Book every (offset, span) window [t + offset, t + offset + span) on
+        every unit, as :meth:`first_free` searches them; each must be idle."""
+        # one start and end object per window, shared by every unit's list
+        spans = [(t + offset, t + offset + span) for offset, span in windows]
+        for unit in units:
+            busy = self._windows[unit]
+            for start, end in spans:
+                i = bisect_right(busy, start)  # odd: start lies in a busy window
+                if i % 2 or (i < len(busy) and end > busy[i]):
+                    raise RuntimeError(
+                        f"unit {unit} double-booked at cycle {start if i % 2 else busy[i]}")
+                # merge with a window that ends at start or starts at end
+                lo = i - (i > 0 and busy[i - 1] == start)
+                hi = i + (i < len(busy) and busy[i] == end)
+                busy[lo:hi] = [start] * (lo == i) + [end] * (hi == i)
 
     def first_free(self, units, start: int, windows) -> int:
         """Least t >= start at which every (offset, span) window
@@ -195,27 +202,23 @@ def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
 
 def touched_check_cells(rows: np.ndarray, cols: np.ndarray,
                         geom: Geometry) -> np.ndarray:
-    """One (bank, diag, block_row, block_col) row per check-bit that writing
-    the cells (rows, cols) of :func:`written_cells` touches.
+    """Flat indices into :attr:`CheckMem.planes` of the check-bits that
+    writing the cells (rows, cols) of :func:`written_cells` touches.
 
-    Bank 0 is :attr:`Bank.LEADING` and 1 is :attr:`Bank.COUNTER`. The
-    leading rows come first, row k of each half belonging to the k-th
-    written cell. Raises :class:`DiagonalConflictError` if one op would
-    touch a check-bit twice; row/column-parallel ops never do, so this is
-    an internal guard.
+    The leading half comes first, entry k of each half belonging to the
+    k-th written cell. Raises :class:`DiagonalConflictError` if one op would
+    touch a check-bit twice; row/column-parallel ops never do, so this is an
+    internal guard.
     """
     n, m, nb = geom.n, geom.m, geom.blocks_per_side
     if rows.size and not (min(rows.min(), cols.min()) >= 0
                           and max(rows.max(), cols.max()) < n):
         raise GeometryError(f"op writes cells outside the {n}x{n} crossbar")
     i, j = rows % m, cols % m
-    touched = np.column_stack([
-        np.repeat((0, 1), rows.size),
-        np.concatenate([(i + j) % m, (i - j) % m]),
-        np.tile(rows // m, 2),
-        np.tile(cols // m, 2),
-    ])
-    keys = np.sort(np.ravel_multi_index(touched.T, (2, m, nb, nb)))
+    block = cols // m * nb + rows // m
+    touched = np.concatenate([(i + j) % m * nb * nb + block,
+                              ((i - j) % m + m) * nb * nb + block])
+    keys = np.sort(touched)
     repeated = keys[1:][keys[1:] == keys[:-1]]
     if repeated.size:
         key = tuple(int(k) for k in np.unravel_index(repeated[0], (2, m, nb, nb)))
@@ -228,18 +231,18 @@ class CheckMem:
 
     Cell (a, b) of crossbar d in a bank holds the check-bit for diagonal d
     of the block a block-columns from the left and b block-rows from the
-    top, so plane indexing is [diag, block_col, block_row].
+    top, so :attr:`planes` is indexed [bank, diag, block_col, block_row],
+    bank 0 being :attr:`Bank.LEADING`. Its flat index is the one address of
+    a check-bit.
     """
 
-    def __init__(self, geom: Geometry, planes: dict[Bank, np.ndarray]):
+    def __init__(self, geom: Geometry, planes: np.ndarray):
         nb = geom.blocks_per_side
-        for bank in Bank:
-            if planes[bank].shape != (geom.m, nb, nb):
-                raise GeometryError(
-                    f"{bank.value} planes shaped {planes[bank].shape}, "
-                    f"expected {(geom.m, nb, nb)}")
+        if planes.shape != (2, geom.m, nb, nb):
+            raise GeometryError(
+                f"planes shaped {planes.shape}, expected {(2, geom.m, nb, nb)}")
         self.geom = geom
-        self.planes = {bank: planes[bank].astype(np.uint8, copy=False) for bank in Bank}
+        self.planes = np.ascontiguousarray(planes, dtype=np.uint8)
 
     @classmethod
     def from_state(cls, state: CrossbarState) -> "CheckMem":
@@ -252,31 +255,26 @@ class CheckMem:
         spans = as_strided(cells, (nb, nb, (m - 1) * n + m),
                            (m * cells.strides[0], m * cells.strides[1], cells.strides[1]),
                            writeable=False)
-        # sums[br, bc, bank, d] -> plane[d, bc, br]
-        sums = diag_parity(spans, m, n).transpose(2, 3, 1, 0)
-        return cls(geom, {bank: np.ascontiguousarray(sums[b])
-                          for b, bank in enumerate(Bank)})
+        # sums[br, bc, bank, d] -> planes[bank, d, bc, br]
+        return cls(geom, diag_parity(spans, m, n).transpose(2, 3, 1, 0))
 
     def parity(self, block_row: int, block_col: int) -> BlockParity:
-        return BlockParity(
-            tuple(self.planes[Bank.LEADING][:, block_col, block_row].tolist()),
-            tuple(self.planes[Bank.COUNTER][:, block_col, block_row].tolist()),
-        )
+        lead, ctr = self.planes[:, :, block_col, block_row].tolist()
+        return BlockParity(tuple(lead), tuple(ctr))
 
     def set_parity(self, block_row: int, block_col: int, parity: BlockParity) -> None:
-        self.planes[Bank.LEADING][:, block_col, block_row] = parity.leading
-        self.planes[Bank.COUNTER][:, block_col, block_row] = parity.counter
+        self.planes[:, :, block_col, block_row] = (parity.leading, parity.counter)
 
     def flip_bit(self, bank: Bank, diag: int, block_row: int, block_col: int) -> None:
-        self.planes[bank][diag, block_col, block_row] ^= 1
+        self.planes[_BANKS.index(bank), diag, block_col, block_row] ^= 1
 
     def copy(self) -> "CheckMem":
-        return CheckMem(self.geom, {bank: self.planes[bank].copy() for bank in Bank})
+        return CheckMem(self.geom, self.planes.copy())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CheckMem)
                 and self.geom == other.geom
-                and all(np.array_equal(self.planes[b], other.planes[b]) for b in Bank))
+                and np.array_equal(self.planes, other.planes))
 
 
 @dataclass(frozen=True)
@@ -296,10 +294,6 @@ class CheckSummary:
     corrected: int
     uncorrectable: int
     reports: tuple[BlockReport, ...]
-
-
-_BANKS = tuple(Bank)  # bank column of a touched_check_cells row -> Bank
-_BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
 
 class Machine:
@@ -325,12 +319,11 @@ class Machine:
         # processing-crossbar pairs, one crossbar per bank each
         self._pc_units = tuple(f"PC{i}" for i in range(pc_pairs))
         m = self.geom.m
-        # check-bit crossbar of (bank column b, diag d) at index b * m + d
+        # check-bit crossbar planes[b, d] at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
-        # first cycle at which each in-flight check-bit cell is readable again,
-        # keyed by the flat index of a (bank, diag, block_row, block_col) row of
-        # touched_check_cells in a [2, m, nb, nb] array
+        # first cycle at which each in-flight check-bit is readable again,
+        # keyed by its flat index in checkmem.planes
         self._cell_ready: dict[int, int] = {}
 
     @classmethod
@@ -398,23 +391,20 @@ class Machine:
         validate_op(self.state, op, self.engine_cfg)
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
-        m, nb = self.geom.m, self.geom.blocks_per_side
         rows, cols = written_cells(op)
         touched = touched_check_cells(rows, cols, self.geom)
-        bank, diag, br, bcol = touched.T
-        crossbar = bank * m + diag
-        keys = ((crossbar * nb + br) * nb + bcol).tolist()
+        keys = touched.tolist()
 
         mem_ready = max(earliest, self.timeline.next_free("MEM"))
         ready = max(map(self._cell_ready.get, keys, repeat(0)), default=0)
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index
-        cbx_units = [self._cbx_units[u]
-                     for u in np.flatnonzero(np.bincount(crossbar)).tolist()]
+        crossbars = np.bincount(touched // self.geom.blocks_per_side ** 2)
+        cbx_units = [self._cbx_units[u] for u in np.flatnonzero(crossbars).tolist()]
         # the read happens at t + c and the writeback at t + 2c + 1 + x
+        windows = ((c, c), (2 * c + 1 + x, wb))
         t = self.timeline.first_free(
-            cbx_units, max(mem_ready, ready - c, self._pair_free_from()),
-            ((c, c), (2 * c + 1 + x, wb)))
+            cbx_units, max(mem_ready, ready - c, self._pair_free_from()), windows)
 
         stall = t - mem_ready
         if stall > 0:
@@ -425,22 +415,20 @@ class Machine:
         # reservations
         self.timeline.reserve("MEM", t, tm.mem_cycles_per_critical)
         pair = self._take_pair(t, tm.pc_cycles_per_critical)
-        read_at, write_at = t + c, t + 2 * c + 1 + x
-        for unit in cbx_units:
-            self.timeline.book(unit, read_at, c)
-            self.timeline.book(unit, write_at, wb)
+        write_at = t + 2 * c + 1 + x
+        self.timeline.book(cbx_units, t, windows)
         self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
 
         # functional effect: each touched check-bit becomes old ^ new ^ stored
+        planes = self.checkmem.planes
         old = self.state.cells[rows, cols]
         apply_op_inplace(self.state.cells, op, self.engine_cfg)
-        delta = old ^ self.state.cells[rows, cols]
-        for half, plane_bank in zip(np.split(touched, 2), Bank):
-            _, d, r, col = half.T
-            self.checkmem.planes[plane_bank][d, col, r] ^= delta
+        planes.reshape(-1)[touched] ^= np.tile(old ^ self.state.cells[rows, cols], 2)
 
         # sorted by (bank name, diag, block_row, block_col): counter before leading
-        tags, *columns = touched[np.lexsort((bcol, br, diag, -bank))].T.tolist()
+        bank, diag, bcol, br = np.unravel_index(touched, planes.shape)
+        order = np.lexsort((bcol, br, diag, -bank))
+        tags, *columns = (a[order].tolist() for a in (bank, diag, br, bcol))
         diags = ";".join(map("{}{}@{},{}".format, map(_BANK_TAGS.__getitem__, tags),
                              *columns))
         fixed_line = op.output_line
@@ -474,16 +462,16 @@ class Machine:
         for lc in range(m):
             op = init_op(Orientation.ROW, base_col + lc, lanes)
             self.log(t0 + lc, "MEM", "op", format_op(op) + " critical=0 reset=1")
-        ones = BlockParity((1,) * m, (1,) * m)
-        self.checkmem.set_parity(block_row, block_col, ones)
+        planes = self.checkmem.planes
+        planes[:, :, block_col, block_row] = 1
         wb = self.timing.writeback_cycles
+        write = ((0, wb),)
         t = self.timeline.first_free(
-            self._cbx_units, max(t0 + m, self.timeline.next_free("CTRL")), ((0, wb),))
-        for unit in self._cbx_units:
-            self.timeline.book(unit, t, wb)
+            self._cbx_units, max(t0 + m, self.timeline.next_free("CTRL")), write)
+        self.timeline.book(self._cbx_units, t, write)
         # the block's check-bit in every crossbar: flat indices nb*nb apart
         self._cell_ready.update(dict.fromkeys(
-            range(block_row * nb + block_col, 2 * m * nb * nb, nb * nb), t + wb))
+            range(block_col * nb + block_row, planes.size, nb * nb), t + wb))
         self.timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
@@ -505,9 +493,9 @@ class Machine:
         mem_ready = max(earliest, self.timeline.next_free("MEM"))
         syn = m * c + levels * x  # the stored check-bits are read at t + syn
         check_ready = self.timeline.next_free("CHECK") - syn - x  # compare at t + syn + x
+        windows = ((syn, c),)
         t = self.timeline.first_free(
-            self._cbx_units, max(mem_ready, self._pair_free_from(), check_ready),
-            ((syn, c),))
+            self._cbx_units, max(mem_ready, self._pair_free_from(), check_ready), windows)
         if t > mem_ready:
             self.stall_cycles += t - mem_ready
             self.log(mem_ready, "SCHED", "stall",
@@ -517,8 +505,7 @@ class Machine:
         syn_at = t + syn
         zero_at = syn_at + x
         pair = self._take_pair(t, zero_at - t)
-        for unit in self._cbx_units:
-            self.timeline.book(unit, syn_at, c)
+        self.timeline.book(self._cbx_units, t, windows)
         self.timeline.reserve("CHECK", zero_at, zc)
 
         self.log(t, "SCHED", "check_row",
@@ -541,17 +528,18 @@ class Machine:
         lines = slice(index * m, (index + 1) * m)
         if orientation is Orientation.ROW:
             blocks = self.state.cells[lines].reshape(m, nb, m).transpose(1, 0, 2)
-            planes = np.s_[:, :, index]
+            stored = self.checkmem.planes[..., index]
         else:
             blocks = self.state.cells[:, lines].reshape(nb, m, m)
-            planes = np.s_[:, index, :]
+            stored = self.checkmem.planes[:, :, index]
         blocks = np.ascontiguousarray(blocks)
-        # stored check-bits of the whole line, [block][diag], read once
-        lead, ctr = (self.checkmem.planes[bank][planes].T.tolist() for bank in Bank)
+        # stored check-bits of the whole line, [block][bank][diag], read once
+        stored = stored.transpose(2, 0, 1).tolist()
         for k in range(nb):
             br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
-            stored = BlockParity(tuple(lead[k]), tuple(ctr[k]))
-            diag = decode_syndrome(compute_syndrome(blocks[k], stored))
+            lead, ctr = stored[k]
+            diag = decode_syndrome(compute_syndrome(
+                blocks[k], BlockParity(tuple(lead), tuple(ctr))))
             reports.append(BlockReport(br, bc, diag))
             if diag.kind is DiagnosisKind.CLEAN:
                 continue
@@ -574,9 +562,9 @@ class Machine:
             else:
                 self.checkmem.flip_bit(diag.bank, diag.idx, br, bc)
                 unit = self._cbx_units[_BANKS.index(diag.bank) * m + diag.idx]
-                write_at = self.timeline.first_free(
-                    (unit,), done, ((0, tm.correction_write_cycles),))
-                self.timeline.book(unit, write_at, tm.correction_write_cycles)
+                write = ((0, tm.correction_write_cycles),)
+                write_at = self.timeline.first_free((unit,), done, write)
+                self.timeline.book((unit,), write_at, write)
                 self.log(write_at, unit, "correct_check",
                          f"block={br},{bc} diag={diag.idx}",
                          span=tm.correction_write_cycles)

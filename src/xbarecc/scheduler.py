@@ -101,36 +101,26 @@ def map_to_row(netlist: Netlist, geom: Geometry) -> RowProgram:
         for op in gate.operands:
             consumers.setdefault(op, []).append(pos)
 
-    # Netlist.fanout of every value: gates reading it, each once, plus
-    # one if it is an output
-    fanout = dict.fromkeys(refcount, 0)
-    for gate in gates:
-        for op in set(gate.operands):
-            fanout[op] += 1
+    # Netlist.fanout of every value: the parser rejects a gate naming an
+    # operand twice, so each reading gate counts once, plus one per output
+    fanout = dict(refcount)
     for out in outputs:
         fanout[out] += 1
 
     cell_map = dict(input_columns)
-    emitted = [False] * len(gates)
-    # ready heap keyed largest fanout first, then program order
+    # ready heap keyed largest fanout first, then program order; a gate is
+    # pushed once, when its last operand is placed
     ready: list[tuple[int, int]] = []
     deps_left = []
     for pos, gate in enumerate(gates):
-        missing = sum(op not in cell_map for op in set(gate.operands))
-        deps_left.append(missing)
-        if missing == 0:
+        deps_left.append(sum(op not in cell_map for op in gate.operands))
+        if deps_left[pos] == 0:
             heapq.heappush(ready, (-fanout[gate.gate_id], pos))
 
     ops: list[MicroOp] = []
     lanes = frozenset({PROGRAM_ROW})
-    scheduled = 0
     while ready:
-        _, pos = heapq.heappop(ready)
-        if emitted[pos]:
-            continue
-        gate = gates[pos]
-        emitted[pos] = True
-        scheduled += 1
+        gate = gates[heapq.heappop(ready)[1]]
         if gate.gate_id in output_columns:
             dest = output_columns[gate.gate_id]
         else:
@@ -143,18 +133,16 @@ def map_to_row(netlist: Netlist, geom: Geometry) -> RowProgram:
         ops.append(nor_op(Orientation.ROW, in_cols, dest, lanes))
         cell_map[gate.gate_id] = dest
 
-        for operand in set(gate.operands):
-            refcount[operand] -= gate.operands.count(operand)
+        for operand in gate.operands:
+            refcount[operand] -= 1
             if (refcount[operand] == 0 and operand not in output_columns
                     and operand not in input_columns):
                 heapq.heappush(free_cols, cell_map[operand])
         for nxt in consumers.get(gate.gate_id, []):
-            deps_left[nxt] -= sum(
-                op == gate.gate_id for op in set(gates[nxt].operands))
-            if deps_left[nxt] == 0 and not emitted[nxt]:
+            deps_left[nxt] -= 1
+            if deps_left[nxt] == 0:
                 heapq.heappush(ready, (-fanout[gates[nxt].gate_id], nxt))
-
-    if scheduled != len(gates):
+    if len(ops) != 2 * len(gates):
         raise NetlistError("internal error: not all gates scheduled")
 
     out_cols = {name: cell_map[name] for name in outputs}

@@ -65,8 +65,8 @@ class TestCheckMemLayout:
                 parity = encode_block(machine.state.block(br, bc))
                 for d in range(3):
                     # crossbar d, cell (a, b) = (block_col, block_row)
-                    assert cm.planes[Bank.LEADING][d, bc, br] == parity.leading[d]
-                    assert cm.planes[Bank.COUNTER][d, bc, br] == parity.counter[d]
+                    assert cm.planes[0, d, bc, br] == parity.leading[d]
+                    assert cm.planes[1, d, bc, br] == parity.counter[d]
 
 
 class TestOneTouchPerDiagonal:
@@ -400,7 +400,7 @@ class TestMultiLaneCriticalOps:
             for key, deltas in per_block.items():
                 oracle[key] = update_parity(oracle[key], deltas)
         events = "\n".join(ev.to_line() for ev in machine.events).encode()
-        planes = b"".join(machine.checkmem.planes[bank].tobytes() for bank in Bank)
+        planes = machine.checkmem.planes.tobytes()
         return (machine, oracle, hashlib.sha256(events).hexdigest(),
                 hashlib.sha256(planes).hexdigest())
 
@@ -460,7 +460,7 @@ class TestCheckPathPinned:
                     r.diagnosis.j, r.diagnosis.bank and r.diagnosis.bank.value,
                     r.diagnosis.idx) for r in summary.reports]
         events = "\n".join(ev.to_line() for ev in machine.events)
-        planes = b"".join(machine.checkmem.planes[bank].tobytes() for bank in Bank)
+        planes = machine.checkmem.planes.tobytes()
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (
             repr(reports).encode(), events.encode(),
             machine.state.cells.tobytes(), planes))
@@ -631,8 +631,8 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
               for _, _, unit in units):
         t += 1
     for b, d, unit in units:
-        machine.timeline.book(unit, t, wb)
-        key = int(np.ravel_multi_index((b, d, block_row, block_col), (2, m, nb, nb)))
+        machine.timeline.book((unit,), t, ((0, wb),))
+        key = int(np.ravel_multi_index((b, d, block_col, block_row), (2, m, nb, nb)))
         machine._cell_ready[key] = t + wb
     machine.timeline.reserve("CTRL", t, wb)
     machine.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
@@ -674,6 +674,88 @@ class TestBlockResetOracle:
 
 
 # ----------------------------------------------------------------------
+# the same-cell hazard: no check-bit is read before its last write lands
+
+def hazard_program(seed, geom):
+    """Random timing steps in 1-11 and a program of 8-20 (kind, args,
+    earliest) steps: critical ops (one-lane or full-lane, both orientations,
+    an Init alone or followed by a NOR), block resets, and line checks after
+    1-3 check-bit flips, whose corrections keep CTRL busy. Half the lines
+    and blocks fall in the first two block rows and columns, so steps
+    collide. Drawn from a seed, not by Hypothesis: its examples repeat
+    values, and the hazards need steps, blocks and timing to line up."""
+    rng = np.random.default_rng(seed)
+    n, m, nb = geom.n, geom.m, geom.blocks_per_side
+    timing = TimingModel(*rng.integers(1, 12, 6).tolist())
+
+    def pick(hot, size):
+        return int(rng.integers(hot if rng.random() < 0.5 else size))
+
+    steps = []
+    for _ in range(rng.integers(8, 21)):
+        kind = ("op", "reset", "check")[rng.integers(3)]
+        orientation = tuple(Orientation)[rng.integers(2)]
+        if kind == "op":
+            lanes = (frozenset(range(n)) if rng.random() < 0.5
+                     else frozenset({pick(2 * m, n)}))
+            args = (orientation, pick(2 * m, n), lanes, bool(rng.integers(2)))
+        elif kind == "reset":
+            args = (pick(2, nb), pick(2, nb))
+        else:
+            args = (orientation, pick(2, nb),
+                    [(tuple(Bank)[rng.integers(2)], int(rng.integers(m)), pick(2, nb))
+                     for _ in range(rng.integers(1, 4))])
+        steps.append((kind, args, 0 if rng.random() < 0.5 else int(rng.integers(41))))
+    return timing, steps
+
+
+def reads_before_writes(machine):
+    """(bit, read cycle, write end) of every ``load_check`` that starts before
+    the end of the last logged ``writeback`` or ``ecc_write`` of a bit it
+    reads; bits are named as in the event log, e.g. ``L2@1,0``."""
+    written, early = {}, []
+    for ev in machine.events:
+        if ev.action == "ecc_write":
+            block = ev.operands.removeprefix("block=")
+            written.update(dict.fromkeys(
+                (f"{tag}{d}@{block}" for tag in "LC" for d in range(machine.geom.m)),
+                ev.end))
+        elif ev.action in ("load_check", "writeback"):
+            bits = ev.operands.removeprefix("cells=").split(";")
+            if ev.action == "writeback":
+                written.update(dict.fromkeys(bits, ev.end))
+            else:
+                early += [(bit, ev.cycle, written[bit]) for bit in bits
+                          if written.get(bit, 0) > ev.cycle]
+    return early
+
+
+class TestSameCellHazard:
+    @settings(max_examples=100, deadline=None)
+    @given(geom=st.sampled_from([Geometry(30, 3), Geometry(45, 5)]),
+           pc_pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_no_check_bit_is_read_before_its_last_write_ends(self, geom, pc_pairs, seed):
+        timing, steps = hazard_program(seed, geom)
+        machine = random_consistent_machine(seed, geom, timing=timing, pc_pairs=pc_pairs)
+        for kind, args, earliest in steps:
+            if kind == "op":
+                orientation, out, lanes, nor = args
+                machine.critical_op(init_op(orientation, out, lanes), earliest)
+                if nor:
+                    ins = ((out + 1) % geom.n, (out + 2) % geom.n)
+                    machine.critical_op(nor_op(orientation, ins, out, lanes), earliest)
+            elif kind == "reset":
+                machine.block_ecc_reset(*args, earliest=earliest)
+            else:
+                orientation, index, flips = args
+                for bank, diag, k in flips:
+                    br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
+                    machine.inject_check_flip(bank, diag, br, bc)
+                machine.check_block_row(index, orientation, earliest)
+        assert reads_before_writes(machine) == []
+
+
+# ----------------------------------------------------------------------
 # the interval timeline against the per-cycle model
 
 class BusySets:
@@ -690,14 +772,17 @@ class BusySets:
         if start < self.next_free(unit):
             raise RuntimeError(f"unit {unit} reserved at {start} before its free "
                                f"cycle {self.next_free(unit)}")
-        self.book(unit, start, span)
+        self.book((unit,), start, ((0, span),))
 
-    def book(self, unit, start, span):
-        busy = self.busy.setdefault(unit, set())
-        clash = busy.intersection(range(start, start + span))
-        if clash:
-            raise RuntimeError(f"unit {unit} double-booked at cycle {min(clash)}")
-        busy.update(range(start, start + span))
+    def book(self, units, t, windows):
+        for unit in units:
+            busy = self.busy.setdefault(unit, set())
+            for offset, span in windows:
+                cycles = range(t + offset, t + offset + span)
+                clash = busy.intersection(cycles)
+                if clash:
+                    raise RuntimeError(f"unit {unit} double-booked at cycle {min(clash)}")
+                busy.update(cycles)
 
     def first_free(self, units, start, windows):
         t = start
@@ -732,13 +817,17 @@ class TestTimelineOracle:
                 assert (timeline.first_free(units, start, windows)
                         == oracle.first_free(units, start, windows))
                 continue
-            unit, span = data.draw(st.sampled_from(self.UNITS)), data.draw(spans)
             if action == "reserve":  # at, just before or just after the free cycle
-                start = oracle.next_free(unit) + data.draw(st.integers(-2, 2))
+                unit, span = data.draw(st.sampled_from(self.UNITS)), data.draw(spans)
+                args = (unit, oracle.next_free(unit) + data.draw(st.integers(-2, 2)), span)
             else:  # anywhere, so gaps, edges and overlaps all occur
-                start = data.draw(st.integers(0, 40))
-            assert (outcome(getattr(timeline, action), unit, start, span)
-                    == outcome(getattr(oracle, action), unit, start, span))
+                args = (data.draw(st.lists(st.sampled_from(self.UNITS), min_size=1,
+                                           max_size=3, unique=True)),
+                        data.draw(st.integers(0, 40)),
+                        data.draw(st.lists(st.tuples(st.integers(0, 8), spans),
+                                           min_size=1, max_size=2)))
+            assert (outcome(getattr(timeline, action), *args)
+                    == outcome(getattr(oracle, action), *args))
             for name in self.UNITS:
                 windows = timeline._windows.get(name, [])
                 # sorted, disjoint, non-empty, touching windows merged
@@ -752,10 +841,10 @@ class TestTimelineOracle:
         timeline.reserve("MEM", 2, 3)
         with pytest.raises(RuntimeError, match="MEM reserved at 4 before its free cycle 5"):
             timeline.reserve("MEM", 4, 1)
-        timeline.book("CBX:leading:0", 5, 2)
-        timeline.book("CBX:leading:0", 1, 2)
+        cbx = ("CBX:leading:0",)
+        timeline.book(cbx, 1, ((4, 2), (0, 2)))
         with pytest.raises(RuntimeError, match="double-booked at cycle 5"):
-            timeline.book("CBX:leading:0", 3, 4)
+            timeline.book(cbx, 3, ((0, 4),))
         with pytest.raises(RuntimeError, match="double-booked at cycle 2"):
-            timeline.book("CBX:leading:0", 2, 1)
+            timeline.book(cbx, 0, ((2, 1),))
         assert timeline._windows == {"MEM": [2, 5], "CBX:leading:0": [1, 3, 5, 7]}
