@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkmem import Event, Machine, TimingModel, device_counts
-from .engine import CrossbarState, MicroOpError, parse_op
+from .engine import MicroOpError, Orientation, parse_op
 from .geometry import Geometry, GeometryError
 from .netlist import NetlistError, load_netlist
 from .parity import DiagonalConflictError
@@ -30,15 +30,16 @@ from .reliability import (
     sweep_to_csv,
 )
 from .scheduler import (
+    PROGRAM_ROW,
     Action,
     ActionKind,
     EccSchedule,
     RowCapacityError,
+    execute_schedule,
     geometric_mean_ratio,
     insert_ecc,
     map_to_row,
     report,
-    run_actions,
 )
 
 EXIT_OK = 0
@@ -129,37 +130,22 @@ SCHEDULE_MAGIC = "# xbarecc schedule v1"
 
 
 def write_schedule_file(path: Path, schedule: EccSchedule) -> None:
-    rp = schedule.row_program
     meta = [
         SCHEDULE_MAGIC,
-        f"# meta netlist={rp.netlist.name}",
-        f"# meta n={rp.geom.n} m={rp.geom.m} pc_pairs={schedule.pc_pairs}",
+        f"# meta netlist={schedule.name}",
+        f"# meta n={schedule.geom.n} m={schedule.geom.m} pc_pairs={schedule.pc_pairs}",
         "# meta timing=" + ",".join(
             f"{f.name}:{getattr(schedule.timing, f.name)}"
             for f in fields(TimingModel)),
         "# meta inputs=" + ",".join(
-            f"{name}:{col}" for name, col in rp.input_columns.items()),
+            f"{name}:{col}" for name, col in schedule.input_columns.items()),
         "# meta outputs=" + ",".join(
-            f"{name}:{col}" for name, col in rp.output_columns.items()),
+            f"{name}:{col}" for name, col in schedule.output_columns.items()),
         f"# meta baseline_cycles={schedule.baseline_cycles} "
         f"total_cycles={schedule.total_cycles}",
     ]
     lines = meta + [ev.to_line() for ev in schedule.events]
     path.write_text("\n".join(lines) + "\n")
-
-
-@dataclass
-class ReplaySchedule:
-    """A schedule read back from an event log: enough to re-execute it."""
-
-    name: str
-    geom: Geometry
-    pc_pairs: int
-    timing: TimingModel
-    input_columns: dict[str, int]
-    output_columns: dict[str, int]
-    actions: tuple[Action, ...]
-    scheduled_cycles: int
 
 
 def _parse_columns(text: str, n: int) -> dict[str, int]:
@@ -174,16 +160,20 @@ def _parse_columns(text: str, n: int) -> dict[str, int]:
     return cols
 
 
-def read_schedule_file(path: Path) -> ReplaySchedule:
+def read_schedule_file(path: Path) -> EccSchedule:
+    """The schedule a ``.events`` file was written from."""
     lines = path.read_text().splitlines()
     if not lines or lines[0] != SCHEDULE_MAGIC:
         raise InputError(f"{path}: not a schedule file (missing header)")
     meta: dict[str, str] = {}
     actions: list[Action] = []
-    from .engine import Orientation  # local to keep the import list short
+    events: list[Event] = []
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
+            continue
+        if line.startswith("# meta netlist="):
+            meta["netlist"] = line[len("# meta netlist="):]  # may hold spaces
             continue
         if line.startswith("# meta "):
             for tok in line[len("# meta "):].split(" "):
@@ -194,6 +184,7 @@ def read_schedule_file(path: Path) -> ReplaySchedule:
             continue
         try:  # MicroOpError is a ValueError
             ev = Event.from_line(line)
+            events.append(ev)
             operands = dict(tok.partition("=")[::2] for tok in ev.operands.split())
             if ev.action == "check_row":
                 actions.append(Action(ActionKind.CHECK_ROW,
@@ -214,15 +205,17 @@ def read_schedule_file(path: Path) -> ReplaySchedule:
         pc_pairs = int(meta["pc_pairs"])
         if not 1 <= pc_pairs <= MAX_PC_PAIRS:
             raise ValueError(f"pc_pairs must be in [1, {MAX_PC_PAIRS}], got {pc_pairs}")
-        schedule = ReplaySchedule(
+        schedule = EccSchedule(
             name=meta.get("netlist", path.stem),
             geom=geom,
-            pc_pairs=pc_pairs,
             timing=timing,
+            pc_pairs=pc_pairs,
             input_columns=_parse_columns(meta.get("inputs", ""), geom.n),
             output_columns=_parse_columns(meta.get("outputs", ""), geom.n),
             actions=tuple(actions),
-            scheduled_cycles=int(meta.get("total_cycles", "0")),
+            events=tuple(events),
+            baseline_cycles=int(meta.get("baseline_cycles", "0")),
+            total_cycles=int(meta.get("total_cycles", "0")),
         )
     except (KeyError, ValueError, GeometryError) as exc:
         raise InputError(f"{path}: bad or incomplete schedule metadata: {exc}")
@@ -290,45 +283,39 @@ def _parse_assignment(text: str) -> dict[str, int]:
     return assignment
 
 
-def _parse_flip(text: str) -> tuple[int, int]:
+def _parse_flip(text: str, geom: Geometry) -> tuple[int, int]:
     try:
         row, col = (int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"bad flip {text!r} (want row,col)")
+    try:
+        geom.check_cell(row, col)
+    except GeometryError as exc:
+        raise UsageError(str(exc))
     return row, col
 
 
 def cmd_simulate(args) -> int:
     schedule = read_schedule_file(Path(args.schedule))
     assignment = _parse_assignment(args.inputs or "")
-    state = CrossbarState.zeros(schedule.geom)
-    for name, col in schedule.input_columns.items():
-        if name not in assignment:
-            raise InputError(f"no value given for input {name!r} (use --inputs)")
-        state.cells[0, col] = assignment[name] & 1
-    machine = Machine(state, timing=schedule.timing, pc_pairs=schedule.pc_pairs)
-    for flip in args.flip or []:
-        row, col = _parse_flip(flip)
-        try:
-            machine.inject_data_flip(row, col)
-        except GeometryError as exc:
-            raise UsageError(str(exc))
-    run = run_actions(machine, schedule.actions)
+    flips = tuple(_parse_flip(flip, schedule.geom) for flip in args.flip or [])
+    run = execute_schedule(schedule, assignment, flips)
 
     lines = [f"netlist={schedule.name}"]
-    for name in schedule.output_columns:
-        lines.append(f"output.{name}={machine.state.cells[0, schedule.output_columns[name]]}")
-    lines.append(f"scheduled_cycles={schedule.scheduled_cycles}")
+    lines += [f"output.{name}={bit}" for name, bit in run.outputs.items()]
+    lines.append(f"scheduled_cycles={schedule.total_cycles}")
     lines.append(f"actual_cycles={run.total_cycles}")
     lines.append(f"corrected={run.corrected}")
     lines.append(f"uncorrectable={run.uncorrectable}")
-    in_blocks = sorted({c // schedule.geom.m for c in schedule.input_columns.values()})
-    out_blocks = sorted({c // schedule.geom.m for c in schedule.output_columns.values()})
+    m = schedule.geom.m
+    in_blocks = {c // m for c in schedule.input_columns.values()}
+    out_blocks = {c // m for c in schedule.output_columns.values()}
+    br = PROGRAM_ROW // m
     for bc in range(schedule.geom.blocks_per_side):
         role = ("input" if bc in in_blocks else
                 "output" if bc in out_blocks else "scratch")
-        status = "consistent" if machine.block_consistent(0, bc) else "uncovered"
-        lines.append(f"block.0.{bc}={role}:{status}")
+        status = "consistent" if run.machine.block_consistent(br, bc) else "uncovered"
+        lines.append(f"block.{br}.{bc}={role}:{status}")
     text = "\n".join(lines) + "\n"
     if args.report:
         Path(args.report).write_text(text)

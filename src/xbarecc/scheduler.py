@@ -11,7 +11,7 @@ required units are free.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .checkmem import Event, Machine, TimingModel, check_chain_cycles
@@ -168,21 +168,45 @@ class Action:
     block: tuple[int, int] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class EccSchedule:
-    """Cycle- and unit-annotated program with its ECC machinery woven in."""
+    """Cycle- and unit-annotated program with its ECC machinery woven in.
 
-    row_program: RowProgram
+    It holds what a ``.events`` file holds, so a written schedule reads
+    back into an equal one; its statistics are read off its events and
+    actions.
+    """
+
+    name: str
+    geom: Geometry
     timing: TimingModel
     pc_pairs: int
+    input_columns: dict[str, int]
+    output_columns: dict[str, int]
     actions: tuple[Action, ...]
     events: tuple[Event, ...]
-    total_cycles: int
     baseline_cycles: int
-    stall_cycles: int
-    pc_pairs_used: int
-    input_check_cycles: int
-    critical_ops: int
+    total_cycles: int
+
+    @property
+    def stall_cycles(self) -> int:
+        return sum(ev.span for ev in self.events
+                   if ev.unit == "SCHED" and ev.action == "stall")
+
+    @property
+    def pc_pairs_used(self) -> int:
+        """Pairs that did any work: every pair taken logs at least one record."""
+        return len({ev.unit for ev in self.events if ev.unit.startswith("PC")})
+
+    @property
+    def critical_ops(self) -> int:
+        return sum(a.kind is ActionKind.OP and a.critical for a in self.actions)
+
+    @property
+    def input_check_cycles(self) -> int:
+        if any(a.kind is ActionKind.CHECK_ROW for a in self.actions):
+            return check_chain_cycles(self.geom.m, self.timing)
+        return 0
 
 
 @dataclass
@@ -248,31 +272,33 @@ def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
     return ScheduleRun(machine.horizon, corrected, uncorrectable)
 
 
+def _issue_on_blank(schedule: EccSchedule, k_pc_pairs: int) -> EccSchedule:
+    """The schedule's actions issued again on a clean machine with k pairs."""
+    machine = Machine.blank(schedule.geom, timing=schedule.timing,
+                            pc_pairs=k_pc_pairs)
+    run = run_actions(machine, schedule.actions)
+    return replace(schedule, pc_pairs=k_pc_pairs, events=tuple(machine.events),
+                   total_cycles=run.total_cycles)
+
+
 def insert_ecc(rp: RowProgram, geom: Geometry, tm: TimingModel,
                k_pc_pairs: int) -> EccSchedule:
     """Schedule a row program with its ECC operations on a clean machine."""
-    if k_pc_pairs < 1:
-        raise ValueError(f"need at least one processing-crossbar pair, got {k_pc_pairs}")
     if geom != rp.geom:
         raise ValueError("schedule geometry differs from the row program's")
-    actions = build_actions(rp)
-    machine = Machine.blank(geom, timing=tm, pc_pairs=k_pc_pairs)
-    run = run_actions(machine, actions)
-    n_critical = sum(1 for a in actions if a.kind is ActionKind.OP and a.critical)
-    check_cycles = check_chain_cycles(geom.m, tm) if rp.ops else 0
-    return EccSchedule(
-        row_program=rp,
+    unissued = EccSchedule(
+        name=rp.netlist.name,
+        geom=geom,
         timing=tm,
         pc_pairs=k_pc_pairs,
-        actions=actions,
-        events=tuple(machine.events),
-        total_cycles=run.total_cycles,
+        input_columns=rp.input_columns,
+        output_columns=rp.output_columns,
+        actions=build_actions(rp),
+        events=(),
         baseline_cycles=rp.baseline_cycles,
-        stall_cycles=machine.stall_cycles,
-        pc_pairs_used=len(machine.pcs_used),
-        input_check_cycles=check_cycles,
-        critical_ops=n_critical,
+        total_cycles=0,
     )
+    return _issue_on_blank(unissued, k_pc_pairs)
 
 
 def execute_schedule(schedule: EccSchedule, assignment: dict[str, int],
@@ -280,9 +306,11 @@ def execute_schedule(schedule: EccSchedule, assignment: dict[str, int],
                      check_flips: tuple = ()) -> ScheduleRun:
     """Run a schedule on a fresh machine: seed inputs, optionally inject
     faults, replay the actions, and read the outputs back."""
-    rp = schedule.row_program
-    state = CrossbarState.zeros(rp.geom)
-    for name, col in rp.input_columns.items():
+    for name in assignment:
+        if name not in schedule.input_columns:
+            raise NetlistError(f"{schedule.name} has no input {name!r}")
+    state = CrossbarState.zeros(schedule.geom)
+    for name, col in schedule.input_columns.items():
         if name not in assignment:
             raise NetlistError(f"missing value for input {name!r}")
         state.cells[PROGRAM_ROW, col] = assignment[name] & 1
@@ -293,7 +321,7 @@ def execute_schedule(schedule: EccSchedule, assignment: dict[str, int],
         machine.inject_check_flip(bank, diag, br, bc)
     run = run_actions(machine, schedule.actions)
     run.outputs = {name: int(machine.state.cells[PROGRAM_ROW, col])
-                   for name, col in rp.output_columns.items()}
+                   for name, col in schedule.output_columns.items()}
     run.machine = machine
     return run
 
@@ -342,7 +370,7 @@ def min_pc_pairs(rp: RowProgram, tm: TimingModel, k_max: int = 8) -> int:
     stalls. The answer is the pairs a stall-free schedule used (at least
     1), capped at the first k_max * 2**j that is at least 64 (k_max itself
     when larger); a schedule that still stalls at the cap gives the cap.
-    One ``insert_ecc`` at the cap decides it.
+    One schedule at the cap decides it.
     """
     cap = _pair_cap(k_max)
     return _pairs_read_off(insert_ecc(rp, rp.geom, tm, cap), cap)
@@ -352,16 +380,16 @@ def report(schedule: EccSchedule) -> ScheduleStats:
     """Latency statistics of one schedule, including the minimum pair count.
 
     ``min_pc_pairs`` (k_max 8, cap 64) is read off this schedule by the
-    same rule when it is stall-free or has at least 64 pairs; otherwise one
-    more schedule at the cap decides it.
+    same rule when it is stall-free or has at least 64 pairs; otherwise its
+    actions, issued again on a clean machine with 64 pairs, decide it.
     """
     baseline = schedule.baseline_cycles
     proposed = schedule.total_cycles
     overhead = 100.0 * (proposed - baseline) / baseline if baseline else 0.0
-    inits = sum(1 for op in schedule.row_program.ops if op.kind is OpKind.INIT)
-    pairs = _pairs_read_off(schedule, _pair_cap(8))
+    cap = _pair_cap(8)
+    pairs = _pairs_read_off(schedule, cap)
     if pairs is None:
-        pairs = min_pc_pairs(schedule.row_program, schedule.timing)
+        pairs = _pairs_read_off(_issue_on_blank(schedule, cap), cap)
     return ScheduleStats(
         baseline=baseline,
         proposed=proposed,
@@ -370,7 +398,8 @@ def report(schedule: EccSchedule) -> ScheduleStats:
         stall_cycles=schedule.stall_cycles,
         input_check_cycles=schedule.input_check_cycles,
         critical_ops=schedule.critical_ops,
-        init_cycles=inits,
+        # map_to_row lowers every gate to one Init and one NOR
+        init_cycles=baseline // 2,
     )
 
 

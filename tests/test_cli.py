@@ -2,13 +2,18 @@
 
 import itertools
 import shutil
+import tempfile
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scheduler import dag_row_programs
 
-from xbarecc import cli, scheduler
+from xbarecc import scheduler
 from xbarecc.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -20,10 +25,17 @@ from xbarecc.cli import (
     load_config,
     main,
     read_schedule_file,
+    write_schedule_file,
 )
 from xbarecc.checkmem import TimingModel
 from xbarecc.geometry import Geometry
-from xbarecc.netlist import Netlist, bundled_dir, load_bundled, load_netlist
+from xbarecc.netlist import (
+    Netlist,
+    bundled_dir,
+    load_bundled,
+    load_netlist,
+    parse_netlist,
+)
 from xbarecc.reliability import sweep_points
 
 
@@ -91,7 +103,8 @@ class TestScheduleCommand:
     def test_one_schedule_per_netlist_and_no_fanout_scans(self, corpus_dir,
                                                           tmp_path, monkeypatch):
         # report reads min_pc_pairs off the schedule it gets; only a
-        # schedule that stalls at k=3 needs a second one at the cap
+        # schedule that stalls at k=3 is issued again, on a clean machine
+        # at the cap
         geom, paths = Geometry(30, 3), sorted(corpus_dir.glob("*.nl"))
         stalling = sum(
             scheduler.insert_ecc(scheduler.map_to_row(load_netlist(path), geom),
@@ -106,14 +119,13 @@ class TestScheduleCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scheduler, "insert_ecc",
-                            counted("insert_ecc", scheduler.insert_ecc))
-        monkeypatch.setattr(cli, "insert_ecc", scheduler.insert_ecc)
+        monkeypatch.setattr(scheduler, "run_actions",
+                            counted("run_actions", scheduler.run_actions))
         monkeypatch.setattr(Netlist, "fanout", counted("fanout", Netlist.fanout))
         rc = main(["schedule", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
                    "-n", "30", "-m", "3", "-k", "3"])
         assert rc == EXIT_OK
-        assert calls["insert_ecc"] == len(paths) + stalling
+        assert calls["run_actions"] == len(paths) + stalling
         assert calls["fanout"] == 0
 
 
@@ -211,6 +223,23 @@ class TestSimulateCommand:
         assert set(replay.input_columns) == {"a", "b", "cin"}
         assert any(a.critical for a in replay.actions)
 
+    def test_unknown_input_is_input_error(self, corpus_dir, tmp_path, capsys):
+        events = self.schedule(corpus_dir, tmp_path)
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=1,typo=1"]) \
+            == EXIT_INPUT
+        assert "'typo'" in capsys.readouterr().err
+
+    def test_netlist_name_with_a_space_survives_the_schedule_file(self, tmp_path,
+                                                                  capsys):
+        src = tmp_path / "full adder.nl"
+        shutil.copy(bundled_dir() / "full_adder.nl", src)
+        out = tmp_path / "out"
+        assert main(["schedule", str(src), "--out-dir", str(out)] + SMALL) == EXIT_OK
+        capsys.readouterr()
+        assert main(["simulate", str(out / "full adder.events"),
+                     "--inputs", "a=1,b=0,cin=1"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("netlist=full adder\n")
+
     def test_replaying_many_long_checks_keeps_memory_small(self, corpus_dir, tmp_path,
                                                            capsys):
         # every record's units are busy for about copy_cycles x m cycles; a
@@ -232,6 +261,39 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert "output.y=1" in capsys.readouterr().out
         assert peak < 8 * 2**20
+
+
+def assert_round_trip(schedule, directory: Path):
+    """A written schedule reads back into an equal one with an equal report."""
+    path = directory / f"{schedule.name}.events"
+    write_schedule_file(path, schedule)
+    back = read_schedule_file(path)
+    assert back == schedule
+    assert scheduler.report(back) == scheduler.report(schedule)
+
+
+class TestScheduleFileRoundTrip:
+    @pytest.mark.parametrize("n, m", [(30, 3), (1020, 15)])
+    def test_bundled_corpus(self, n, m, tmp_path):
+        geom = Geometry(n, m)
+        for path in sorted(bundled_dir().glob("*.nl")):
+            rp = scheduler.map_to_row(load_netlist(path), geom)
+            assert_round_trip(scheduler.insert_ecc(rp, geom, TimingModel(), 3), tmp_path)
+
+    def test_name_with_a_space(self, tmp_path):
+        nl = parse_netlist((bundled_dir() / "mux2.nl").read_text(), name="two way mux")
+        geom = Geometry(30, 3)
+        rp = scheduler.map_to_row(nl, geom)
+        assert_round_trip(scheduler.insert_ecc(rp, geom, TimingModel(), 2), tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rp=dag_row_programs(),
+           tm=st.builds(TimingModel, **{f.name: st.integers(1, 40)
+                                        for f in fields(TimingModel)}),
+           k=st.integers(1, 6))
+    def test_random_dags(self, rp, tm, k):
+        with tempfile.TemporaryDirectory() as directory:
+            assert_round_trip(scheduler.insert_ecc(rp, rp.geom, tm, k), Path(directory))
 
 
 class TestInjectCommand:

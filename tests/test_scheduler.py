@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from xbarecc.checkmem import TimingModel, check_chain_cycles
 from xbarecc.engine import CrossbarState, OpKind, execute
 from xbarecc.geometry import Geometry
-from xbarecc.netlist import load_bundled, parse_netlist
+from xbarecc.netlist import NetlistError, load_bundled, parse_netlist
 from xbarecc.scheduler import (
     ActionKind,
     RowCapacityError,
@@ -194,6 +194,13 @@ class TestExecuteSchedule:
             run = execute_schedule(schedule, assign)
             assert run.outputs == nl.evaluate(assign)
             assert run.corrected == 0 and run.uncorrectable == 0
+
+    def test_unknown_or_missing_input_rejected_by_name(self):
+        _, _, schedule = schedule_bundled("full_adder")
+        with pytest.raises(NetlistError, match="'typo'"):
+            execute_schedule(schedule, {"a": 1, "b": 0, "cin": 1, "typo": 1})
+        with pytest.raises(NetlistError, match="'cin'"):
+            execute_schedule(schedule, {"a": 1, "b": 0})
 
     def test_ecc_consistency_of_covered_blocks(self):
         nl, rp, schedule = schedule_bundled("full_adder")

@@ -36,24 +36,29 @@ def _record(events, stall, horizon, pcs) -> str:
             + f"\nstall={stall} horizon={horizon} pcs={pcs}\n")
 
 
-def schedules_digest(geom: Geometry, k: int) -> str:
-    """Every bundled netlist under each timing model: the schedule, then a
-    replay with a data flip and a check-bit flip in the checked block row."""
-    m, nb = geom.m, geom.blocks_per_side
-    text = []
+def pinned_schedules(geom: Geometry, k: int):
+    """Every bundled netlist under each timing model, scheduled with k pairs."""
     for name in NETLISTS:
         nl = load_bundled(name)
         rp = map_to_row(nl, geom)
         for tm in TIMINGS:
-            schedule = insert_ecc(rp, geom, tm, k)
-            text.append(_record(schedule.events, schedule.stall_cycles,
-                                schedule.total_cycles, schedule.pc_pairs_used))
-            run = execute_schedule(schedule, dict.fromkeys(nl.inputs, 1),
-                                   flips=((1, 1),),
-                                   check_flips=((Bank.COUNTER, m - 1, 0, nb - 1),))
-            machine = run.machine
-            text.append(_record(machine.events, machine.stall_cycles,
-                                machine.horizon, sorted(machine.pcs_used)))
+            yield nl, insert_ecc(rp, geom, tm, k)
+
+
+def schedules_digest(geom: Geometry, k: int) -> str:
+    """Every pinned schedule, then a replay with a data flip and a check-bit
+    flip in the checked block row."""
+    m, nb = geom.m, geom.blocks_per_side
+    text = []
+    for nl, schedule in pinned_schedules(geom, k):
+        text.append(_record(schedule.events, schedule.stall_cycles,
+                            schedule.total_cycles, schedule.pc_pairs_used))
+        run = execute_schedule(schedule, dict.fromkeys(nl.inputs, 1),
+                               flips=((1, 1),),
+                               check_flips=((Bank.COUNTER, m - 1, 0, nb - 1),))
+        machine = run.machine
+        text.append(_record(machine.events, machine.stall_cycles,
+                            machine.horizon, sorted(machine.pcs_used)))
     return hashlib.sha256("".join(text).encode()).hexdigest()
 
 
@@ -151,3 +156,14 @@ def test_schedules_under_non_default_timing_match_pinned_digests(geom, k):
 @pytest.mark.parametrize("geom, seed", list(INTERLEAVING_DIGESTS))
 def test_random_interleavings_match_pinned_digests(geom, seed):
     assert interleaving_digest(GEOMS[geom], seed) == INTERLEAVING_DIGESTS[geom, seed]
+
+
+@pytest.mark.parametrize("geom, k", list(SCHEDULE_DIGESTS))
+def test_schedule_statistics_match_the_machine_counters(geom, k):
+    # a schedule's statistics are read off its events; a clean run of it
+    # counts the same stalls and pairs on the machine itself
+    for nl, schedule in pinned_schedules(GEOMS[geom], k):
+        machine = execute_schedule(schedule, dict.fromkeys(nl.inputs, 1)).machine
+        assert machine.horizon == schedule.total_cycles
+        assert schedule.stall_cycles == machine.stall_cycles
+        assert schedule.pc_pairs_used == len(machine.pcs_used)

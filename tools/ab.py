@@ -10,7 +10,11 @@ first alternates from pair to pair, so a drift of the host's speed favours
 neither. For every end-to-end metric of ``BENCHMARK.json`` it prints the
 median and quartiles of each side, the number of pairs the change won and
 the number in which both sides read the same (the simulated ``sim_*``
-metrics of a pure speed-up are the same in every pair).
+metrics of a pure speed-up are the same in every pair). It also prints the
+change of the median relative to the parent's and checks it against the
+metric's ``bound``: ``ok`` when it is no worse than the bound, ``WORSE``
+when it is, and ``unresolved`` when the parent's own interquartile range,
+relative to its median, is wider than the bound, so no verdict can be read.
 On ``work_per_ref_s`` it also prints the verdict of the claim rule: the
 change wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
@@ -63,6 +67,23 @@ def claim_verdict(parent: list[float], change: list[float],
     return wins, holds, why
 
 
+def bound_verdict(parent: list[float], change: list[float], higher_is_better: bool,
+                  bound: float) -> tuple[float, str]:
+    """Relative change of the median, and ``ok``, ``WORSE`` or ``unresolved``."""
+    q1, med_parent, q3 = quartiles(parent)
+    med_change = statistics.median(change)
+    if med_parent == 0:
+        rel = 0.0 if med_change == 0 else math.copysign(math.inf, med_change)
+        spread = 0.0 if q3 == q1 else math.inf
+    else:
+        rel = (med_change - med_parent) / abs(med_parent)
+        spread = (q3 - q1) / abs(med_parent)
+    if spread > bound:
+        return rel, "unresolved"
+    worse = -rel if higher_is_better else rel
+    return rel, "WORSE" if worse > bound else "ok"
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -80,6 +101,7 @@ def main(argv=None) -> int:
         sys.exit("ab: --pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     results = {side: [] for side in sides}
     for i in range(args.pairs):
@@ -96,15 +118,18 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s runs; "
           f"failed operations: parent {failed['parent']}, change {failed['change']}")
     print(f"{'metric':28s} {'parent q1/median/q3':36s} {'change q1/median/q3':36s} "
-          f"wins  same")
+          f"wins  same   median  bound")
     for name, direction in better.items():
         values = {side: [r["metrics"][name]["value"] for r in results[side]]
                   for side in sides}
         wins, _, _ = claim_verdict(values["parent"], values["change"],
                                    direction == "higher")
         same = sum(p == c for p, c in zip(values["parent"], values["change"]))
+        rel, verdict = bound_verdict(values["parent"], values["change"],
+                                     direction == "higher", bounds[name])
         cols = ["/".join(f"{q:.6g}" for q in quartiles(values[side])) for side in sides]
-        print(f"{name:28s} {cols[0]:36s} {cols[1]:36s} {wins:>4}  {same:>4}")
+        print(f"{name:28s} {cols[0]:36s} {cols[1]:36s} {wins:>4}  {same:>4}  "
+              f"{rel:+7.1%}  {verdict} (bound {bounds[name]:.0%})")
     values = {side: [r["metrics"][CLAIMED]["value"] for r in results[side]]
               for side in sides}
     _, holds, why = claim_verdict(values["parent"], values["change"],
