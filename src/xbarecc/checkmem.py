@@ -195,7 +195,12 @@ class UnitTimeline:
 
 def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the cells an op writes, in lane order; none for READ."""
-    lanes = np.array(op.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
+    if op.kind is OpKind.READ:
+        lanes = np.empty(0, dtype=np.intp)
+    elif isinstance(op.lane_index, slice):
+        lanes = np.arange(op.lane_index.start, op.lane_index.stop, dtype=np.intp)
+    else:
+        lanes = op.lane_index
     line = np.full_like(lanes, op.output_line)
     return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
 
@@ -305,12 +310,17 @@ class Machine:
     """
 
     def __init__(self, state: CrossbarState, timing: TimingModel | None = None,
-                 pc_pairs: int = 3):
+                 pc_pairs: int = 3, *, _checkmem: "CheckMem | None" = None):
+        """A machine holding a copy of ``state``, its check-bits encoded from
+        it. ``_checkmem`` is :meth:`blank`'s path: the machine then takes
+        ``state`` itself, with those check-bits."""
         if pc_pairs < 1:
             raise ValueError(f"need at least one processing-crossbar pair, got {pc_pairs}")
         self.geom = state.geom
-        self.state = state.copy()
-        self.checkmem = CheckMem.from_state(state)
+        if _checkmem is None:
+            self.state, self.checkmem = state.copy(), CheckMem.from_state(state)
+        else:
+            self.state, self.checkmem = state, _checkmem
         self.timing = timing or TimingModel()
         self.engine_cfg = EngineConfig()
         self.timeline = UnitTimeline()
@@ -322,13 +332,20 @@ class Machine:
         # check-bit crossbar planes[b, d] at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
+        # and its event-log name, as in "C3@0,2"
+        self._cbx_tags = tuple(f"{tag}{d}" for tag in _BANK_TAGS for d in range(m))
         # first cycle at which each in-flight check-bit is readable again,
         # keyed by its flat index in checkmem.planes
         self._cell_ready: dict[int, int] = {}
 
     @classmethod
     def blank(cls, geom: Geometry, **kwargs) -> "Machine":
-        return cls(CrossbarState.zeros(geom), **kwargs)
+        """An all-zero machine. All-zero check-bits are the encoding of
+        all-zero memory, so nothing is copied or encoded, and the zeroed
+        pages are touched only where the machine writes."""
+        nb = geom.blocks_per_side
+        return cls(CrossbarState.zeros(geom), **kwargs, _checkmem=CheckMem(
+            geom, np.zeros((2, geom.m, nb, nb), dtype=np.uint8)))
 
     @property
     def pcs_used(self) -> set[int]:
@@ -399,8 +416,10 @@ class Machine:
         ready = max(map(self._cell_ready.get, keys, repeat(0)), default=0)
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index
-        crossbars = np.bincount(touched // self.geom.blocks_per_side ** 2)
-        cbx_units = [self._cbx_units[u] for u in np.flatnonzero(crossbars).tolist()]
+        nb = self.geom.blocks_per_side
+        crossbar, block = np.divmod(touched, nb * nb)
+        cbx_units = [self._cbx_units[u]
+                     for u in np.flatnonzero(np.bincount(crossbar)).tolist()]
         # the read happens at t + c and the writeback at t + 2c + 1 + x
         windows = ((c, c), (2 * c + 1 + x, wb))
         t = self.timeline.first_free(
@@ -419,18 +438,21 @@ class Machine:
         self.timeline.book(cbx_units, t, windows)
         self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
 
-        # functional effect: each touched check-bit becomes old ^ new ^ stored
-        planes = self.checkmem.planes
+        # functional effect: each touched check-bit becomes old ^ new ^ stored;
+        # touched holds one row per bank, both in written-cell order
         old = self.state.cells[rows, cols]
         apply_op_inplace(self.state.cells, op, self.engine_cfg)
-        planes.reshape(-1)[touched] ^= np.tile(old ^ self.state.cells[rows, cols], 2)
+        self.checkmem.planes.reshape(-1)[touched.reshape(2, -1)] ^= (
+            old ^ self.state.cells[rows, cols])
 
-        # sorted by (bank name, diag, block_row, block_col): counter before leading
-        bank, diag, bcol, br = np.unravel_index(touched, planes.shape)
-        order = np.lexsort((bcol, br, diag, -bank))
-        tags, *columns = (a[order].tolist() for a in (bank, diag, br, bcol))
-        diags = ";".join(map("{}{}@{},{}".format, map(_BANK_TAGS.__getitem__, tags),
-                             *columns))
+        # the check-bits by (bank name, diag, block_row, block_col), counter
+        # before leading: sort the flat index with block_row and block_col swapped
+        bcol, brow = np.divmod(block, nb)
+        in_text_order = np.sort((touched + (brow - bcol) * (nb - 1)).reshape(2, -1)[::-1])
+        crossbars, blocks = np.divmod(in_text_order.ravel(), nb * nb)
+        diags = ";".join(map("{}@{},{}".format,
+                             map(self._cbx_tags.__getitem__, crossbars.tolist()),
+                             *(a.tolist() for a in np.divmod(blocks, nb))))
         fixed_line = op.output_line
         self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair}", span=c)
         self.log(t + c, "MEM", "op", format_op(op) + " critical=1")

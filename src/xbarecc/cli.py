@@ -279,7 +279,10 @@ def _parse_assignment(text: str) -> dict[str, int]:
         name, sep, val = part.partition("=")
         if not sep or val not in ("0", "1"):
             raise UsageError(f"bad input assignment {part!r} (want name=0|1)")
-        assignment[name.strip()] = int(val)
+        name = name.strip()
+        if name in assignment:
+            raise UsageError(f"input {name!r} assigned more than once")
+        assignment[name] = int(val)
     return assignment
 
 

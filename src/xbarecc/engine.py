@@ -49,6 +49,9 @@ class MicroOp:
     lane_mask: frozenset[int]
     value: int = 1  # written bit for WRITE ops; INIT always writes 1
     lanes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # sorted lane_mask
+    # the lanes as an index along a line: a slice when they are contiguous
+    # (one lane, a block, every lane), so the op reads and writes views
+    lane_index: slice | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.output_line in self.input_lines:
@@ -61,7 +64,12 @@ class MicroOp:
             raise MicroOpError("NOR needs at least one input line")
         if self.value not in (0, 1):
             raise MicroOpError(f"bit value must be 0 or 1, got {self.value}")
-        object.__setattr__(self, "lanes", tuple(sorted(self.lane_mask)))
+        lanes = tuple(sorted(self.lane_mask))
+        lo, hi = lanes[0], lanes[-1] + 1
+        object.__setattr__(self, "lanes", lanes)
+        object.__setattr__(self, "lane_index", slice(lo, hi)
+                           if lo >= 0 and hi - lo == len(lanes)
+                           else np.array(lanes, dtype=np.intp))
 
 
 def nor_op(orientation: Orientation, inputs: tuple[int, ...], output: int,
@@ -122,7 +130,7 @@ def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
     for line in (*op.input_lines, op.output_line):
         if not 0 <= line < n:
             raise MicroOpError(f"line index {line} outside [0,{n})")
-    for lane in (min(op.lane_mask), max(op.lane_mask)):
+    for lane in (op.lanes[0], op.lanes[-1]):  # sorted: the least and the greatest
         if not 0 <= lane < n:
             raise MicroOpError(f"lane index {lane} outside [0,{n})")
     if op.kind is OpKind.NOR and len(op.input_lines) > cfg.fan_in_max:
@@ -131,16 +139,19 @@ def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
 
 
 def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
-    """Apply one micro-op directly to a cell array (used by the machine model)."""
-    lanes = np.asarray(op.lanes)
+    """Apply one validated micro-op (:func:`validate_op`) directly to a cell
+    array (used by the machine model)."""
+    lanes = op.lane_index
     # COLUMN ops are the ROW ops of the transpose; views keep this in-place
     plane = cells if op.orientation is Orientation.ROW else cells.T
     if op.kind is OpKind.NOR:
         if cfg.require_output_init and not (plane[lanes, op.output_line] == 1).all():
             raise UninitializedOutputError(
                 f"NOR output line {op.output_line} has non-preset cells")
-        inputs = plane[np.ix_(lanes, np.asarray(op.input_lines))]
-        plane[lanes, op.output_line] = (inputs.max(axis=1) == 0).astype(np.uint8)
+        ored = plane[lanes, op.input_lines[0]]
+        for line in op.input_lines[1:]:
+            ored = ored | plane[lanes, line]
+        plane[lanes, op.output_line] = ored == 0
     elif op.kind is OpKind.INIT:
         plane[lanes, op.output_line] = 1
     elif op.kind is OpKind.WRITE:

@@ -44,11 +44,8 @@ class Netlist:
     def evaluate(self, assignment: dict[str, int]) -> dict[str, int]:
         """Direct gate-by-gate evaluation; the golden reference for the
         compiled MAGIC programs."""
-        values: dict[str, int] = {}
-        for name in self.inputs:
-            if name not in assignment:
-                raise NetlistError(f"missing value for input {name!r}")
-            values[name] = assignment[name] & 1
+        check_assignment(self.name, self.inputs, assignment)
+        values = {name: assignment[name] & 1 for name in self.inputs}
         for gate in self.gates:
             ins = [values[o] for o in gate.operands]
             values[gate.gate_id] = 0 if any(ins) else 1
@@ -58,6 +55,19 @@ class Netlist:
         uses = sum(name in g.operands for g in self.gates)
         uses += sum(name == out for out in self.outputs)
         return uses
+
+
+def check_assignment(name: str, inputs, assignment: dict[str, int]) -> None:
+    """Reject an assignment to a function ``name`` with primary ``inputs``
+    that names something else or leaves an input out. The gate-level
+    evaluation and the machine execution of a schedule share this rule."""
+    known = set(inputs)
+    for key in assignment:
+        if key not in known:
+            raise NetlistError(f"{name} has no input {key!r}")
+    for key in inputs:
+        if key not in assignment:
+            raise NetlistError(f"missing value for input {key!r}")
 
 
 def _check_ident(tok: str, lineno: int) -> str:

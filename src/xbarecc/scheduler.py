@@ -24,7 +24,7 @@ from .engine import (
     nor_op,
 )
 from .geometry import Geometry
-from .netlist import Netlist, NetlistError
+from .netlist import Netlist, NetlistError, check_assignment
 from .parity import DiagnosisKind
 
 
@@ -306,13 +306,9 @@ def execute_schedule(schedule: EccSchedule, assignment: dict[str, int],
                      check_flips: tuple = ()) -> ScheduleRun:
     """Run a schedule on a fresh machine: seed inputs, optionally inject
     faults, replay the actions, and read the outputs back."""
-    for name in assignment:
-        if name not in schedule.input_columns:
-            raise NetlistError(f"{schedule.name} has no input {name!r}")
+    check_assignment(schedule.name, schedule.input_columns, assignment)
     state = CrossbarState.zeros(schedule.geom)
     for name, col in schedule.input_columns.items():
-        if name not in assignment:
-            raise NetlistError(f"missing value for input {name!r}")
         state.cells[PROGRAM_ROW, col] = assignment[name] & 1
     machine = Machine(state, timing=schedule.timing, pc_pairs=schedule.pc_pairs)
     for row, col in flips:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from xbarecc import checkmem
 from xbarecc.checkmem import (
     BlockReport,
+    CheckMem,
     Event,
     Machine,
     TimingModel,
@@ -67,6 +68,36 @@ class TestCheckMemLayout:
                     # crossbar d, cell (a, b) = (block_col, block_row)
                     assert cm.planes[0, d, bc, br] == parity.leading[d]
                     assert cm.planes[1, d, bc, br] == parity.counter[d]
+
+
+class TestBlankMachine:
+    @pytest.mark.parametrize("n, m", [(30, 3), (1020, 15)])
+    def test_check_bits_are_the_encoding_of_zero_memory(self, n, m):
+        geom = Geometry(n, m)
+        machine = Machine.blank(geom)
+        assert machine.state == CrossbarState.zeros(geom)
+        assert machine.checkmem == CheckMem.from_state(CrossbarState.zeros(geom))
+
+    def test_two_blank_machines_share_no_cells(self):
+        first, second = Machine.blank(G9), Machine.blank(G9)
+        assert not np.shares_memory(first.state.cells, second.state.cells)
+        assert not np.shares_memory(first.checkmem.planes, second.checkmem.planes)
+        first.critical_op(init_op(Orientation.ROW, 4, range(9)))
+        first.inject_check_flip(Bank.COUNTER, 1, 2, 0)
+        assert second.state == CrossbarState.zeros(G9)
+        assert second.checkmem == CheckMem.from_state(second.state)
+
+    def test_runs_like_a_machine_built_from_zero_memory(self):
+        blank, built = Machine.blank(G9, pc_pairs=2), Machine(CrossbarState.zeros(G9),
+                                                              pc_pairs=2)
+        for machine in (blank, built):
+            machine.critical_op(init_op(Orientation.ROW, 4, {0, 5}))
+            machine.noncritical_op(init_op(Orientation.COLUMN, 3, range(9)))
+            machine.critical_op(nor_op(Orientation.COLUMN, (1, 2), 3, range(9)))
+            machine.block_ecc_reset(1, 2)
+            machine.check_block_row(1)
+        assert blank.events == built.events
+        assert blank.state == built.state and blank.checkmem == built.checkmem
 
 
 class TestOneTouchPerDiagonal:

@@ -229,6 +229,12 @@ class TestSimulateCommand:
             == EXIT_INPUT
         assert "'typo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inputs", ["a=1,a=0,b=0,cin=0", "a=1,b=0,cin=0, a=1"])
+    def test_repeated_input_is_usage_error(self, corpus_dir, tmp_path, capsys, inputs):
+        events = self.schedule(corpus_dir, tmp_path)
+        assert main(["simulate", str(events), "--inputs", inputs]) == EXIT_USAGE
+        assert "'a' assigned more than once" in capsys.readouterr().err
+
     def test_netlist_name_with_a_space_survives_the_schedule_file(self, tmp_path,
                                                                   capsys):
         src = tmp_path / "full adder.nl"

@@ -1,5 +1,7 @@
 """MAGIC engine: truth tables, preconditions, locality, and symmetries."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from xbarecc.engine import (
     OpKind,
     Orientation,
     UninitializedOutputError,
+    apply_op_inplace,
     execute,
     format_op,
     init_op,
     nor_op,
     parse_op,
+    validate_op,
 )
 from xbarecc.geometry import Geometry
 
@@ -37,6 +41,17 @@ class TestNorTruthTable:
         state = state_with([[a, b, 1]])
         out = execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}))
         assert out.cells[0, 2] == expect
+
+    @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_three_input_nor(self, bits, orientation):
+        state = state_with([[*bits, 1]])
+        if orientation is Orientation.COLUMN:
+            state = state.transposed()
+        out = execute(state, nor_op(orientation, (0, 1, 2), 3, {0}),
+                      EngineConfig(fan_in_max=3))
+        cell = out.cells[0, 3] if orientation is Orientation.ROW else out.cells[3, 0]
+        assert cell == (0 if any(bits) else 1)
 
     @pytest.mark.parametrize("a,expect", [(0, 1), (1, 0)])
     def test_not_via_single_input_nor(self, a, expect):
@@ -163,6 +178,82 @@ class TestEngineProperties:
         via_column = execute(state, col_op, NO_INIT)
         via_transpose = execute(state.transposed(), op, NO_INIT).transposed()
         assert via_column == via_transpose
+
+
+def cell_loop(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> np.ndarray:
+    """Reference of ``apply_op_inplace``: one cell at a time, in plain Python."""
+    before = cells.tolist()
+    after = cells.tolist()
+
+    def at(grid, lane, line):
+        return grid[lane][line] if op.orientation is Orientation.ROW else grid[line][lane]
+
+    def put(lane, bit):
+        if op.orientation is Orientation.ROW:
+            after[lane][op.output_line] = bit
+        else:
+            after[op.output_line][lane] = bit
+
+    if op.kind is OpKind.NOR and cfg.require_output_init:
+        for lane in op.lane_mask:
+            if at(before, lane, op.output_line) != 1:
+                raise UninitializedOutputError(f"lane {lane} not preset")
+    for lane in op.lane_mask:
+        if op.kind is OpKind.NOR:
+            put(lane, 0 if any(at(before, lane, line) for line in op.input_lines) else 1)
+        elif op.kind is OpKind.INIT:
+            put(lane, 1)
+        elif op.kind is OpKind.WRITE:
+            put(lane, op.value)
+    return np.array(after, dtype=np.uint8)
+
+
+@st.composite
+def engine_cases(draw):
+    """A random n x n state and a valid op on it: 1 to n lanes (any set, or a
+    contiguous run), either orientation, fan-in 1-3, any kind; the output
+    line is preset on the op's lanes or left as drawn."""
+    n = draw(st.sampled_from([3, 9, 15]))
+    bits = draw(st.integers(0, 2**(n * n) - 1))
+    cells = np.array([bits >> k & 1 for k in range(n * n)], dtype=np.uint8).reshape(n, n)
+    lines = draw(st.permutations(range(n)))
+    out, inputs = lines[0], tuple(lines[1:1 + draw(st.sampled_from([3, 2, 1]))])
+    if draw(st.booleans()):  # any set of lanes
+        mask = draw(st.integers(1, 2**n - 1))
+        lanes = {lane for lane in range(n) if mask >> lane & 1}
+    else:  # a contiguous run, from one lane to all n
+        lo = draw(st.integers(0, n - 1))
+        lanes = set(range(lo, draw(st.integers(lo + 1, n))))
+    kind = draw(st.sampled_from([OpKind.NOR] * 3 + [OpKind.INIT, OpKind.WRITE, OpKind.READ]))
+    op = MicroOp(kind, draw(st.sampled_from(Orientation)),
+                 inputs if kind is OpKind.NOR else (), out, frozenset(lanes),
+                 draw(st.integers(0, 1)) if kind is OpKind.WRITE else 1)
+    if draw(st.booleans()):
+        for lane in lanes:
+            if op.orientation is Orientation.ROW:
+                cells[lane, out] = 1
+            else:
+                cells[out, lane] = 1
+    cfg = EngineConfig(fan_in_max=3, require_output_init=draw(st.booleans()))
+    return cells, op, cfg
+
+
+class TestEngineOracle:
+    @given(engine_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_apply_matches_a_cell_by_cell_loop(self, case):
+        cells, op, cfg = case
+        validate_op(CrossbarState(Geometry(cells.shape[0], 3), cells), op, cfg)
+        got = cells.copy()
+        try:
+            expected = cell_loop(cells, op, cfg)
+        except UninitializedOutputError:
+            with pytest.raises(UninitializedOutputError):
+                apply_op_inplace(got, op, cfg)
+            assert np.array_equal(got, cells)  # nothing written
+            return
+        apply_op_inplace(got, op, cfg)
+        assert np.array_equal(got, expected)
 
 
 class TestOpSerialization:

@@ -116,6 +116,11 @@ class TestEvaluation:
         with pytest.raises(NetlistError, match="missing value"):
             nl.evaluate({})
 
+    def test_unknown_input_name_rejected(self):
+        nl = load_bundled("full_adder")
+        with pytest.raises(NetlistError, match="full_adder has no input 'typo'"):
+            nl.evaluate({"a": 1, "b": 0, "cin": 1, "typo": 1})
+
     def test_all_bundled_parse(self):
         for name in BUNDLED:
             load_bundled(name)

@@ -1,6 +1,7 @@
 """Row mapping and ECC-aware scheduling: semantics, timing, statistics."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ class TestInsertEcc:
         assert schedule.baseline_cycles == 0
         assert schedule.actions == ()
 
+    def test_schedule_path_allocates_no_crossbar_copy(self):
+        # the blank machine's zeroed 1020 x 1020 cells are the one crossbar-
+        # sized allocation: no copy of them, and no encoding temporaries
+        geom = Geometry(1020, 15)
+        nl = load_bundled("mux2")
+        tracemalloc.start()
+        try:
+            insert_ecc(map_to_row(nl, geom), geom, TM, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_input_check_prepended_once(self):
         _, rp, schedule = schedule_bundled("full_adder")
         kinds = [a.kind for a in schedule.actions]
@@ -201,6 +215,16 @@ class TestExecuteSchedule:
             execute_schedule(schedule, {"a": 1, "b": 0, "cin": 1, "typo": 1})
         with pytest.raises(NetlistError, match="'cin'"):
             execute_schedule(schedule, {"a": 1, "b": 0})
+
+    @pytest.mark.parametrize("assign", [{"a": 1, "b": 0, "cin": 1, "typo": 1},
+                                        {"a": 1, "b": 0}, {"typo": 0}])
+    def test_oracle_and_machine_share_the_input_rule(self, assign):
+        nl, _, schedule = schedule_bundled("full_adder")
+        with pytest.raises(NetlistError) as oracle:
+            nl.evaluate(assign)
+        with pytest.raises(NetlistError) as machine:
+            execute_schedule(schedule, assign)
+        assert str(oracle.value) == str(machine.value)
 
     def test_ecc_consistency_of_covered_blocks(self):
         nl, rp, schedule = schedule_bundled("full_adder")

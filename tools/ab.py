@@ -2,7 +2,7 @@
 """Paired A/B runs of the benchmark on two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --workload simd [--pairs 10]
-        [--seconds 25] [--first-seed 1]
+        [--seconds 25] [--first-seed 1] [--layers]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed (``--first-seed``, then one more per pair). The side that runs
@@ -19,6 +19,11 @@ On ``work_per_ref_s`` it also prints the verdict of the claim rule: the
 change wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
 
+With ``--layers``, after the pairs it runs ``perfbench/run.py --trace 1``
+once in each checkout on the first seed and prints every per-layer metric
+of ``BENCHMARK.json`` whose value differs, parent -> change, so the report
+names the layers that moved.
+
 Standard library only. Nothing is written besides what ``perfbench/run.py``
 itself writes in each checkout.
 """
@@ -32,10 +37,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark process; returns its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"ab: {' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
@@ -84,6 +90,21 @@ def bound_verdict(parent: list[float], change: list[float], higher_is_better: bo
     return rel, "WORSE" if worse > bound else "ok"
 
 
+def layer_lines(names: list[str], parent: dict, change: dict) -> list[str]:
+    """``name parent -> change (relative change)`` for each per-layer metric
+    whose value differs between two ``--trace 1`` results, in ``names``
+    order; a value one side lacks reads ``-``."""
+    fmt = lambda v: "-" if v is None else f"{v:.6g}"
+    lines = []
+    for name in names:
+        p, c = (side.get(name, {}).get("value") for side in (parent, change))
+        if p == c:
+            continue
+        rel = f" ({(c - p) / abs(p):+.1%})" if p and c is not None else ""
+        lines.append(f"{name:40s} {fmt(p)} -> {fmt(c)}{rel}")
+    return lines
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -92,6 +113,9 @@ def parse_args(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--first-seed", type=int, default=1)
+    p.add_argument("--layers", action="store_true",
+                   help="after the pairs, one --trace 1 run per side; print the "
+                        "per-layer metrics that differ")
     return p.parse_args(argv)
 
 
@@ -135,6 +159,14 @@ def main(argv=None) -> int:
     _, holds, why = claim_verdict(values["parent"], values["change"],
                                   better[CLAIMED] == "higher")
     print(f"\nclaim on {CLAIMED}: {'HOLDS' if holds else 'DOES NOT HOLD'} ({why})")
+    if args.layers:
+        traced = {side: run_once(sides[side], args.workload, args.first_seed,
+                                 args.seconds, trace=1)["metrics"] for side in sides}
+        lines = layer_lines([m["name"] for m in spec["per_layer"]],
+                            traced["parent"], traced["change"])
+        print(f"\nper-layer metrics that differ (--trace 1, seed {args.first_seed}), "
+              "parent -> change:")
+        print("\n".join(lines) if lines else "(none)")
     return 0
 
 
