@@ -31,7 +31,7 @@ from .engine import (
     Orientation,
     apply_op_inplace,
     format_op,
-    init_op,
+    op_record,
     validate_op,
 )
 from .geometry import Bank, Geometry, GeometryError
@@ -162,12 +162,21 @@ class UnitTimeline:
 
     def book(self, units, t: int, windows) -> None:
         """Book every (offset, span) window [t + offset, t + offset + span) on
-        every unit, as :meth:`first_free` searches them; each must be idle."""
+        every unit, as :meth:`first_free` searches them; each must be idle.
+        A window at or after a unit's last busy cycle is appended, or merged
+        with the last window, in O(1); an earlier one is placed by bisection."""
         # one start and end object per window, shared by every unit's list
         spans = [(t + offset, t + offset + span) for offset, span in windows]
         for unit in units:
             busy = self._windows[unit]
             for start, end in spans:
+                free = busy[-1] if busy else 0
+                if start >= free:  # in order: append, or merge with the last window
+                    if busy and start == free:
+                        busy[-1] = end
+                    else:
+                        busy += (start, end)
+                    continue
                 i = bisect_right(busy, start)  # odd: start lies in a busy window
                 if i % 2 or (i < len(busy) and end > busy[i]):
                     raise RuntimeError(
@@ -300,6 +309,15 @@ class CheckSummary:
     uncorrectable: int
     reports: tuple[BlockReport, ...]
 
+    @classmethod
+    def of(cls, reports) -> "CheckSummary":
+        """The reports and their counts by outcome, taken in one pass."""
+        dirty = [r.diagnosis.kind for r in reports
+                 if r.diagnosis.kind is not DiagnosisKind.CLEAN]
+        uncorrectable = dirty.count(DiagnosisKind.UNCORRECTABLE)
+        return cls(len(reports) - len(dirty), len(dirty) - uncorrectable,
+                   uncorrectable, tuple(reports))
+
 
 class Machine:
     """One MEM + CMEM instance with its unit timelines and event log.
@@ -332,8 +350,12 @@ class Machine:
         # check-bit crossbar planes[b, d] at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
-        # and its event-log name, as in "C3@0,2"
-        self._cbx_tags = tuple(f"{tag}{d}" for tag in _BANK_TAGS for d in range(m))
+        # and the head of its check-bits' event-log names: ";C3@" for "C3@0,2"
+        self._cbx_at = np.array([f";{tag}{d}@" for tag in _BANK_TAGS for d in range(m)],
+                                dtype=object)
+        # block row and column numbers as text, the other pieces of those names
+        self._index_text = np.array([str(i) for i in range(self.geom.blocks_per_side)],
+                                    dtype=object)
         # first cycle at which each in-flight check-bit is readable again,
         # keyed by its flat index in checkmem.planes
         self._cell_ready: dict[int, int] = {}
@@ -450,9 +472,14 @@ class Machine:
         bcol, brow = np.divmod(block, nb)
         in_text_order = np.sort((touched + (brow - bcol) * (nb - 1)).reshape(2, -1)[::-1])
         crossbars, blocks = np.divmod(in_text_order.ravel(), nb * nb)
-        diags = ";".join(map("{}@{},{}".format,
-                             map(self._cbx_tags.__getitem__, crossbars.tolist()),
-                             *(a.tolist() for a in np.divmod(blocks, nb))))
+        rows_in_order, cols_in_order = np.divmod(blocks, nb)
+        # each name "C3@0,2" joined from precomputed pieces ";C3@", "0", ",", "2"
+        pieces = np.empty((crossbars.size, 4), dtype=object)
+        pieces[:, 0] = self._cbx_at[crossbars]
+        pieces[:, 1] = self._index_text[rows_in_order]
+        pieces[:, 2] = ","
+        pieces[:, 3] = self._index_text[cols_in_order]
+        diags = "".join(pieces.ravel().tolist())[1:]
         fixed_line = op.output_line
         self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair}", span=c)
         self.log(t + c, "MEM", "op", format_op(op) + " critical=1")
@@ -476,14 +503,16 @@ class Machine:
                 f"block ({block_row},{block_col}) outside the {nb}x{nb} blocks")
         t0 = max(earliest, self.timeline.next_free("MEM"))
         base_row, base_col = block_row * m, block_col * m
-        lanes = frozenset(range(base_row, base_row + m))
+        lanes = ",".join(map(str, range(base_row, base_row + m)))
         self.log(t0, "SCHED", "block_reset", f"block={block_row},{block_col}")
-        # m row-parallel Init ops, one per line of the block, one cycle each
+        # m row-parallel Init ops, one per line of the block, one cycle each,
+        # written as one slice and logged from their fields
         self.timeline.reserve("MEM", t0, m)
         self.state.cells[base_row:base_row + m, base_col:base_col + m] = 1
         for lc in range(m):
-            op = init_op(Orientation.ROW, base_col + lc, lanes)
-            self.log(t0 + lc, "MEM", "op", format_op(op) + " critical=0 reset=1")
+            self.log(t0 + lc, "MEM", "op", op_record(
+                OpKind.INIT, Orientation.ROW, base_col + lc, (), lanes)
+                + " critical=0 reset=1")
         planes = self.checkmem.planes
         planes[:, :, block_col, block_row] = 1
         wb = self.timing.writeback_cycles
@@ -583,10 +612,14 @@ class Machine:
                          span=tm.correction_write_cycles)
             else:
                 self.checkmem.flip_bit(diag.bank, diag.idx, br, bc)
-                unit = self._cbx_units[_BANKS.index(diag.bank) * m + diag.idx]
+                crossbar = _BANKS.index(diag.bank) * m + diag.idx
+                unit = self._cbx_units[crossbar]
                 write = ((0, tm.correction_write_cycles),)
                 write_at = self.timeline.first_free((unit,), done, write)
                 self.timeline.book((unit,), write_at, write)
+                # the corrected bit is readable once its write has landed
+                self._cell_ready[(crossbar * nb + bc) * nb + br] = (
+                    write_at + tm.correction_write_cycles)
                 self.log(write_at, unit, "correct_check",
                          f"block={br},{bc} diag={diag.idx}",
                          span=tm.correction_write_cycles)
@@ -600,11 +633,7 @@ class Machine:
         for index in range(self.geom.blocks_per_side):
             row_reports, _ = self.check_block_row(index, orientation, earliest)
             reports.extend(row_reports)
-        clean = sum(r.diagnosis.kind is DiagnosisKind.CLEAN for r in reports)
-        uncorrectable = sum(
-            r.diagnosis.kind is DiagnosisKind.UNCORRECTABLE for r in reports)
-        corrected = len(reports) - clean - uncorrectable
-        return CheckSummary(clean, corrected, uncorrectable, tuple(reports))
+        return CheckSummary.of(reports)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ be preset to 1 (the MAGIC initialization convention), which the engine
 enforces by default so that compilers forgetting Init ops fail loudly.
 """
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -173,18 +174,28 @@ def execute(state: CrossbarState, op: MicroOp,
     return new
 
 
+def op_record(kind: OpKind, orientation: Orientation, output_line: int,
+              input_lines: tuple[int, ...], lanes_text: str, value: int = 1) -> str:
+    """The one renderer of an op record from its fields; ``lanes_text`` is
+    the sorted lanes, comma-joined. :func:`format_op` and a block reset,
+    which logs its Init records without building ops, both call it."""
+    text = (f"kind={kind.value} orient={orientation.value} out={output_line} "
+            f"in={','.join(map(str, input_lines)) or '-'} lanes={lanes_text}")
+    return text + f" value={value}" if kind is OpKind.WRITE else text
+
+
+@functools.lru_cache(maxsize=32)
+def lanes_text(lane_mask: frozenset[int]) -> str:
+    """The sorted lanes of a lane set, comma-joined, memoised by value: a
+    widened program's full-lane ops share one set, and one full-lane text
+    is ~5 KB at n=1020 (~20 KB at n=4096), so the memo holds at most 32."""
+    return ",".join(map(str, sorted(lane_mask)))
+
+
 def format_op(op: MicroOp) -> str:
     """Serialize a micro-op as the operand field of a trace/event record."""
-    parts = [
-        f"kind={op.kind.value}",
-        f"orient={op.orientation.value}",
-        f"out={op.output_line}",
-        f"in={','.join(map(str, op.input_lines)) or '-'}",
-        f"lanes={','.join(map(str, op.lanes))}",
-    ]
-    if op.kind is OpKind.WRITE:
-        parts.append(f"value={op.value}")
-    return " ".join(parts)
+    return op_record(op.kind, op.orientation, op.output_line, op.input_lines,
+                     lanes_text(op.lane_mask), op.value)
 
 
 def parse_op(text: str) -> MicroOp:

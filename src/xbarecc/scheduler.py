@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .checkmem import Event, Machine, TimingModel, check_chain_cycles
+from .checkmem import CheckSummary, Event, Machine, TimingModel, check_chain_cycles
 from .engine import (
     CrossbarState,
     MicroOp,
@@ -25,7 +25,6 @@ from .engine import (
 )
 from .geometry import Geometry
 from .netlist import Netlist, NetlistError, check_assignment
-from .parity import DiagnosisKind
 
 
 class RowCapacityError(ValueError):
@@ -223,8 +222,10 @@ class ScheduleRun:
 def build_actions(rp: RowProgram) -> tuple[Action, ...]:
     """ECC-aware action list for a row program.
 
-    The input-block check runs only when the function actually consumes
-    data (a pass-through has nothing to verify and costs nothing). Per-cell
+    The input-block check runs only when the program has gates. A
+    pass-through (no gates) schedules no actions at all, so an error in an
+    input block is not checked and reaches its aliased output uncorrected:
+    the one exception to correcting a single error per input block. Per-cell
     Init ops on output columns are replaced by whole-block ECC resets;
     every remaining write to an output column is critical.
     """
@@ -257,11 +258,9 @@ def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
         if action.kind is ActionKind.CHECK_ROW:
             row_reports, done = machine.check_block_row(
                 action.index, action.orientation)
-            corrected += sum(r.diagnosis.kind in (DiagnosisKind.DATA_ERROR,
-                                                  DiagnosisKind.CHECK_BIT_ERROR)
-                             for r in row_reports)
-            uncorrectable += sum(r.diagnosis.kind is DiagnosisKind.UNCORRECTABLE
-                                 for r in row_reports)
+            summary = CheckSummary.of(row_reports)
+            corrected += summary.corrected
+            uncorrectable += summary.uncorrectable
             floor = max(floor, done)
         elif action.kind is ActionKind.BLOCK_RESET:
             machine.block_ecc_reset(*action.block, earliest=floor)

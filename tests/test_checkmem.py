@@ -696,6 +696,23 @@ class TestBlockResetOracle:
         assert machine._cell_ready == oracle._cell_ready
         assert machine.timeline._windows == oracle.timeline._windows
 
+    def test_every_block_and_repeated_block_rows_match(self):
+        # every block row by row, then block row 4 again and block (4, 2) twice
+        nb = self.GEOM.blocks_per_side
+        blocks = ([(br, bc) for br in range(nb) for bc in range(nb)]
+                  + [(4, bc) for bc in range(nb)] + [(4, 2)])
+        machine = self._busy_machine(TimingModel(writeback_cycles=2))
+        oracle = copy.deepcopy(machine)
+        for k, block in enumerate(blocks):
+            earliest = 7 * k if k % 3 == 0 else 0
+            assert (machine.block_ecc_reset(*block, earliest=earliest)
+                    == reset_by_init_ops(oracle, *block, earliest=earliest))
+        assert machine.events == oracle.events
+        assert np.array_equal(machine.state.cells, oracle.state.cells)
+        assert machine.checkmem == oracle.checkmem
+        assert machine._cell_ready == oracle._cell_ready
+        assert machine.timeline._windows == oracle.timeline._windows
+
     @pytest.mark.parametrize("block", [(9, 0), (0, 9), (-1, 0)])
     def test_block_outside_the_crossbar_rejected(self, block):
         machine = Machine.blank(self.GEOM)
@@ -742,8 +759,9 @@ def hazard_program(seed, geom):
 
 def reads_before_writes(machine):
     """(bit, read cycle, write end) of every ``load_check`` that starts before
-    the end of the last logged ``writeback`` or ``ecc_write`` of a bit it
-    reads; bits are named as in the event log, e.g. ``L2@1,0``."""
+    the end of the last logged ``writeback``, ``ecc_write`` or
+    ``correct_check`` of a bit it reads; bits are named as in the event log,
+    e.g. ``L2@1,0``."""
     written, early = {}, []
     for ev in machine.events:
         if ev.action == "ecc_write":
@@ -751,6 +769,10 @@ def reads_before_writes(machine):
             written.update(dict.fromkeys(
                 (f"{tag}{d}@{block}" for tag in "LC" for d in range(machine.geom.m)),
                 ev.end))
+        elif ev.action == "correct_check":  # unit CBX:<bank>:<diag>
+            _, bank, diag = ev.unit.split(":")
+            block = ev.operands.split()[0].removeprefix("block=")
+            written[f"{bank[0].upper()}{diag}@{block}"] = ev.end
         elif ev.action in ("load_check", "writeback"):
             bits = ev.operands.removeprefix("cells=").split(";")
             if ev.action == "writeback":
@@ -879,3 +901,15 @@ class TestTimelineOracle:
         with pytest.raises(RuntimeError, match="double-booked at cycle 2"):
             timeline.book(cbx, 0, ((2, 1),))
         assert timeline._windows == {"MEM": [2, 5], "CBX:leading:0": [1, 3, 5, 7]}
+
+    def test_one_book_fills_a_gap_then_merges_and_appends_at_the_tail(self):
+        timeline = UnitTimeline()
+        cbx = ("CBX:leading:0", "CBX:counter:1")
+        timeline.book(cbx, 0, ((0, 2), (5, 3)))
+        # [2, 3) fills the gap after [0, 2); [8, 10) merges with [5, 8) at the
+        # tail; [12, 13) is appended after it
+        timeline.book(cbx, 2, ((0, 1), (6, 2), (10, 1)))
+        assert timeline._windows == dict.fromkeys(cbx, [0, 3, 5, 10, 12, 13])
+        assert timeline.first_free(cbx, 0, ((0, 2),)) == 3
+        with pytest.raises(RuntimeError, match="double-booked at cycle 12"):
+            timeline.book(cbx[:1], 11, ((0, 2),))

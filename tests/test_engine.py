@@ -256,6 +256,17 @@ class TestEngineOracle:
         assert np.array_equal(got, expected)
 
 
+def reference_record(op: MicroOp) -> str:
+    """The op-record format rendered field by field, lanes sorted and joined."""
+    fields = [f"kind={op.kind.value}", f"orient={op.orientation.value}",
+              f"out={op.output_line}",
+              "in=" + (",".join(str(line) for line in op.input_lines) or "-"),
+              "lanes=" + ",".join(str(lane) for lane in sorted(op.lane_mask))]
+    if op.kind is OpKind.WRITE:
+        fields.append(f"value={op.value}")
+    return " ".join(fields)
+
+
 class TestOpSerialization:
     def test_round_trip(self):
         ops = [
@@ -273,6 +284,27 @@ class TestOpSerialization:
         assert format_op(MicroOp(OpKind.WRITE, Orientation.ROW, (), 3, frozenset({1}),
                                  value=0)) == \
             "kind=write orient=row out=3 in=- lanes=1 value=0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_records_match_a_reference_renderer_and_parse_back(self, data):
+        # a pool of contiguous and scattered lane sets; ops draw from it, so
+        # equal sets recur, as fresh frozensets, behind different ops
+        contiguous = st.tuples(st.integers(0, 4095), st.integers(1, 1100)).map(
+            lambda lo_len: range(lo_len[0], min(lo_len[0] + lo_len[1], 4096)))
+        scattered = st.lists(st.integers(0, 4095), min_size=1, max_size=40)
+        pool = data.draw(st.lists(st.one_of(contiguous, scattered), min_size=1, max_size=4))
+        for _ in range(data.draw(st.integers(1, 8))):
+            lanes = frozenset(data.draw(st.sampled_from(pool)))
+            kind = data.draw(st.sampled_from(list(OpKind)))
+            ins = (data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+                   if kind is OpKind.NOR else [])
+            op = MicroOp(kind, data.draw(st.sampled_from(list(Orientation))), tuple(ins),
+                         data.draw(st.integers(10, 20)), lanes,
+                         data.draw(st.integers(0, 1)) if kind is OpKind.WRITE else 1)
+            text = format_op(op)
+            assert text == reference_record(op)
+            assert parse_op(text) == op
 
     def test_bad_record_rejected(self):
         with pytest.raises(MicroOpError):

@@ -120,6 +120,13 @@ class TestInsertEcc:
         assert schedule.baseline_cycles == 0
         assert schedule.actions == ()
 
+    def test_pass_through_schedules_no_input_check_so_a_flip_reaches_the_output(self):
+        nl, _, schedule = schedule_bundled("passthrough")
+        a = schedule.input_columns["a"]
+        run = execute_schedule(schedule, dict.fromkeys(nl.inputs, 0), flips=((0, a),))
+        assert run.outputs == {"a": 1, "b": 0, "c": 0}
+        assert (run.corrected, run.uncorrectable) == (0, 0)
+
     def test_schedule_path_allocates_no_crossbar_copy(self):
         # the blank machine's zeroed 1020 x 1020 cells are the one crossbar-
         # sized allocation: no copy of them, and no encoding temporaries
