@@ -136,6 +136,15 @@ class Event:
         return cls(cycle, unit, action, operands, span)
 
 
+def _append(busy: list[int], start: int, end: int) -> None:
+    """Add the window [start, end), which starts at or after every busy one,
+    merged with the last if that one ends at start."""
+    if busy and busy[-1] == start:
+        busy[-1] = end
+    else:
+        busy += (start, end)
+
+
 class UnitTimeline:
     """Busy windows per unit, each a sorted flat ``[start, end, start, end, ...]``
     list of disjoint half-open windows. MEM, CTRL, CHECK and the pairs are
@@ -155,27 +164,20 @@ class UnitTimeline:
         free = windows[-1] if windows else 0
         if start < free:
             raise RuntimeError(f"unit {unit} reserved at {start} before its free cycle {free}")
-        if windows and start == free:
-            windows[-1] = start + span
-        else:
-            windows += (start, start + span)
+        _append(windows, start, start + span)
 
     def book(self, units, t: int, windows) -> None:
         """Book every (offset, span) window [t + offset, t + offset + span) on
         every unit, as :meth:`first_free` searches them; each must be idle.
-        A window at or after a unit's last busy cycle is appended, or merged
-        with the last window, in O(1); an earlier one is placed by bisection."""
+        A window at or after the unit's last busy cycle, as every check and
+        reset books, is appended without a search."""
         # one start and end object per window, shared by every unit's list
         spans = [(t + offset, t + offset + span) for offset, span in windows]
         for unit in units:
             busy = self._windows[unit]
             for start, end in spans:
-                free = busy[-1] if busy else 0
-                if start >= free:  # in order: append, or merge with the last window
-                    if busy and start == free:
-                        busy[-1] = end
-                    else:
-                        busy += (start, end)
+                if not busy or start >= busy[-1]:
+                    _append(busy, start, end)
                     continue
                 i = bisect_right(busy, start)  # odd: start lies in a busy window
                 if i % 2 or (i < len(busy) and end > busy[i]):
@@ -617,9 +619,11 @@ class Machine:
                 write = ((0, tm.correction_write_cycles),)
                 write_at = self.timeline.first_free((unit,), done, write)
                 self.timeline.book((unit,), write_at, write)
-                # the corrected bit is readable once its write has landed
-                self._cell_ready[(crossbar * nb + bc) * nb + br] = (
-                    write_at + tm.correction_write_cycles)
+                # the corrected bit is readable once its write has landed,
+                # and never earlier than a writeback still in flight to it
+                key = (crossbar * nb + bc) * nb + br
+                self._cell_ready[key] = max(self._cell_ready.get(key, 0),
+                                            write_at + tm.correction_write_cycles)
                 self.log(write_at, unit, "correct_check",
                          f"block={br},{bc} diag={diag.idx}",
                          span=tm.correction_write_cycles)

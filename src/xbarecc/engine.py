@@ -184,11 +184,13 @@ def op_record(kind: OpKind, orientation: Orientation, output_line: int,
     return text + f" value={value}" if kind is OpKind.WRITE else text
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=4)
 def lanes_text(lane_mask: frozenset[int]) -> str:
-    """The sorted lanes of a lane set, comma-joined, memoised by value: a
-    widened program's full-lane ops share one set, and one full-lane text
-    is ~5 KB at n=1020 (~20 KB at n=4096), so the memo holds at most 32."""
+    """The sorted lanes of a lane set, comma-joined, memoised by value.
+    A schedule's ops share one lane set (one lane, or every lane of a
+    widened program), so a few entries suffice. An entry keeps its text
+    and its frozen key alive: ~57 KB for every lane at n=1020, ~250 KB at
+    n=4096, so the memo holds at most ~1 MB."""
     return ",".join(map(str, sorted(lane_mask)))
 
 

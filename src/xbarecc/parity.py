@@ -128,22 +128,20 @@ def diag_parity(flat: np.ndarray, m: int, pitch: int) -> np.ndarray:
     return np.bitwise_xor.reduce(cells, axis=-3, dtype=np.uint8)
 
 
-def _checked_block(block) -> np.ndarray:
-    """The block as an array, rejected unless it is square and of odd size."""
+def _block_bits(block) -> list[list[int]]:
+    """``[leading, counter]`` check-bits of one m x m block, as Python ints."""
     block = np.asarray(block)
     m = block.shape[0]
     if block.shape != (m, m):
         raise CodecError(f"block must be square, got {block.shape}")
     if m % 2 == 0:
         raise GeometryError(f"block size must be odd, got {m}")
-    return block
+    return diag_parity(block.reshape(m * m), m, m).tolist()
 
 
 def encode_block(block: np.ndarray) -> BlockParity:
     """Compute the 2m check-bits of one m x m block."""
-    block = _checked_block(block)
-    m = block.shape[0]
-    lead, ctr = diag_parity(block.reshape(m * m), m, m).tolist()
+    lead, ctr = _block_bits(block)
     return BlockParity(tuple(lead), tuple(ctr))
 
 
@@ -177,13 +175,9 @@ def update_parity(parity: BlockParity,
 
 def compute_syndrome(block: np.ndarray, stored: BlockParity) -> Syndrome:
     """XOR of freshly computed and stored parity."""
-    block = np.asarray(block)
-    m = len(stored.leading)
-    # one test in the valid case; the full checks only name what is wrong
-    if block.shape != (m, m) or m % 2 == 0:
-        size = _checked_block(block).shape[0]
-        raise CodecError(f"stored parity length {m} != block size {size}")
-    lead, ctr = diag_parity(block.reshape(m * m), m, m).tolist()
+    lead, ctr = _block_bits(block)
+    if len(lead) != stored.m:
+        raise CodecError(f"stored parity length {stored.m} != block size {len(lead)}")
     return Syndrome(
         tuple(map(operator.xor, lead, stored.leading)),
         tuple(map(operator.xor, ctr, stored.counter)),

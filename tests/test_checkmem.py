@@ -807,6 +807,23 @@ class TestSameCellHazard:
                 machine.check_block_row(index, orientation, earliest)
         assert reads_before_writes(machine) == []
 
+    @pytest.mark.parametrize("in_flight", [None, 10_000])
+    def test_a_correction_makes_its_bit_ready_no_earlier_than_before(self, in_flight):
+        # check-bit L1 of block (0, 2) is flipped and corrected by a check of
+        # block row 0; a writeback may still be in flight to it
+        geom = Geometry(30, 3)
+        nb = geom.blocks_per_side
+        machine = Machine.blank(geom)
+        machine.inject_check_flip(Bank.LEADING, 1, 0, 2)
+        key = ((tuple(Bank).index(Bank.LEADING) * geom.m + 1) * nb + 2) * nb + 0
+        if in_flight is not None:
+            machine._cell_ready[key] = in_flight
+        machine.check_block_row(0)
+        (fix,) = [ev for ev in machine.events if ev.action == "correct_check"]
+        assert (fix.unit, fix.operands) == ("CBX:leading:1", "block=0,2 diag=1")
+        assert machine._cell_ready[key] == max(fix.end, in_flight or 0)
+        assert machine.consistent()
+
 
 # ----------------------------------------------------------------------
 # the interval timeline against the per-cycle model
