@@ -14,11 +14,13 @@ and write the result back. The MEM is occupied for only the three transfer
 /execute cycles; the 8-cycle XOR3 is hidden in the processing crossbar.
 """
 
+import functools
 import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -101,9 +103,12 @@ def check_chain_cycles(m: int, tm: TimingModel) -> int:
             + tm.zero_compare_cycles)
 
 
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence: a unit doing an action for span cycles."""
+class Event(NamedTuple):
+    """One scheduled occurrence: a unit doing an action for span cycles.
+
+    A named tuple, because a machine logs one per record: it is built in
+    one call, where a frozen dataclass makes one ``object.__setattr__`` per
+    field."""
 
     cycle: int
     unit: str
@@ -206,12 +211,7 @@ class UnitTimeline:
 
 def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the cells an op writes, in lane order; none for READ."""
-    if op.kind is OpKind.READ:
-        lanes = np.empty(0, dtype=np.intp)
-    elif isinstance(op.lane_index, slice):
-        lanes = np.arange(op.lane_index.start, op.lane_index.stop, dtype=np.intp)
-    else:
-        lanes = op.lane_index
+    lanes = np.array(op.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
     line = np.full_like(lanes, op.output_line)
     return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
 
@@ -240,6 +240,118 @@ def touched_check_cells(rows: np.ndarray, cols: np.ndarray,
         key = tuple(int(k) for k in np.unravel_index(repeated[0], (2, m, nb, nb)))
         raise DiagonalConflictError(f"op touches check-bit {key} twice")
     return touched
+
+
+class LaneFootprint:
+    """The check-bits that a row- or column-parallel op on one lane set
+    touches, for whichever line it writes; :func:`lane_footprint` builds it
+    once per (geometry, orientation, lane set).
+
+    The lanes are grouped by their offset r within a block. Writing the line
+    at offset j of its block puts group r's cells on leading diagonal
+    (r + j) mod m and on counter diagonal (r - j) mod m, or (j - r) mod m for
+    a COLUMN op: one check-bit crossbar per bank, and in it one check-bit
+    per block of the group. A line therefore touches a check-bit twice
+    exactly when line 0 does, so the :class:`DiagonalConflictError` guard of
+    :func:`touched_check_cells` runs once, on line 0, when it is built.
+    """
+
+    def __init__(self, geom: Geometry, orientation: Orientation, lane_mask: frozenset[int]):
+        m, nb = geom.m, geom.blocks_per_side
+        self._m, self._nb = m, nb
+        self._row = orientation is Orientation.ROW
+        self._sign = sign = 1 if self._row else -1
+        blocks: dict[int, list[int]] = {}
+        for lane in sorted(lane_mask):
+            blocks.setdefault(lane % m, []).append(lane // m)
+        groups = sorted(blocks.items())
+        text = [str(b) for b in range(nb)]
+        # (the leading and the counter diagonal of the group on line 0, its
+        # block numbers as text), by r and, within a group, by block
+        self._groups = tuple((r, sign * r % m, tuple(text[b] for b in bs)) for r, bs in groups)
+        # the lanes in group order, the order of the check-bits that at()
+        # returns: an index along a line, the lane itself when there is one
+        lanes = np.array([b * m + r for r, bs in groups for b in bs], dtype=np.intp)
+        lanes.flags.writeable = False
+        self.index: int | np.ndarray = int(lanes[0]) if lanes.size == 1 else lanes
+        # a check-bit's flat index is crossbar * nb * nb + block_col * nb + block_row,
+        # and a ROW op's line picks the block column, its lanes the block rows:
+        # [bank, lane] arrays such that a lane's check-bit on line q * m + j is
+        # ((diagonal + step * j) % m) * nb * nb + offset + q * line_stride
+        self._line_stride, block_stride = (nb, 1) if self._row else (1, nb)
+        residues, offsets = lanes % m, lanes // m * block_stride
+        self._diagonals = np.stack([residues, sign * residues])
+        self._steps = np.array([[1], [-sign]])
+        self._offsets = np.stack([offsets, offsets + m * nb * nb])  # counter crossbars follow
+        self._offset = int(offsets[0])  # the first lane's, all that one lane needs
+        # crossbar planes[b, d], at index b * m + d, names its check-bits
+        # "C3@<block row>,<block column>" in the event log
+        self._heads = tuple(f"{tag}{d}@" for tag in _BANK_TAGS for d in range(m))
+        line = np.zeros_like(lanes)
+        touched_check_cells(*((lanes, line) if self._row else (line, lanes)), geom)
+
+    def at(self, line: int) -> tuple[list[int], list[int] | np.ndarray, list[int], str]:
+        """What writing ``line`` touches: the check-bits as flat indices into
+        :attr:`CheckMem.planes`, leading bank first and each bank's lanes in
+        the order of :attr:`index`, both as a list and as an index into the
+        flattened planes (``[bank, lane]``); the touched check-bit crossbars,
+        ascending; and the check-bits' names, counter bank first, each bank
+        by (diagonal, block row, block column), as the event log lists them."""
+        m, nb = self._m, self._nb
+        q, j = divmod(line, m)
+        step, base = self._sign * j, q * self._line_stride
+        # the line's block is the column of a ROW op's names, the row of a COLUMN op's
+        block = str(q)
+        before, after = ("", "," + block) if self._row else (block + ",", "")
+        if isinstance(self.index, int):
+            # one lane, so one block and one check-bit per bank: plain ints
+            # and strings, where numpy would pay its per-call cost on arrays
+            # of one element
+            ((lead, counter, (text,)),) = self._groups
+            lead, counter = (lead + j) % m, m + (counter - step) % m
+            keys = [lead * nb * nb + base + self._offset, counter * nb * nb + base + self._offset]
+            names = (f"{self._heads[counter]}{before}{text}{after};"
+                     f"{self._heads[lead]}{before}{text}{after}")
+            return keys, keys, [lead, counter], names
+        crossbars = []
+        for lead, counter, texts in self._groups:
+            crossbars += (((lead + j) % m, texts), (m + (counter - step) % m, texts))
+        crossbars.sort()  # distinct: one crossbar per bank per group
+        half = len(self._groups)
+        names = []
+        for crossbar, texts in crossbars[half:] + crossbars[:half]:
+            first = self._heads[crossbar] + before
+            names.append(first + (after + ";" + first).join(texts) + after)
+        touched = (self._diagonals + j * self._steps) % m
+        touched *= nb * nb
+        touched += self._offsets + base
+        return (touched.ravel().tolist(), touched, [crossbar for crossbar, _ in crossbars],
+                ";".join(names))
+
+    def fold(self, planes: np.ndarray, touched, delta) -> None:
+        """XOR ``delta``, the old ^ new bit of each written cell in the lane
+        order of :attr:`index`, into the check-bits ``touched`` (from
+        :meth:`at`) of both banks."""
+        flat = planes.reshape(-1)
+        if isinstance(self.index, int):  # two scalar updates, not a gather of two
+            for key in touched:
+                flat[key] ^= delta
+        else:
+            flat[touched] ^= delta
+
+
+@functools.lru_cache(maxsize=4)
+def lane_footprint(geom: Geometry, orientation: Orientation,
+                   lane_mask: frozenset[int]) -> LaneFootprint:
+    """The :class:`LaneFootprint` of a lane set, memoised by value as
+    :func:`engine.lanes_text` is: a schedule's critical ops share one lane
+    set. An entry holds ~50 bytes per lane, ~170 per offset within a block
+    that its lanes take and ~120 per offset in a block (the crossbar
+    names): ~3 KB for one lane and ~56 KB for every lane at 1020/15,
+    ~0.26 MB for every lane at 4095/3 and at most ~1.5 MB at 4095/4095. So
+    the memo holds at most ~6 MB, besides the frozen keys, which the ops
+    keep alive anyway."""
+    return LaneFootprint(geom, orientation, lane_mask)
 
 
 class CheckMem:
@@ -352,12 +464,6 @@ class Machine:
         # check-bit crossbar planes[b, d] at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
-        # and the head of its check-bits' event-log names: ";C3@" for "C3@0,2"
-        self._cbx_at = np.array([f";{tag}{d}@" for tag in _BANK_TAGS for d in range(m)],
-                                dtype=object)
-        # block row and column numbers as text, the other pieces of those names
-        self._index_text = np.array([str(i) for i in range(self.geom.blocks_per_side)],
-                                    dtype=object)
         # first cycle at which each in-flight check-bit is readable again,
         # keyed by its flat index in checkmem.planes
         self._cell_ready: dict[int, int] = {}
@@ -432,18 +538,15 @@ class Machine:
         validate_op(self.state, op, self.engine_cfg)
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
-        rows, cols = written_cells(op)
-        touched = touched_check_cells(rows, cols, self.geom)
-        keys = touched.tolist()
+        line = op.output_line
+        footprint = lane_footprint(self.geom, op.orientation, op.lane_mask)
+        keys, touched, crossbars, diags = footprint.at(line)
 
         mem_ready = max(earliest, self.timeline.next_free("MEM"))
-        ready = max(map(self._cell_ready.get, keys, repeat(0)), default=0)
+        ready = max(map(self._cell_ready.get, keys, repeat(0)))
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index
-        nb = self.geom.blocks_per_side
-        crossbar, block = np.divmod(touched, nb * nb)
-        cbx_units = [self._cbx_units[u]
-                     for u in np.flatnonzero(np.bincount(crossbar)).tolist()]
+        cbx_units = [self._cbx_units[u] for u in crossbars]
         # the read happens at t + c and the writeback at t + 2c + 1 + x
         windows = ((c, c), (2 * c + 1 + x, wb))
         t = self.timeline.first_free(
@@ -452,7 +555,7 @@ class Machine:
         stall = t - mem_ready
         if stall > 0:
             self.log(mem_ready, "SCHED", "stall",
-                     f"op_out={op.output_line} wait={stall}", span=stall)
+                     f"op_out={line} wait={stall}", span=stall)
             self.stall_cycles += stall
 
         # reservations
@@ -462,33 +565,22 @@ class Machine:
         self.timeline.book(cbx_units, t, windows)
         self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
 
-        # functional effect: each touched check-bit becomes old ^ new ^ stored;
-        # touched holds one row per bank, both in written-cell order
-        old = self.state.cells[rows, cols]
-        apply_op_inplace(self.state.cells, op, self.engine_cfg)
-        self.checkmem.planes.reshape(-1)[touched.reshape(2, -1)] ^= (
-            old ^ self.state.cells[rows, cols])
+        # functional effect: each touched check-bit becomes old ^ new ^ stored
+        cells = self.state.cells
+        plane = cells if op.orientation is Orientation.ROW else cells.T
+        old = plane[footprint.index, line]
+        apply_op_inplace(cells, op, self.engine_cfg)
+        footprint.fold(self.checkmem.planes, touched, old ^ plane[footprint.index, line])
 
-        # the check-bits by (bank name, diag, block_row, block_col), counter
-        # before leading: sort the flat index with block_row and block_col swapped
-        bcol, brow = np.divmod(block, nb)
-        in_text_order = np.sort((touched + (brow - bcol) * (nb - 1)).reshape(2, -1)[::-1])
-        crossbars, blocks = np.divmod(in_text_order.ravel(), nb * nb)
-        rows_in_order, cols_in_order = np.divmod(blocks, nb)
-        # each name "C3@0,2" joined from precomputed pieces ";C3@", "0", ",", "2"
-        pieces = np.empty((crossbars.size, 4), dtype=object)
-        pieces[:, 0] = self._cbx_at[crossbars]
-        pieces[:, 1] = self._index_text[rows_in_order]
-        pieces[:, 2] = ","
-        pieces[:, 3] = self._index_text[cols_in_order]
-        diags = "".join(pieces.ravel().tolist())[1:]
-        fixed_line = op.output_line
-        self.log(t, "MEM", "copy_old", f"line={fixed_line} pc={pair}", span=c)
-        self.log(t + c, "MEM", "op", format_op(op) + " critical=1")
-        self.log(t + c, f"PC{pair}", "load_check", f"cells={diags}", span=c)
-        self.log(t + c + 1, "MEM", "copy_new", f"line={fixed_line} pc={pair}", span=c)
-        self.log(t + 2 * c + 1, f"PC{pair}", "xor3", f"line={fixed_line}", span=x)
-        self.log(write_at, f"PC{pair}", "writeback", f"cells={diags}", span=wb)
+        unit, copy, bits = f"PC{pair}", f"line={line} pc={pair}", f"cells={diags}"
+        self.events += (
+            Event(t, "MEM", "copy_old", copy, c),
+            Event(t + c, "MEM", "op", format_op(op) + " critical=1"),
+            Event(t + c, unit, "load_check", bits, c),
+            Event(t + c + 1, "MEM", "copy_new", copy, c),
+            Event(t + 2 * c + 1, unit, "xor3", f"line={line}", x),
+            Event(write_at, unit, "writeback", bits, wb),
+        )
         return t
 
     def block_ecc_reset(self, block_row: int, block_col: int,
@@ -522,9 +614,12 @@ class Machine:
         t = self.timeline.first_free(
             self._cbx_units, max(t0 + m, self.timeline.next_free("CTRL")), write)
         self.timeline.book(self._cbx_units, t, write)
-        # the block's check-bit in every crossbar: flat indices nb*nb apart
-        self._cell_ready.update(dict.fromkeys(
-            range(block_col * nb + block_row, planes.size, nb * nb), t + wb))
+        # the block's check-bit in every crossbar: flat indices nb*nb apart;
+        # each is readable once the write has landed, and never earlier than
+        # a writeback still in flight to it
+        ready = self._cell_ready
+        for key in range(block_col * nb + block_row, planes.size, nb * nb):
+            ready[key] = max(ready.get(key, 0), t + wb)
         self.timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb

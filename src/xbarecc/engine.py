@@ -35,7 +35,32 @@ class Orientation(Enum):
     COLUMN = "column"
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=4)
+def _lane_fields(lane_mask: frozenset[int]) -> tuple[tuple[int, ...],
+                                                     int | slice | np.ndarray]:
+    """The sorted lanes of a lane set, and the lanes as an index along a
+    line: the lane itself when there is one, so an op reads and writes
+    numpy scalars rather than arrays of one cell; a slice when they are
+    contiguous (a block, every lane), so it reads and writes views; else a
+    read-only index array. Memoised by value, as :func:`lanes_text` is: ops
+    share a few lane sets. An entry for every lane holds ~16 KB at n=1020
+    and ~64 KB at n=4096, plus its frozen key (~60 KB and ~250 KB), so the
+    memo holds at most ~1.3 MB."""
+    lanes = tuple(sorted(lane_mask))
+    lo, hi = lanes[0], lanes[-1] + 1
+    if len(lanes) == 1:
+        return lanes, lo
+    if lo >= 0 and hi - lo == len(lanes):
+        return lanes, slice(lo, hi)
+    index = np.array(lanes, dtype=np.intp)
+    index.flags.writeable = False  # shared by every op on the lane set
+    return lanes, index
+
+
+_set_field = object.__setattr__  # how the __init__ of a frozen dataclass writes a field
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MicroOp:
     """One row/column-parallel MAGIC operation (one clock cycle).
 
@@ -48,38 +73,44 @@ class MicroOp:
     input_lines: tuple[int, ...]
     output_line: int
     lane_mask: frozenset[int]
-    value: int = 1  # written bit for WRITE ops; INIT always writes 1
+    value: int  # written bit for WRITE ops; INIT always writes 1
     lanes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # sorted lane_mask
-    # the lanes as an index along a line: a slice when they are contiguous
-    # (one lane, a block, every lane), so the op reads and writes views
-    lane_index: slice | np.ndarray = field(init=False, repr=False, compare=False)
+    # the lanes as an index along a line (see _lane_fields)
+    lane_index: int | slice | np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.output_line in self.input_lines:
-            raise MicroOpError(f"output line {self.output_line} also listed as input")
-        if len(set(self.input_lines)) != len(self.input_lines):
+    def __init__(self, kind: OpKind, orientation: Orientation, input_lines: tuple[int, ...],
+                 output_line: int, lane_mask: frozenset[int], value: int = 1):
+        if output_line in input_lines:
+            raise MicroOpError(f"output line {output_line} also listed as input")
+        if len(set(input_lines)) != len(input_lines):
             raise MicroOpError("duplicate input lines")
-        if not self.lane_mask:
+        lane_mask = frozenset(lane_mask)  # the same object when it is one already
+        if not lane_mask:
             raise MicroOpError("empty lane mask")
-        if self.kind is OpKind.NOR and not self.input_lines:
+        if kind is OpKind.NOR and not input_lines:
             raise MicroOpError("NOR needs at least one input line")
-        if self.value not in (0, 1):
-            raise MicroOpError(f"bit value must be 0 or 1, got {self.value}")
-        lanes = tuple(sorted(self.lane_mask))
-        lo, hi = lanes[0], lanes[-1] + 1
-        object.__setattr__(self, "lanes", lanes)
-        object.__setattr__(self, "lane_index", slice(lo, hi)
-                           if lo >= 0 and hi - lo == len(lanes)
-                           else np.array(lanes, dtype=np.intp))
+        if value not in (0, 1):
+            raise MicroOpError(f"bit value must be 0 or 1, got {value}")
+        lanes, lane_index = _lane_fields(lane_mask)
+        # written here rather than by a generated __init__ and __post_init__,
+        # which look the setter up once per field and validate in a second call
+        _set_field(self, "kind", kind)
+        _set_field(self, "orientation", orientation)
+        _set_field(self, "input_lines", input_lines)
+        _set_field(self, "output_line", output_line)
+        _set_field(self, "lane_mask", lane_mask)
+        _set_field(self, "value", value)
+        _set_field(self, "lanes", lanes)
+        _set_field(self, "lane_index", lane_index)
 
 
 def nor_op(orientation: Orientation, inputs: tuple[int, ...], output: int,
            lanes) -> MicroOp:
-    return MicroOp(OpKind.NOR, orientation, tuple(inputs), output, frozenset(lanes))
+    return MicroOp(OpKind.NOR, orientation, tuple(inputs), output, lanes)
 
 
 def init_op(orientation: Orientation, output: int, lanes) -> MicroOp:
-    return MicroOp(OpKind.INIT, orientation, (), output, frozenset(lanes))
+    return MicroOp(OpKind.INIT, orientation, (), output, lanes)
 
 
 @dataclass(frozen=True)

