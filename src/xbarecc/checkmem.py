@@ -33,6 +33,7 @@ from .engine import (
     Orientation,
     apply_op_inplace,
     format_op,
+    lane_set,
     op_record,
     validate_op,
 )
@@ -141,6 +142,16 @@ class Event(NamedTuple):
         return cls(cycle, unit, action, operands, span)
 
 
+def run_stats(events) -> tuple[int, list[int]]:
+    """A run's stall cycles and the ascending indices of the processing-
+    crossbar pairs that did any work, read off its events: every stall is
+    logged as one ``SCHED stall`` record, and every pair taken logs at
+    least one record on its unit ``PC<index>``."""
+    stall = sum(ev.span for ev in events if ev.action == "stall" and ev.unit == "SCHED")
+    units = {ev.unit for ev in events}
+    return stall, sorted(int(unit[2:]) for unit in units if unit.startswith("PC"))
+
+
 def _append(busy: list[int], start: int, end: int) -> None:
     """Add the window [start, end), which starts at or after every busy one,
     merged with the last if that one ends at start."""
@@ -210,8 +221,8 @@ class UnitTimeline:
 
 
 def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the cells an op writes, in lane order; none for READ."""
-    lanes = np.array(op.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
+    """(rows, cols) of the cells an op writes, in ascending lane order; none for READ."""
+    lanes = np.array(op.lane_set.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
     line = np.full_like(lanes, op.output_line)
     return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
 
@@ -261,19 +272,18 @@ class LaneFootprint:
         self._m, self._nb = m, nb
         self._row = orientation is Orientation.ROW
         self._sign = sign = 1 if self._row else -1
+        sorted_lanes = lane_set(lane_mask).lanes
+        # one lane: plain ints and strings, where numpy pays per call
+        self._one_lane = len(sorted_lanes) == 1
         blocks: dict[int, list[int]] = {}
-        for lane in sorted(lane_mask):
+        for lane in sorted_lanes:
             blocks.setdefault(lane % m, []).append(lane // m)
-        groups = sorted(blocks.items())
         text = [str(b) for b in range(nb)]
         # (the leading and the counter diagonal of the group on line 0, its
         # block numbers as text), by r and, within a group, by block
-        self._groups = tuple((r, sign * r % m, tuple(text[b] for b in bs)) for r, bs in groups)
-        # the lanes in group order, the order of the check-bits that at()
-        # returns: an index along a line, the lane itself when there is one
-        lanes = np.array([b * m + r for r, bs in groups for b in bs], dtype=np.intp)
-        lanes.flags.writeable = False
-        self.index: int | np.ndarray = int(lanes[0]) if lanes.size == 1 else lanes
+        self._groups = tuple((r, sign * r % m, tuple(text[b] for b in bs))
+                             for r, bs in sorted(blocks.items()))
+        lanes = np.array(sorted_lanes, dtype=np.intp)
         # a check-bit's flat index is crossbar * nb * nb + block_col * nb + block_row,
         # and a ROW op's line picks the block column, its lanes the block rows:
         # [bank, lane] arrays such that a lane's check-bit on line q * m + j is
@@ -292,21 +302,19 @@ class LaneFootprint:
 
     def at(self, line: int) -> tuple[list[int], list[int] | np.ndarray, list[int], str]:
         """What writing ``line`` touches: the check-bits as flat indices into
-        :attr:`CheckMem.planes`, leading bank first and each bank's lanes in
-        the order of :attr:`index`, both as a list and as an index into the
-        flattened planes (``[bank, lane]``); the touched check-bit crossbars,
-        ascending; and the check-bits' names, counter bank first, each bank
-        by (diagonal, block row, block column), as the event log lists them."""
+        :attr:`CheckMem.planes`, leading bank first and each bank in ascending
+        lane order, as :func:`touched_check_cells` lists them, both as a list
+        and as an index into the flattened planes (``[bank, lane]``); the
+        touched check-bit crossbars, ascending; and the check-bits' names,
+        counter bank first, each bank by (diagonal, block row, block column),
+        as the event log lists them."""
         m, nb = self._m, self._nb
         q, j = divmod(line, m)
         step, base = self._sign * j, q * self._line_stride
         # the line's block is the column of a ROW op's names, the row of a COLUMN op's
         block = str(q)
         before, after = ("", "," + block) if self._row else (block + ",", "")
-        if isinstance(self.index, int):
-            # one lane, so one block and one check-bit per bank: plain ints
-            # and strings, where numpy would pay its per-call cost on arrays
-            # of one element
+        if self._one_lane:  # one block and one check-bit per bank
             ((lead, counter, (text,)),) = self._groups
             lead, counter = (lead + j) % m, m + (counter - step) % m
             keys = [lead * nb * nb + base + self._offset, counter * nb * nb + base + self._offset]
@@ -329,11 +337,11 @@ class LaneFootprint:
                 ";".join(names))
 
     def fold(self, planes: np.ndarray, touched, delta) -> None:
-        """XOR ``delta``, the old ^ new bit of each written cell in the lane
-        order of :attr:`index`, into the check-bits ``touched`` (from
-        :meth:`at`) of both banks."""
+        """XOR ``delta``, the old ^ new bit of each written cell in ascending
+        lane order, into the check-bits ``touched`` (from :meth:`at`) of both
+        banks."""
         flat = planes.reshape(-1)
-        if isinstance(self.index, int):  # two scalar updates, not a gather of two
+        if self._one_lane:  # two scalar updates, not a gather of two
             for key in touched:
                 flat[key] ^= delta
         else:
@@ -344,11 +352,11 @@ class LaneFootprint:
 def lane_footprint(geom: Geometry, orientation: Orientation,
                    lane_mask: frozenset[int]) -> LaneFootprint:
     """The :class:`LaneFootprint` of a lane set, memoised by value as
-    :func:`engine.lanes_text` is: a schedule's critical ops share one lane
+    :func:`engine.lane_set` is: a schedule's critical ops share one lane
     set. An entry holds ~50 bytes per lane, ~170 per offset within a block
     that its lanes take and ~120 per offset in a block (the crossbar
-    names): ~3 KB for one lane and ~56 KB for every lane at 1020/15,
-    ~0.26 MB for every lane at 4095/3 and at most ~1.5 MB at 4095/4095. So
+    names): ~3 KB for one lane and ~48 KB for every lane at 1020/15,
+    ~0.23 MB for every lane at 4095/3 and at most ~1.5 MB at 4095/4095. So
     the memo holds at most ~6 MB, besides the frozen keys, which the ops
     keep alive anyway."""
     return LaneFootprint(geom, orientation, lane_mask)
@@ -457,7 +465,6 @@ class Machine:
         self.engine_cfg = EngineConfig()
         self.timeline = UnitTimeline()
         self.events: list[Event] = []
-        self.stall_cycles = 0
         # processing-crossbar pairs, one crossbar per bank each
         self._pc_units = tuple(f"PC{i}" for i in range(pc_pairs))
         m = self.geom.m
@@ -476,12 +483,6 @@ class Machine:
         nb = geom.blocks_per_side
         return cls(CrossbarState.zeros(geom), **kwargs, _checkmem=CheckMem(
             geom, np.zeros((2, geom.m, nb, nb), dtype=np.uint8)))
-
-    @property
-    def pcs_used(self) -> set[int]:
-        """Indices of the processing-crossbar pairs that have been busy."""
-        return {i for i, unit in enumerate(self._pc_units)
-                if self.timeline.next_free(unit)}
 
     def _pair_free_from(self) -> int:
         """First cycle some pair is free; nothing books it before it is taken."""
@@ -556,7 +557,6 @@ class Machine:
         if stall > 0:
             self.log(mem_ready, "SCHED", "stall",
                      f"op_out={line} wait={stall}", span=stall)
-            self.stall_cycles += stall
 
         # reservations
         self.timeline.reserve("MEM", t, tm.mem_cycles_per_critical)
@@ -565,12 +565,13 @@ class Machine:
         self.timeline.book(cbx_units, t, windows)
         self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
 
-        # functional effect: each touched check-bit becomes old ^ new ^ stored
-        cells = self.state.cells
+        # functional effect: each touched check-bit becomes old ^ new ^ stored;
+        # a copy of the old bits, since a contiguous lane set reads a view
+        cells, index = self.state.cells, op.lane_set.index
         plane = cells if op.orientation is Orientation.ROW else cells.T
-        old = plane[footprint.index, line]
+        old = plane[index, line].copy()
         apply_op_inplace(cells, op, self.engine_cfg)
-        footprint.fold(self.checkmem.planes, touched, old ^ plane[footprint.index, line])
+        footprint.fold(self.checkmem.planes, touched, old ^ plane[index, line])
 
         unit, copy, bits = f"PC{pair}", f"line={line} pc={pair}", f"cells={diags}"
         self.events += (
@@ -645,7 +646,6 @@ class Machine:
         t = self.timeline.first_free(
             self._cbx_units, max(mem_ready, self._pair_free_from(), check_ready), windows)
         if t > mem_ready:
-            self.stall_cycles += t - mem_ready
             self.log(mem_ready, "SCHED", "stall",
                      f"check={index} wait={t - mem_ready}", span=t - mem_ready)
 

@@ -115,9 +115,8 @@ def resolve_config(args) -> RunConfig:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {}
-    for flag, key in (("n", "n"), ("block_size", "block_size"),
-                      ("pc_pairs", "pc_pairs"), ("seed", "seed")):
-        value = getattr(args, flag, None)
+    for key in ("n", "block_size", "pc_pairs", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     return replace(cfg, **overrides) if overrides else cfg
@@ -201,6 +200,8 @@ def read_schedule_file(path: Path) -> EccSchedule:
     try:
         geom = Geometry(int(meta["n"]), int(meta["m"]))
         timing_vals = dict(kv.split(":") for kv in meta["timing"].split(","))
+        if timing_vals.keys() != _TIMING_KEYS:
+            raise ValueError(f"timing keys are {sorted(timing_vals)}, not {sorted(_TIMING_KEYS)}")
         timing = TimingModel(**{k: int(v) for k, v in timing_vals.items()})
         pc_pairs = int(meta["pc_pairs"])
         if not 1 <= pc_pairs <= MAX_PC_PAIRS:

@@ -9,6 +9,7 @@ enforces by default so that compilers forgetting Init ops fail loudly.
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,26 +36,37 @@ class Orientation(Enum):
     COLUMN = "column"
 
 
+class LaneSet(NamedTuple):
+    """What an op needs of its lane set, worked out once per lane set by
+    :func:`lane_set`: the sorted lanes; the lanes as an index along a line;
+    and the lanes as record text, comma-joined. The index is the lane
+    itself when there is one, so an op reads and writes numpy scalars
+    rather than arrays of one cell; a slice when the lanes are contiguous
+    (a block, every lane), so it reads and writes views; else a read-only
+    index array."""
+
+    lanes: tuple[int, ...]
+    index: int | slice | np.ndarray
+    text: str
+
+
 @functools.lru_cache(maxsize=4)
-def _lane_fields(lane_mask: frozenset[int]) -> tuple[tuple[int, ...],
-                                                     int | slice | np.ndarray]:
-    """The sorted lanes of a lane set, and the lanes as an index along a
-    line: the lane itself when there is one, so an op reads and writes
-    numpy scalars rather than arrays of one cell; a slice when they are
-    contiguous (a block, every lane), so it reads and writes views; else a
-    read-only index array. Memoised by value, as :func:`lanes_text` is: ops
-    share a few lane sets. An entry for every lane holds ~16 KB at n=1020
-    and ~64 KB at n=4096, plus its frozen key (~60 KB and ~250 KB), so the
-    memo holds at most ~1.3 MB."""
+def lane_set(lane_mask: frozenset[int]) -> LaneSet:
+    """The :class:`LaneSet` of a lane mask, memoised by value: a schedule's
+    ops share a few lane sets (one lane, or every lane of a widened
+    program). An entry for every lane holds ~13 KB at n=1020 and ~52 KB at
+    n=4096, plus its frozen key (~56 KB and ~250 KB), so the memo holds at
+    most ~1.2 MB."""
     lanes = tuple(sorted(lane_mask))
     lo, hi = lanes[0], lanes[-1] + 1
     if len(lanes) == 1:
-        return lanes, lo
-    if lo >= 0 and hi - lo == len(lanes):
-        return lanes, slice(lo, hi)
-    index = np.array(lanes, dtype=np.intp)
-    index.flags.writeable = False  # shared by every op on the lane set
-    return lanes, index
+        index = lo
+    elif lo >= 0 and hi - lo == len(lanes):
+        index = slice(lo, hi)
+    else:
+        index = np.array(lanes, dtype=np.intp)
+        index.flags.writeable = False  # shared by every op on the lane set
+    return LaneSet(lanes, index, ",".join(map(str, lanes)))
 
 
 _set_field = object.__setattr__  # how the __init__ of a frozen dataclass writes a field
@@ -74,9 +86,7 @@ class MicroOp:
     output_line: int
     lane_mask: frozenset[int]
     value: int  # written bit for WRITE ops; INIT always writes 1
-    lanes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # sorted lane_mask
-    # the lanes as an index along a line (see _lane_fields)
-    lane_index: int | slice | np.ndarray = field(init=False, repr=False, compare=False)
+    lane_set: LaneSet = field(init=False, repr=False, compare=False)  # lane_set(lane_mask)
 
     def __init__(self, kind: OpKind, orientation: Orientation, input_lines: tuple[int, ...],
                  output_line: int, lane_mask: frozenset[int], value: int = 1):
@@ -91,7 +101,6 @@ class MicroOp:
             raise MicroOpError("NOR needs at least one input line")
         if value not in (0, 1):
             raise MicroOpError(f"bit value must be 0 or 1, got {value}")
-        lanes, lane_index = _lane_fields(lane_mask)
         # written here rather than by a generated __init__ and __post_init__,
         # which look the setter up once per field and validate in a second call
         _set_field(self, "kind", kind)
@@ -100,8 +109,7 @@ class MicroOp:
         _set_field(self, "output_line", output_line)
         _set_field(self, "lane_mask", lane_mask)
         _set_field(self, "value", value)
-        _set_field(self, "lanes", lanes)
-        _set_field(self, "lane_index", lane_index)
+        _set_field(self, "lane_set", lane_set(lane_mask))
 
 
 def nor_op(orientation: Orientation, inputs: tuple[int, ...], output: int,
@@ -162,7 +170,8 @@ def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
     for line in (*op.input_lines, op.output_line):
         if not 0 <= line < n:
             raise MicroOpError(f"line index {line} outside [0,{n})")
-    for lane in (op.lanes[0], op.lanes[-1]):  # sorted: the least and the greatest
+    lanes = op.lane_set.lanes
+    for lane in (lanes[0], lanes[-1]):  # sorted: the least and the greatest
         if not 0 <= lane < n:
             raise MicroOpError(f"lane index {lane} outside [0,{n})")
     if op.kind is OpKind.NOR and len(op.input_lines) > cfg.fan_in_max:
@@ -173,7 +182,7 @@ def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
 def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
     """Apply one validated micro-op (:func:`validate_op`) directly to a cell
     array (used by the machine model)."""
-    lanes = op.lane_index
+    lanes = op.lane_set.index
     # COLUMN ops are the ROW ops of the transpose; views keep this in-place
     plane = cells if op.orientation is Orientation.ROW else cells.T
     if op.kind is OpKind.NOR:
@@ -206,29 +215,20 @@ def execute(state: CrossbarState, op: MicroOp,
 
 
 def op_record(kind: OpKind, orientation: Orientation, output_line: int,
-              input_lines: tuple[int, ...], lanes_text: str, value: int = 1) -> str:
-    """The one renderer of an op record from its fields; ``lanes_text`` is
-    the sorted lanes, comma-joined. :func:`format_op` and a block reset,
-    which logs its Init records without building ops, both call it."""
+              input_lines: tuple[int, ...], lanes: str, value: int = 1) -> str:
+    """The one renderer of an op record from its fields; ``lanes`` is the
+    sorted lanes, comma-joined, as in :attr:`LaneSet.text`. :func:`format_op`
+    and a block reset, which logs its Init records without building ops,
+    both call it."""
     text = (f"kind={kind.value} orient={orientation.value} out={output_line} "
-            f"in={','.join(map(str, input_lines)) or '-'} lanes={lanes_text}")
+            f"in={','.join(map(str, input_lines)) or '-'} lanes={lanes}")
     return text + f" value={value}" if kind is OpKind.WRITE else text
-
-
-@functools.lru_cache(maxsize=4)
-def lanes_text(lane_mask: frozenset[int]) -> str:
-    """The sorted lanes of a lane set, comma-joined, memoised by value.
-    A schedule's ops share one lane set (one lane, or every lane of a
-    widened program), so a few entries suffice. An entry keeps its text
-    and its frozen key alive: ~57 KB for every lane at n=1020, ~250 KB at
-    n=4096, so the memo holds at most ~1 MB."""
-    return ",".join(map(str, sorted(lane_mask)))
 
 
 def format_op(op: MicroOp) -> str:
     """Serialize a micro-op as the operand field of a trace/event record."""
     return op_record(op.kind, op.orientation, op.output_line, op.input_lines,
-                     lanes_text(op.lane_mask), op.value)
+                     op.lane_set.text, op.value)
 
 
 def parse_op(text: str) -> MicroOp:

@@ -286,10 +286,9 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
 
         flips_per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
 
+        # a ROW check reports every block, row-major
         summary = machine.full_memory_check()
-        diag_by_block = {(r.block_row, r.block_col): r.diagnosis.kind
-                         for r in summary.reports}
-        report.blocks_observed += len(diag_by_block)
+        report.blocks_observed += len(summary.reports)
         for br, bc in zip(*np.nonzero(flips_per_block)):
             lo, hi = br * m, (br + 1) * m
             restored = np.array_equal(
@@ -298,5 +297,5 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
             if not restored:
                 report.blocks_failed += 1
             _classify_block(int(flips_per_block[br, bc]), restored,
-                            diag_by_block[(br, bc)], report)
+                            summary.reports[br * nb + bc].diagnosis.kind, report)
     return report

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .checkmem import CheckSummary, Event, Machine, TimingModel, check_chain_cycles
+from .checkmem import CheckSummary, Event, Machine, TimingModel, check_chain_cycles, run_stats
 from .engine import (
     CrossbarState,
     MicroOp,
@@ -193,13 +193,12 @@ class EccSchedule:
 
     @property
     def stall_cycles(self) -> int:
-        return sum(ev.span for ev in self.events
-                   if ev.unit == "SCHED" and ev.action == "stall")
+        return run_stats(self.events)[0]
 
     @property
     def pc_pairs_used(self) -> int:
-        """Pairs that did any work: every pair taken logs at least one record."""
-        return len({ev.unit for ev in self.events if ev.unit.startswith("PC")})
+        """Pairs that did any work."""
+        return len(run_stats(self.events)[1])
 
     @property
     def critical_ops(self) -> int:
@@ -341,55 +340,48 @@ class ScheduleStats:
     init_cycles: int  # output-preset ops inside the baseline count
 
 
-def _pair_cap(k_max: int) -> int:
-    """First k_max * 2**j that is at least 64, or k_max when larger."""
-    if k_max < 1:
-        raise ValueError(f"need at least one processing-crossbar pair, got {k_max}")
-    cap = k_max
-    while cap < 64:
-        cap *= 2
-    return cap
+PAIR_CAP = 64  # the most processing-crossbar pairs min_pc_pairs reports
 
 
-def _pairs_read_off(schedule: EccSchedule, cap: int) -> int | None:
+def _pairs_read_off(schedule: EccSchedule) -> int | None:
     """min_pc_pairs as far as one schedule decides it, else None."""
-    if schedule.stall_cycles == 0:
-        return min(max(1, schedule.pc_pairs_used), cap)
-    if schedule.pc_pairs >= cap:
-        return cap
+    stall_cycles, pairs_used = run_stats(schedule.events)
+    if stall_cycles == 0:
+        return min(max(1, len(pairs_used)), PAIR_CAP)
+    if schedule.pc_pairs >= PAIR_CAP:
+        return PAIR_CAP
     return None
 
 
-def min_pc_pairs(rp: RowProgram, tm: TimingModel, k_max: int = 8) -> int:
-    """Smallest pair count with zero stalls, capped, from one schedule.
+def min_pc_pairs(rp: RowProgram, tm: TimingModel) -> int:
+    """Smallest pair count with zero stalls, capped at :data:`PAIR_CAP`,
+    from one schedule.
 
     Every unit takes the lowest free pair, so a stall-free run with k pairs
     issues each action exactly as any run with more pairs does, and uses
     the fewest pairs any stall-free run needs: with one pair fewer, the
     first action that took the highest pair finds every lower one busy and
     stalls. The answer is the pairs a stall-free schedule used (at least
-    1), capped at the first k_max * 2**j that is at least 64 (k_max itself
-    when larger); a schedule that still stalls at the cap gives the cap.
-    One schedule at the cap decides it.
+    1), at most the cap; a schedule that still stalls at the cap gives the
+    cap. One schedule at the cap decides it.
     """
-    cap = _pair_cap(k_max)
-    return _pairs_read_off(insert_ecc(rp, rp.geom, tm, cap), cap)
+    return _pairs_read_off(insert_ecc(rp, rp.geom, tm, PAIR_CAP))
 
 
 def report(schedule: EccSchedule) -> ScheduleStats:
     """Latency statistics of one schedule, including the minimum pair count.
 
-    ``min_pc_pairs`` (k_max 8, cap 64) is read off this schedule by the
-    same rule when it is stall-free or has at least 64 pairs; otherwise its
-    actions, issued again on a clean machine with 64 pairs, decide it.
+    ``min_pc_pairs`` is read off this schedule by the same rule when it is
+    stall-free or has at least :data:`PAIR_CAP` pairs; otherwise its
+    actions, issued again on a clean machine with that many pairs, decide
+    it.
     """
     baseline = schedule.baseline_cycles
     proposed = schedule.total_cycles
     overhead = 100.0 * (proposed - baseline) / baseline if baseline else 0.0
-    cap = _pair_cap(8)
-    pairs = _pairs_read_off(schedule, cap)
+    pairs = _pairs_read_off(schedule)
     if pairs is None:
-        pairs = _pairs_read_off(_issue_on_blank(schedule, cap), cap)
+        pairs = _pairs_read_off(_issue_on_blank(schedule, PAIR_CAP))
     return ScheduleStats(
         baseline=baseline,
         proposed=proposed,

@@ -20,6 +20,7 @@ from xbarecc.checkmem import (
     check_chain_cycles,
     device_counts,
     lane_footprint,
+    run_stats,
     touched_check_cells,
     written_cells,
     xor3_tree_levels,
@@ -146,7 +147,7 @@ class TestCriticalOp:
         assert machine.critical_op(init_op(Orientation.ROW, 0, {0})) == 0
         # after the first writeback frees the pair
         assert machine.critical_op(init_op(Orientation.ROW, 4, {3})) == 12
-        assert machine.stall_cycles == 12 - 3
+        assert run_stats(machine.events) == (12 - 3, [0])
 
     def test_four_pairs_reach_steady_state_every_three_cycles(self):
         machine = machine9(pc_pairs=4)
@@ -157,8 +158,7 @@ class TestCriticalOp:
             lane = 3 * ((k // 3) % 3)
             issues.append(machine.critical_op(init_op(Orientation.ROW, out, {lane})))
         assert issues == [3 * k for k in range(8)]
-        assert machine.stall_cycles == 0
-        assert len(machine.pcs_used) == 4
+        assert run_stats(machine.events) == (0, [0, 1, 2, 3])
 
     def test_mem_busy_exactly_three_cycles(self):
         machine = machine9()
@@ -269,15 +269,9 @@ class TestLaneFootprintOracle:
         for block, cell_deltas in deltas.items():
             expected.set_parity(*block, update_parity(expected.parity(*block), cell_deltas))
         assert machine.checkmem == expected
-        # the check-bits it folds, paired with its lanes, and the ones it books
-        footprint = lane_footprint(geom, orientation, lanes)
-        keys, index, crossbars, names = footprint.at(line)
-        in_order = np.atleast_1d(np.asarray(footprint.index))
-        line_cells = np.full_like(in_order, line)
-        assert keys == np.ravel(index).tolist() == touched_check_cells(
-            *((in_order, line_cells) if orientation is Orientation.ROW
-              else (line_cells, in_order)), geom).tolist()
-        assert sorted(keys) == sorted(touched.tolist())
+        # the check-bits it folds, in the oracle's order, and the ones it books
+        keys, index, crossbars, names = lane_footprint(geom, orientation, lanes).at(line)
+        assert keys == np.ravel(index).tolist() == touched.tolist()
         assert crossbars == sorted(set((touched // (nb * nb)).tolist()))
         booked = {unit for unit, busy in machine.timeline._windows.items()
                   if unit.startswith("CBX:") and busy}
@@ -294,7 +288,7 @@ class TestLaneFootprintOracle:
                 keys, _, _, names = lane_footprint(geom, orientation, lanes).at(13)
                 touched = touched_check_cells(
                     *written_cells(init_op(orientation, 13, lanes)), geom)
-                assert sorted(keys) == sorted(touched.tolist())
+                assert keys == touched.tolist()
                 assert names == oracle_names(touched, geom)
 
 
@@ -387,6 +381,12 @@ class TestFullMemoryCheck:
         summary = machine.full_memory_check()
         assert summary.uncorrectable == 1
 
+    def test_a_row_check_reports_every_block_row_major(self):
+        # injection_campaign finds block (br, bc) at reports[br * nb + bc]
+        summary = random_consistent_machine(5).full_memory_check()
+        assert [(r.block_row, r.block_col) for r in summary.reports] == [
+            (br, bc) for br in range(3) for bc in range(3)]
+
     def test_chains_pipeline_across_pc_pairs(self):
         machine = machine9(pc_pairs=3)
         machine.full_memory_check()
@@ -431,6 +431,15 @@ class TestEventDiscipline:
             for c in range(ev.cycle, ev.end):
                 assert c not in cycles, f"{ev.unit} double-booked at {c}"
                 cycles.add(c)
+
+    def test_run_stats_read_stalls_and_pairs_off_the_events(self):
+        events = [Event(0, "SCHED", "stall", "op_out=3 wait=4", 4),
+                  Event(1, "PC2", "xor3", "line=3", 8), Event(2, "SCHED", "block_reset"),
+                  Event(3, "PC0", "writeback", "cells=C0@0,0;L0@0,0"),
+                  Event(4, "MEM", "op", "kind=init"), Event(9, "SCHED", "stall", "", 2),
+                  Event(11, "PC2", "xor3_tree", "vectors=3 levels=1", 8)]
+        assert run_stats(events) == (6, [0, 2])
+        assert run_stats([]) == (0, [])
 
     def test_event_line_round_trip(self):
         machine = machine9()
@@ -511,9 +520,9 @@ class TestMultiLaneCriticalOps:
             before = machine.state.cells.copy()
             machine.critical_op(op)
             per_block = {}
-            written = ([(lane, op.output_line) for lane in op.lanes]
+            written = ([(lane, op.output_line) for lane in op.lane_mask]
                        if op.orientation is Orientation.ROW
-                       else [(op.output_line, lane) for lane in op.lanes])
+                       else [(op.output_line, lane) for lane in op.lane_mask])
             for row, col in written:
                 per_block.setdefault((row // m, col // m), []).append(
                     (row % m, col % m, int(before[row, col]),
@@ -531,7 +540,7 @@ class TestMultiLaneCriticalOps:
         for (br, bc), parity in oracle.items():
             assert machine.checkmem.parity(br, bc) == parity
         assert machine.consistent()
-        assert machine.stall_cycles > 0
+        assert run_stats(machine.events)[0] > 0
 
     @pytest.mark.parametrize("pc_pairs", [1, 4])
     def test_events_and_planes_match_pinned_digests(self, pc_pairs):

@@ -192,7 +192,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("old, new", [
         ("index=0", "index=x"), ("orient=row", "orient=diagonal"),
         ("pc_pairs=4", "pc_pairs=0"), ("pc_pairs=4", "pc_pairs=1025"),
-        ("n=30 m=3", "n=4101 m=3"), ("xor3_cycles:8", "xor3_cycles:1001")])
+        ("n=30 m=3", "n=4101 m=3"), ("xor3_cycles:8", "xor3_cycles:1001"),
+        ("xor3_cycles:8", "xor3_cyclez:8"), ("xor3_cycles:8,", "")])
     def test_corrupt_schedule_record_is_input_error(self, corpus_dir, tmp_path,
                                                     old, new):
         events = self.schedule(corpus_dir, tmp_path)
@@ -222,6 +223,15 @@ class TestSimulateCommand:
         assert replay.geom.n == 30 and replay.geom.m == 3
         assert set(replay.input_columns) == {"a", "b", "cin"}
         assert any(a.critical for a in replay.actions)
+
+    def test_timing_keys_read_back_in_any_order(self, corpus_dir, tmp_path):
+        events = self.schedule(corpus_dir, tmp_path)
+        timing = read_schedule_file(events).timing
+        head, _, rest = events.read_text().partition("# meta timing=")
+        keys, _, tail = rest.partition("\n")
+        events.write_text(head + "# meta timing=" + ",".join(reversed(keys.split(",")))
+                          + "\n" + tail)
+        assert read_schedule_file(events).timing == timing
 
     def test_unknown_input_is_input_error(self, corpus_dir, tmp_path, capsys):
         events = self.schedule(corpus_dir, tmp_path)

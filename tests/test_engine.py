@@ -164,7 +164,7 @@ class TestEngineProperties:
     def test_parallel_equals_composition_of_single_lanes(self, state, op):
         parallel = execute(state, op, NO_INIT)
         merged = state.copy()
-        for lane in op.lanes:
+        for lane in op.lane_mask:
             single = execute(state, nor_op(op.orientation, op.input_lines,
                                            op.output_line, {lane}), NO_INIT)
             merged.cells[lane, op.output_line] = single.cells[lane, op.output_line]

@@ -3,7 +3,6 @@
 import dataclasses
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,15 +18,16 @@ class TestMicroOp:
         ({5, 3, 4}, (3, 4, 5), slice(3, 6)),
         ({9, 2, 5}, (2, 5, 9), [2, 5, 9]),
     ])
-    def test_replacing_the_lane_mask_recomputes_every_lane_field(self, mask, lanes, index):
+    def test_replacing_the_lane_mask_recomputes_its_lane_set(self, mask, lanes, index):
         op = replace(nor_op(Orientation.ROW, (0, 1), 7, {8}), lane_mask=frozenset(mask))
         assert op == nor_op(Orientation.ROW, (0, 1), 7, mask)
-        assert op.lanes == lanes
+        assert op.lane_set.lanes == lanes
+        assert op.lane_set.text == ",".join(map(str, lanes))
         if isinstance(index, list):
-            assert op.lane_index.tolist() == index
-            assert not op.lane_index.flags.writeable  # shared by every op on the set
+            assert op.lane_set.index.tolist() == index
+            assert not op.lane_set.index.flags.writeable  # shared by every op on the set
         else:
-            assert op.lane_index == index
+            assert op.lane_set.index == index
 
     def test_replace_validates_like_the_constructor(self):
         op = nor_op(Orientation.COLUMN, (0, 1), 7, {8})
@@ -53,7 +53,8 @@ class TestAction:
         op = nor_op(Orientation.ROW, (0, 1), 7, {0})
         action = Action(ActionKind.OP, op=op, critical=True)
         wide = replace(action, op=replace(op, lane_mask=frozenset(range(9))))
-        assert (wide.kind, wide.critical, wide.op.lanes) == (ActionKind.OP, True, tuple(range(9)))
+        assert (wide.kind, wide.critical, wide.op.lane_set.lanes) == (
+            ActionKind.OP, True, tuple(range(9)))
         check = Action(ActionKind.CHECK_ROW, index=0, orientation=Orientation.COLUMN)
         assert replace(check, index=4) == Action(ActionKind.CHECK_ROW, index=4,
                                                  orientation=Orientation.COLUMN)
@@ -102,7 +103,6 @@ class TestEvent:
             Event.from_line(line)
 
 
-def test_records_of_one_lane_set_share_its_lane_fields():
+def test_records_of_one_lane_set_share_its_entry():
     ops = [nor_op(Orientation.ROW, (0, 1), out, frozenset(range(0, 40, 3))) for out in (2, 5)]
-    assert ops[0].lanes is ops[1].lanes
-    assert np.shares_memory(ops[0].lane_index, ops[1].lane_index)
+    assert ops[0].lane_set is ops[1].lane_set

@@ -13,6 +13,7 @@ from xbarecc.engine import CrossbarState, OpKind, execute
 from xbarecc.geometry import Geometry
 from xbarecc.netlist import NetlistError, load_bundled, parse_netlist
 from xbarecc.scheduler import (
+    PAIR_CAP,
     ActionKind,
     RowCapacityError,
     execute_schedule,
@@ -331,10 +332,10 @@ class TestAmortizedOverhead:
 # ----------------------------------------------------------------------
 # min_pc_pairs read off one schedule, against the search it replaced
 
-def bisected_min_pc_pairs(rp, tm, k_max=8):
-    """Oracle: double k past k_max until stall-free or at least 64, then
-    bisect [1, k] for the smallest stall-free pair count."""
-    hi = k_max
+def bisected_min_pc_pairs(rp, tm):
+    """Oracle: double k from 8 until stall-free or at least 64, then bisect
+    [1, k] for the smallest stall-free pair count."""
+    hi = 8
     while insert_ecc(rp, rp.geom, tm, hi).stall_cycles > 0 and hi < 64:
         hi *= 2
     lo = 1
@@ -381,10 +382,9 @@ timing_models = st.builds(TimingModel, xor3_cycles=st.integers(1, 60),
 
 class TestMinPcPairsExact:
     @settings(max_examples=80, deadline=None)
-    @given(rp=dag_row_programs(), tm=timing_models,
-           k_max=st.sampled_from((1, 3, 8, 70)))
-    def test_matches_bisection(self, rp, tm, k_max):
-        assert min_pc_pairs(rp, tm, k_max) == bisected_min_pc_pairs(rp, tm, k_max)
+    @given(rp=dag_row_programs(), tm=timing_models)
+    def test_matches_bisection(self, rp, tm):
+        assert min_pc_pairs(rp, tm) == bisected_min_pc_pairs(rp, tm)
 
     @settings(max_examples=60, deadline=None)
     @given(rp=dag_row_programs(), tm=timing_models,
@@ -393,13 +393,12 @@ class TestMinPcPairsExact:
         stats = report(insert_ecc(rp, rp.geom, tm, k))
         assert stats.min_pc_pairs == bisected_min_pc_pairs(rp, tm)
 
-    @pytest.mark.parametrize("k_max, cap", [(1, 64), (3, 96), (8, 64), (70, 70)])
-    def test_stalls_that_never_vanish_give_the_cap(self, k_max, cap):
+    def test_stalls_that_never_vanish_give_the_cap(self):
         rp = map_to_row(not_fan(6), G30)
         tm = TimingModel(xor3_cycles=60, writeback_cycles=6)
-        assert insert_ecc(rp, G30, tm, cap).stall_cycles > 0
-        assert min_pc_pairs(rp, tm, k_max) == cap
-        assert bisected_min_pc_pairs(rp, tm, k_max) == cap
+        assert insert_ecc(rp, G30, tm, PAIR_CAP).stall_cycles > 0
+        assert min_pc_pairs(rp, tm) == PAIR_CAP == 64
+        assert bisected_min_pc_pairs(rp, tm) == PAIR_CAP
 
     def test_stall_free_schedule_past_the_cap_gives_the_cap(self):
         # 80 critical ops, each holding a pair for 304 cycles, 3 cycles apart
@@ -409,10 +408,4 @@ class TestMinPcPairsExact:
         schedule = insert_ecc(rp, geom, tm, 100)
         assert schedule.stall_cycles == 0 and schedule.pc_pairs_used == 80
         assert report(schedule).min_pc_pairs == 64 == bisected_min_pc_pairs(rp, tm)
-        assert min_pc_pairs(rp, tm, 70) == 70 == bisected_min_pc_pairs(rp, tm, 70)
-
-    @pytest.mark.parametrize("k_max", [0, -3])
-    def test_no_pairs_rejected(self, k_max):
-        _, rp, _ = schedule_bundled("mux2")
-        with pytest.raises(ValueError, match="at least one"):
-            min_pc_pairs(rp, TM, k_max)
+        assert min_pc_pairs(rp, tm) == 64
