@@ -31,6 +31,7 @@ from .engine import (
     MicroOp,
     OpKind,
     Orientation,
+    _set_field,
     apply_op_inplace,
     format_op,
     lane_set,
@@ -413,13 +414,20 @@ class CheckMem:
                 and np.array_equal(self.planes, other.planes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BlockReport:
     """Diagnosis of one block from one check pass."""
 
     block_row: int
     block_col: int
     diagnosis: Diagnosis
+
+    def __init__(self, block_row: int, block_col: int, diagnosis: Diagnosis):
+        # a line check builds one per block; a generated __init__ looks the
+        # setter up once per field
+        _set_field(self, "block_row", block_row)
+        _set_field(self, "block_col", block_col)
+        _set_field(self, "diagnosis", diagnosis)
 
 
 @dataclass(frozen=True)
@@ -683,14 +691,16 @@ class Machine:
         blocks = np.ascontiguousarray(blocks)
         # stored check-bits of the whole line, [block][bank][diag], read once
         stored = stored.transpose(2, 0, 1).tolist()
-        for k in range(nb):
-            br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
-            lead, ctr = stored[k]
+        by_row = orientation is Orientation.ROW
+        for k, (block, (lead, ctr)) in enumerate(zip(blocks, stored)):
             diag = decode_syndrome(compute_syndrome(
-                blocks[k], BlockParity(tuple(lead), tuple(ctr))))
-            reports.append(BlockReport(br, bc, diag))
+                block, BlockParity(tuple(lead), tuple(ctr))))
             if diag.kind is DiagnosisKind.CLEAN:
+                reports.append(BlockReport(index, k, diag) if by_row
+                               else BlockReport(k, index, diag))
                 continue
+            br, bc = (index, k) if by_row else (k, index)
+            reports.append(BlockReport(br, bc, diag))
             read_at = max(done, self.timeline.next_free("CTRL"))
             self.timeline.reserve("CTRL", read_at, tm.controller_read_cycles)
             self.log(read_at, "CTRL", "read_syndrome",

@@ -186,9 +186,13 @@ def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
     # COLUMN ops are the ROW ops of the transpose; views keep this in-place
     plane = cells if op.orientation is Orientation.ROW else cells.T
     if op.kind is OpKind.NOR:
-        if cfg.require_output_init and not (plane[lanes, op.output_line] == 1).all():
-            raise UninitializedOutputError(
-                f"NOR output line {op.output_line} has non-preset cells")
+        if cfg.require_output_init:
+            preset = plane[lanes, op.output_line] == 1
+            # one lane reads a numpy scalar, tested as it is: its .all() goes
+            # through an array conversion costing ~10x the compare
+            if not (preset if isinstance(lanes, int) else preset.all()):
+                raise UninitializedOutputError(
+                    f"NOR output line {op.output_line} has non-preset cells")
         ored = plane[lanes, op.input_lines[0]]
         for line in op.input_lines[1:]:
             ored = ored | plane[lanes, line]

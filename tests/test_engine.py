@@ -85,6 +85,18 @@ class TestInitAndPreconditions:
         with pytest.raises(UninitializedOutputError):
             execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}))
 
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("lanes", [{4}, {3, 4, 5}, {0, 4, 8}])
+    def test_one_unpreset_lane_is_rejected_whatever_the_lane_set(self, lanes, orientation):
+        # one lane reads a scalar, a run a view, other sets an index array
+        state = CrossbarState.zeros(GEOM)
+        preset = init_op(orientation, 2, lanes)
+        for lane in sorted(lanes)[1:]:
+            state = execute(state, init_op(orientation, 2, {lane}))
+        with pytest.raises(UninitializedOutputError):
+            execute(state, nor_op(orientation, (0, 1), 2, lanes))
+        execute(execute(state, preset), nor_op(orientation, (0, 1), 2, lanes))
+
     def test_enforcement_can_be_disabled(self):
         state = CrossbarState.zeros(GEOM)
         cfg = EngineConfig(require_output_init=False)

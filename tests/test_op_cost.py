@@ -14,14 +14,21 @@ _SPEC.loader.exec_module(op_cost)
 def test_every_case_is_timed(capsys):
     assert op_cost.main(["--n", "30", "--m", "3", "--ops", "40", "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "op_cost: n=30 m=3, best of 2 x 40 ops, microseconds per op"
+    assert lines[0] == ("op_cost: n=30 m=3, best of 2 x 40 ops, microseconds per op "
+                        "(per block for check_block_row)")
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
-             "block_ecc_reset", "MicroOp", "Action", "Event"]
+             "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
+             "check_block_row"]
     assert [line[:24].strip() for line in lines[1:]] == names
     assert all(float(line[24:]) > 0 for line in lines[1:])
 
 
-@pytest.mark.parametrize("argv", [["--ops", "0"], ["--repeat", "0"], ["--n", "x"]])
+@pytest.mark.parametrize("argv", [
+    ["--ops", "0"], ["--repeat", "0"], ["--n", "x"],
+    ["--n", "31", "--m", "3"],  # m does not divide n
+    ["--n", "32", "--m", "4"],  # even block size
+    ["--m", "4"],
+])
 def test_bad_arguments_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         op_cost.parse_args(argv)

@@ -369,3 +369,34 @@ def test_incremental_update_equivalence_property(data):
         deltas.append((i, col, int(block[i, col]), new_bit))
         mutated[i, col] = new_bit
     assert update_parity(encode_block(block), deltas) == encode_block(mutated)
+
+
+@st.composite
+def stored_bits(draw):
+    """A block and stored check-bits: its own, or with one or two stored bits
+    flipped in either bank, or its own before one data-bit flipped."""
+    m = draw(st.sampled_from([3, 5, 7, 15]))
+    bits = draw(st.integers(0, 2**(m * m) - 1))
+    block = np.array([(bits >> k) & 1 for k in range(m * m)],
+                     dtype=np.uint8).reshape(m, m)
+    fresh = loop_parity(block)
+    banks = [list(fresh.leading), list(fresh.counter)]
+    fault = draw(st.sampled_from(["none", "check", "data"]))
+    if fault == "check":
+        for bank, d in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, m - 1)),
+                                     min_size=1, max_size=2, unique=True)):
+            banks[bank][d] ^= 1
+    elif fault == "data":
+        block[draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))] ^= 1
+    return block, BlockParity(tuple(banks[0]), tuple(banks[1]))
+
+
+@given(stored_bits())
+@settings(max_examples=200, deadline=None)
+def test_syndrome_is_the_per_bit_xor_of_fresh_and_stored_bits(case):
+    block, stored = case
+    fresh = loop_parity(block)
+    syn = compute_syndrome(block, stored)
+    assert syn == Syndrome(tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
+                           tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
+    assert syn.is_zero() == (fresh == stored)

@@ -1,14 +1,18 @@
-"""The schedule's records: ops, actions and events, as built, replaced and read back."""
+"""The records of a run: the schedule's ops, actions and events, as built,
+replaced and read back, and the codec's check-bits, syndromes and reports."""
 
 import dataclasses
+import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarecc.checkmem import Event
+from xbarecc.checkmem import BlockReport, Event
 from xbarecc.engine import MicroOp, MicroOpError, OpKind, Orientation, init_op, nor_op
+from xbarecc.geometry import Bank
+from xbarecc.parity import BlockParity, CodecError, Diagnosis, Syndrome
 from xbarecc.scheduler import Action, ActionKind
 
 
@@ -106,3 +110,37 @@ class TestEvent:
 def test_records_of_one_lane_set_share_its_entry():
     ops = [nor_op(Orientation.ROW, (0, 1), out, frozenset(range(0, 40, 3))) for out in (2, 5)]
     assert ops[0].lane_set is ops[1].lane_set
+
+
+class TestCodecRecords:
+    RECORDS = [
+        BlockParity((1, 0, 1), (0, 1, 1)),
+        Syndrome((0, 1, 0), (0, 0, 1)),
+        BlockReport(2, 5, Diagnosis.check_bit_error(Bank.COUNTER, 1)),
+    ]
+
+    def test_equality_is_class_aware(self):
+        assert Syndrome((0, 1, 0), (1, 0, 0)) != BlockParity((0, 1, 0), (1, 0, 0))
+        assert Syndrome((0, 1, 0), (1, 0, 0)) == Syndrome((0, 1, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_frozen_slotted_and_hashed_by_value(self, record):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        assert not hasattr(record, "__dict__")
+        twin = replace(record)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_round_trip(self, record):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_block_parity_rejects_unequal_lengths_on_replace(self):
+        parity = BlockParity((1, 0, 1), (0, 1, 1))
+        with pytest.raises(CodecError, match="differ in length"):
+            replace(parity, counter=(0, 1))
+        with pytest.raises(CodecError, match="differ in length"):
+            BlockParity((1,), ())
+        assert replace(parity, counter=(1, 1, 1)).counter == (1, 1, 1)

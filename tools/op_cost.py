@@ -13,10 +13,14 @@ each repetition on a fresh machine, built outside the timed region:
   cover every line offset within a block;
 - ``noncritical_op 1 lane``: the same one-lane NORs, without ECC;
 - ``block_ecc_reset``: one block after another, row by row;
-- ``MicroOp``, ``Action`` and ``Event``: building one record each.
+- ``MicroOp``, ``Action`` and ``Event``: building one record each;
+- ``compute_syndrome``: one clean m x m block;
+- ``check_block_row``: a clean line of a random consistent machine, one
+  line after another, reported per block checked.
 
 The package is imported from ``src/`` of the same checkout; nothing is
-written. Standard library and numpy only.
+written. A geometry the package rejects (``--m`` even, or not dividing
+``--n``) is a usage error. Standard library and numpy only.
 """
 
 import argparse
@@ -36,28 +40,42 @@ def parse_args(argv=None):
     args = p.parse_args(argv)
     if args.ops < 1 or args.repeat < 1:
         p.error("--ops and --repeat must be at least 1")
+    import_package()
+    from xbarecc.geometry import Geometry, GeometryError
+    try:
+        Geometry(args.n, args.m)
+    except GeometryError as exc:
+        p.error(str(exc))
     return args
 
 
-def best_per_op(setup, run, ops: int, repeat: int) -> float:
-    """Least seconds per op of ``run(setup(), ops)`` over ``repeat`` runs;
-    ``setup`` is not timed."""
+def import_package() -> None:
+    """Make ``src/`` of this checkout the package's import path."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+
+
+def best_per_op(setup, run, ops: int, repeat: int, per_op: int) -> float:
+    """Least seconds per unit of ``run(setup(), ops)`` over ``repeat`` runs,
+    each op being ``per_op`` units; ``setup`` is not timed."""
     best = float("inf")
     for _ in range(repeat):
         subject = setup()
         start = time.perf_counter()
         run(subject, ops)
         best = min(best, time.perf_counter() - start)
-    return best / ops
+    return best / (ops * per_op)
 
 
 def cases(n: int, m: int):
-    """(name, setup, run) of every timed case."""
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
+    """(name, setup, run, units per op) of every timed case."""
+    import_package()
+    import numpy as np
+
     from xbarecc.checkmem import Event, Machine
     from xbarecc.engine import CrossbarState, Orientation, nor_op
     from xbarecc.geometry import Geometry
+    from xbarecc.parity import compute_syndrome, encode_block
     from xbarecc.scheduler import Action, ActionKind
 
     geom = Geometry(n, m)
@@ -99,23 +117,40 @@ def cases(n: int, m: int):
         for k in range(count):
             Event(k, "MEM", "op", "critical=0", 1)
 
+    def random_machine():
+        rng = np.random.default_rng(n * m)
+        return Machine(CrossbarState(geom, rng.integers(0, 2, (n, n), dtype=np.uint8)))
+
+    block = np.random.default_rng(m).integers(0, 2, (m, m), dtype=np.uint8)
+    stored = encode_block(block)
+
+    def syndromes(_, count):
+        for k in range(count):
+            compute_syndrome(block, stored)
+
+    def line_checks(machine, count):
+        for k in range(count):
+            machine.check_block_row(k % nb)
+
     return (
-        ("critical_op 1 lane", preset_machine, nors(one, True)),
-        ("critical_op all lanes", preset_machine, nors(every, True)),
-        ("noncritical_op 1 lane", preset_machine, nors(one, False)),
-        ("block_ecc_reset", lambda: Machine.blank(geom), resets),
-        ("MicroOp", lambda: None, micro_ops),
-        ("Action", lambda: None, actions),
-        ("Event", lambda: None, events),
+        ("critical_op 1 lane", preset_machine, nors(one, True), 1),
+        ("critical_op all lanes", preset_machine, nors(every, True), 1),
+        ("noncritical_op 1 lane", preset_machine, nors(one, False), 1),
+        ("block_ecc_reset", lambda: Machine.blank(geom), resets, 1),
+        ("MicroOp", lambda: None, micro_ops, 1),
+        ("Action", lambda: None, actions, 1),
+        ("Event", lambda: None, events, 1),
+        ("compute_syndrome", lambda: None, syndromes, 1),
+        ("check_block_row", random_machine, line_checks, nb),
     )
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    rows = [(name, best_per_op(setup, run, args.ops, args.repeat))
-            for name, setup, run in cases(args.n, args.m)]
+    rows = [(name, best_per_op(setup, run, args.ops, args.repeat, per_op))
+            for name, setup, run, per_op in cases(args.n, args.m)]
     print(f"op_cost: n={args.n} m={args.m}, best of {args.repeat} x {args.ops} ops, "
-          f"microseconds per op")
+          f"microseconds per op (per block for check_block_row)")
     for name, seconds in rows:
         print(f"{name:<24}{seconds * 1e6:10.2f}")
     return 0
