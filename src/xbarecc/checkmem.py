@@ -363,6 +363,18 @@ def lane_footprint(geom: Geometry, orientation: Orientation,
     return LaneFootprint(geom, orientation, lane_mask)
 
 
+def block_spans(cells: np.ndarray, m: int) -> np.ndarray:
+    """Read-only view ``[block_row, block_col, span]`` of the m x m blocks of
+    the n x n ``cells``, each span running from a block's first cell to its
+    last with rows n apart, as :func:`diag_parity` reads it with pitch n.
+    C-ordered cells are not copied; any other layout is copied to C order."""
+    cells = np.ascontiguousarray(cells)
+    n = cells.shape[1]
+    return as_strided(cells, (n // m, n // m, (m - 1) * n + m),
+                      (m * cells.strides[0], m * cells.strides[1], cells.strides[1]),
+                      writeable=False)
+
+
 class CheckMem:
     """Check-bit storage: m crossbars of (n/m) x (n/m) cells per bank.
 
@@ -385,15 +397,8 @@ class CheckMem:
     def from_state(cls, state: CrossbarState) -> "CheckMem":
         """Encode every block of the given memory contents."""
         geom = state.geom
-        n, m, nb = geom.n, geom.m, geom.blocks_per_side
-        cells = np.ascontiguousarray(state.cells)
-        # [block_row, block_col] -> the cells from the block's first to its
-        # last, rows n apart: a read-only view, no copy of the memory
-        spans = as_strided(cells, (nb, nb, (m - 1) * n + m),
-                           (m * cells.strides[0], m * cells.strides[1], cells.strides[1]),
-                           writeable=False)
-        # sums[br, bc, bank, d] -> planes[bank, d, bc, br]
-        return cls(geom, diag_parity(spans, m, n).transpose(2, 3, 1, 0))
+        sums = diag_parity(block_spans(state.cells, geom.m), geom.m, geom.n)
+        return cls(geom, sums.transpose(2, 3, 1, 0))  # [br, bc, bank, d] -> [bank, d, bc, br]
 
     def parity(self, block_row: int, block_col: int) -> BlockParity:
         lead, ctr = self.planes[:, :, block_col, block_row].tolist()
@@ -492,14 +497,14 @@ class Machine:
         return cls(CrossbarState.zeros(geom), **kwargs, _checkmem=CheckMem(
             geom, np.zeros((2, geom.m, nb, nb), dtype=np.uint8)))
 
-    def _pair_free_from(self) -> int:
-        """First cycle some pair is free; nothing books it before it is taken."""
-        return min(map(self.timeline.next_free, self._pc_units))
+    def _pair_frees(self) -> list[int]:
+        """Free cycle of each pair, read once per op: nothing books a pair
+        between this read and :meth:`_take_pair`."""
+        return list(map(self.timeline.next_free, self._pc_units))
 
-    def _take_pair(self, t: int, span: int) -> int:
+    def _take_pair(self, frees: list[int], t: int, span: int) -> int:
         """Occupy the lowest-numbered pair free at t for span cycles."""
-        pair = next(i for i, unit in enumerate(self._pc_units)
-                    if self.timeline.next_free(unit) <= t)
+        pair = next(i for i, free in enumerate(frees) if free <= t)
         self.timeline.reserve(self._pc_units[pair], t, span)
         return pair
 
@@ -558,8 +563,9 @@ class Machine:
         cbx_units = [self._cbx_units[u] for u in crossbars]
         # the read happens at t + c and the writeback at t + 2c + 1 + x
         windows = ((c, c), (2 * c + 1 + x, wb))
+        frees = self._pair_frees()
         t = self.timeline.first_free(
-            cbx_units, max(mem_ready, ready - c, self._pair_free_from()), windows)
+            cbx_units, max(mem_ready, ready - c, min(frees)), windows)
 
         stall = t - mem_ready
         if stall > 0:
@@ -568,7 +574,7 @@ class Machine:
 
         # reservations
         self.timeline.reserve("MEM", t, tm.mem_cycles_per_critical)
-        pair = self._take_pair(t, tm.pc_cycles_per_critical)
+        pair = self._take_pair(frees, t, tm.pc_cycles_per_critical)
         write_at = t + 2 * c + 1 + x
         self.timeline.book(cbx_units, t, windows)
         self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
@@ -651,8 +657,9 @@ class Machine:
         syn = m * c + levels * x  # the stored check-bits are read at t + syn
         check_ready = self.timeline.next_free("CHECK") - syn - x  # compare at t + syn + x
         windows = ((syn, c),)
+        frees = self._pair_frees()
         t = self.timeline.first_free(
-            self._cbx_units, max(mem_ready, self._pair_free_from(), check_ready), windows)
+            self._cbx_units, max(mem_ready, min(frees), check_ready), windows)
         if t > mem_ready:
             self.log(mem_ready, "SCHED", "stall",
                      f"check={index} wait={t - mem_ready}", span=t - mem_ready)
@@ -660,7 +667,7 @@ class Machine:
         self.timeline.reserve("MEM", t, m * c)
         syn_at = t + syn
         zero_at = syn_at + x
-        pair = self._take_pair(t, zero_at - t)
+        pair = self._take_pair(frees, t, zero_at - t)
         self.timeline.book(self._cbx_units, t, windows)
         self.timeline.reserve("CHECK", zero_at, zc)
 
@@ -675,26 +682,21 @@ class Machine:
         self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
         self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
 
-        # functional: per-block syndrome, decode, correct
+        # functional: the fresh check-bits of the whole line in one gather,
+        # taken before any correction writes a cell, then per block a
+        # syndrome, a decode and, if dirty, a correction
         reports: list[BlockReport] = []
         done = zero_at + zc
-        # the line's blocks, copied once as [block][m][m]; blocks are disjoint
-        # and each is decoded before its own correction, so a correction never
-        # touches a block that is still to be read from the copy
-        lines = slice(index * m, (index + 1) * m)
-        if orientation is Orientation.ROW:
-            blocks = self.state.cells[lines].reshape(m, nb, m).transpose(1, 0, 2)
-            stored = self.checkmem.planes[..., index]
-        else:
-            blocks = self.state.cells[:, lines].reshape(nb, m, m)
-            stored = self.checkmem.planes[:, :, index]
-        blocks = np.ascontiguousarray(blocks)
-        # stored check-bits of the whole line, [block][bank][diag], read once
-        stored = stored.transpose(2, 0, 1).tolist()
         by_row = orientation is Orientation.ROW
-        for k, (block, (lead, ctr)) in enumerate(zip(blocks, stored)):
-            diag = decode_syndrome(compute_syndrome(
-                block, BlockParity(tuple(lead), tuple(ctr))))
+        spans, planes = block_spans(self.state.cells, m), self.checkmem.planes
+        spans, stored = ((spans[index], planes[..., index]) if by_row
+                         else (spans[:, index], planes[:, :, index]))
+        # both [block][bank][diag], read once
+        fresh = diag_parity(spans, m, geom.n).tolist()
+        stored = stored.transpose(2, 0, 1).tolist()
+        for k, ((lead, ctr), (s_lead, s_ctr)) in enumerate(zip(fresh, stored)):
+            diag = decode_syndrome(compute_syndrome(BlockParity(tuple(lead), tuple(ctr)),
+                                                    BlockParity(tuple(s_lead), tuple(s_ctr))))
             if diag.kind is DiagnosisKind.CLEAN:
                 reports.append(BlockReport(index, k, diag) if by_row
                                else BlockReport(k, index, diag))

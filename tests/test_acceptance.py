@@ -115,14 +115,14 @@ def test_c05_codec_exhaustive_and_randomized():
                 for j in range(m):
                     bad = block.copy()
                     bad[i, j] ^= 1
-                    diag = decode_syndrome(compute_syndrome(bad, stored))
+                    diag = decode_syndrome(compute_syndrome(encode_block(bad), stored))
                     fixed, stored2 = apply_correction(bad, stored, diag)
                     if not (np.array_equal(fixed, block) and stored2 == stored):
                         failures += 1
             for bank in Bank:
                 for idx in range(m):
                     bad_parity = _flip_check(stored, bank, idx)
-                    diag = decode_syndrome(compute_syndrome(block, bad_parity))
+                    diag = decode_syndrome(compute_syndrome(encode_block(block), bad_parity))
                     fixed, stored2 = apply_correction(block, bad_parity, diag)
                     if not (np.array_equal(fixed, block) and stored2 == stored):
                         failures += 1
@@ -143,7 +143,7 @@ def test_c05_codec_exhaustive_and_randomized():
             k -= m * m
             bank = Bank.LEADING if k < m else Bank.COUNTER
             bad, bad_parity = block, _flip_check(stored, bank, k % m)
-        diag = decode_syndrome(compute_syndrome(bad, bad_parity))
+        diag = decode_syndrome(compute_syndrome(encode_block(bad), bad_parity))
         fixed, repaired = apply_correction(bad, bad_parity, diag)
         if not (np.array_equal(fixed, block) and repaired == stored):
             failures += 1
@@ -161,7 +161,7 @@ def test_c06_double_error_detection():
         block = base.copy()
         block[i1, j1] ^= 1
         block[i2, j2] ^= 1
-        diag = decode_syndrome(compute_syndrome(block, stored))
+        diag = decode_syndrome(compute_syndrome(encode_block(block), stored))
         assert diag.kind is not DiagnosisKind.CLEAN
         pairs += 1
     assert pairs == 36

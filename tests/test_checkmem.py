@@ -42,6 +42,7 @@ from xbarecc.parity import (
     Syndrome,
     apply_correction,
     decode_syndrome,
+    diag_parity,
     encode_block,
     update_parity,
 )
@@ -714,6 +715,70 @@ class TestLineCheckOracle:
         assert done == max(ev.end for ev in events)
 
 
+@st.composite
+def laid_out_lines(draw):
+    """A geometry, an orientation, a line of blocks, random cells and 0-2
+    flips on that line, each a data-bit or a stored check-bit flip."""
+    geom = draw(st.sampled_from([Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)]))
+    m, nb = geom.m, geom.blocks_per_side
+    index = draw(st.integers(0, nb - 1))
+    block, diag = st.integers(0, nb - 1), st.integers(0, m - 1)
+    data = st.tuples(st.just("data"), block, diag, diag)
+    check = st.tuples(st.just("check"), block, st.sampled_from(list(Bank)), diag)
+    return (geom, draw(st.sampled_from(list(Orientation))), index,
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.lists(st.one_of(data, check), max_size=2)))
+
+
+LAYOUTS = {
+    "C": lambda cells: cells,
+    "Fortran": np.asfortranarray,
+    "transposed view": lambda cells: np.ascontiguousarray(cells.T).T,
+}
+
+
+class TestLayoutSafeGather:
+    """The one gather of the check path reads the right cells whatever the
+    memory's layout: a line's fresh check-bits, ``CheckMem.from_state`` and
+    ``check_block_row``'s reports against a per-block ``encode_block`` oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=laid_out_lines())
+    def test_fresh_bits_planes_and_reports_match_the_scalar_codec(self, case):
+        geom, orientation, index, seed, flips = case
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        values = np.random.default_rng(seed).integers(0, 2, (n, n), dtype=np.uint8)
+        expect = {(br, bc): encode_block(values[br * m:(br + 1) * m, bc * m:(bc + 1) * m])
+                  for br in range(nb) for bc in range(nb)}
+        by_row = orientation is Orientation.ROW
+        line = [(index, k) if by_row else (k, index) for k in range(nb)]
+        for name, lay_out in LAYOUTS.items():
+            cells = lay_out(values.copy())
+            assert np.array_equal(cells, values), name
+            spans = checkmem.block_spans(cells, m)
+            fresh = diag_parity(spans[index] if by_row else spans[:, index], m, n).tolist()
+            assert [BlockParity(tuple(lead), tuple(ctr)) for lead, ctr in fresh] == [
+                expect[block] for block in line], name
+            state = CrossbarState(geom, cells)
+            cm = CheckMem.from_state(state)
+            assert {block: cm.parity(*block) for block in expect} == expect, name
+
+            # a machine holding these very cells, layout and all
+            machine = Machine(state, _checkmem=cm)
+            assert machine.state.cells.strides == cells.strides, name
+            for kind, k, a, b in flips:
+                br, bc = line[k]
+                if kind == "data":
+                    machine.inject_data_flip(br * m + a, bc * m + b)
+                else:
+                    machine.inject_check_flip(a, b, br, bc)
+            reports, after, planes, _ = oracle_line_check(machine, index, orientation)
+            got, _ = machine.check_block_row(index, orientation)
+            assert got == reports, name
+            assert np.array_equal(machine.state.cells, after), name
+            assert machine.checkmem == planes, name
+
+
 class TestOneSyndromePerBlock:
     """One ``compute_syndrome`` call per checked block, as the benchmark's
     per-layer counters assume."""
@@ -723,16 +788,16 @@ class TestOneSyndromePerBlock:
         calls = []
         real = checkmem.compute_syndrome
 
-        def counted(block, stored):
-            calls.append(block.shape)
-            return real(block, stored)
+        def counted(fresh, stored):
+            calls.append(fresh.m)
+            return real(fresh, stored)
 
         monkeypatch.setattr(checkmem, "compute_syndrome", counted)
         geom = Geometry(45, 5)
         machine = random_consistent_machine(45, geom)
         machine.inject_data_flip(7, 31)
         summary = machine.full_memory_check(orientation)
-        assert calls == [(5, 5)] * geom.blocks_per_side ** 2
+        assert calls == [5] * geom.blocks_per_side ** 2
         assert summary.corrected == 1
 
 

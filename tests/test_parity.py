@@ -150,21 +150,23 @@ class TestSyndromeAgainstLoop:
             lead, ctr = rng.integers(0, 2, size=(2, m)).tolist()
             stored = BlockParity(tuple(lead), tuple(ctr))
             fresh = loop_parity(block)
-            assert compute_syndrome(block, stored) == Syndrome(
+            assert compute_syndrome(encode_block(block), stored) == Syndrome(
                 tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
                 tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
-            assert compute_syndrome(block, fresh).is_zero()
+            assert compute_syndrome(encode_block(block), fresh).is_zero()
 
     def test_error_paths_keep_their_types_and_order(self):
-        three, four = (BlockParity((0,) * k, (0,) * k) for k in (3, 4))
-        # a non-square block is reported before the stored length
+        three = BlockParity((0,) * 3, (0,) * 3)
+        # a block is checked where it is encoded, before any syndrome: a
+        # non-square block, then an even block size
         with pytest.raises(CodecError, match="must be square"):
-            compute_syndrome(np.zeros((3, 5), dtype=np.uint8), four)
-        # an even block size is reported before the stored length
+            encode_block(np.zeros((3, 5), dtype=np.uint8))
         with pytest.raises(GeometryError, match="must be odd"):
-            compute_syndrome(np.zeros((4, 4), dtype=np.uint8), three)
+            encode_block(np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(CodecError, match="stored parity length 3 != block size 5"):
-            compute_syndrome(np.zeros((5, 5), dtype=np.uint8), three)
+            compute_syndrome(encode_block(np.zeros((5, 5), dtype=np.uint8)), three)
+        with pytest.raises(CodecError, match="stored parity length 5 != block size 3"):
+            compute_syndrome(three, BlockParity((0,) * 5, (0,) * 5))
 
 
 class TestUpdateParity:
@@ -211,7 +213,7 @@ class TestSyndrome:
         rng = np.random.default_rng(3)
         for m in (3, 5, 15):
             block = random_block(rng, m)
-            assert compute_syndrome(block, encode_block(block)).is_zero()
+            assert compute_syndrome(encode_block(block), encode_block(block)).is_zero()
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13, 15])
     def test_single_flip_sets_exactly_its_diagonals(self, m):
@@ -222,7 +224,7 @@ class TestSyndrome:
             for j in range(m):
                 flipped = block.copy()
                 flipped[i, j] ^= 1
-                syn = compute_syndrome(flipped, stored)
+                syn = compute_syndrome(encode_block(flipped), stored)
                 assert sum(syn.leading) == 1 and sum(syn.counter) == 1
                 assert syn.leading[leading_diag(i, j, m)] == 1
                 assert syn.counter[counter_diag(i, j, m)] == 1
@@ -232,12 +234,12 @@ class TestSyndrome:
         stored = encode_block(block)
         bad = BlockParity((stored.leading[0] ^ 1,) + stored.leading[1:],
                           stored.counter)
-        syn = compute_syndrome(block, bad)
+        syn = compute_syndrome(encode_block(block), bad)
         assert syn.leading == (1, 0, 0) and syn.counter == (0, 0, 0)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(CodecError):
-            compute_syndrome(np.zeros((3, 3), dtype=np.uint8),
+            compute_syndrome(encode_block(np.zeros((3, 3), dtype=np.uint8)),
                              BlockParity((0,) * 5, (0,) * 5))
 
 
@@ -261,7 +263,7 @@ class TestDecode:
         stored = encode_block(block)
         block[0, 0] ^= 1
         block[1, 2] ^= 1
-        syn = compute_syndrome(block, stored)
+        syn = compute_syndrome(encode_block(block), stored)
         assert sum(syn.leading) == 0 and sum(syn.counter) == 2
         assert decode_syndrome(syn).kind is DiagnosisKind.UNCORRECTABLE
 
@@ -274,7 +276,7 @@ class TestDecode:
             block = base.copy()
             block[i1, j1] ^= 1
             block[i2, j2] ^= 1
-            diag = decode_syndrome(compute_syndrome(block, stored))
+            diag = decode_syndrome(compute_syndrome(encode_block(block), stored))
             assert diag.kind is not DiagnosisKind.CLEAN
 
 
@@ -289,11 +291,11 @@ class TestApplyCorrection:
                 for j in range(m):
                     bad = block.copy()
                     bad[i, j] ^= 1
-                    diag = decode_syndrome(compute_syndrome(bad, stored))
+                    diag = decode_syndrome(compute_syndrome(encode_block(bad), stored))
                     assert diag == Diagnosis.data_error(i, j)
                     fixed, stored2 = apply_correction(bad, stored, diag)
                     assert np.array_equal(fixed, block)
-                    assert compute_syndrome(fixed, stored2).is_zero()
+                    assert compute_syndrome(encode_block(fixed), stored2).is_zero()
 
     def test_every_check_bit_flip_corrected_m3(self):
         rng = np.random.default_rng(17)
@@ -305,11 +307,11 @@ class TestApplyCorrection:
                 bits[idx] ^= 1
                 bad = (BlockParity(tuple(bits), stored.counter) if bank is Bank.LEADING
                        else BlockParity(stored.leading, tuple(bits)))
-                diag = decode_syndrome(compute_syndrome(block, bad))
+                diag = decode_syndrome(compute_syndrome(encode_block(block), bad))
                 assert diag == Diagnosis.check_bit_error(bank, idx)
                 fixed, repaired = apply_correction(block, bad, diag)
                 assert repaired == stored
-                assert compute_syndrome(fixed, repaired).is_zero()
+                assert compute_syndrome(encode_block(fixed), repaired).is_zero()
 
     def test_randomized_single_flip_m15(self):
         rng = np.random.default_rng(23)
@@ -319,7 +321,7 @@ class TestApplyCorrection:
             i, j = rng.integers(0, 15, size=2)
             bad = block.copy()
             bad[i, j] ^= 1
-            diag = decode_syndrome(compute_syndrome(bad, stored))
+            diag = decode_syndrome(compute_syndrome(encode_block(bad), stored))
             fixed, stored2 = apply_correction(bad, stored, diag)
             assert np.array_equal(fixed, block)
 
@@ -337,10 +339,10 @@ class TestApplyCorrection:
         block = np.zeros((3, 3), dtype=np.uint8)
         stored = encode_block(block)
         bad = BlockParity((1, 0, 0), (0, 1, 0))
-        diag = decode_syndrome(compute_syndrome(block, bad))
+        diag = decode_syndrome(compute_syndrome(encode_block(block), bad))
         assert diag.kind is DiagnosisKind.DATA_ERROR
         fixed, stored2 = apply_correction(block, bad, diag)
-        assert compute_syndrome(fixed, stored2).is_zero()
+        assert compute_syndrome(encode_block(fixed), stored2).is_zero()
         assert not np.array_equal(fixed, block)
 
 
@@ -349,7 +351,7 @@ class TestApplyCorrection:
 def test_round_trip_property(bits, m):
     block = np.array([(bits >> k) & 1 for k in range(m * m)],
                      dtype=np.uint8).reshape(m, m)
-    assert compute_syndrome(block, encode_block(block)).is_zero()
+    assert compute_syndrome(encode_block(block), encode_block(block)).is_zero()
 
 
 @given(st.data())
@@ -396,7 +398,7 @@ def stored_bits(draw):
 def test_syndrome_is_the_per_bit_xor_of_fresh_and_stored_bits(case):
     block, stored = case
     fresh = loop_parity(block)
-    syn = compute_syndrome(block, stored)
+    syn = compute_syndrome(encode_block(block), stored)
     assert syn == Syndrome(tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
                            tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
     assert syn.is_zero() == (fresh == stored)

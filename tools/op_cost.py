@@ -5,8 +5,9 @@ run from the root of a checkout:
     python3 tools/op_cost.py [--n 1020] [--m 15] [--ops 300] [--repeat 5]
 
 Each case runs ``--ops`` operations in a loop, ``--repeat`` times, and
-prints the best time per operation in microseconds. A machine case starts
-each repetition on a fresh machine, built outside the timed region:
+prints the best time per operation (per block for a check) in
+microseconds. A machine case starts each repetition on a fresh machine,
+built outside the timed region:
 
 - ``critical_op 1 lane`` and ``critical_op all lanes``: a NOR on row 0, or
   on every row, whose output line moves one column per op, so the ops
@@ -14,9 +15,13 @@ each repetition on a fresh machine, built outside the timed region:
 - ``noncritical_op 1 lane``: the same one-lane NORs, without ECC;
 - ``block_ecc_reset``: one block after another, row by row;
 - ``MicroOp``, ``Action`` and ``Event``: building one record each;
-- ``compute_syndrome``: one clean m x m block;
+- ``compute_syndrome``: the fresh and stored check-bits of one clean
+  m x m block, two equal ``BlockParity`` records;
 - ``check_block_row``: a clean line of a random consistent machine, one
-  line after another, reported per block checked.
+  line after another, reported per block checked;
+- ``full_memory_check``: the same machine checked whole, row-wise, once per
+  n/m ops (at least once), so that it checks about as many lines as
+  ``check_block_row``; reported per block checked.
 
 The package is imported from ``src/`` of the same checkout; nothing is
 written. A geometry the package rejects (``--m`` even, or not dividing
@@ -55,20 +60,21 @@ def import_package() -> None:
         sys.path.insert(0, str(ROOT / "src"))
 
 
-def best_per_op(setup, run, ops: int, repeat: int, per_op: int) -> float:
+def best_per_op(setup, run, ops: int, repeat: int) -> float:
     """Least seconds per unit of ``run(setup(), ops)`` over ``repeat`` runs,
-    each op being ``per_op`` units; ``setup`` is not timed."""
+    ``run`` returning the units it did; ``setup`` is not timed."""
     best = float("inf")
     for _ in range(repeat):
         subject = setup()
         start = time.perf_counter()
-        run(subject, ops)
-        best = min(best, time.perf_counter() - start)
-    return best / (ops * per_op)
+        units = run(subject, ops)
+        best = min(best, (time.perf_counter() - start) / units)
+    return best
 
 
 def cases(n: int, m: int):
-    """(name, setup, run, units per op) of every timed case."""
+    """(name, setup, run) of every timed case; ``run(subject, ops)`` returns
+    the units it did: ops, or blocks checked."""
     import_package()
     import numpy as np
 
@@ -97,60 +103,74 @@ def cases(n: int, m: int):
             issue = machine.critical_op if critical else machine.noncritical_op
             for k in range(count):
                 issue(ops[k % len(ops)])
+            return count
         return run
 
     def resets(machine, count):
         for k in range(count):
             machine.block_ecc_reset(k // nb % nb, k % nb)
+        return count
 
     def micro_ops(_, count):
         for k in range(count):
             nor_op(Orientation.ROW, (0, 1), 2 + k % (n - 2), one)
+        return count
 
     op = nor_op(Orientation.ROW, (0, 1), 2, one)
 
     def actions(_, count):
         for k in range(count):
             Action(ActionKind.OP, op, True)  # as build_actions makes one per op
+        return count
 
     def events(_, count):
         for k in range(count):
             Event(k, "MEM", "op", "critical=0", 1)
+        return count
 
     def random_machine():
         rng = np.random.default_rng(n * m)
         return Machine(CrossbarState(geom, rng.integers(0, 2, (n, n), dtype=np.uint8)))
 
     block = np.random.default_rng(m).integers(0, 2, (m, m), dtype=np.uint8)
-    stored = encode_block(block)
+    fresh, stored = encode_block(block), encode_block(block)
 
     def syndromes(_, count):
         for k in range(count):
-            compute_syndrome(block, stored)
+            compute_syndrome(fresh, stored)
+        return count
 
     def line_checks(machine, count):
         for k in range(count):
             machine.check_block_row(k % nb)
+        return count * nb
+
+    def memory_checks(machine, count):
+        checks = max(1, count // nb)
+        for _ in range(checks):
+            machine.full_memory_check()
+        return checks * nb * nb
 
     return (
-        ("critical_op 1 lane", preset_machine, nors(one, True), 1),
-        ("critical_op all lanes", preset_machine, nors(every, True), 1),
-        ("noncritical_op 1 lane", preset_machine, nors(one, False), 1),
-        ("block_ecc_reset", lambda: Machine.blank(geom), resets, 1),
-        ("MicroOp", lambda: None, micro_ops, 1),
-        ("Action", lambda: None, actions, 1),
-        ("Event", lambda: None, events, 1),
-        ("compute_syndrome", lambda: None, syndromes, 1),
-        ("check_block_row", random_machine, line_checks, nb),
+        ("critical_op 1 lane", preset_machine, nors(one, True)),
+        ("critical_op all lanes", preset_machine, nors(every, True)),
+        ("noncritical_op 1 lane", preset_machine, nors(one, False)),
+        ("block_ecc_reset", lambda: Machine.blank(geom), resets),
+        ("MicroOp", lambda: None, micro_ops),
+        ("Action", lambda: None, actions),
+        ("Event", lambda: None, events),
+        ("compute_syndrome", lambda: None, syndromes),
+        ("check_block_row", random_machine, line_checks),
+        ("full_memory_check", random_machine, memory_checks),
     )
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    rows = [(name, best_per_op(setup, run, args.ops, args.repeat, per_op))
-            for name, setup, run, per_op in cases(args.n, args.m)]
+    rows = [(name, best_per_op(setup, run, args.ops, args.repeat))
+            for name, setup, run in cases(args.n, args.m)]
     print(f"op_cost: n={args.n} m={args.m}, best of {args.repeat} x {args.ops} ops, "
-          f"microseconds per op (per block for check_block_row)")
+          f"microseconds per op (per block for the checks)")
     for name, seconds in rows:
         print(f"{name:<24}{seconds * 1e6:10.2f}")
     return 0
