@@ -19,7 +19,6 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -301,14 +300,14 @@ class LaneFootprint:
         line = np.zeros_like(lanes)
         touched_check_cells(*((lanes, line) if self._row else (line, lanes)), geom)
 
-    def at(self, line: int) -> tuple[list[int], list[int] | np.ndarray, list[int], str]:
+    def at(self, line: int) -> tuple[list[int] | np.ndarray, list[int], str]:
         """What writing ``line`` touches: the check-bits as flat indices into
         :attr:`CheckMem.planes`, leading bank first and each bank in ascending
-        lane order, as :func:`touched_check_cells` lists them, both as a list
-        and as an index into the flattened planes (``[bank, lane]``); the
-        touched check-bit crossbars, ascending; and the check-bits' names,
-        counter bank first, each bank by (diagonal, block row, block column),
-        as the event log lists them."""
+        lane order, as :func:`touched_check_cells` lists them (a list of two
+        for one lane, else a ``[bank, lane]`` array); the touched check-bit
+        crossbars, ascending; and the check-bits' names, counter bank first,
+        each bank by (diagonal, block row, block column), as the event log
+        lists them."""
         m, nb = self._m, self._nb
         q, j = divmod(line, m)
         step, base = self._sign * j, q * self._line_stride
@@ -321,7 +320,7 @@ class LaneFootprint:
             keys = [lead * nb * nb + base + self._offset, counter * nb * nb + base + self._offset]
             names = (f"{self._heads[counter]}{before}{text}{after};"
                      f"{self._heads[lead]}{before}{text}{after}")
-            return keys, keys, [lead, counter], names
+            return keys, [lead, counter], names
         crossbars = []
         for lead, counter, texts in self._groups:
             crossbars += (((lead + j) % m, texts), (m + (counter - step) % m, texts))
@@ -334,8 +333,7 @@ class LaneFootprint:
         touched = (self._diagonals + j * self._steps) % m
         touched *= nb * nb
         touched += self._offsets + base
-        return (touched.ravel().tolist(), touched, [crossbar for crossbar, _ in crossbars],
-                ";".join(names))
+        return touched, [crossbar for crossbar, _ in crossbars], ";".join(names)
 
     def fold(self, planes: np.ndarray, touched, delta) -> None:
         """XOR ``delta``, the old ^ new bit of each written cell in ascending
@@ -347,6 +345,13 @@ class LaneFootprint:
                 flat[key] ^= delta
         else:
             flat[touched] ^= delta
+
+    def latest(self, ready: np.ndarray, touched) -> int:
+        """The greatest entry of ``ready``, shaped like the planes, at the
+        check-bits ``touched``."""
+        if self._one_lane:  # two scalar reads, not a gather of two
+            return max(map(ready.item, touched))
+        return int(ready.take(touched).max())
 
 
 @functools.lru_cache(maxsize=4)
@@ -403,9 +408,6 @@ class CheckMem:
     def parity(self, block_row: int, block_col: int) -> BlockParity:
         lead, ctr = self.planes[:, :, block_col, block_row].tolist()
         return BlockParity(tuple(lead), tuple(ctr))
-
-    def set_parity(self, block_row: int, block_col: int, parity: BlockParity) -> None:
-        self.planes[:, :, block_col, block_row] = (parity.leading, parity.counter)
 
     def flip_bit(self, bank: Bank, diag: int, block_row: int, block_col: int) -> None:
         self.planes[_BANKS.index(bank), diag, block_col, block_row] ^= 1
@@ -484,9 +486,9 @@ class Machine:
         # check-bit crossbar planes[b, d] at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
-        # first cycle at which each in-flight check-bit is readable again,
-        # keyed by its flat index in checkmem.planes
-        self._cell_ready: dict[int, int] = {}
+        # first cycle at which each check-bit is readable again, indexed as
+        # checkmem.planes; int32, so a cycle of 2**31 or more raises OverflowError
+        self._check_ready = np.zeros(self.checkmem.planes.shape, dtype=np.int32)
 
     @classmethod
     def blank(cls, geom: Geometry, **kwargs) -> "Machine":
@@ -497,16 +499,26 @@ class Machine:
         return cls(CrossbarState.zeros(geom), **kwargs, _checkmem=CheckMem(
             geom, np.zeros((2, geom.m, nb, nb), dtype=np.uint8)))
 
-    def _pair_frees(self) -> list[int]:
-        """Free cycle of each pair, read once per op: nothing books a pair
-        between this read and :meth:`_take_pair`."""
-        return list(map(self.timeline.next_free, self._pc_units))
-
-    def _take_pair(self, frees: list[int], t: int, span: int) -> int:
-        """Occupy the lowest-numbered pair free at t for span cycles."""
+    def _issue(self, earliest: int, floor: int, cbx_units, windows, mem_span: int,
+               pair_span: int, waiting: str) -> tuple[int, int]:
+        """Issue a critical op or a line check at t, the first cycle at or after
+        ``earliest``, ``floor``, MEM's free cycle and some pair's at which the
+        (offset, span) ``windows`` are idle on ``cbx_units``. A wait is logged
+        as one ``SCHED stall`` record, ``<waiting> wait=<cycles>``. Holds MEM
+        for ``mem_span`` cycles and the lowest pair free at t for
+        ``pair_span``, books the windows and returns (t, pair)."""
+        timeline = self.timeline
+        mem_ready = max(earliest, timeline.next_free("MEM"))
+        frees = list(map(timeline.next_free, self._pc_units))
+        t = timeline.first_free(cbx_units, max(mem_ready, floor, min(frees)), windows)
+        if t > mem_ready:
+            self.log(mem_ready, "SCHED", "stall", f"{waiting} wait={t - mem_ready}",
+                     span=t - mem_ready)
+        timeline.reserve("MEM", t, mem_span)
         pair = next(i for i, free in enumerate(frees) if free <= t)
-        self.timeline.reserve(self._pc_units[pair], t, span)
-        return pair
+        timeline.reserve(self._pc_units[pair], t, pair_span)
+        timeline.book(cbx_units, t, windows)
+        return t, pair
 
     @property
     def horizon(self) -> int:
@@ -524,11 +536,12 @@ class Machine:
 
     def inject_check_flip(self, bank: Bank, diag: int, block_row: int,
                           block_col: int) -> None:
+        """Soft error: flip one stored check-bit, diagonal ``diag`` of the
+        block's ``bank``."""
+        self.geom.check_block(block_row, block_col)
+        if not 0 <= diag < self.geom.m:
+            raise GeometryError(f"diagonal {diag} outside [0,{self.geom.m})")
         self.checkmem.flip_bit(bank, diag, block_row, block_col)
-
-    def consistent(self) -> bool:
-        """True iff the stored check-bits equal a re-encode of every block."""
-        return self.checkmem == CheckMem.from_state(self.state)
 
     def block_consistent(self, block_row: int, block_col: int) -> bool:
         return (encode_block(self.state.block(block_row, block_col))
@@ -554,30 +567,19 @@ class Machine:
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
         line = op.output_line
         footprint = lane_footprint(self.geom, op.orientation, op.lane_mask)
-        keys, touched, crossbars, diags = footprint.at(line)
+        touched, crossbars, diags = footprint.at(line)
 
-        mem_ready = max(earliest, self.timeline.next_free("MEM"))
-        ready = max(map(self._cell_ready.get, keys, repeat(0)))
         # one parallel line access per crossbar, even when several blocks
-        # along the written line share a diagonal index
-        cbx_units = [self._cbx_units[u] for u in crossbars]
-        # the read happens at t + c and the writeback at t + 2c + 1 + x
-        windows = ((c, c), (2 * c + 1 + x, wb))
-        frees = self._pair_frees()
-        t = self.timeline.first_free(
-            cbx_units, max(mem_ready, ready - c, min(frees)), windows)
-
-        stall = t - mem_ready
-        if stall > 0:
-            self.log(mem_ready, "SCHED", "stall",
-                     f"op_out={line} wait={stall}", span=stall)
-
-        # reservations
-        self.timeline.reserve("MEM", t, tm.mem_cycles_per_critical)
-        pair = self._take_pair(frees, t, tm.pc_cycles_per_critical)
-        write_at = t + 2 * c + 1 + x
-        self.timeline.book(cbx_units, t, windows)
-        self._cell_ready.update(dict.fromkeys(keys, write_at + wb))
+        # along the written line share a diagonal index; the check-bits are
+        # read at t + c, once every write to them has landed, and written
+        # back at t + back
+        back = 2 * c + 1 + x
+        t, pair = self._issue(
+            earliest, footprint.latest(self._check_ready, touched) - c,
+            [self._cbx_units[u] for u in crossbars], ((c, c), (back, wb)),
+            tm.mem_cycles_per_critical, tm.pc_cycles_per_critical, f"op_out={line}")
+        write_at = t + back
+        self._check_ready.put(touched, write_at + wb)  # put indexes the flat view
 
         # functional effect: each touched check-bit becomes old ^ new ^ stored;
         # a copy of the old bits, since a contiguous lane set reads a view
@@ -606,10 +608,8 @@ class Machine:
         all-ones odd-sized block is all-ones in both banks, so the
         controller writes it in a single pass.
         """
-        m, nb = self.geom.m, self.geom.blocks_per_side
-        if not (0 <= block_row < nb and 0 <= block_col < nb):
-            raise GeometryError(
-                f"block ({block_row},{block_col}) outside the {nb}x{nb} blocks")
+        m = self.geom.m
+        self.geom.check_block(block_row, block_col)
         t0 = max(earliest, self.timeline.next_free("MEM"))
         base_row, base_col = block_row * m, block_col * m
         lanes = ",".join(map(str, range(base_row, base_row + m)))
@@ -622,19 +622,16 @@ class Machine:
             self.log(t0 + lc, "MEM", "op", op_record(
                 OpKind.INIT, Orientation.ROW, base_col + lc, (), lanes)
                 + " critical=0 reset=1")
-        planes = self.checkmem.planes
-        planes[:, :, block_col, block_row] = 1
+        self.checkmem.planes[:, :, block_col, block_row] = 1
         wb = self.timing.writeback_cycles
         write = ((0, wb),)
         t = self.timeline.first_free(
             self._cbx_units, max(t0 + m, self.timeline.next_free("CTRL")), write)
         self.timeline.book(self._cbx_units, t, write)
-        # the block's check-bit in every crossbar: flat indices nb*nb apart;
-        # each is readable once the write has landed, and never earlier than
-        # a writeback still in flight to it
-        ready = self._cell_ready
-        for key in range(block_col * nb + block_row, planes.size, nb * nb):
-            ready[key] = max(ready.get(key, 0), t + wb)
+        # the block's check-bits are readable once the write has landed, and
+        # never earlier than a writeback still in flight to them
+        ready = self._check_ready[:, :, block_col, block_row]
+        np.maximum(ready, t + wb, out=ready)
         self.timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
@@ -653,22 +650,12 @@ class Machine:
         c, x, zc = tm.copy_cycles, tm.xor3_cycles, tm.zero_compare_cycles
         levels = xor3_tree_levels(m)
 
-        mem_ready = max(earliest, self.timeline.next_free("MEM"))
-        syn = m * c + levels * x  # the stored check-bits are read at t + syn
-        check_ready = self.timeline.next_free("CHECK") - syn - x  # compare at t + syn + x
-        windows = ((syn, c),)
-        frees = self._pair_frees()
-        t = self.timeline.first_free(
-            self._cbx_units, max(mem_ready, min(frees), check_ready), windows)
-        if t > mem_ready:
-            self.log(mem_ready, "SCHED", "stall",
-                     f"check={index} wait={t - mem_ready}", span=t - mem_ready)
-
-        self.timeline.reserve("MEM", t, m * c)
+        # the stored check-bits are read at t + syn, the compare is at t + syn + x
+        syn = m * c + levels * x
+        t, pair = self._issue(earliest, self.timeline.next_free("CHECK") - syn - x,
+                              self._cbx_units, ((syn, c),), m * c, syn + x, f"check={index}")
         syn_at = t + syn
         zero_at = syn_at + x
-        pair = self._take_pair(frees, t, zero_at - t)
-        self.timeline.book(self._cbx_units, t, windows)
         self.timeline.reserve("CHECK", zero_at, zc)
 
         self.log(t, "SCHED", "check_row",
@@ -721,16 +708,15 @@ class Machine:
                          span=tm.correction_write_cycles)
             else:
                 self.checkmem.flip_bit(diag.bank, diag.idx, br, bc)
-                crossbar = _BANKS.index(diag.bank) * m + diag.idx
-                unit = self._cbx_units[crossbar]
+                bank = _BANKS.index(diag.bank)
+                unit = self._cbx_units[bank * m + diag.idx]
                 write = ((0, tm.correction_write_cycles),)
                 write_at = self.timeline.first_free((unit,), done, write)
                 self.timeline.book((unit,), write_at, write)
                 # the corrected bit is readable once its write has landed,
                 # and never earlier than a writeback still in flight to it
-                key = (crossbar * nb + bc) * nb + br
-                self._cell_ready[key] = max(self._cell_ready.get(key, 0),
-                                            write_at + tm.correction_write_cycles)
+                ready, bit = self._check_ready, (bank, diag.idx, bc, br)
+                ready[bit] = max(ready[bit], write_at + tm.correction_write_cycles)
                 self.log(write_at, unit, "correct_check",
                          f"block={br},{bc} diag={diag.idx}",
                          span=tm.correction_write_cycles)

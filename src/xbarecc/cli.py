@@ -394,10 +394,14 @@ def cmd_reliability(args) -> int:
         raise UsageError(
             f"need 0 < lambda-min < lambda-max, got {args.lambda_min} "
             f"and {args.lambda_max}")
-    points = sweep_points(args.lambda_min, args.lambda_max, args.points_per_decade)
+    # bounded before sweep_points rounds it: a huge grid overflows to inf,
+    # which round() rejects
+    span = (math.log10(args.lambda_max) - math.log10(args.lambda_min)) * args.points_per_decade
+    points = (sweep_points(args.lambda_min, args.lambda_max, args.points_per_decade)
+              if span < MAX_SWEEP_POINTS else span + 1)
     if points > MAX_SWEEP_POINTS:
         raise UsageError(
-            f"grid of {points} points exceeds {MAX_SWEEP_POINTS}; "
+            f"grid of {points:.10g} points exceeds {MAX_SWEEP_POINTS}; "
             f"lower --points-per-decade or narrow the lambda range")
     params = ReliabilityParams(
         lambda_fit=args.lambda_min,
@@ -508,8 +512,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"xbarecc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # OverflowError: a replay past cycle 2**31, which Machine's readiness rejects
     except (InputError, NetlistError, RowCapacityError, GeometryError,
-            MicroOpError, FileNotFoundError, UnicodeDecodeError) as exc:
+            MicroOpError, FileNotFoundError, UnicodeDecodeError, OverflowError) as exc:
         print(f"xbarecc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DiagonalConflictError, RuntimeError, ValueError) as exc:

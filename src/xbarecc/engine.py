@@ -149,9 +149,6 @@ class CrossbarState:
     def copy(self) -> "CrossbarState":
         return CrossbarState(self.geom, self.cells.copy())
 
-    def transposed(self) -> "CrossbarState":
-        return CrossbarState(self.geom, self.cells.T.copy())
-
     def block(self, block_row: int, block_col: int) -> np.ndarray:
         """View of one m x m block (no copy)."""
         m = self.geom.m

@@ -51,6 +51,11 @@ class Geometry:
         if not (0 <= row < self.n and 0 <= col < self.n):
             raise GeometryError(f"cell ({row},{col}) outside {self.n}x{self.n} crossbar")
 
+    def check_block(self, block_row: int, block_col: int) -> None:
+        nb = self.blocks_per_side
+        if not (0 <= block_row < nb and 0 <= block_col < nb):
+            raise GeometryError(f"block ({block_row},{block_col}) outside the {nb}x{nb} blocks")
+
 
 @dataclass(frozen=True)
 class CellAddr:

@@ -60,6 +60,22 @@ def random_consistent_machine(seed, geom=G9, **kw) -> Machine:
     return Machine(CrossbarState(geom, cells), **kw)
 
 
+def consistent(machine) -> bool:
+    """True iff the stored check-bits equal a re-encode of every block."""
+    return machine.checkmem == CheckMem.from_state(machine.state)
+
+
+def set_parity(cm, block_row, block_col, parity) -> None:
+    cm.planes[:, :, block_col, block_row] = (parity.leading, parity.counter)
+
+
+def ready_cycles(machine) -> dict[int, int]:
+    """The check-bit readiness that is set, by flat index into the planes."""
+    flat = machine._check_ready.reshape(-1)
+    keys = np.flatnonzero(flat)
+    return dict(zip(keys.tolist(), flat[keys].tolist()))
+
+
 class TestCheckMemLayout:
     def test_plane_cell_matches_block_parity(self):
         machine = random_consistent_machine(5)
@@ -131,7 +147,7 @@ class TestCriticalOp:
             orientation = Orientation.ROW if k % 2 else Orientation.COLUMN
             machine.critical_op(init_op(orientation, out, lanes))
             machine.critical_op(nor_op(orientation, ins, out, lanes))
-            assert machine.consistent()
+            assert consistent(machine)
 
     def test_no_change_leaves_checkmem_unchanged(self):
         machine = machine9()
@@ -141,7 +157,7 @@ class TestCriticalOp:
         op = MicroOp(OpKind.WRITE, Orientation.ROW, (), 4, frozenset({0, 1, 2}), value=0)
         machine.critical_op(op)
         assert machine.checkmem == before
-        assert machine.consistent()
+        assert consistent(machine)
 
     def test_single_pair_serializes_on_writeback(self):
         machine = machine9(pc_pairs=1)
@@ -174,7 +190,7 @@ class TestCriticalOp:
         # column 0 again: same (block, diagonal) cells before writeback landed;
         # reads at 12, first cycle the cell is fresh
         assert machine.critical_op(init_op(Orientation.ROW, 0, {0})) == 11
-        assert machine.consistent()
+        assert consistent(machine)
 
     def test_interleaved_criticals_and_checks_stay_consistent(self):
         # arbitrary interleaving on a fault-free machine: stored check-bits
@@ -189,7 +205,7 @@ class TestCriticalOp:
                 out = int(rng.integers(0, 9))
                 lanes = frozenset(int(x) for x in rng.integers(0, 9, 2))
                 machine.critical_op(init_op(Orientation.ROW, out, lanes))
-            assert machine.consistent()
+            assert consistent(machine)
 
     def test_timed_equals_untimed_on_random_programs(self):
         # the pipeline's functional effect must match plain engine execution
@@ -207,7 +223,7 @@ class TestCriticalOp:
             machine.critical_op(op)
             shadow = execute(shadow, op, cfg)
         assert machine.state == shadow
-        assert machine.consistent()
+        assert consistent(machine)
 
 
 def oracle_names(touched, geom) -> str:
@@ -253,6 +269,9 @@ class TestLaneFootprintOracle:
         plane = cells if orientation is Orientation.ROW else cells.T
         plane[sorted(lanes), line] = 1  # the NOR's preset
         machine = Machine(CrossbarState(geom, cells))
+        # writes still in flight to some check-bits, this op's among them
+        machine._check_ready[...] = rng.integers(0, 30, machine._check_ready.shape)
+        ready = machine._check_ready.copy()
         op = (nor_op(orientation, ((line + 1) % geom.n, (line + 2) % geom.n), line, lanes)
               if nor else init_op(orientation, line, lanes))
         rows, cols = written_cells(op)
@@ -268,28 +287,33 @@ class TestLaneFootprintOracle:
                                   machine.state.cells[rows, cols].tolist()):
             deltas.setdefault((row // m, col // m), []).append((row % m, col % m, a, b))
         for block, cell_deltas in deltas.items():
-            expected.set_parity(*block, update_parity(expected.parity(*block), cell_deltas))
+            set_parity(expected, *block, update_parity(expected.parity(*block), cell_deltas))
         assert machine.checkmem == expected
         # the check-bits it folds, in the oracle's order, and the ones it books
-        keys, index, crossbars, names = lane_footprint(geom, orientation, lanes).at(line)
-        assert keys == np.ravel(index).tolist() == touched.tolist()
+        bits, crossbars, names = lane_footprint(geom, orientation, lanes).at(line)
+        assert np.ravel(bits).tolist() == touched.tolist()
         assert crossbars == sorted(set((touched // (nb * nb)).tolist()))
         booked = {unit for unit, busy in machine.timeline._windows.items()
                   if unit.startswith("CBX:") and busy}
         assert booked == {machine._cbx_units[c] for c in crossbars}
         # its names, logged when the check-bits are loaded and written back
-        logged = {ev.action: ev.operands for ev in machine.events}
-        assert (logged["load_check"] == logged["writeback"]
+        logged = {ev.action: ev for ev in machine.events}
+        assert (logged["load_check"].operands == logged["writeback"].operands
                 == "cells=" + oracle_names(touched, geom))
+        # its check-bits are read once they are ready, and ready again when
+        # the writeback ends; no other check-bit's readiness moves
+        assert logged["load_check"].cycle >= ready.reshape(-1)[touched].max()
+        ready.reshape(-1)[touched] = logged["writeback"].end
+        assert np.array_equal(machine._check_ready, ready)
 
     @pytest.mark.parametrize("lanes", [frozenset({7}), frozenset({0, 1, 2, 7, 29})])
     def test_two_geometries_sharing_a_lane_set_get_their_own_footprints(self, lanes):
         for geom in (Geometry(30, 3), Geometry(45, 5), Geometry(30, 3), Geometry(63, 7)):
             for orientation in Orientation:
-                keys, _, _, names = lane_footprint(geom, orientation, lanes).at(13)
+                bits, _, names = lane_footprint(geom, orientation, lanes).at(13)
                 touched = touched_check_cells(
                     *written_cells(init_op(orientation, 13, lanes)), geom)
-                assert keys == touched.tolist()
+                assert np.ravel(bits).tolist() == touched.tolist()
                 assert names == oracle_names(touched, geom)
 
 
@@ -323,7 +347,7 @@ class TestCheckBlockRow:
                 assert rep.diagnosis.kind is DiagnosisKind.DATA_ERROR
                 assert (rep.diagnosis.i, rep.diagnosis.j) == (row % 3, col % 3)
                 assert np.array_equal(machine.state.cells, golden)
-                assert machine.consistent()
+                assert consistent(machine)
 
     def test_column_orientation(self):
         machine = random_consistent_machine(8)
@@ -345,10 +369,21 @@ class TestCheckBlockRow:
     def test_check_bit_flip_corrected(self):
         machine = random_consistent_machine(21)
         machine.inject_check_flip(Bank.COUNTER, 2, 0, 1)
-        assert not machine.consistent()
+        assert not consistent(machine)
         reports, _ = machine.check_block_row(0)
         assert reports[1].diagnosis.kind is DiagnosisKind.CHECK_BIT_ERROR
-        assert machine.consistent()
+        assert consistent(machine)
+
+    @pytest.mark.parametrize("diag, block_row, block_col", [
+        (-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 10, 0), (0, 0, -1), (0, 0, 10)])
+    def test_check_flip_outside_the_check_bits_rejected(self, diag, block_row, block_col):
+        # 30/3: diagonals 0-2, block rows and columns 0-9; a negative index
+        # must not wrap round to the last one
+        machine = Machine.blank(Geometry(30, 3))
+        for bank in Bank:
+            with pytest.raises(GeometryError):
+                machine.inject_check_flip(bank, diag, block_row, block_col)
+        assert not machine.checkmem.planes.any()
 
     def test_mem_freed_after_copies(self):
         machine = machine9()
@@ -412,7 +447,7 @@ class TestFullScaleGeometry:
         assert summary.corrected == len(by_block)
         assert summary.uncorrectable == 0
         assert np.array_equal(machine.state.cells, golden)
-        assert machine.consistent()
+        assert consistent(machine)
 
 
 class TestEventDiscipline:
@@ -540,7 +575,7 @@ class TestMultiLaneCriticalOps:
         machine, oracle, _, _ = self._run(pc_pairs)
         for (br, bc), parity in oracle.items():
             assert machine.checkmem.parity(br, bc) == parity
-        assert machine.consistent()
+        assert consistent(machine)
         assert run_stats(machine.events)[0] > 0
 
     @pytest.mark.parametrize("pc_pairs", [1, 4])
@@ -652,7 +687,7 @@ def oracle_line_check(machine, index, orientation):
             continue
         fixed, parity = apply_correction(block, stored, diag)
         block[...] = fixed
-        cm.set_parity(br, bc, parity)
+        set_parity(cm, br, bc, parity)
         if diag.kind is DiagnosisKind.DATA_ERROR:
             records.append(("MEM", "correct_data",
                             f"cell={br * m + diag.i},{bc * m + diag.j}"))
@@ -816,7 +851,7 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
         apply_op_inplace(machine.state.cells, op, machine.engine_cfg)
         machine.log(t, "MEM", "op", format_op(op) + " critical=0 reset=1")
         t += 1
-    machine.checkmem.set_parity(block_row, block_col, BlockParity((1,) * m, (1,) * m))
+    set_parity(machine.checkmem, block_row, block_col, BlockParity((1,) * m, (1,) * m))
     wb = machine.timing.writeback_cycles
     t = max(t, machine.timeline.next_free("CTRL"))
     units = [(b, d, f"CBX:{bank.value}:{d}")
@@ -827,8 +862,8 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
         t += 1
     for b, d, unit in units:
         machine.timeline.book((unit,), t, ((0, wb),))
-        key = int(np.ravel_multi_index((b, d, block_col, block_row), (2, m, nb, nb)))
-        machine._cell_ready[key] = max(machine._cell_ready.get(key, 0), t + wb)
+        bit = (b, d, block_col, block_row)
+        machine._check_ready[bit] = max(machine._check_ready[bit], t + wb)
     machine.timeline.reserve("CTRL", t, wb)
     machine.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
     return t + wb
@@ -857,7 +892,7 @@ class TestBlockResetOracle:
         assert machine.events == oracle.events
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
-        assert machine._cell_ready == oracle._cell_ready
+        assert np.array_equal(machine._check_ready, oracle._check_ready)
         assert machine.timeline._windows == oracle.timeline._windows
 
     def test_every_block_and_repeated_block_rows_match(self):
@@ -874,7 +909,7 @@ class TestBlockResetOracle:
         assert machine.events == oracle.events
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
-        assert machine._cell_ready == oracle._cell_ready
+        assert np.array_equal(machine._check_ready, oracle._check_ready)
         assert machine.timeline._windows == oracle.timeline._windows
 
     @pytest.mark.parametrize("block", [(9, 0), (0, 9), (-1, 0)])
@@ -979,14 +1014,26 @@ class TestSameCellHazard:
         nb = geom.blocks_per_side
         machine = Machine.blank(geom)
         machine.inject_check_flip(Bank.LEADING, 1, 0, 2)
-        key = ((tuple(Bank).index(Bank.LEADING) * geom.m + 1) * nb + 2) * nb + 0
+        bit = (tuple(Bank).index(Bank.LEADING), 1, 2, 0)  # [bank, diag, block_col, block_row]
         if in_flight is not None:
-            machine._cell_ready[key] = in_flight
+            machine._check_ready[bit] = in_flight
         machine.check_block_row(0)
         (fix,) = [ev for ev in machine.events if ev.action == "correct_check"]
         assert (fix.unit, fix.operands) == ("CBX:leading:1", "block=0,2 diag=1")
-        assert machine._cell_ready[key] == max(fix.end, in_flight or 0)
-        assert machine.consistent()
+        assert machine._check_ready[bit] == max(fix.end, in_flight or 0)
+        assert ready_cycles(machine) == {np.ravel_multi_index(bit, (2, geom.m, nb, nb)):
+                                         max(fix.end, in_flight or 0)}
+        assert consistent(machine)
+
+    @pytest.mark.parametrize("step", ["critical_op", "block_ecc_reset"])
+    def test_a_cycle_past_int32_raises_overflow_error(self, step):
+        # check-bit readiness is int32; numpy raises rather than wraps
+        machine = Machine.blank(Geometry(30, 3))
+        with pytest.raises(OverflowError):
+            if step == "critical_op":
+                machine.critical_op(init_op(Orientation.ROW, 0, {3}), earliest=2**31)
+            else:
+                machine.block_ecc_reset(1, 0, earliest=2**31)
 
     def test_a_block_reset_makes_its_bits_ready_no_earlier_than_before(self):
         # the op folds cell (3, 0) into L0 and C0 of block (1, 0), keys 1 and
@@ -994,9 +1041,9 @@ class TestSameCellHazard:
         # from cycle 6 to 7 (its write lands first: ROADMAP item 1)
         machine = Machine.blank(Geometry(30, 3))
         machine.critical_op(init_op(Orientation.ROW, 0, {3}))
-        assert machine._cell_ready == {1: 12, 301: 12}
+        assert ready_cycles(machine) == {1: 12, 301: 12}
         assert machine.block_ecc_reset(1, 0) == 7
-        assert machine._cell_ready == {1: 12, 301: 12, 101: 7, 201: 7, 401: 7, 501: 7}
+        assert ready_cycles(machine) == {1: 12, 301: 12, 101: 7, 201: 7, 401: 7, 501: 7}
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from xbarecc.cli import (
     read_schedule_file,
     write_schedule_file,
 )
-from xbarecc.checkmem import TimingModel
+from xbarecc.checkmem import Machine, TimingModel
 from xbarecc.geometry import Geometry
 from xbarecc.netlist import (
     Netlist,
@@ -239,6 +239,17 @@ class TestSimulateCommand:
             == EXIT_INPUT
         assert "'typo'" in capsys.readouterr().err
 
+    def test_cycle_past_int32_is_input_error(self, corpus_dir, tmp_path, monkeypatch,
+                                             capsys):
+        # a replay whose critical ops issue past cycle 2**31, as one after
+        # ~2,150 check_row records at n = m = 999 with copy_cycles=1000 would
+        events = self.schedule(corpus_dir, tmp_path)
+        real = Machine.critical_op
+        monkeypatch.setattr(Machine, "critical_op", lambda machine, op, earliest=0:
+                            real(machine, op, earliest + 2**31))
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        assert "input error: Python integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("inputs", ["a=1,a=0,b=0,cin=0", "a=1,b=0,cin=0, a=1"])
     def test_repeated_input_is_usage_error(self, corpus_dir, tmp_path, capsys, inputs):
         events = self.schedule(corpus_dir, tmp_path)
@@ -416,13 +427,18 @@ class TestReliabilityCommand:
         assert main(["reliability"]) == EXIT_INTERNAL
         assert "internal invariant violated" in capsys.readouterr().err
 
-    def test_grid_past_the_bound_is_usage_error(self, capsys):
-        # one decade at MAX_SWEEP_POINTS - 1 points per decade is the largest grid
+    # one decade at MAX_SWEEP_POINTS - 1 points per decade is the largest
+    # grid; 1e308 points per decade over the default eight decades is inf
+    @pytest.mark.parametrize("argv", [
+        ["--lambda-min", "1", "--lambda-max", "10", "--points-per-decade",
+         str(MAX_SWEEP_POINTS)],
+        ["--points-per-decade", "1e308"]])
+    def test_grid_past_the_bound_is_usage_error(self, argv, capsys):
         assert sweep_points(1.0, 10.0, MAX_SWEEP_POINTS - 1) == MAX_SWEEP_POINTS
-        rc = main(["reliability", "--lambda-min", "1", "--lambda-max", "10",
-                   "--points-per-decade", str(MAX_SWEEP_POINTS)])
-        assert rc == EXIT_USAGE
-        assert f"exceeds {MAX_SWEEP_POINTS}" in capsys.readouterr().err
+        assert main(["reliability", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds {MAX_SWEEP_POINTS}" in captured.err
 
 
 class TestAreaCommand:

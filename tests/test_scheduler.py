@@ -259,6 +259,17 @@ class TestExecuteSchedule:
         assert run.outputs == nl.evaluate(assign)
         assert run.machine.block_consistent(0, 0)
 
+    @pytest.mark.parametrize("diag, block_row, block_col", [(-1, 0, 0), (3, 0, 0),
+                                                             (0, -1, 0), (0, 0, 10)])
+    def test_check_flip_outside_the_check_bits_rejected(self, diag, block_row, block_col):
+        # 30/3: diagonals 0-2, block rows and columns 0-9
+        from xbarecc.geometry import Bank, GeometryError
+
+        _, _, schedule = schedule_bundled("full_adder")
+        with pytest.raises(GeometryError):
+            execute_schedule(schedule, {"a": 0, "b": 0, "cin": 0},
+                             check_flips=((Bank.LEADING, diag, block_row, block_col),))
+
     def test_double_flip_reported_uncorrectable(self):
         nl, rp, schedule = schedule_bundled("full_adder")
         run = execute_schedule(schedule, {"a": 0, "b": 0, "cin": 0},
