@@ -16,6 +16,7 @@ and write the result back. The MEM is occupied for only the three transfer
 
 import functools
 import math
+import struct
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -47,10 +48,12 @@ from .parity import (
     decode_syndrome,
     diag_parity,
     encode_block,
+    zero_syndrome,
 )
 
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
 MAX_STEP_CYCLES = 1_000  # per timing step; config files and schedule headers set it
+CYCLE_END = 2**31  # critical ops, checks and resets end before it: readiness is int32
 _BANKS = tuple(Bank)  # first index of CheckMem.planes -> Bank
 _BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
@@ -140,6 +143,14 @@ class Event(NamedTuple):
             span = int(toks[-1].split("=", 1)[1])
             operands = " ".join(toks[:-1])
         return cls(cycle, unit, action, operands, span)
+
+
+def _check_end(end: int) -> None:
+    """Raise OverflowError for a step that could end at or past :data:`CYCLE_END`,
+    worded as numpy words it for an int32; a step calls this before it
+    books, logs or writes anything, so a step that raises changes nothing."""
+    if end >= CYCLE_END:
+        raise OverflowError(f"Python integer {end} out of bounds for int32")
 
 
 def run_stats(events) -> tuple[int, list[int]]:
@@ -437,6 +448,23 @@ class BlockReport:
         _set_field(self, "diagnosis", diagnosis)
 
 
+@functools.lru_cache(maxsize=256)
+def clean_reports(geom: Geometry, index: int,
+                  orientation: Orientation) -> tuple[BlockReport, ...]:
+    """The reports of a line of blocks that is clean throughout: block row
+    ``index`` of a ROW check, block column ``index`` of a COLUMN check, in
+    block order. Shared, since a report is immutable: a line check copies
+    the tuple into the list it returns and replaces only its dirty blocks'
+    reports. An entry holds 70-90 bytes per block of the line: ~4.5 KB at
+    1020/15, so every line of both orientations (136 entries) takes
+    ~0.6 MB, and ~125 KB at 4095/3, the most blocks a line can have. So
+    the memo holds at most ~32 MB."""
+    clean = Diagnosis.clean()
+    if orientation is Orientation.ROW:
+        return tuple(BlockReport(index, k, clean) for k in range(geom.blocks_per_side))
+    return tuple(BlockReport(k, index, clean) for k in range(geom.blocks_per_side))
+
+
 @dataclass(frozen=True)
 class CheckSummary:
     """Aggregated result of a full-memory check."""
@@ -487,7 +515,7 @@ class Machine:
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
         # first cycle at which each check-bit is readable again, indexed as
-        # checkmem.planes; int32, so a cycle of 2**31 or more raises OverflowError
+        # checkmem.planes; int32, so every step ends before CYCLE_END
         self._check_ready = np.zeros(self.checkmem.planes.shape, dtype=np.int32)
 
     @classmethod
@@ -500,17 +528,23 @@ class Machine:
             geom, np.zeros((2, geom.m, nb, nb), dtype=np.uint8)))
 
     def _issue(self, earliest: int, floor: int, cbx_units, windows, mem_span: int,
-               pair_span: int, waiting: str) -> tuple[int, int]:
+               pair_span: int, waiting: str, reach: int = 0) -> tuple[int, int]:
         """Issue a critical op or a line check at t, the first cycle at or after
         ``earliest``, ``floor``, MEM's free cycle and some pair's at which the
         (offset, span) ``windows`` are idle on ``cbx_units``. A wait is logged
         as one ``SCHED stall`` record, ``<waiting> wait=<cycles>``. Holds MEM
         for ``mem_span`` cycles and the lowest pair free at t for
-        ``pair_span``, books the windows and returns (t, pair)."""
+        ``pair_span``, books the windows and returns (t, pair).
+
+        First raises OverflowError, having changed nothing, if the step could
+        end at or past :data:`CYCLE_END`: its pair is busy until t +
+        ``pair_span``, and a line check's corrections may run to t +
+        ``reach``."""
         timeline = self.timeline
         mem_ready = max(earliest, timeline.next_free("MEM"))
         frees = list(map(timeline.next_free, self._pc_units))
         t = timeline.first_free(cbx_units, max(mem_ready, floor, min(frees)), windows)
+        _check_end(t + max(pair_span, reach))
         if t > mem_ready:
             self.log(mem_ready, "SCHED", "stall", f"{waiting} wait={t - mem_ready}",
                      span=t - mem_ready)
@@ -610,29 +644,31 @@ class Machine:
         """
         m = self.geom.m
         self.geom.check_block(block_row, block_col)
-        t0 = max(earliest, self.timeline.next_free("MEM"))
+        # the Init ops hold MEM from t0, the check-bit write lands at t + wb;
+        # both are known before anything is booked, logged or written
+        timeline, wb = self.timeline, self.timing.writeback_cycles
+        t0 = max(earliest, timeline.next_free("MEM"))
+        write = ((0, wb),)
+        t = timeline.first_free(self._cbx_units, max(t0 + m, timeline.next_free("CTRL")), write)
+        _check_end(t + wb)
         base_row, base_col = block_row * m, block_col * m
         lanes = ",".join(map(str, range(base_row, base_row + m)))
         self.log(t0, "SCHED", "block_reset", f"block={block_row},{block_col}")
         # m row-parallel Init ops, one per line of the block, one cycle each,
         # written as one slice and logged from their fields
-        self.timeline.reserve("MEM", t0, m)
+        timeline.reserve("MEM", t0, m)
         self.state.cells[base_row:base_row + m, base_col:base_col + m] = 1
         for lc in range(m):
             self.log(t0 + lc, "MEM", "op", op_record(
                 OpKind.INIT, Orientation.ROW, base_col + lc, (), lanes)
                 + " critical=0 reset=1")
         self.checkmem.planes[:, :, block_col, block_row] = 1
-        wb = self.timing.writeback_cycles
-        write = ((0, wb),)
-        t = self.timeline.first_free(
-            self._cbx_units, max(t0 + m, self.timeline.next_free("CTRL")), write)
-        self.timeline.book(self._cbx_units, t, write)
+        timeline.book(self._cbx_units, t, write)
         # the block's check-bits are readable once the write has landed, and
         # never earlier than a writeback still in flight to them
         ready = self._check_ready[:, :, block_col, block_row]
         np.maximum(ready, t + wb, out=ready)
-        self.timeline.reserve("CTRL", t, wb)
+        timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
 
@@ -642,6 +678,15 @@ class Machine:
 
         Returns the per-block reports and the cycle after the check (and any
         corrections) completed. The MEM is released after the m copy cycles.
+
+        As the CMEM XORs a whole line in a processing crossbar and compares
+        it to zero in the checking crossbar, every block's syndrome is taken
+        first, before any correction writes a cell: one gather of the fresh
+        check-bits of the line and one ``compute_syndrome`` per block. Only a
+        dirty block, whose syndrome is not the shared zero one, is decoded,
+        gets its own report and has the controller read its syndrome and
+        correct it, in ascending block order; every clean block's report
+        comes from the line's shared :func:`clean_reports`.
         """
         geom, tm = self.geom, self.timing
         m, nb = geom.m, geom.blocks_per_side
@@ -650,46 +695,53 @@ class Machine:
         c, x, zc = tm.copy_cycles, tm.xor3_cycles, tm.zero_compare_cycles
         levels = xor3_tree_levels(m)
 
-        # the stored check-bits are read at t + syn, the compare is at t + syn + x
+        # functional: the fresh check-bits of the line in one gather and the
+        # stored ones, both uint8 [block, bank, diag], read as one m-tuple per
+        # bank and block, leading then counter, so that one iterator passed
+        # twice to map pairs them into a block's record; then every block's
+        # syndrome
+        by_row = orientation is Orientation.ROW
+        spans, planes = block_spans(self.state.cells, m), self.checkmem.planes
+        spans, stored = ((spans[index], planes[..., index]) if by_row
+                         else (spans[:, index], planes[:, :, index]))
+        fresh = struct.iter_unpack(f"{m}B", diag_parity(spans, m, geom.n).tobytes())
+        stored = struct.iter_unpack(f"{m}B", stored.transpose(2, 0, 1).tobytes())
+        syndromes = map(compute_syndrome, map(BlockParity, fresh, fresh),
+                        map(BlockParity, stored, stored))
+        zero = zero_syndrome(m)
+        dirty = [(k, decode_syndrome(s)) for k, s in enumerate(syndromes) if s is not zero]
+
+        # the stored check-bits are read at t + syn, the compare is at t + syn + x;
+        # the corrections end by t + syn + max(x + zc, c), or by the free cycle
+        # of CTRL or of a check-bit crossbar, plus a read and a write per dirty block
         syn = m * c + levels * x
+        tail = len(dirty) * (tm.controller_read_cycles + tm.correction_write_cycles)
+        if dirty:
+            _check_end(max(self.timeline.next_free("CTRL"),
+                           *map(self.timeline.next_free, self._cbx_units)) + tail)
         t, pair = self._issue(earliest, self.timeline.next_free("CHECK") - syn - x,
-                              self._cbx_units, ((syn, c),), m * c, syn + x, f"check={index}")
+                              self._cbx_units, ((syn, c),), m * c, syn + x, f"check={index}",
+                              syn + max(x + zc, c) + tail)
         syn_at = t + syn
         zero_at = syn_at + x
         self.timeline.reserve("CHECK", zero_at, zc)
 
         self.log(t, "SCHED", "check_row",
                  f"index={index} orient={orientation.value}")
-        for k in range(m):
-            line = index * m + k
-            self.log(t + k * c, "MEM", "copy_row", f"line={line} pc={pair}", span=c)
+        # the m line copies in one step, as critical_op logs its records
+        self.events += (Event(t + k * c, "MEM", "copy_row", f"line={index * m + k} pc={pair}", c)
+                        for k in range(m))
         if levels:
             self.log(t + m * c, f"PC{pair}", "xor3_tree",
                      f"vectors={m} levels={levels}", span=levels * x)
         self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
         self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
 
-        # functional: the fresh check-bits of the whole line in one gather,
-        # taken before any correction writes a cell, then per block a
-        # syndrome, a decode and, if dirty, a correction
-        reports: list[BlockReport] = []
+        reports = list(clean_reports(geom, index, orientation))
         done = zero_at + zc
-        by_row = orientation is Orientation.ROW
-        spans, planes = block_spans(self.state.cells, m), self.checkmem.planes
-        spans, stored = ((spans[index], planes[..., index]) if by_row
-                         else (spans[:, index], planes[:, :, index]))
-        # both [block][bank][diag], read once
-        fresh = diag_parity(spans, m, geom.n).tolist()
-        stored = stored.transpose(2, 0, 1).tolist()
-        for k, ((lead, ctr), (s_lead, s_ctr)) in enumerate(zip(fresh, stored)):
-            diag = decode_syndrome(compute_syndrome(BlockParity(tuple(lead), tuple(ctr)),
-                                                    BlockParity(tuple(s_lead), tuple(s_ctr))))
-            if diag.kind is DiagnosisKind.CLEAN:
-                reports.append(BlockReport(index, k, diag) if by_row
-                               else BlockReport(k, index, diag))
-                continue
+        for k, diag in dirty:
             br, bc = (index, k) if by_row else (k, index)
-            reports.append(BlockReport(br, bc, diag))
+            reports[k] = BlockReport(br, bc, diag)
             read_at = max(done, self.timeline.next_free("CTRL"))
             self.timeline.reserve("CTRL", read_at, tm.controller_read_cycles)
             self.log(read_at, "CTRL", "read_syndrome",

@@ -181,17 +181,18 @@ def update_parity(parity: BlockParity,
 
 
 @functools.cache
-def _zero_syndrome(m: int) -> Syndrome:
+def zero_syndrome(m: int) -> Syndrome:
     """The all-zero syndrome of an m x m block, shared: it is immutable."""
     return Syndrome((0,) * m, (0,) * m)
 
 
 def compute_syndrome(fresh: BlockParity, stored: BlockParity) -> Syndrome:
-    """XOR of freshly computed and stored parity."""
+    """XOR of freshly computed and stored parity; equal bits give the shared
+    :func:`zero_syndrome`, which a line check tests by identity."""
     # almost every block a check reads is clean: equal bits skip the XOR,
     # and equal bits have equal lengths
     if fresh.leading == stored.leading and fresh.counter == stored.counter:
-        return _zero_syndrome(fresh.m)
+        return zero_syndrome(len(fresh.leading))
     if fresh.m != stored.m:
         raise CodecError(f"stored parity length {stored.m} != block size {fresh.m}")
     return Syndrome(

@@ -38,6 +38,7 @@ from xbarecc.engine import (
 from xbarecc.geometry import Bank, Geometry, GeometryError
 from xbarecc.parity import (
     BlockParity,
+    Diagnosis,
     DiagnosisKind,
     Syndrome,
     apply_correction,
@@ -384,6 +385,34 @@ class TestCheckBlockRow:
             with pytest.raises(GeometryError):
                 machine.inject_check_flip(bank, diag, block_row, block_col)
         assert not machine.checkmem.planes.any()
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_shared_clean_reports_do_not_leak_between_checks(self, orientation):
+        # a data flip in the line's first block and a check-bit flip in its
+        # last; the clean blocks' reports come from a memo shared per line
+        geom, index = Geometry(45, 5), 4
+        nb = geom.blocks_per_side
+        machine = random_consistent_machine(4504, geom)
+        golden = machine.state.cells.copy()
+        line = [(index, k) if orientation is Orientation.ROW else (k, index)
+                for k in range(nb)]
+        (first_br, first_bc), (last_br, last_bc) = line[0], line[-1]
+        machine.inject_data_flip(first_br * 5 + 1, first_bc * 5 + 3)
+        machine.inject_check_flip(Bank.COUNTER, 2, last_br, last_bc)
+        clean = [BlockReport(br, bc, Diagnosis(DiagnosisKind.CLEAN)) for br, bc in line]
+        expect = ([BlockReport(first_br, first_bc, Diagnosis.data_error(1, 3))] + clean[1:-1]
+                  + [BlockReport(last_br, last_bc, Diagnosis.check_bit_error(Bank.COUNTER, 2))])
+
+        first, _ = machine.check_block_row(index, orientation)
+        assert first == expect
+        assert np.array_equal(machine.state.cells, golden) and consistent(machine)
+        second, _ = machine.check_block_row(index, orientation)
+        assert second == clean
+        assert first == expect and first is not second
+        # a caller may change the list it got without changing the next one
+        second[0] = first[0]
+        third, _ = machine.check_block_row(index, orientation)
+        assert third == clean
 
     def test_mem_freed_after_copies(self):
         machine = machine9()
@@ -835,6 +864,24 @@ class TestOneSyndromePerBlock:
         assert calls == [5] * geom.blocks_per_side ** 2
         assert summary.corrected == 1
 
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_only_dirty_blocks_are_decoded(self, orientation, monkeypatch):
+        decoded = []
+        real = checkmem.decode_syndrome
+
+        def counted(syndrome):
+            decoded.append(syndrome)
+            return real(syndrome)
+
+        monkeypatch.setattr(checkmem, "decode_syndrome", counted)
+        geom = Geometry(45, 5)
+        machine = random_consistent_machine(45, geom)
+        machine.inject_data_flip(7, 31)                   # block (1, 6)
+        machine.inject_check_flip(Bank.LEADING, 2, 8, 0)  # block (8, 0)
+        summary = machine.full_memory_check(orientation)
+        assert len(decoded) == 2 and not any(s.is_zero() for s in decoded)
+        assert summary.corrected == 2
+
 
 def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     """Oracle of ``block_ecc_reset``: one Init op per line of the block, then
@@ -1025,15 +1072,30 @@ class TestSameCellHazard:
                                          max(fix.end, in_flight or 0)}
         assert consistent(machine)
 
-    @pytest.mark.parametrize("step", ["critical_op", "block_ecc_reset"])
+    @pytest.mark.parametrize("step", ["critical_op", "block_ecc_reset", "check_block_row"])
     def test_a_cycle_past_int32_raises_overflow_error(self, step):
-        # check-bit readiness is int32; numpy raises rather than wraps
+        # check-bit readiness is int32: a step that would end at or past
+        # cycle 2**31 raises before it books, logs or writes anything
         machine = Machine.blank(Geometry(30, 3))
+        machine.critical_op(init_op(Orientation.ROW, 0, {3}))
+        machine.inject_check_flip(Bank.LEADING, 1, 0, 2)  # block (0, 2)
+
+        def snapshot():
+            return (list(machine.events), copy.deepcopy(machine.timeline._windows),
+                    machine.state.cells.copy(), machine.checkmem.planes.copy(),
+                    machine._check_ready.copy())
+
+        before = snapshot()
         with pytest.raises(OverflowError):
             if step == "critical_op":
                 machine.critical_op(init_op(Orientation.ROW, 0, {3}), earliest=2**31)
-            else:
+            elif step == "block_ecc_reset":
                 machine.block_ecc_reset(1, 0, earliest=2**31)
+            else:  # its compare ends at 2**31, its correction of (0, 2) later
+                machine.check_block_row(0, earliest=2**31 - 20)
+        after = snapshot()
+        assert after[:2] == before[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(after[2:], before[2:]))
 
     def test_a_block_reset_makes_its_bits_ready_no_earlier_than_before(self):
         # the op folds cell (3, 0) into L0 and C0 of block (1, 0), keys 1 and

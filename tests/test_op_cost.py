@@ -18,7 +18,7 @@ def test_every_case_is_timed(capsys):
                         "(per block for the checks)")
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
              "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
-             "check_block_row", "full_memory_check"]
+             "check_block_row", "full_memory_check", "full_memory_check dirty"]
     assert [line[:24].strip() for line in lines[1:]] == names
     assert all(float(line[24:]) > 0 for line in lines[1:])
 

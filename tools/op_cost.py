@@ -21,7 +21,13 @@ built outside the timed region:
   line after another, reported per block checked;
 - ``full_memory_check``: the same machine checked whole, row-wise, once per
   n/m ops (at least once), so that it checks about as many lines as
-  ``check_block_row``; reported per block checked.
+  ``check_block_row``; reported per block checked;
+- ``full_memory_check dirty``: the ``campaign`` workload's regime, as many
+  whole row-wise checks, each of a fresh blank machine with each cell
+  flipped with probability 1e-4 (seeded, the same flips every check), so
+  that the dirty blocks are decoded, reported and corrected; the blank
+  machine and its flips are timed with the check, as a campaign trial
+  builds them.
 
 The package is imported from ``src/`` of the same checkout; nothing is
 written. A geometry the package rejects (``--m`` even, or not dividing
@@ -34,6 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+P_FLIP = 1e-4  # per-cell flip probability of the dirty check: the campaign's --pbit
 
 
 def parse_args(argv=None):
@@ -151,6 +158,17 @@ def cases(n: int, m: int):
             machine.full_memory_check()
         return checks * nb * nb
 
+    rng = np.random.default_rng(n * m)
+    flips = rng.choice(n * n, rng.binomial(n * n, P_FLIP), replace=False)
+
+    def dirty_memory_checks(_, count):
+        checks = max(1, count // nb)
+        for _ in range(checks):
+            machine = Machine.blank(geom)
+            machine.state.cells.reshape(-1)[flips] = 1
+            machine.full_memory_check()
+        return checks * nb * nb
+
     return (
         ("critical_op 1 lane", preset_machine, nors(one, True)),
         ("critical_op all lanes", preset_machine, nors(every, True)),
@@ -162,6 +180,7 @@ def cases(n: int, m: int):
         ("compute_syndrome", lambda: None, syndromes),
         ("check_block_row", random_machine, line_checks),
         ("full_memory_check", random_machine, memory_checks),
+        ("full_memory_check dirty", lambda: None, dirty_memory_checks),
     )
 
 
