@@ -16,6 +16,7 @@ and write the result back. The MEM is occupied for only the three transfer
 
 import functools
 import math
+import operator
 import struct
 from bisect import bisect_right
 from collections import defaultdict
@@ -54,6 +55,10 @@ from .parity import (
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
 MAX_STEP_CYCLES = 1_000  # per timing step; config files and schedule headers set it
 CYCLE_END = 2**31  # critical ops, checks and resets end before it: readiness is int32
+# bound on the temporary of one full_memory_check gather, 2 m^2 bytes per block:
+# a whole-memory one (2 MB at 1020/15) fragments the heap, so that 8 campaign
+# trials whose machines are kept end ~6 MB higher with it
+SWEEP_GATHER_BYTES = 1 << 17
 _BANKS = tuple(Bank)  # first index of CheckMem.planes -> Bank
 _BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
@@ -448,7 +453,10 @@ class BlockReport:
         _set_field(self, "diagnosis", diagnosis)
 
 
-@functools.lru_cache(maxsize=256)
+CLEAN_MEMO_LINES = 256  # lines that clean_reports memoises
+
+
+@functools.lru_cache(maxsize=CLEAN_MEMO_LINES)
 def clean_reports(geom: Geometry, index: int,
                   orientation: Orientation) -> tuple[BlockReport, ...]:
     """The reports of a line of blocks that is clean throughout: block row
@@ -457,12 +465,18 @@ def clean_reports(geom: Geometry, index: int,
     the tuple into the list it returns and replaces only its dirty blocks'
     reports. An entry holds 70-90 bytes per block of the line: ~4.5 KB at
     1020/15, so every line of both orientations (136 entries) takes
-    ~0.6 MB, and ~125 KB at 4095/3, the most blocks a line can have. So
-    the memo holds at most ~32 MB."""
+    ~0.6 MB. A geometry with more lines than that in its two orientations
+    (2 n/m > :data:`CLEAN_MEMO_LINES`) would evict every line before a
+    sweep reaches it again, so a line check builds its lines through
+    ``clean_reports.__wrapped__`` instead, without the memo; the memo so
+    holds at most ~3 MB, at n/m = 128."""
     clean = Diagnosis.clean()
     if orientation is Orientation.ROW:
         return tuple(BlockReport(index, k, clean) for k in range(geom.blocks_per_side))
     return tuple(BlockReport(k, index, clean) for k in range(geom.blocks_per_side))
+
+
+_report_kind = operator.attrgetter("diagnosis.kind")
 
 
 @dataclass(frozen=True)
@@ -476,12 +490,12 @@ class CheckSummary:
 
     @classmethod
     def of(cls, reports) -> "CheckSummary":
-        """The reports and their counts by outcome, taken in one pass."""
-        dirty = [r.diagnosis.kind for r in reports
-                 if r.diagnosis.kind is not DiagnosisKind.CLEAN]
-        uncorrectable = dirty.count(DiagnosisKind.UNCORRECTABLE)
-        return cls(len(reports) - len(dirty), len(dirty) - uncorrectable,
-                   uncorrectable, tuple(reports))
+        """The reports and their counts by outcome: one map reads every
+        report's kind, and two ``list.count`` calls count them in C."""
+        kinds = list(map(_report_kind, reports))
+        clean = kinds.count(DiagnosisKind.CLEAN)
+        uncorrectable = kinds.count(DiagnosisKind.UNCORRECTABLE)
+        return cls(clean, len(kinds) - clean - uncorrectable, uncorrectable, tuple(reports))
 
 
 class Machine:
@@ -644,12 +658,15 @@ class Machine:
         """
         m = self.geom.m
         self.geom.check_block(block_row, block_col)
-        # the Init ops hold MEM from t0, the check-bit write lands at t + wb;
+        # the Init ops hold MEM from t0, the check-bit write lands at t + wb,
+        # no earlier than every write already in flight to the block's bits;
         # both are known before anything is booked, logged or written
         timeline, wb = self.timeline, self.timing.writeback_cycles
+        ready = self._check_ready[:, :, block_col, block_row]
         t0 = max(earliest, timeline.next_free("MEM"))
         write = ((0, wb),)
-        t = timeline.first_free(self._cbx_units, max(t0 + m, timeline.next_free("CTRL")), write)
+        t = timeline.first_free(self._cbx_units, max(t0 + m, timeline.next_free("CTRL"),
+                                                     int(ready.max())), write)
         _check_end(t + wb)
         base_row, base_col = block_row * m, block_col * m
         lanes = ",".join(map(str, range(base_row, base_row + m)))
@@ -664,16 +681,14 @@ class Machine:
                 + " critical=0 reset=1")
         self.checkmem.planes[:, :, block_col, block_row] = 1
         timeline.book(self._cbx_units, t, write)
-        # the block's check-bits are readable once the write has landed, and
-        # never earlier than a writeback still in flight to them
-        ready = self._check_ready[:, :, block_col, block_row]
-        np.maximum(ready, t + wb, out=ready)
+        ready[...] = t + wb  # the block's check-bits are readable once the write has landed
         timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
 
     def check_block_row(self, index: int, orientation: Orientation = Orientation.ROW,
-                        earliest: int = 0) -> tuple[list[BlockReport], int]:
+                        earliest: int = 0, *, _fresh: np.ndarray | None = None,
+                        ) -> tuple[list[BlockReport], int]:
         """Check one row (or column) of blocks; corrects what it can.
 
         Returns the per-block reports and the cycle after the check (and any
@@ -686,7 +701,11 @@ class Machine:
         dirty block, whose syndrome is not the shared zero one, is decoded,
         gets its own report and has the controller read its syndrome and
         correct it, in ascending block order; every clean block's report
-        comes from the line's shared :func:`clean_reports`.
+        comes from the line's shared :func:`clean_reports`. The stored
+        check-bits are read once every write in flight to them has landed.
+
+        ``_fresh`` is :meth:`full_memory_check`'s path: the line's fresh
+        check-bits, ``[block, bank, diag]``, from the sweep's one gather.
         """
         geom, tm = self.geom, self.timing
         m, nb = geom.m, geom.blocks_per_side
@@ -695,33 +714,36 @@ class Machine:
         c, x, zc = tm.copy_cycles, tm.xor3_cycles, tm.zero_compare_cycles
         levels = xor3_tree_levels(m)
 
-        # functional: the fresh check-bits of the line in one gather and the
-        # stored ones, both uint8 [block, bank, diag], read as one m-tuple per
-        # bank and block, leading then counter, so that one iterator passed
-        # twice to map pairs them into a block's record; then every block's
-        # syndrome
+        # functional: the fresh check-bits of the line, in one gather unless
+        # the sweep's gather passed them, and the stored ones, both uint8
+        # [block, bank, diag], read as one m-tuple per bank and block, leading
+        # then counter, so that one iterator passed twice to map pairs them
+        # into a block's record; then every block's syndrome
         by_row = orientation is Orientation.ROW
-        spans, planes = block_spans(self.state.cells, m), self.checkmem.planes
-        spans, stored = ((spans[index], planes[..., index]) if by_row
-                         else (spans[:, index], planes[:, :, index]))
-        fresh = struct.iter_unpack(f"{m}B", diag_parity(spans, m, geom.n).tobytes())
-        stored = struct.iter_unpack(f"{m}B", stored.transpose(2, 0, 1).tobytes())
+        line = (..., index) if by_row else (slice(None), slice(None), index)  # of planes
+        if _fresh is None:
+            spans = block_spans(self.state.cells, m)
+            _fresh = diag_parity(spans[index] if by_row else spans[:, index], m, geom.n)
+        stored = self.checkmem.planes[line].transpose(2, 0, 1)
+        fresh = struct.iter_unpack(f"{m}B", _fresh.tobytes())
+        stored = struct.iter_unpack(f"{m}B", stored.tobytes())
         syndromes = map(compute_syndrome, map(BlockParity, fresh, fresh),
                         map(BlockParity, stored, stored))
         zero = zero_syndrome(m)
         dirty = [(k, decode_syndrome(s)) for k, s in enumerate(syndromes) if s is not zero]
 
-        # the stored check-bits are read at t + syn, the compare is at t + syn + x;
-        # the corrections end by t + syn + max(x + zc, c), or by the free cycle
-        # of CTRL or of a check-bit crossbar, plus a read and a write per dirty block
+        # the stored check-bits are read at t + syn, once every write in flight
+        # to them has landed, the compare is at t + syn + x; the corrections
+        # end by t + syn + max(x + zc, c), or by the free cycle of CTRL or of a
+        # check-bit crossbar, plus a read and a write per dirty block
         syn = m * c + levels * x
         tail = len(dirty) * (tm.controller_read_cycles + tm.correction_write_cycles)
         if dirty:
             _check_end(max(self.timeline.next_free("CTRL"),
                            *map(self.timeline.next_free, self._cbx_units)) + tail)
-        t, pair = self._issue(earliest, self.timeline.next_free("CHECK") - syn - x,
-                              self._cbx_units, ((syn, c),), m * c, syn + x, f"check={index}",
-                              syn + max(x + zc, c) + tail)
+        floor = max(self.timeline.next_free("CHECK") - x, int(self._check_ready[line].max()))
+        t, pair = self._issue(earliest, floor - syn, self._cbx_units, ((syn, c),), m * c,
+                              syn + x, f"check={index}", syn + max(x + zc, c) + tail)
         syn_at = t + syn
         zero_at = syn_at + x
         self.timeline.reserve("CHECK", zero_at, zc)
@@ -737,7 +759,9 @@ class Machine:
         self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
         self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
 
-        reports = list(clean_reports(geom, index, orientation))
+        # a memo smaller than both orientations' lines would never hit
+        clean = clean_reports if 2 * nb <= CLEAN_MEMO_LINES else clean_reports.__wrapped__
+        reports = list(clean(geom, index, orientation))
         done = zero_at + zc
         for k, diag in dirty:
             br, bc = (index, k) if by_row else (k, index)
@@ -765,10 +789,8 @@ class Machine:
                 write = ((0, tm.correction_write_cycles),)
                 write_at = self.timeline.first_free((unit,), done, write)
                 self.timeline.book((unit,), write_at, write)
-                # the corrected bit is readable once its write has landed,
-                # and never earlier than a writeback still in flight to it
-                ready, bit = self._check_ready, (bank, diag.idx, bc, br)
-                ready[bit] = max(ready[bit], write_at + tm.correction_write_cycles)
+                # the corrected bit is readable once its write has landed
+                self._check_ready[bank, diag.idx, bc, br] = write_at + tm.correction_write_cycles
                 self.log(write_at, unit, "correct_check",
                          f"block={br},{bc} diag={diag.idx}",
                          span=tm.correction_write_cycles)
@@ -777,11 +799,26 @@ class Machine:
 
     def full_memory_check(self, orientation: Orientation = Orientation.ROW,
                           earliest: int = 0) -> CheckSummary:
-        """Sweep every row of blocks; chains pipeline through the PC pairs."""
+        """Sweep every row (or column) of blocks, one :meth:`check_block_row`
+        each; chains pipeline through the PC pairs.
+
+        The fresh check-bits come from one gather per group of lines, as
+        :meth:`CheckMem.from_state` takes them, before the group's first line
+        is checked: as many lines as keep the gather's temporary within
+        :data:`SWEEP_GATHER_BYTES` (4 lines at 1020/15, every line at 45/5).
+        That is exact: a correction writes only a cell or a check-bit of the
+        block it corrects, and a sweep checks each block once, so no block's
+        cells or check-bits change before its own line is checked."""
+        m, nb = self.geom.m, self.geom.blocks_per_side
+        spans = block_spans(self.state.cells, m)
+        if orientation is Orientation.COLUMN:
+            spans = spans.swapaxes(0, 1)  # [line, block, span] in both orientations
+        step = max(1, SWEEP_GATHER_BYTES // (2 * m * m * nb))
         reports: list[BlockReport] = []
-        for index in range(self.geom.blocks_per_side):
-            row_reports, _ = self.check_block_row(index, orientation, earliest)
-            reports.extend(row_reports)
+        for first in range(0, nb, step):
+            fresh = diag_parity(spans[first:first + step], m, self.geom.n)
+            for index, line in enumerate(fresh, first):
+                reports += self.check_block_row(index, orientation, earliest, _fresh=line)[0]
         return CheckSummary.of(reports)
 
 

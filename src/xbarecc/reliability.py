@@ -275,27 +275,29 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
         rng = np.random.default_rng((campaign.seed, trial))
         machine = machine_factory()
         geom = machine.geom
-        golden = machine.state.cells.copy()
-        m, nb = geom.m, geom.blocks_per_side
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
         # drawn one block row at a time: the same stream as one whole-memory
-        # draw, without its n x n float64 temporary
-        mask = np.empty(golden.shape, dtype=bool)
-        for rows in mask.reshape(nb, m, geom.n):
-            np.less(rng.random(rows.shape), campaign.p_bit, out=rows)
-        machine.state.cells[mask] ^= 1
-
-        flips_per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
+        # draw, without its n x n float64 temporary; each row's flips are
+        # found by index and counted per block, each block they hit is saved
+        # as it was, and they are XORed through a view of the block row
+        # (whatever the cells' layout)
+        flipped = {}  # (block row, block col) -> (flips, cells before them), row-major
+        for br in range(nb):
+            i, j = np.divmod(np.flatnonzero(rng.random((m, n)) < campaign.p_bit), n)
+            rows = machine.state.cells[br * m:(br + 1) * m]
+            counts = np.bincount(j // m)
+            for bc in np.flatnonzero(counts).tolist():
+                flipped[br, bc] = int(counts[bc]), rows[:, bc * m:(bc + 1) * m].copy()
+            rows[i, j] ^= 1
 
         # a ROW check reports every block, row-major
         summary = machine.full_memory_check()
         report.blocks_observed += len(summary.reports)
-        for br, bc in zip(*np.nonzero(flips_per_block)):
-            lo, hi = br * m, (br + 1) * m
+        for (br, bc), (flips, before) in flipped.items():
             restored = np.array_equal(
-                machine.state.cells[lo:hi, bc * m:(bc + 1) * m],
-                golden[lo:hi, bc * m:(bc + 1) * m])
+                machine.state.cells[br * m:(br + 1) * m, bc * m:(bc + 1) * m], before)
             if not restored:
                 report.blocks_failed += 1
-            _classify_block(int(flips_per_block[br, bc]), restored,
-                            summary.reports[br * nb + bc].diagnosis.kind, report)
+            _classify_block(flips, restored, summary.reports[br * nb + bc].diagnosis.kind,
+                            report)
     return report

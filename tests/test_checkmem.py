@@ -883,9 +883,104 @@ class TestOneSyndromePerBlock:
         assert summary.corrected == 2
 
 
+def sweep_faults(geom, case):
+    """The flips of a :class:`TestSweepGather` case: (kind, row or bank,
+    col or diag, block row, block col) in blocks spread over lines next to
+    each other, so that one line's corrections precede the next line's
+    check."""
+    m, nb = geom.m, geom.blocks_per_side
+    blocks = [(0, 0), (0, nb - 1), (1, 1), (2, 0), (nb - 1, 2), (nb - 1, nb - 1)]
+    if case == "single flips":
+        return [("data", (br + bc) % m, (2 * br + bc) % m, br, bc) for br, bc in blocks]
+    if case == "two flips in one block":
+        return [("data", 0, 0, 1, 1), ("data", 1, 2, 1, 1),   # one block, two flips
+                ("data", 2, 1, 2, 1), ("data", 0, 2, 1, 2)]  # and single flips next to it
+    # check-bit flips, the leading+counter blind spot of block (1, 0) among them
+    return ([("check", tuple(Bank)[k % 2], k % m, br, bc) for k, (br, bc) in enumerate(blocks)]
+            + [("check", Bank.LEADING, 1, 1, 0), ("check", Bank.COUNTER, 2, 1, 0)])
+
+
+class TestSweepGather:
+    """``full_memory_check`` takes the fresh check-bits of a group of lines
+    in one gather before the group's first line, where a lone
+    ``check_block_row`` gathers its line when it is checked. A correction
+    writes only its own block and a sweep checks each block once, so a
+    sweep equals its lines checked one by one on a copy, check-bits in
+    flight included, with every line in one group (as these geometries
+    are by default) or with two lines per group."""
+
+    @pytest.mark.parametrize("geom", [Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)])
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("case", ["single flips", "two flips in one block",
+                                      "check-bit flips"])
+    @pytest.mark.parametrize("layout", ["C", "Fortran"])
+    @pytest.mark.parametrize("lines_per_gather", ["all", 2])
+    def test_a_sweep_equals_its_lines_checked_one_by_one(self, geom, orientation, case,
+                                                         layout, lines_per_gather,
+                                                         monkeypatch):
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        if lines_per_gather == "all":
+            assert checkmem.SWEEP_GATHER_BYTES >= nb * 2 * m * m * nb
+        else:  # the temporary of one line's gather is 2 m^2 bytes per block
+            monkeypatch.setattr(checkmem, "SWEEP_GATHER_BYTES",
+                                lines_per_gather * 2 * m * m * nb + 1)
+        values = np.random.default_rng(n * m).integers(0, 2, (n, n), dtype=np.uint8)
+        state = CrossbarState(geom, LAYOUTS[layout](values))
+        machine = Machine(state, pc_pairs=2, _checkmem=CheckMem.from_state(state))
+        # a full-lane op whose writebacks are still in flight when the sweep starts
+        machine.critical_op(init_op(Orientation.ROW, m + 1, frozenset(range(n))))
+        for kind, a, b, br, bc in sweep_faults(geom, case):
+            if kind == "data":
+                machine.inject_data_flip(br * m + a, bc * m + b)
+            else:
+                machine.inject_check_flip(a, b, br, bc)
+        lines = copy.deepcopy(machine)
+
+        summary = machine.full_memory_check(orientation, earliest=2)
+        reports = []
+        for index in range(nb):
+            reports += lines.check_block_row(index, orientation, earliest=2)[0]
+
+        assert list(summary.reports) == reports
+        assert summary.corrected > 0
+        assert np.array_equal(machine.state.cells, lines.state.cells)
+        assert machine.checkmem == lines.checkmem
+        assert machine.events == lines.events
+        assert np.array_equal(machine._check_ready, lines._check_ready)
+        assert machine.horizon == lines.horizon
+        assert machine.state.cells.strides == lines.state.cells.strides
+
+
+class TestCleanReportsMemo:
+    """The memo of clean line reports holds :data:`checkmem.CLEAN_MEMO_LINES`
+    lines; a geometry whose two orientations have more lines than that
+    builds them without it, and one that fits hits on every line it sees
+    again."""
+
+    def test_a_geometry_with_more_lines_than_the_memo_bypasses_it(self):
+        geom = Geometry(771, 3)  # 257 lines per orientation
+        checkmem.clean_reports.cache_clear()
+        machine = Machine.blank(geom)
+        for _ in range(2):
+            summary = machine.full_memory_check()
+            assert summary.clean == geom.blocks_per_side ** 2
+        assert checkmem.clean_reports.cache_info() == (0, 0, checkmem.CLEAN_MEMO_LINES, 0)
+
+    def test_the_case_study_hits_on_every_line_it_checks_again(self):
+        geom = Geometry(1020, 15)
+        nb = geom.blocks_per_side
+        checkmem.clean_reports.cache_clear()
+        machine = Machine.blank(geom)
+        for orientation in (Orientation.ROW, Orientation.COLUMN, Orientation.ROW):
+            machine.full_memory_check(orientation)
+        assert checkmem.clean_reports.cache_info() == (
+            nb, 2 * nb, checkmem.CLEAN_MEMO_LINES, 2 * nb)
+
+
 def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     """Oracle of ``block_ecc_reset``: one Init op per line of the block, then
-    the all-ones check-bits written directly."""
+    the all-ones check-bits written directly, once every write in flight to
+    them has landed."""
     m, nb = machine.geom.m, machine.geom.blocks_per_side
     t0 = max(earliest, machine.timeline.next_free("MEM"))
     base_row, base_col = block_row * m, block_col * m
@@ -900,7 +995,8 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
         t += 1
     set_parity(machine.checkmem, block_row, block_col, BlockParity((1,) * m, (1,) * m))
     wb = machine.timing.writeback_cycles
-    t = max(t, machine.timeline.next_free("CTRL"))
+    in_flight = machine._check_ready[:, :, block_col, block_row].max()
+    t = max(t, machine.timeline.next_free("CTRL"), in_flight)
     units = [(b, d, f"CBX:{bank.value}:{d}")
              for b, bank in enumerate(Bank) for d in range(m)]
     # step one cycle at a time, asking the timeline only whether t itself is free
@@ -1004,28 +1100,42 @@ def hazard_program(seed, geom):
 
 
 def reads_before_writes(machine):
-    """(bit, read cycle, write end) of every ``load_check`` that starts before
-    the end of the last logged ``writeback``, ``ecc_write`` or
-    ``correct_check`` of a bit it reads; bits are named as in the event log,
-    e.g. ``L2@1,0``."""
-    written, early = {}, []
+    """(bit, cycle, write end) of every access to a check-bit that starts
+    before the end of the last logged write of that bit. The reads are a
+    critical op's ``load_check`` and a line check's ``syndrome_xor3``, which
+    reads the stored bits of every block of its line; the writes are
+    ``writeback``, ``ecc_write`` and ``correct_check``, and each must also
+    start once the write before it has ended. Bits are named as in the
+    event log, e.g. ``L2@1,0``."""
+    m, nb = machine.geom.m, machine.geom.blocks_per_side
+
+    def block_bits(block):
+        return [f"{tag}{d}@{block}" for tag in "LC" for d in range(m)]
+
+    written, early, line = {}, [], []
     for ev in machine.events:
-        if ev.action == "ecc_write":
-            block = ev.operands.removeprefix("block=")
-            written.update(dict.fromkeys(
-                (f"{tag}{d}@{block}" for tag in "LC" for d in range(machine.geom.m)),
-                ev.end))
+        if ev.action == "check_row":  # its syndrome_xor3 follows
+            fields = dict(field.split("=") for field in ev.operands.split())
+            index = int(fields["index"])
+            line = [bit for k in range(nb) for bit in block_bits(
+                f"{index},{k}" if fields["orient"] == "row" else f"{k},{index}")]
+            continue
+        if ev.action == "syndrome_xor3":
+            bits, write = line, False
+        elif ev.action == "ecc_write":
+            bits, write = block_bits(ev.operands.removeprefix("block=")), True
         elif ev.action == "correct_check":  # unit CBX:<bank>:<diag>
             _, bank, diag = ev.unit.split(":")
             block = ev.operands.split()[0].removeprefix("block=")
-            written[f"{bank[0].upper()}{diag}@{block}"] = ev.end
+            bits, write = [f"{bank[0].upper()}{diag}@{block}"], True
         elif ev.action in ("load_check", "writeback"):
-            bits = ev.operands.removeprefix("cells=").split(";")
-            if ev.action == "writeback":
-                written.update(dict.fromkeys(bits, ev.end))
-            else:
-                early += [(bit, ev.cycle, written[bit]) for bit in bits
-                          if written.get(bit, 0) > ev.cycle]
+            bits, write = ev.operands.removeprefix("cells=").split(";"), ev.action == "writeback"
+        else:
+            continue
+        early += [(bit, ev.cycle, written[bit]) for bit in bits
+                  if written.get(bit, 0) > ev.cycle]
+        if write:
+            written.update(dict.fromkeys(bits, ev.end))
     return early
 
 
@@ -1099,13 +1209,36 @@ class TestSameCellHazard:
 
     def test_a_block_reset_makes_its_bits_ready_no_earlier_than_before(self):
         # the op folds cell (3, 0) into L0 and C0 of block (1, 0), keys 1 and
-        # 301, until cycle 12; the reset writes all six of the block's bits
-        # from cycle 6 to 7 (its write lands first: ROADMAP item 1)
+        # 301, with its writeback from cycle 11 to 12; the reset writes all
+        # six of the block's bits after it, from cycle 12 to 13, not from 6
         machine = Machine.blank(Geometry(30, 3))
         machine.critical_op(init_op(Orientation.ROW, 0, {3}))
         assert ready_cycles(machine) == {1: 12, 301: 12}
-        assert machine.block_ecc_reset(1, 0) == 7
-        assert ready_cycles(machine) == {1: 12, 301: 12, 101: 7, 201: 7, 401: 7, 501: 7}
+        assert machine.block_ecc_reset(1, 0) == 13
+        assert [(ev.action, ev.cycle, ev.end) for ev in machine.events
+                if ev.action in ("writeback", "ecc_write")] == [
+            ("writeback", 11, 12), ("ecc_write", 12, 13)]
+        assert ready_cycles(machine) == dict.fromkeys([1, 101, 201, 301, 401, 501], 13)
+        assert reads_before_writes(machine) == []
+        assert consistent(machine)
+
+    def test_a_line_check_reads_its_stored_bits_after_a_pending_reset(self):
+        # the corrections of block row 0 keep CTRL busy until cycle 104, so the
+        # reset of block (1, 5) writes its check-bits from 104 to 105; the
+        # check of block row 1 reads them at 105, not at 17
+        machine = Machine.blank(Geometry(30, 3),
+                                timing=TimingModel(controller_read_cycles=20))
+        for bc in range(4):
+            machine.inject_check_flip(Bank.LEADING, 0, 0, bc)
+        machine.check_block_row(0)
+        assert machine.block_ecc_reset(1, 5) == 105
+        logged = len(machine.events)
+        reports, done = machine.check_block_row(1)
+        (read,) = [ev for ev in machine.events[logged:] if ev.action == "syndrome_xor3"]
+        assert read.cycle == 105 and done == read.end + 1
+        assert {r.diagnosis.kind for r in reports} == {DiagnosisKind.CLEAN}
+        assert reads_before_writes(machine) == []
+        assert consistent(machine)
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,11 @@ def test_every_case_is_timed(capsys):
     assert op_cost.main(["--n", "30", "--m", "3", "--ops", "40", "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("op_cost: n=30 m=3, best of 2 x 40 ops, microseconds per op "
-                        "(per block for the checks)")
+                        "(per block for the checks, per trial for the campaign)")
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
              "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
-             "check_block_row", "full_memory_check", "full_memory_check dirty"]
+             "check_block_row", "full_memory_check", "full_memory_check dirty",
+             "injection_campaign trial"]
     assert [line[:24].strip() for line in lines[1:]] == names
     assert all(float(line[24:]) > 0 for line in lines[1:])
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from xbarecc.checkmem import Machine
+from xbarecc import reliability
+from xbarecc.checkmem import CheckMem, Machine
 from xbarecc.engine import CrossbarState
 from xbarecc.geometry import Geometry
 from xbarecc.reliability import (
@@ -217,6 +218,55 @@ class TestInjectionCampaign:
         geom = Geometry(n, m)
         campaign = FaultCampaign(seed=3, trials=4, p_bit=0.2)
         assert injection_campaign(lambda: Machine.blank(geom), campaign) == expected
+
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 0.2, 1.0])
+    @pytest.mark.parametrize("content", ["blank", "random", "random Fortran"])
+    def test_flips_match_the_whole_memory_mask_oracle(self, p, content, monkeypatch):
+        # the oracle draws trial t's flips as one n x n boolean mask,
+        # default_rng((seed, t)).random((n, n)) < p, XORs it into the cells
+        # and sums it per block; the campaign draws, XORs and counts them one
+        # block row at a time
+        geom, seed, trials = Geometry(45, 5), 17, 3
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        values = np.random.default_rng(4505).integers(0, 2, (n, n), dtype=np.uint8)
+        values *= content != "blank"
+        layout = np.asfortranarray if content == "random Fortran" else np.copy
+        runs = []  # per trial: the cells as flipped, the check's summary and
+        # the (flips, diagnosis kind) of each block classified, in order
+
+        def factory():
+            state = CrossbarState(geom, layout(values))
+            machine = Machine(state, _checkmem=CheckMem.from_state(state))
+            check = machine.full_memory_check
+
+            def spied_check():
+                runs.append([machine.state.cells.copy(), None, []])
+                runs[-1][1] = check()
+                return runs[-1][1]
+
+            machine.full_memory_check = spied_check
+            return machine
+
+        classify = reliability._classify_block
+
+        def spied_classify(flips, restored, kind, report):
+            runs[-1][2].append((flips, kind))
+            classify(flips, restored, kind, report)
+
+        monkeypatch.setattr(reliability, "_classify_block", spied_classify)
+        report = injection_campaign(factory, FaultCampaign(seed, trials, p))
+
+        assert len(runs) == trials
+        flips = 0
+        for t, (cells, summary, classified) in enumerate(runs):
+            mask = np.random.default_rng((seed, t)).random((n, n)) < p
+            assert np.array_equal(cells, values ^ mask)
+            per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
+            kinds = [r.diagnosis.kind for r in summary.reports]
+            assert classified == [(per_block[br, bc], kinds[br * nb + bc])
+                                  for br, bc in zip(*np.nonzero(per_block))]
+            flips += int(mask.sum())
+        assert report.flips_injected == flips
 
     def test_machine_level_frequency_tracks_closed_form(self):
         geom = Geometry(150, 15)

@@ -5,8 +5,8 @@ run from the root of a checkout:
     python3 tools/op_cost.py [--n 1020] [--m 15] [--ops 300] [--repeat 5]
 
 Each case runs ``--ops`` operations in a loop, ``--repeat`` times, and
-prints the best time per operation (per block for a check) in
-microseconds. A machine case starts each repetition on a fresh machine,
+prints the best time per operation (per block for a check, per trial for
+a campaign) in microseconds. A machine case starts each repetition on a fresh machine,
 built outside the timed region:
 
 - ``critical_op 1 lane`` and ``critical_op all lanes``: a NOR on row 0, or
@@ -27,7 +27,11 @@ built outside the timed region:
   flipped with probability 1e-4 (seeded, the same flips every check), so
   that the dirty blocks are decoded, reported and corrected; the blank
   machine and its flips are timed with the check, as a campaign trial
-  builds them.
+  builds them;
+- ``injection_campaign trial``: one whole ``inject --scope machine`` trial
+  at p = 1e-4, once per n/m ops (at least once), reported per trial: a
+  blank machine, its flips drawn and counted per block, one row-wise
+  check and the classification of every flip.
 
 The package is imported from ``src/`` of the same checkout; nothing is
 written. A geometry the package rejects (``--m`` even, or not dividing
@@ -89,6 +93,7 @@ def cases(n: int, m: int):
     from xbarecc.engine import CrossbarState, Orientation, nor_op
     from xbarecc.geometry import Geometry
     from xbarecc.parity import compute_syndrome, encode_block
+    from xbarecc.reliability import FaultCampaign, injection_campaign
     from xbarecc.scheduler import Action, ActionKind
 
     geom = Geometry(n, m)
@@ -169,6 +174,11 @@ def cases(n: int, m: int):
             machine.full_memory_check()
         return checks * nb * nb
 
+    def trials(_, count):
+        count = max(1, count // nb)
+        injection_campaign(lambda: Machine.blank(geom), FaultCampaign(n * m, count, P_FLIP))
+        return count
+
     return (
         ("critical_op 1 lane", preset_machine, nors(one, True)),
         ("critical_op all lanes", preset_machine, nors(every, True)),
@@ -181,6 +191,7 @@ def cases(n: int, m: int):
         ("check_block_row", random_machine, line_checks),
         ("full_memory_check", random_machine, memory_checks),
         ("full_memory_check dirty", lambda: None, dirty_memory_checks),
+        ("injection_campaign trial", lambda: None, trials),
     )
 
 
@@ -189,7 +200,7 @@ def main(argv=None) -> int:
     rows = [(name, best_per_op(setup, run, args.ops, args.repeat))
             for name, setup, run in cases(args.n, args.m)]
     print(f"op_cost: n={args.n} m={args.m}, best of {args.repeat} x {args.ops} ops, "
-          f"microseconds per op (per block for the checks)")
+          f"microseconds per op (per block for the checks, per trial for the campaign)")
     for name, seconds in rows:
         print(f"{name:<24}{seconds * 1e6:10.2f}")
     return 0
