@@ -56,7 +56,6 @@ from .checkmem import (
     check_chain_cycles,
     device_counts,
     touched_check_cells,
-    written_cells,
     xor3_tree_levels,
 )
 from .netlist import Gate, Netlist, NetlistError, load_netlist, parse_netlist

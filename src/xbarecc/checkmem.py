@@ -32,7 +32,6 @@ from .engine import (
     MicroOp,
     OpKind,
     Orientation,
-    _set_field,
     apply_op_inplace,
     format_op,
     lane_set,
@@ -236,17 +235,10 @@ class UnitTimeline:
         return t
 
 
-def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the cells an op writes, in ascending lane order; none for READ."""
-    lanes = np.array(op.lane_set.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
-    line = np.full_like(lanes, op.output_line)
-    return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
-
-
 def touched_check_cells(rows: np.ndarray, cols: np.ndarray,
                         geom: Geometry) -> np.ndarray:
     """Flat indices into :attr:`CheckMem.planes` of the check-bits that
-    writing the cells (rows, cols) of :func:`written_cells` touches.
+    writing the cells (rows, cols) touches.
 
     The leading half comes first, entry k of each half belonging to the
     k-th written cell. Raises :class:`DiagonalConflictError` if one op would
@@ -289,8 +281,6 @@ class LaneFootprint:
         self._row = orientation is Orientation.ROW
         self._sign = sign = 1 if self._row else -1
         sorted_lanes = lane_set(lane_mask).lanes
-        # one lane: plain ints and strings, where numpy pays per call
-        self._one_lane = len(sorted_lanes) == 1
         blocks: dict[int, list[int]] = {}
         for lane in sorted_lanes:
             blocks.setdefault(lane % m, []).append(lane // m)
@@ -309,34 +299,25 @@ class LaneFootprint:
         self._diagonals = np.stack([residues, sign * residues])
         self._steps = np.array([[1], [-sign]])
         self._offsets = np.stack([offsets, offsets + m * nb * nb])  # counter crossbars follow
-        self._offset = int(offsets[0])  # the first lane's, all that one lane needs
         # crossbar planes[b, d], at index b * m + d, names its check-bits
         # "C3@<block row>,<block column>" in the event log
         self._heads = tuple(f"{tag}{d}@" for tag in _BANK_TAGS for d in range(m))
         line = np.zeros_like(lanes)
         touched_check_cells(*((lanes, line) if self._row else (line, lanes)), geom)
 
-    def at(self, line: int) -> tuple[list[int] | np.ndarray, list[int], str]:
-        """What writing ``line`` touches: the check-bits as flat indices into
-        :attr:`CheckMem.planes`, leading bank first and each bank in ascending
-        lane order, as :func:`touched_check_cells` lists them (a list of two
-        for one lane, else a ``[bank, lane]`` array); the touched check-bit
-        crossbars, ascending; and the check-bits' names, counter bank first,
-        each bank by (diagonal, block row, block column), as the event log
-        lists them."""
+    def at(self, line: int) -> tuple[np.ndarray, list[int], str]:
+        """What writing ``line`` touches: the check-bits as a ``[bank, lane]``
+        array of flat indices into :attr:`CheckMem.planes`, leading bank first
+        and each bank in ascending lane order, as :func:`touched_check_cells`
+        lists them; the touched check-bit crossbars, ascending; and the
+        check-bits' names, counter bank first, each bank by (diagonal, block
+        row, block column), as the event log lists them."""
         m, nb = self._m, self._nb
         q, j = divmod(line, m)
         step, base = self._sign * j, q * self._line_stride
         # the line's block is the column of a ROW op's names, the row of a COLUMN op's
         block = str(q)
         before, after = ("", "," + block) if self._row else (block + ",", "")
-        if self._one_lane:  # one block and one check-bit per bank
-            ((lead, counter, (text,)),) = self._groups
-            lead, counter = (lead + j) % m, m + (counter - step) % m
-            keys = [lead * nb * nb + base + self._offset, counter * nb * nb + base + self._offset]
-            names = (f"{self._heads[counter]}{before}{text}{after};"
-                     f"{self._heads[lead]}{before}{text}{after}")
-            return keys, [lead, counter], names
         crossbars = []
         for lead, counter, texts in self._groups:
             crossbars += (((lead + j) % m, texts), (m + (counter - step) % m, texts))
@@ -350,24 +331,6 @@ class LaneFootprint:
         touched *= nb * nb
         touched += self._offsets + base
         return touched, [crossbar for crossbar, _ in crossbars], ";".join(names)
-
-    def fold(self, planes: np.ndarray, touched, delta) -> None:
-        """XOR ``delta``, the old ^ new bit of each written cell in ascending
-        lane order, into the check-bits ``touched`` (from :meth:`at`) of both
-        banks."""
-        flat = planes.reshape(-1)
-        if self._one_lane:  # two scalar updates, not a gather of two
-            for key in touched:
-                flat[key] ^= delta
-        else:
-            flat[touched] ^= delta
-
-    def latest(self, ready: np.ndarray, touched) -> int:
-        """The greatest entry of ``ready``, shaped like the planes, at the
-        check-bits ``touched``."""
-        if self._one_lane:  # two scalar reads, not a gather of two
-            return max(map(ready.item, touched))
-        return int(ready.take(touched).max())
 
 
 @functools.lru_cache(maxsize=4)
@@ -428,29 +391,19 @@ class CheckMem:
     def flip_bit(self, bank: Bank, diag: int, block_row: int, block_col: int) -> None:
         self.planes[_BANKS.index(bank), diag, block_col, block_row] ^= 1
 
-    def copy(self) -> "CheckMem":
-        return CheckMem(self.geom, self.planes.copy())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, CheckMem)
                 and self.geom == other.geom
                 and np.array_equal(self.planes, other.planes))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class BlockReport:
     """Diagnosis of one block from one check pass."""
 
     block_row: int
     block_col: int
     diagnosis: Diagnosis
-
-    def __init__(self, block_row: int, block_col: int, diagnosis: Diagnosis):
-        # a line check builds one per block; a generated __init__ looks the
-        # setter up once per field
-        _set_field(self, "block_row", block_row)
-        _set_field(self, "block_col", block_col)
-        _set_field(self, "diagnosis", diagnosis)
 
 
 CLEAN_MEMO_LINES = 256  # lines that clean_reports memoises
@@ -623,19 +576,20 @@ class Machine:
         # back at t + back
         back = 2 * c + 1 + x
         t, pair = self._issue(
-            earliest, footprint.latest(self._check_ready, touched) - c,
+            earliest, int(self._check_ready.take(touched).max()) - c,
             [self._cbx_units[u] for u in crossbars], ((c, c), (back, wb)),
             tm.mem_cycles_per_critical, tm.pc_cycles_per_critical, f"op_out={line}")
         write_at = t + back
         self._check_ready.put(touched, write_at + wb)  # put indexes the flat view
 
-        # functional effect: each touched check-bit becomes old ^ new ^ stored;
-        # a copy of the old bits, since a contiguous lane set reads a view
+        # functional effect: each touched check-bit becomes old ^ new ^ stored,
+        # the written cells' old ^ new in ascending lane order XORed into both
+        # banks; a copy of the old bits, since a contiguous lane set reads a view
         cells, index = self.state.cells, op.lane_set.index
         plane = cells if op.orientation is Orientation.ROW else cells.T
         old = plane[index, line].copy()
         apply_op_inplace(cells, op, self.engine_cfg)
-        footprint.fold(self.checkmem.planes, touched, old ^ plane[index, line])
+        self.checkmem.planes.reshape(-1)[touched] ^= old ^ plane[index, line]
 
         unit, copy, bits = f"PC{pair}", f"line={line} pc={pair}", f"cells={diags}"
         self.events += (

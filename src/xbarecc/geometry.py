@@ -74,12 +74,6 @@ class BlockCoord:
     local_i: int
     local_j: int
 
-    def to_cell(self, geom: Geometry) -> CellAddr:
-        return CellAddr(
-            self.block_row * geom.m + self.local_i,
-            self.block_col * geom.m + self.local_j,
-        )
-
 
 @dataclass(frozen=True)
 class DiagIdx:

@@ -196,11 +196,6 @@ class EccSchedule:
         return run_stats(self.events)[0]
 
     @property
-    def pc_pairs_used(self) -> int:
-        """Pairs that did any work."""
-        return len(run_stats(self.events)[1])
-
-    @property
     def critical_ops(self) -> int:
         return sum(a.kind is ActionKind.OP and a.critical for a in self.actions)
 

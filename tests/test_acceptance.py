@@ -7,13 +7,13 @@ import itertools
 
 import numpy as np
 import pytest
+from test_checkmem import written_cells
 
 from xbarecc.checkmem import (
     Machine,
     TimingModel,
     device_counts,
     touched_check_cells,
-    written_cells,
 )
 from xbarecc.engine import CrossbarState, Orientation, init_op
 from xbarecc.geometry import Bank, Geometry

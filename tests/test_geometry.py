@@ -122,7 +122,8 @@ class TestGeometryAndDecompose:
         geom = Geometry(45, 9)
         for row, col in [(0, 0), (14, 44), (44, 44), (22, 7)]:
             bc = block_decompose(CellAddr(row, col), geom)
-            assert bc.to_cell(geom) == CellAddr(row, col)
+            assert CellAddr(bc.block_row * geom.m + bc.local_i,
+                            bc.block_col * geom.m + bc.local_j) == CellAddr(row, col)
 
     def test_decompose_out_of_range(self):
         geom = Geometry(9, 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarecc.checkmem import TimingModel, check_chain_cycles
+from xbarecc.checkmem import TimingModel, check_chain_cycles, run_stats
 from xbarecc.engine import CrossbarState, OpKind, execute
 from xbarecc.geometry import Geometry
 from xbarecc.netlist import NetlistError, load_bundled, parse_netlist
@@ -199,7 +199,7 @@ class TestInsertEcc:
             rp = map_to_row(nl, G30)
             schedule = insert_ecc(rp, G30, TM, 4)
             # the input check's pair is free again before the first gate issues
-            assert schedule.pc_pairs_used == min(c, 4)
+            assert len(run_stats(schedule.events)[1]) == min(c, 4)
             assert schedule.stall_cycles == 0
 
     def test_bad_pair_count(self):
@@ -417,6 +417,6 @@ class TestMinPcPairsExact:
         rp = map_to_row(not_fan(80), geom)
         tm = TimingModel(xor3_cycles=300)
         schedule = insert_ecc(rp, geom, tm, 100)
-        assert schedule.stall_cycles == 0 and schedule.pc_pairs_used == 80
+        assert schedule.stall_cycles == 0 and len(run_stats(schedule.events)[1]) == 80
         assert report(schedule).min_pc_pairs == 64 == bisected_min_pc_pairs(rp, tm)
         assert min_pc_pairs(rp, tm) == 64

@@ -59,7 +59,7 @@ def schedules_digest(geom: Geometry, k: int) -> str:
     text = []
     for nl, schedule in pinned_schedules(geom, k):
         text.append(_record(schedule.events, schedule.stall_cycles,
-                            schedule.total_cycles, schedule.pc_pairs_used))
+                            schedule.total_cycles, len(run_stats(schedule.events)[1])))
         run = execute_schedule(schedule, dict.fromkeys(nl.inputs, 1),
                                flips=((1, 1),),
                                check_flips=((Bank.COUNTER, m - 1, 0, nb - 1),))
