@@ -481,8 +481,10 @@ class Machine:
         # check-bit crossbar planes[b, d] at index b * m + d
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
-        # first cycle at which each check-bit is readable again, indexed as
-        # checkmem.planes; int32, so every step ends before CYCLE_END
+        # first cycle at which each check-bit may be read or written again:
+        # once the last write to it has landed and the last line check has
+        # read it; indexed as checkmem.planes; int32, so every step ends
+        # before CYCLE_END
         self._check_ready = np.zeros(self.checkmem.planes.shape, dtype=np.int32)
 
     @classmethod
@@ -699,6 +701,9 @@ class Machine:
         t, pair = self._issue(earliest, floor - syn, self._cbx_units, ((syn, c),), m * c,
                               syn + x, f"check={index}", syn + max(x + zc, c) + tail)
         syn_at = t + syn
+        # no write lands on the line's stored bits before they are read: the
+        # floor put syn_at past every write in flight, so this only raises them
+        self._check_ready[line] = syn_at + c
         zero_at = syn_at + x
         self.timeline.reserve("CHECK", zero_at, zc)
 

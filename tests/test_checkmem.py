@@ -1108,19 +1108,21 @@ def hazard_program(seed, geom):
 
 
 def reads_before_writes(machine):
-    """(bit, cycle, write end) of every access to a check-bit that starts
-    before the end of the last logged write of that bit. The reads are a
+    """(bit, cycle, end) of every access to a check-bit that starts before
+    the end of the last logged write of that bit, and of every write that
+    starts before the end of the last logged read of it. The reads are a
     critical op's ``load_check`` and a line check's ``syndrome_xor3``, which
-    reads the stored bits of every block of its line; the writes are
-    ``writeback``, ``ecc_write`` and ``correct_check``, and each must also
-    start once the write before it has ended. Bits are named as in the
-    event log, e.g. ``L2@1,0``."""
+    reads the stored bits of every block of its line for ``copy_cycles``;
+    the writes are ``writeback``, ``ecc_write`` and ``correct_check``, and
+    each must also start once the write before it has ended. Bits are named
+    as in the event log, e.g. ``L2@1,0``."""
     m, nb = machine.geom.m, machine.geom.blocks_per_side
+    c = machine.timing.copy_cycles
 
     def block_bits(block):
         return [f"{tag}{d}@{block}" for tag in "LC" for d in range(m)]
 
-    written, early, line = {}, [], []
+    written, read, early, line = {}, {}, [], []
     for ev in machine.events:
         if ev.action == "check_row":  # its syndrome_xor3 follows
             fields = dict(field.split("=") for field in ev.operands.split())
@@ -1143,7 +1145,11 @@ def reads_before_writes(machine):
         early += [(bit, ev.cycle, written[bit]) for bit in bits
                   if written.get(bit, 0) > ev.cycle]
         if write:
+            early += [(bit, ev.cycle, read[bit]) for bit in bits if read.get(bit, 0) > ev.cycle]
             written.update(dict.fromkeys(bits, ev.end))
+        else:
+            end = ev.cycle + c
+            read.update((bit, max(read.get(bit, 0), end)) for bit in bits)
     return early
 
 
@@ -1152,6 +1158,7 @@ class TestSameCellHazard:
     @given(geom=st.sampled_from([Geometry(30, 3), Geometry(45, 5)]),
            pc_pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_no_check_bit_is_read_before_its_last_write_ends(self, geom, pc_pairs, seed):
+        # reads_before_writes also reports every write before a pending read
         timing, steps = hazard_program(seed, geom)
         machine = random_consistent_machine(seed, geom, timing=timing, pc_pairs=pc_pairs)
         for kind, args, earliest in steps:
@@ -1174,7 +1181,9 @@ class TestSameCellHazard:
     @pytest.mark.parametrize("in_flight", [None, 10_000])
     def test_a_correction_makes_its_bit_ready_no_earlier_than_before(self, in_flight):
         # check-bit L1 of block (0, 2) is flipped and corrected by a check of
-        # block row 0; a writeback may still be in flight to it
+        # block row 0; a writeback may still be in flight to it. The check's
+        # read of the line's stored bits ends copy_cycles after its
+        # syndrome_xor3 starts: every other bit of the line is ready then
         geom = Geometry(30, 3)
         nb = geom.blocks_per_side
         machine = Machine.blank(geom)
@@ -1185,9 +1194,12 @@ class TestSameCellHazard:
         machine.check_block_row(0)
         (fix,) = [ev for ev in machine.events if ev.action == "correct_check"]
         assert (fix.unit, fix.operands) == ("CBX:leading:1", "block=0,2 diag=1")
+        (read,) = [ev for ev in machine.events if ev.action == "syndrome_xor3"]
         assert machine._check_ready[bit] == max(fix.end, in_flight or 0)
-        assert ready_cycles(machine) == {np.ravel_multi_index(bit, (2, geom.m, nb, nb)):
-                                         max(fix.end, in_flight or 0)}
+        line = np.ravel_multi_index(np.indices((2, geom.m, nb)), (2, geom.m, nb)) * nb
+        expected = dict.fromkeys(line.ravel().tolist(), read.cycle + machine.timing.copy_cycles)
+        expected[np.ravel_multi_index(bit, (2, geom.m, nb, nb))] = max(fix.end, in_flight or 0)
+        assert ready_cycles(machine) == expected
         assert consistent(machine)
 
     @pytest.mark.parametrize("step", ["critical_op", "block_ecc_reset", "check_block_row"])
@@ -1229,6 +1241,42 @@ class TestSameCellHazard:
         assert ready_cycles(machine) == dict.fromkeys([1, 101, 201, 301, 401, 501], 13)
         assert reads_before_writes(machine) == []
         assert consistent(machine)
+
+    def test_a_critical_op_writes_back_after_a_line_check_reads_its_bits(self):
+        # the check of block row 0 copies the line at 0..5 and reads its stored
+        # bits at 21; the op on block (0, 0) must not write back to C1 and L3
+        # of that block before the read has ended
+        machine = Machine.blank(Geometry(45, 5))
+        machine.check_block_row(0)
+        assert machine.critical_op(init_op(Orientation.ROW, 1, {2})) == 21
+        logged = {ev.action: ev for ev in machine.events}
+        read, back = logged["syndrome_xor3"], logged["writeback"]
+        assert (read.cycle, back.operands) == (21, "cells=C1@0,0;L3@0,0")
+        assert back.cycle >= read.cycle + machine.timing.copy_cycles
+        assert logged["stall"].operands == "op_out=1 wait=16"
+        assert reads_before_writes(machine) == []
+        assert consistent(machine)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=st.sampled_from([Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)]),
+           copy_cycles=st.integers(1, 11), xor3_cycles=st.integers(1, 11),
+           check=st.sampled_from(list(Orientation)), op=st.sampled_from(list(Orientation)),
+           full=st.booleans(), data=st.data())
+    def test_an_op_issued_after_a_line_check_writes_back_after_its_read(
+            self, geom, copy_cycles, xor3_cycles, check, op, full, data):
+        # the op writes a cell of diagonal block (index, index), which every
+        # check of line index reads; as soon as the check releases MEM, the op
+        # would write back before the read at m >= 5 when xor3 > copy + 1
+        m, nb = geom.m, geom.blocks_per_side
+        index = data.draw(st.integers(0, nb - 1))
+        line, lane = (index * m + data.draw(st.integers(0, m - 1)) for _ in range(2))
+        machine = Machine.blank(geom, timing=TimingModel(xor3_cycles=xor3_cycles,
+                                                         copy_cycles=copy_cycles))
+        machine.check_block_row(index, check)
+        machine.critical_op(init_op(op, line, range(geom.n) if full else {lane}))
+        logged = {ev.action: ev for ev in machine.events}
+        assert logged["writeback"].cycle >= logged["syndrome_xor3"].cycle + copy_cycles
+        assert reads_before_writes(machine) == []
 
     def test_a_line_check_reads_its_stored_bits_after_a_pending_reset(self):
         # the corrections of block row 0 keep CTRL busy until cycle 104, so the

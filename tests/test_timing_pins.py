@@ -135,7 +135,7 @@ INTERLEAVING_DIGESTS = {
     ("30/3", 1):
         "eb7edab6821087b3ea95c0e0b5c65daef4eef60036821884ca44140d64355f67",
     ("30/3", 2):
-        "09758636f6d6e887d2488657359918d7d396c6898abfb6a1c8d3c725fe9894af",
+        "b300c37170ec06f29c5b8333b2ac5e6e301dd07bff35a45d0015471539a1534b",
     ("30/3", 3):
         "4dd21db6a46c355cb10440684017903b9638fa74cf565157408a90558716b84d",
     ("45/5", 1):
@@ -147,9 +147,9 @@ INTERLEAVING_DIGESTS = {
     ("63/7", 1):
         "531cba40609f4cc2b60a347693e9624ab409e1d37f90a866960392dd08fb9a6d",
     ("63/7", 2):
-        "49c86ad2be18a157f3b5fbb1f92149ec6666b48f6ff70f9da790dae289a9bb88",
+        "9946fd033b114dc886c1654efac19b039a5109cfe0f3930607e57dddb1edf7e7",
     ("63/7", 3):
-        "f88943157d055c12b1264fc1ea9efa1bb67c51eb960cbe3127758087c0f0c340",
+        "90485e1e3ffb67292dd91240de3d24ef42299dd3ca775743d2924d4043f9da11",
 }
 
 
