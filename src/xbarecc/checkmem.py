@@ -84,11 +84,6 @@ class TimingModel:
         """MEM occupancy of one critical op: old copy, execute, new copy."""
         return 2 * self.copy_cycles + 1
 
-    @property
-    def pc_cycles_per_critical(self) -> int:
-        """Processing-crossbar occupancy: transfers + XOR3 + writeback."""
-        return 2 * self.copy_cycles + 1 + self.xor3_cycles + self.writeback_cycles
-
 
 def xor3_tree_levels(m: int) -> int:
     """Levels of a ternary XOR tree reducing m vectors to one."""
@@ -399,34 +394,14 @@ class CheckMem:
 
 @dataclass(frozen=True, slots=True)
 class BlockReport:
-    """Diagnosis of one block from one check pass."""
+    """Diagnosis of one block from one check pass. A check lists its reports
+    in block order, so a report's position names its block: row-major for a
+    ROW sweep, column-major for a COLUMN one."""
 
-    block_row: int
-    block_col: int
     diagnosis: Diagnosis
 
 
-CLEAN_MEMO_LINES = 256  # lines that clean_reports memoises
-
-
-@functools.lru_cache(maxsize=CLEAN_MEMO_LINES)
-def clean_reports(geom: Geometry, index: int,
-                  orientation: Orientation) -> tuple[BlockReport, ...]:
-    """The reports of a line of blocks that is clean throughout: block row
-    ``index`` of a ROW check, block column ``index`` of a COLUMN check, in
-    block order. Shared, since a report is immutable: a line check copies
-    the tuple into the list it returns and replaces only its dirty blocks'
-    reports. An entry holds 70-90 bytes per block of the line: ~4.5 KB at
-    1020/15, so every line of both orientations (136 entries) takes
-    ~0.6 MB. A geometry with more lines than that in its two orientations
-    (2 n/m > :data:`CLEAN_MEMO_LINES`) would evict every line before a
-    sweep reaches it again, so a line check builds its lines through
-    ``clean_reports.__wrapped__`` instead, without the memo; the memo so
-    holds at most ~3 MB, at n/m = 128."""
-    clean = Diagnosis.clean()
-    if orientation is Orientation.ROW:
-        return tuple(BlockReport(index, k, clean) for k in range(geom.blocks_per_side))
-    return tuple(BlockReport(k, index, clean) for k in range(geom.blocks_per_side))
+_CLEAN_REPORT = BlockReport(Diagnosis.clean())  # every clean block's, shared: it is immutable
 
 
 _report_kind = operator.attrgetter("diagnosis.kind")
@@ -575,12 +550,12 @@ class Machine:
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index; the check-bits are
         # read at t + c, once every write to them has landed, and written
-        # back at t + back
+        # back at t + back, when the pair's transfers and XOR3 are done
         back = 2 * c + 1 + x
         t, pair = self._issue(
             earliest, int(self._check_ready.take(touched).max()) - c,
             [self._cbx_units[u] for u in crossbars], ((c, c), (back, wb)),
-            tm.mem_cycles_per_critical, tm.pc_cycles_per_critical, f"op_out={line}")
+            tm.mem_cycles_per_critical, back + wb, f"op_out={line}")
         write_at = t + back
         self._check_ready.put(touched, write_at + wb)  # put indexes the flat view
 
@@ -647,8 +622,9 @@ class Machine:
                         ) -> tuple[list[BlockReport], int]:
         """Check one row (or column) of blocks; corrects what it can.
 
-        Returns the per-block reports and the cycle after the check (and any
-        corrections) completed. The MEM is released after the m copy cycles.
+        Returns the per-block reports, in block order, and the cycle after
+        the check (and any corrections) completed. The MEM is released after
+        the m copy cycles.
 
         As the CMEM XORs a whole line in a processing crossbar and compares
         it to zero in the checking crossbar, every block's syndrome is taken
@@ -656,9 +632,9 @@ class Machine:
         check-bits of the line and one ``compute_syndrome`` per block. Only a
         dirty block, whose syndrome is not the shared zero one, is decoded,
         gets its own report and has the controller read its syndrome and
-        correct it, in ascending block order; every clean block's report
-        comes from the line's shared :func:`clean_reports`. The stored
-        check-bits are read once every write in flight to them has landed.
+        correct it, in ascending block order; every clean block gets the one
+        shared clean report. The stored check-bits are read once every write
+        in flight to them has landed.
 
         ``_fresh`` is :meth:`full_memory_check`'s path: the line's fresh
         check-bits, ``[block, bank, diag]``, from the sweep's one gather.
@@ -718,13 +694,11 @@ class Machine:
         self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
         self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
 
-        # a memo smaller than both orientations' lines would never hit
-        clean = clean_reports if 2 * nb <= CLEAN_MEMO_LINES else clean_reports.__wrapped__
-        reports = list(clean(geom, index, orientation))
+        reports = [_CLEAN_REPORT] * nb
         done = zero_at + zc
         for k, diag in dirty:
             br, bc = (index, k) if by_row else (k, index)
-            reports[k] = BlockReport(br, bc, diag)
+            reports[k] = BlockReport(diag)
             read_at = max(done, self.timeline.next_free("CTRL"))
             self.timeline.reserve("CTRL", read_at, tm.controller_read_cycles)
             self.log(read_at, "CTRL", "read_syndrome",

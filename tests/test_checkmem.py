@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_timing_pins import TIMINGS
 
 from xbarecc import checkmem
 from xbarecc.checkmem import (
@@ -327,12 +328,17 @@ class TestLaneFootprintOracle:
 
 
 class TestCheckBlockRow:
-    def test_clean_memory_all_clean(self):
-        machine = random_consistent_machine(1)
+    @pytest.mark.parametrize("timing", (TimingModel(),) + TIMINGS,
+                             ids=["default", "TIMINGS[0]", "TIMINGS[1]"])
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_clean_memory_all_clean(self, m, timing):
+        # a clean check on an idle machine ends at the chain's closed form,
+        # which the schedule's input_check_cycles reports
+        machine = random_consistent_machine(1, Geometry(3 * m, m), timing=timing)
         reports, done = machine.check_block_row(0)
         assert all(r.diagnosis.kind is DiagnosisKind.CLEAN for r in reports)
         assert len(reports) == 3
-        assert done == check_chain_cycles(3, machine.timing)
+        assert done == check_chain_cycles(m, timing)
 
     def test_chain_cycle_formula(self):
         assert xor3_tree_levels(3) == 1
@@ -348,11 +354,10 @@ class TestCheckBlockRow:
                 golden = machine.state.cells.copy()
                 machine.inject_data_flip(row, col)
                 reports, _ = machine.check_block_row(row // 3)
-                dirty = [r for r in reports
+                dirty = [k for k, r in enumerate(reports)
                          if r.diagnosis.kind is not DiagnosisKind.CLEAN]
-                assert len(dirty) == 1
-                rep = dirty[0]
-                assert (rep.block_row, rep.block_col) == (row // 3, col // 3)
+                assert dirty == [col // 3]  # a row check's k-th report is block column k
+                rep = reports[col // 3]
                 assert rep.diagnosis.kind is DiagnosisKind.DATA_ERROR
                 assert (rep.diagnosis.i, rep.diagnosis.j) == (row % 3, col % 3)
                 assert np.array_equal(machine.state.cells, golden)
@@ -363,9 +368,10 @@ class TestCheckBlockRow:
         golden = machine.state.cells.copy()
         machine.inject_data_flip(7, 2)
         reports, _ = machine.check_block_row(0, Orientation.COLUMN)
-        assert [r.block_col for r in reports] == [0, 0, 0]
-        dirty = [r for r in reports if r.diagnosis.kind is not DiagnosisKind.CLEAN]
-        assert dirty and dirty[0].block_row == 2
+        assert len(reports) == 3
+        # a column check's k-th report is block row k
+        assert [k for k, r in enumerate(reports)
+                if r.diagnosis.kind is not DiagnosisKind.CLEAN] == [2]
         assert np.array_equal(machine.state.cells, golden)
 
     def test_double_flip_same_leading_diagonal_uncorrectable(self):
@@ -397,7 +403,7 @@ class TestCheckBlockRow:
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_shared_clean_reports_do_not_leak_between_checks(self, orientation):
         # a data flip in the line's first block and a check-bit flip in its
-        # last; the clean blocks' reports come from a memo shared per line
+        # last; every clean block's report is one shared object
         geom, index = Geometry(45, 5), 4
         nb = geom.blocks_per_side
         machine = random_consistent_machine(4504, geom)
@@ -407,9 +413,9 @@ class TestCheckBlockRow:
         (first_br, first_bc), (last_br, last_bc) = line[0], line[-1]
         machine.inject_data_flip(first_br * 5 + 1, first_bc * 5 + 3)
         machine.inject_check_flip(Bank.COUNTER, 2, last_br, last_bc)
-        clean = [BlockReport(br, bc, Diagnosis(DiagnosisKind.CLEAN)) for br, bc in line]
-        expect = ([BlockReport(first_br, first_bc, Diagnosis.data_error(1, 3))] + clean[1:-1]
-                  + [BlockReport(last_br, last_bc, Diagnosis.check_bit_error(Bank.COUNTER, 2))])
+        clean = [BlockReport(Diagnosis(DiagnosisKind.CLEAN))] * nb
+        expect = ([BlockReport(Diagnosis.data_error(1, 3))] + clean[1:-1]
+                  + [BlockReport(Diagnosis.check_bit_error(Bank.COUNTER, 2))])
 
         first, _ = machine.check_block_row(index, orientation)
         assert first == expect
@@ -454,11 +460,24 @@ class TestFullMemoryCheck:
         summary = machine.full_memory_check()
         assert summary.uncorrectable == 1
 
-    def test_a_row_check_reports_every_block_row_major(self):
-        # injection_campaign finds block (br, bc) at reports[br * nb + bc]
-        summary = random_consistent_machine(5).full_memory_check()
-        assert [(r.block_row, r.block_col) for r in summary.reports] == [
-            (br, bc) for br in range(3) for bc in range(3)]
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_a_report_names_its_block_by_position(self, orientation):
+        # one data flip in every block, each at a cell that names its block;
+        # a ROW sweep lists block (br, bc) at br * nb + bc, as injection_campaign
+        # reads it, and a COLUMN sweep at bc * nb + br
+        geom = Geometry(45, 5)
+        m, nb = geom.m, geom.blocks_per_side
+        machine = random_consistent_machine(45, geom)
+        for br in range(nb):
+            for bc in range(nb):
+                machine.inject_data_flip(br * m + br % m, bc * m + bc % m)
+        reports = machine.full_memory_check(orientation).reports
+        assert len(reports) == nb * nb
+        for p, report in enumerate(reports):
+            br, bc = divmod(p, nb)
+            if orientation is Orientation.COLUMN:
+                br, bc = bc, br
+            assert report.diagnosis == Diagnosis.data_error(br % m, bc % m), p
 
     def test_chains_pipeline_across_pc_pairs(self):
         machine = machine9(pc_pairs=3)
@@ -659,9 +678,9 @@ class TestCheckPathPinned:
         machine.inject_check_flip(Bank.LEADING, 1, 7, 3)  # block (7, 3), blind spot
         machine.inject_check_flip(Bank.COUNTER, 4, 7, 3)
         summary = machine.full_memory_check(orientation)
-        reports = [(r.block_row, r.block_col, r.diagnosis.kind.value, r.diagnosis.i,
+        reports = [(*block, r.diagnosis.kind.value, r.diagnosis.i,
                     r.diagnosis.j, r.diagnosis.bank and r.diagnosis.bank.value,
-                    r.diagnosis.idx) for r in summary.reports]
+                    r.diagnosis.idx) for block, r in self._by_block(summary, orientation)]
         events = "\n".join(ev.to_line() for ev in machine.events)
         planes = machine.checkmem.planes.tobytes()
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (
@@ -669,11 +688,19 @@ class TestCheckPathPinned:
             machine.state.cells.tobytes(), planes))
         return summary, digests
 
+    def _by_block(self, summary, orientation):
+        """((block row, block column), report) in sweep order: a sweep lists
+        line after line, each line's blocks in order."""
+        nb = self.GEOM.blocks_per_side
+        for p, report in enumerate(summary.reports):
+            line, k = divmod(p, nb)
+            yield ((line, k) if orientation is Orientation.ROW else (k, line)), report
+
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_every_diagnosis_kind_is_reported(self, orientation):
         summary, _ = self._run(orientation)
-        dirty = {(r.block_row, r.block_col): r.diagnosis.kind
-                 for r in summary.reports
+        dirty = {block: r.diagnosis.kind
+                 for block, r in self._by_block(summary, orientation)
                  if r.diagnosis.kind is not DiagnosisKind.CLEAN}
         assert dirty == {
             (0, 0): DiagnosisKind.DATA_ERROR,
@@ -698,9 +725,9 @@ def oracle_line_check(machine, index, orientation):
     """Expected result of ``check_block_row`` from the scalar codec.
 
     Each block of the line is re-encoded and compared with its stored
-    check-bits, then decoded and corrected on copies. Returns the reports,
-    the final cells and check-bits, and the (unit, action, operands) of
-    every record logged after the check's fixed prologue.
+    check-bits, then decoded and corrected on copies. Returns the reports in
+    block order, the final cells and check-bits, and the (unit, action,
+    operands) of every record logged after the check's fixed prologue.
     """
     geom = machine.geom
     m, nb = geom.m, geom.blocks_per_side
@@ -715,7 +742,7 @@ def oracle_line_check(machine, index, orientation):
         diag = decode_syndrome(Syndrome(
             tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
             tuple(a ^ b for a, b in zip(fresh.counter, stored.counter))))
-        reports.append(BlockReport(br, bc, diag))
+        reports.append(BlockReport(diag))
         if diag.kind is DiagnosisKind.CLEAN:
             continue
         records.append(("CTRL", "read_syndrome",
@@ -959,30 +986,16 @@ class TestSweepGather:
         assert machine.state.cells.strides == lines.state.cells.strides
 
 
-class TestCleanReportsMemo:
-    """The memo of clean line reports holds :data:`checkmem.CLEAN_MEMO_LINES`
-    lines; a geometry whose two orientations have more lines than that
-    builds them without it, and one that fits hits on every line it sees
-    again."""
+class TestManyLines:
+    """A geometry with many lines, 257 per orientation at 771/3: each sweep of
+    a blank machine reports every block clean."""
 
-    def test_a_geometry_with_more_lines_than_the_memo_bypasses_it(self):
-        geom = Geometry(771, 3)  # 257 lines per orientation
-        checkmem.clean_reports.cache_clear()
+    def test_two_sweeps_of_a_blank_machine_report_every_block_clean(self):
+        geom = Geometry(771, 3)
         machine = Machine.blank(geom)
         for _ in range(2):
             summary = machine.full_memory_check()
-            assert summary.clean == geom.blocks_per_side ** 2
-        assert checkmem.clean_reports.cache_info() == (0, 0, checkmem.CLEAN_MEMO_LINES, 0)
-
-    def test_the_case_study_hits_on_every_line_it_checks_again(self):
-        geom = Geometry(1020, 15)
-        nb = geom.blocks_per_side
-        checkmem.clean_reports.cache_clear()
-        machine = Machine.blank(geom)
-        for orientation in (Orientation.ROW, Orientation.COLUMN, Orientation.ROW):
-            machine.full_memory_check(orientation)
-        assert checkmem.clean_reports.cache_info() == (
-            nb, 2 * nb, checkmem.CLEAN_MEMO_LINES, 2 * nb)
+            assert summary.clean == len(summary.reports) == geom.blocks_per_side ** 2
 
 
 def reset_by_init_ops(machine, block_row, block_col, earliest=0):

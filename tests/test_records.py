@@ -116,7 +116,7 @@ class TestCodecRecords:
     RECORDS = [
         BlockParity((1, 0, 1), (0, 1, 1)),
         Syndrome((0, 1, 0), (0, 0, 1)),
-        BlockReport(2, 5, Diagnosis.check_bit_error(Bank.COUNTER, 1)),
+        BlockReport(Diagnosis.check_bit_error(Bank.COUNTER, 1)),
     ]
 
     def test_equality_is_class_aware(self):
