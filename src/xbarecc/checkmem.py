@@ -453,9 +453,14 @@ class Machine:
         # processing-crossbar pairs, one crossbar per bank each
         self._pc_units = tuple(f"PC{i}" for i in range(pc_pairs))
         m = self.geom.m
-        # check-bit crossbar planes[b, d] at index b * m + d
+        # check-bit crossbar planes[b, d] at index b * m + d. A window that
+        # every crossbar takes (a line check's read, a block reset's write, a
+        # critical op on every offset of a block) is booked once, on the shared
+        # unit "CBX"; a crossbar's own list holds only the windows booked on it
+        # alone, so its busy cycles are those of "CBX" and of its own list
         self._cbx_units = tuple(f"CBX:{bank.value}:{d}"
                                 for bank in _BANKS for d in range(m))
+        self._every_cbx = ("CBX", *self._cbx_units)  # what a step on all of them searches
         # first cycle at which each check-bit may be read or written again:
         # once the last write to it has landed and the last line check has
         # read it; indexed as checkmem.planes; int32, so every step ends
@@ -475,10 +480,11 @@ class Machine:
                pair_span: int, waiting: str, reach: int = 0) -> tuple[int, int]:
         """Issue a critical op or a line check at t, the first cycle at or after
         ``earliest``, ``floor``, MEM's free cycle and some pair's at which the
-        (offset, span) ``windows`` are idle on ``cbx_units``. A wait is logged
-        as one ``SCHED stall`` record, ``<waiting> wait=<cycles>``. Holds MEM
-        for ``mem_span`` cycles and the lowest pair free at t for
-        ``pair_span``, books the windows and returns (t, pair).
+        (offset, span) ``windows`` are idle on the check-bit crossbars
+        ``cbx_units``. A wait is logged as one ``SCHED stall`` record,
+        ``<waiting> wait=<cycles>``. Holds MEM for ``mem_span`` cycles and the
+        lowest pair free at t for ``pair_span``, books the windows, on "CBX"
+        if the step takes every crossbar, and returns (t, pair).
 
         First raises OverflowError, having changed nothing, if the step could
         end at or past :data:`CYCLE_END`: its pair is busy until t +
@@ -487,7 +493,11 @@ class Machine:
         timeline = self.timeline
         mem_ready = max(earliest, timeline.next_free("MEM"))
         frees = list(map(timeline.next_free, self._pc_units))
-        t = timeline.first_free(cbx_units, max(mem_ready, floor, min(frees)), windows)
+        if len(cbx_units) == len(self._cbx_units):
+            search, booked = self._every_cbx, ("CBX",)
+        else:
+            search, booked = ("CBX", *cbx_units), cbx_units
+        t = timeline.first_free(search, max(mem_ready, floor, min(frees)), windows)
         _check_end(t + max(pair_span, reach))
         if t > mem_ready:
             self.log(mem_ready, "SCHED", "stall", f"{waiting} wait={t - mem_ready}",
@@ -495,7 +505,7 @@ class Machine:
         timeline.reserve("MEM", t, mem_span)
         pair = next(i for i, free in enumerate(frees) if free <= t)
         timeline.reserve(self._pc_units[pair], t, pair_span)
-        timeline.book(cbx_units, t, windows)
+        timeline.book(booked, t, windows)
         return t, pair
 
     @property
@@ -596,7 +606,7 @@ class Machine:
         ready = self._check_ready[:, :, block_col, block_row]
         t0 = max(earliest, timeline.next_free("MEM"))
         write = ((0, wb),)
-        t = timeline.first_free(self._cbx_units, max(t0 + m, timeline.next_free("CTRL"),
+        t = timeline.first_free(self._every_cbx, max(t0 + m, timeline.next_free("CTRL"),
                                                      int(ready.max())), write)
         _check_end(t + wb)
         base_row, base_col = block_row * m, block_col * m
@@ -611,7 +621,7 @@ class Machine:
                 OpKind.INIT, Orientation.ROW, base_col + lc, (), lanes)
                 + " critical=0 reset=1")
         self.checkmem.planes[:, :, block_col, block_row] = 1
-        timeline.book(self._cbx_units, t, write)
+        timeline.book(("CBX",), t, write)
         ready[...] = t + wb  # the block's check-bits are readable once the write has landed
         timeline.reserve("CTRL", t, wb)
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
@@ -672,7 +682,7 @@ class Machine:
         tail = len(dirty) * (tm.controller_read_cycles + tm.correction_write_cycles)
         if dirty:
             _check_end(max(self.timeline.next_free("CTRL"),
-                           *map(self.timeline.next_free, self._cbx_units)) + tail)
+                           *map(self.timeline.next_free, self._every_cbx)) + tail)
         floor = max(self.timeline.next_free("CHECK") - x, int(self._check_ready[line].max()))
         t, pair = self._issue(earliest, floor - syn, self._cbx_units, ((syn, c),), m * c,
                               syn + x, f"check={index}", syn + max(x + zc, c) + tail)
@@ -720,7 +730,7 @@ class Machine:
                 bank = _BANKS.index(diag.bank)
                 unit = self._cbx_units[bank * m + diag.idx]
                 write = ((0, tm.correction_write_cycles),)
-                write_at = self.timeline.first_free((unit,), done, write)
+                write_at = self.timeline.first_free(("CBX", unit), done, write)
                 self.timeline.book((unit,), write_at, write)
                 # the corrected bit is readable once its write has landed
                 self._check_ready[bank, diag.idx, bc, br] = write_at + tm.correction_write_cycles

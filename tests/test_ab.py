@@ -78,19 +78,106 @@ class TestBoundVerdict:
         assert ab.bound_verdict([-1.0, 0.0, 1.0], [0.0] * 3, True, 0.25)[1] == "unresolved"
 
 
-class TestLayerLines:
-    def test_only_differing_metrics_in_the_given_order(self):
-        parent = {"a.calls": {"value": 11.0}, "b.self_s": {"value": 0.04},
-                  "c.calls": {"value": 3.0}}
-        change = {"a.calls": {"value": 11.0}, "b.self_s": {"value": 0.01},
-                  "c.calls": {"value": 0.0}}
-        lines = ab.layer_lines(["c.calls", "a.calls", "b.self_s"], parent, change)
-        assert [line.split()[0] for line in lines] == ["c.calls", "b.self_s"]
-        assert lines[0].split()[1:] == ["3", "->", "0", "(-100.0%)"]
-        assert lines[1].split()[1:] == ["0.04", "->", "0.01", "(-75.0%)"]
+def traced_runs(layers: dict[str, list[float]]) -> list[dict]:
+    """``--trace 1`` metrics of one run per index, from each layer's values."""
+    runs = len(next(iter(layers.values())))
+    return [{name: {"value": values[k]} for name, values in layers.items()}
+            for k in range(runs)]
 
-    def test_zero_or_missing_values_have_no_relative_change(self):
-        lines = ab.layer_lines(["x", "y"], {"x": {"value": 0.0}},
-                               {"x": {"value": 2.0}, "y": {"value": 1.0}})
-        assert [line.split()[1:] for line in lines] == [["0", "->", "2"],
-                                                        ["-", "->", "1"]]
+
+PER_LAYER = [{"name": "checkmem.machine_init.self_s", "unit": "s"},
+             {"name": "checkmem.check_block_row.calls", "unit": "count"},
+             {"name": "checkmem.check_block_row.self_s", "unit": "s"},
+             {"name": "checkmem.block_ecc_reset.self_s", "unit": "s"},
+             {"name": "engine.format_op.bytes", "unit": "bytes"}]
+NOISE = [1.00, 0.97, 1.04, 0.99, 1.02, 0.96, 1.03]  # one host's run-to-run spread
+
+
+def host_runs(drift: float, phase: int = 0,
+              scale: dict[str, float] | None = None) -> list[dict]:
+    """Seven synthetic runs of one side: every time scaled by the host's
+    ``drift`` and by its run's noise, which ``phase`` rotates, and a metric
+    named in ``scale`` by that factor too; counts and bytes exact."""
+    base = {"checkmem.machine_init.self_s": 2e-4, "checkmem.check_block_row.calls": 68.0,
+            "checkmem.check_block_row.self_s": 0.05, "checkmem.block_ecc_reset.self_s": 0.02,
+            "engine.format_op.bytes": 4096.0}
+    layers = {}
+    for name, value in base.items():
+        value *= (scale or {}).get(name, 1.0)
+        timed = name.endswith(".self_s")
+        # each layer sees its own share of the noise, rotated per layer
+        shift = len(layers)
+        layers[name] = [value * drift * NOISE[(k + shift + phase) % 7] if timed else value
+                        for k in range(7)]
+    return traced_runs(layers)
+
+
+def verdicts(lines) -> dict[str, str]:
+    """Each line's verdict by its metric's name."""
+    words = {"moved", "same", "unresolved", "reference"}
+    return {line.split()[0]: next(w for w in line.split() if w in words) for line in lines}
+
+
+class TestLayerVerdict:
+    def test_a_side_against_itself_flags_nothing(self):
+        runs = host_runs(1.0)
+        lines = ab.layer_lines(PER_LAYER, runs, runs)
+        assert set(verdicts(lines).values()) == {"reference", "same"}
+
+    def test_host_drift_alone_flags_nothing(self):
+        # the change side runs on a host 15% slower: every time rises alike
+        lines = ab.layer_lines(PER_LAYER, host_runs(1.0), host_runs(1.15, 3))
+        assert verdicts(lines) == {
+            "checkmem.machine_init.self_s": "reference",
+            "checkmem.check_block_row.calls": "same",
+            "checkmem.check_block_row.self_s": "unresolved",
+            "checkmem.block_ecc_reset.self_s": "unresolved",
+            "engine.format_op.bytes": "same"}
+
+    def test_the_layer_that_fell_is_named_through_the_drift(self):
+        change = host_runs(1.15, 3, {"checkmem.check_block_row.self_s": 0.6})
+        got = verdicts(ab.layer_lines(PER_LAYER, host_runs(1.0), change))
+        assert got["checkmem.check_block_row.self_s"] == "moved"
+        assert got["checkmem.block_ecc_reset.self_s"] == "unresolved"
+
+    def test_a_change_within_the_spread_is_unresolved(self):
+        change = host_runs(1.0, 5, {"checkmem.block_ecc_reset.self_s": 1.02})
+        got = verdicts(ab.layer_lines(PER_LAYER, host_runs(1.0), change))
+        assert got["checkmem.block_ecc_reset.self_s"] == "unresolved"
+
+    def test_an_exact_count_that_changed_is_moved_without_timing(self):
+        change = host_runs(1.3, 1, {"checkmem.check_block_row.calls": 2.0,
+                                       "engine.format_op.bytes": 0.5})
+        got = verdicts(ab.layer_lines(PER_LAYER, host_runs(1.0), change))
+        assert got["checkmem.check_block_row.calls"] == "moved"
+        assert got["engine.format_op.bytes"] == "moved"
+
+    def test_a_time_moves_only_if_its_ratio_to_the_reference_moves_the_same_way(self):
+        parent, change = [1.0, 1.1, 1.2], [2.0, 2.1, 2.2]
+        assert ab.layer_verdict(parent, change) == "moved"
+        assert ab.layer_verdict(parent, change, ([1.0, 1.1, 1.2], [2.0, 2.1, 2.2])) == "moved"
+        assert ab.layer_verdict(parent, change, ([1.0, 1.1, 1.2], [1.0, 1.1, 1.2])) == "unresolved"
+        assert ab.layer_verdict(parent, change, ([2.0, 2.1, 2.2], [1.0, 1.1, 1.2])) == "unresolved"
+        assert ab.layer_verdict(parent, change, ([], [])) == "unresolved"  # no reference
+
+    def test_the_line_shows_medians_spreads_change_and_calls(self):
+        parent = traced_runs({"checkmem.machine_init.self_s": [1.0, 1.0, 1.0],
+                              "checkmem.check_block_row.calls": [68.0, 68.0, 68.0],
+                              "checkmem.check_block_row.self_s": [0.4, 0.5, 0.6]})
+        change = traced_runs({"checkmem.machine_init.self_s": [1.0, 1.0, 1.0],
+                              "checkmem.check_block_row.calls": [68.0, 68.0, 68.0],
+                              "checkmem.check_block_row.self_s": [0.2, 0.25, 0.3]})
+        line = ab.layer_lines(PER_LAYER[2:3], parent, change)[0]
+        assert line.split() == ["checkmem.check_block_row.self_s", "0.5", "(0.1)", "->",
+                                "0.25", "(0.05)", "-50.0%", "moved", "calls", "68", "->", "68"]
+
+    def test_a_missing_side_is_unresolved(self):
+        runs = traced_runs({"checkmem.machine_init.self_s": [1.0, 1.0, 1.0]})
+        (line,) = ab.layer_lines([{"name": "x.calls", "unit": "count"}], runs, runs)
+        assert line.split() == ["x.calls", "-", "->", "-", "unresolved"]
+
+
+@pytest.mark.parametrize("layers", ["1", "2"])
+def test_fewer_than_three_traced_runs_are_refused(layers, tmp_path):
+    with pytest.raises(SystemExit, match="at least 3 runs"):
+        ab.main([str(tmp_path), str(tmp_path), "--workload", "simd", "--layers", layers])

@@ -44,6 +44,7 @@ from xbarecc.parity import (
     DiagnosisKind,
     Syndrome,
     apply_correction,
+    compute_syndrome,
     decode_syndrome,
     diag_parity,
     encode_block,
@@ -78,6 +79,31 @@ def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
 
 def set_parity(cm, block_row, block_col, parity) -> None:
     cm.planes[:, :, block_col, block_row] = (parity.leading, parity.counter)
+
+
+def crossbar_busy(timeline, unit) -> list[int]:
+    """A check-bit crossbar's busy windows, a flat ``[start, end, ...]`` list
+    with touching windows merged: those of the shared unit ``"CBX"``, which
+    every crossbar takes, and those of its own list, which must not overlap
+    them."""
+    lists = (timeline._windows.get("CBX", []), timeline._windows.get(unit, []))
+    merged = []
+    for start, end in sorted(itertools.chain(*(zip(w[::2], w[1::2]) for w in lists))):
+        assert not merged or start >= merged[-1], f"{unit} double-booked at cycle {start}"
+        if merged and merged[-1] == start:
+            merged[-1] = end
+        else:
+            merged += (start, end)
+    return merged
+
+
+def busy_windows(machine) -> dict[str, list[int]]:
+    """The busy windows of every unit that has any, by name, a check-bit
+    crossbar's by :func:`crossbar_busy`; no entry for ``"CBX"`` itself."""
+    busy = {unit: windows for unit, windows in machine.timeline._windows.items()
+            if not unit.startswith("CBX")}
+    busy.update((unit, crossbar_busy(machine.timeline, unit)) for unit in machine._cbx_units)
+    return {unit: windows for unit, windows in busy.items() if windows}
 
 
 def ready_cycles(machine) -> dict[int, int]:
@@ -303,8 +329,7 @@ class TestLaneFootprintOracle:
         bits, crossbars, names = lane_footprint(geom, orientation, lanes).at(line)
         assert np.ravel(bits).tolist() == touched.tolist()
         assert crossbars == sorted(set((touched // (nb * nb)).tolist()))
-        booked = {unit for unit, busy in machine.timeline._windows.items()
-                  if unit.startswith("CBX:") and busy}
+        booked = {unit for unit in machine._cbx_units if crossbar_busy(machine.timeline, unit)}
         assert booked == {machine._cbx_units[c] for c in crossbars}
         # its names, logged when the check-bits are loaded and written back
         logged = {ev.action: ev for ev in machine.events}
@@ -1020,9 +1045,15 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     t = max(t, machine.timeline.next_free("CTRL"), in_flight)
     units = [(b, d, f"CBX:{bank.value}:{d}")
              for b, bank in enumerate(Bank) for d in range(m)]
-    # step one cycle at a time, asking the timeline only whether t itself is free
-    while any(machine.timeline.first_free((unit,), t, ((0, wb),)) != t
-              for _, _, unit in units):
+
+    def busy_at(unit, t):  # whether the write [t, t + wb) meets a busy window
+        busy = crossbar_busy(machine.timeline, unit)
+        return any(start < t + wb and t < end for start, end in zip(busy[::2], busy[1::2]))
+
+    # step one cycle at a time until the write is idle on every crossbar; it
+    # books each crossbar's own list, so any window of "CBX" it met would show
+    # as a double booking in crossbar_busy
+    while any(busy_at(unit, t) for _, _, unit in units):
         t += 1
     for b, d, unit in units:
         machine.timeline.book((unit,), t, ((0, wb),))
@@ -1037,16 +1068,22 @@ class TestBlockResetOracle:
     GEOM = Geometry(45, 5)
 
     def _busy_machine(self, timing):
-        """A machine whose MEM, CTRL and check-bit crossbars are all in use."""
+        """A machine whose MEM, CTRL and check-bit crossbars are all in use,
+        every crossbar on the shared list and on its own: one-lane ops on
+        every line offset and a corrected check-bit book the own lists."""
         machine = random_consistent_machine(4505, self.GEOM, timing=timing, pc_pairs=1)
         lanes = frozenset(range(45))
         machine.critical_op(init_op(Orientation.ROW, 12, lanes))
         machine.inject_data_flip(11, 3)
+        machine.inject_check_flip(Bank.COUNTER, 1, 2, 4)
         machine.check_block_row(2)
         machine.critical_op(nor_op(Orientation.ROW, (3, 4), 12, lanes))
+        for out in range(20, 25):
+            machine.critical_op(init_op(Orientation.ROW, out, {7}))
         return machine
 
-    @pytest.mark.parametrize("timing", [TimingModel(), TimingModel(writeback_cycles=3)])
+    @pytest.mark.parametrize("timing", [TimingModel(), TimingModel(writeback_cycles=3),
+                                        TimingModel(writeback_cycles=5)])
     @pytest.mark.parametrize("block, earliest", [((2, 2), 0), ((0, 8), 0), ((8, 2), 40)])
     def test_matches_a_loop_of_init_ops(self, timing, block, earliest):
         machine = self._busy_machine(timing)
@@ -1057,7 +1094,7 @@ class TestBlockResetOracle:
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
         assert np.array_equal(machine._check_ready, oracle._check_ready)
-        assert machine.timeline._windows == oracle.timeline._windows
+        assert busy_windows(machine) == busy_windows(oracle)
 
     def test_every_block_and_repeated_block_rows_match(self):
         # every block row by row, then block row 4 again and block (4, 2) twice
@@ -1074,7 +1111,7 @@ class TestBlockResetOracle:
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
         assert np.array_equal(machine._check_ready, oracle._check_ready)
-        assert machine.timeline._windows == oracle.timeline._windows
+        assert busy_windows(machine) == busy_windows(oracle)
 
     @pytest.mark.parametrize("block", [(9, 0), (0, 9), (-1, 0)])
     def test_block_outside_the_crossbar_rejected(self, block):
@@ -1102,6 +1139,10 @@ def hazard_program(seed, geom):
     def pick(hot, size):
         return int(rng.integers(hot if rng.random() < 0.5 else size))
 
+    def check_flip():  # of a check-bit of block k of the checked line
+        bank, diag = tuple(Bank)[rng.integers(2)], int(rng.integers(m))
+        return "check", pick(2, nb), bank, diag
+
     steps = []
     for _ in range(rng.integers(8, 21)):
         kind = ("op", "reset", "check")[rng.integers(3)]
@@ -1113,11 +1154,35 @@ def hazard_program(seed, geom):
         elif kind == "reset":
             args = (pick(2, nb), pick(2, nb))
         else:
-            args = (orientation, pick(2, nb),
-                    [(tuple(Bank)[rng.integers(2)], int(rng.integers(m)), pick(2, nb))
-                     for _ in range(rng.integers(1, 4))])
+            args = (orientation, pick(2, nb), [check_flip() for _ in range(rng.integers(1, 4))])
         steps.append((kind, args, 0 if rng.random() < 0.5 else int(rng.integers(41))))
     return timing, steps
+
+
+def run_program(machine, steps) -> None:
+    """Run the (kind, args, earliest) steps of :func:`hazard_program` or
+    :func:`crossbar_programs` on the machine."""
+    geom, m = machine.geom, machine.geom.m
+    for kind, args, earliest in steps:
+        if kind == "op":
+            orientation, out, lanes, nor = args
+            machine.critical_op(init_op(orientation, out, lanes), earliest)
+            if nor:
+                ins = ((out + 1) % geom.n, (out + 2) % geom.n)
+                machine.critical_op(nor_op(orientation, ins, out, lanes), earliest)
+        elif kind == "reset":
+            machine.block_ecc_reset(*args, earliest=earliest)
+        else:
+            orientation, index, flips = args
+            # ("data", k, i, j) flips cell (i, j) of block k of the line,
+            # ("check", k, bank, diag) one of its check-bits
+            for flip, k, a, b in flips:
+                br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
+                if flip == "data":
+                    machine.inject_data_flip(br * m + a, bc * m + b)
+                else:
+                    machine.inject_check_flip(a, b, br, bc)
+            machine.check_block_row(index, orientation, earliest)
 
 
 def reads_before_writes(machine):
@@ -1174,21 +1239,7 @@ class TestSameCellHazard:
         # reads_before_writes also reports every write before a pending read
         timing, steps = hazard_program(seed, geom)
         machine = random_consistent_machine(seed, geom, timing=timing, pc_pairs=pc_pairs)
-        for kind, args, earliest in steps:
-            if kind == "op":
-                orientation, out, lanes, nor = args
-                machine.critical_op(init_op(orientation, out, lanes), earliest)
-                if nor:
-                    ins = ((out + 1) % geom.n, (out + 2) % geom.n)
-                    machine.critical_op(nor_op(orientation, ins, out, lanes), earliest)
-            elif kind == "reset":
-                machine.block_ecc_reset(*args, earliest=earliest)
-            else:
-                orientation, index, flips = args
-                for bank, diag, k in flips:
-                    br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
-                    machine.inject_check_flip(bank, diag, br, bc)
-                machine.check_block_row(index, orientation, earliest)
+        run_program(machine, steps)
         assert reads_before_writes(machine) == []
 
     @pytest.mark.parametrize("in_flight", [None, 10_000])
@@ -1415,3 +1466,208 @@ class TestTimelineOracle:
         assert timeline.first_free(cbx, 0, ((0, 2),)) == 3
         with pytest.raises(RuntimeError, match="double-booked at cycle 12"):
             timeline.book(cbx[:1], 11, ((0, 2),))
+
+
+# ----------------------------------------------------------------------
+# the shared "CBX" unit against one timeline per check-bit crossbar
+
+class PerCrossbarBusySets(BusySets):
+    """:class:`BusySets` with one set per check-bit crossbar and no shared
+    unit: a window booked on ``"CBX"`` is booked on every crossbar, and
+    ``"CBX"`` is never searched."""
+
+    def __init__(self, crossbars):
+        super().__init__()
+        self.crossbars = crossbars
+
+    def book(self, units, t, windows):
+        super().book(self.crossbars if tuple(units) == ("CBX",) else units, t, windows)
+
+    def first_free(self, units, start, windows):
+        return super().first_free([unit for unit in units if unit != "CBX"], start, windows)
+
+
+@st.composite
+def crossbar_programs(draw):
+    """A geometry, a timing, a pair count and 1-12 steps (kind, args,
+    earliest): one-lane and every-lane critical ops in both orientations,
+    each an Init alone or followed by a NOR; block resets; and line checks,
+    clean or after 1-3 data or check-bit flips on their line, so that the
+    corrections write cells and single check-bits."""
+    geom = draw(st.sampled_from([Geometry(30, 3), Geometry(45, 5)]))
+    n, m, nb = geom.n, geom.m, geom.blocks_per_side
+    timing = TimingModel(*(draw(st.integers(1, 6)) for _ in range(6)))
+    block, offset = st.integers(0, nb - 1), st.integers(0, m - 1)
+    orientation = st.sampled_from(list(Orientation))
+    op = st.tuples(st.just("op"), st.tuples(
+        orientation, st.integers(0, n - 1),
+        st.one_of(st.integers(0, n - 1).map(lambda lane: frozenset({lane})),
+                  st.just(frozenset(range(n)))),
+        st.booleans()))
+    reset = st.tuples(st.just("reset"), st.tuples(block, block))
+    flip = st.one_of(st.tuples(st.just("data"), block, offset, offset),
+                     st.tuples(st.just("check"), block, st.sampled_from(list(Bank)), offset))
+    check = st.tuples(st.just("check"), st.tuples(
+        orientation, block, st.one_of(st.just([]), st.lists(flip, min_size=1, max_size=3))))
+    steps = st.lists(st.tuples(st.one_of(op, reset, check), st.sampled_from([0, 0, 7, 40])),
+                     min_size=1, max_size=12)
+    return geom, timing, draw(st.integers(1, 4)), [(k, a, e) for (k, a), e in draw(steps)]
+
+
+class TestSharedCrossbarTimeline:
+    """A window that every check-bit crossbar takes is booked once, on the
+    shared unit ``"CBX"``, and each crossbar's busy cycles are those of
+    ``"CBX"`` and of its own list. A machine whose timeline keeps one busy
+    set per crossbar, without the shared unit, runs the same program."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=crossbar_programs())
+    def test_each_crossbar_is_busy_as_in_a_per_crossbar_replay(self, case):
+        geom, timing, pc_pairs, steps = case
+        machine = Machine.blank(geom, timing=timing, pc_pairs=pc_pairs)
+        replay = Machine.blank(geom, timing=timing, pc_pairs=pc_pairs)
+        replay.timeline = PerCrossbarBusySets(replay._cbx_units)
+        run_program(machine, steps)
+        run_program(replay, steps)
+        assert machine.events == replay.events
+        assert np.array_equal(machine.state.cells, replay.state.cells)
+        assert machine.checkmem == replay.checkmem
+        for unit in machine._cbx_units:
+            busy = crossbar_busy(machine.timeline, unit)
+            assert ({c for s, e in zip(busy[::2], busy[1::2]) for c in range(s, e)}
+                    == replay.timeline.busy.get(unit, set()))
+        for unit in ("MEM", "CTRL", "CHECK", *machine._pc_units):
+            assert machine.timeline.next_free(unit) == replay.timeline.next_free(unit)
+
+    def test_a_step_on_every_crossbar_books_the_shared_unit_only(self):
+        # a line check, a block reset and an every-lane critical op take all
+        # 2m crossbars; a one-lane op and a correct_check take their own
+        machine = Machine.blank(Geometry(30, 3))
+        machine.check_block_row(0)
+        machine.block_ecc_reset(1, 1)
+        machine.critical_op(init_op(Orientation.ROW, 7, range(30)))
+        assert {unit for unit, busy in machine.timeline._windows.items()
+                if unit.startswith("CBX") and busy} == {"CBX"}
+        machine.critical_op(init_op(Orientation.ROW, 0, {3}))  # L0 and C0 of block (1, 0)
+        machine.inject_check_flip(Bank.COUNTER, 2, 2, 0)
+        machine.check_block_row(2)
+        assert {unit for unit, busy in machine.timeline._windows.items()
+                if unit.startswith("CBX") and busy} == {
+            "CBX", "CBX:leading:0", "CBX:counter:0", "CBX:counter:2"}
+
+
+# ----------------------------------------------------------------------
+# a clean sweep's timing as a formula
+
+def sweep_issue_cycles(m: int, nb: int, k: int, tm: TimingModel) -> tuple[list[int], int]:
+    """Issue cycle of each line of a clean sweep of a blank machine with k
+    pairs, and the sweep's horizon, by the max-plus recurrence
+    ``t_i = max(t_{i-1} + max(m c, zc), t_{i-k} + syn + x)`` with ``t_0 = 0``
+    and ``syn = m c + xor3_tree_levels(m) x``: MEM holds a line's m copies,
+    the checking crossbar each line's zero compare, and a pair each line
+    until its syndrome XOR3 ends. The horizon is ``t_{nb-1} + syn + x + zc``."""
+    c, x, zc = tm.copy_cycles, tm.xor3_cycles, tm.zero_compare_cycles
+    syn = m * c + xor3_tree_levels(m) * x
+    t = [0]
+    for i in range(1, nb):
+        t.append(max(t[i - 1] + max(m * c, zc), t[i - k] + syn + x if i >= k else 0))
+    return t, t[-1] + syn + x + zc
+
+
+class TestSweepOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(geom=st.sampled_from([Geometry(9, 3), Geometry(45, 5), Geometry(63, 7)]),
+           orientation=st.sampled_from(list(Orientation)), pc_pairs=st.integers(1, 8),
+           steps=st.lists(st.integers(1, 16), min_size=6, max_size=6))
+    def test_a_clean_sweep_issues_by_the_recurrence(self, geom, orientation, pc_pairs, steps):
+        timing = TimingModel(*steps)
+        machine = Machine.blank(geom, timing=timing, pc_pairs=pc_pairs)
+        summary = machine.full_memory_check(orientation)
+        issued, horizon = sweep_issue_cycles(geom.m, geom.blocks_per_side, pc_pairs, timing)
+        assert summary.clean == geom.blocks_per_side ** 2
+        assert [ev.cycle for ev in machine.events if ev.action == "check_row"] == issued
+        assert machine.horizon == horizon
+
+    @pytest.mark.parametrize("pc_pairs, horizon", [(3, 1097), (4, 1053), (8, 1053)])
+    def test_the_default_geometry_is_bound_by_the_pairs_then_by_mem(self, pc_pairs, horizon):
+        # 68 lines at 1020/15: k = 3 pairs bind at 1,097 cycles; from k = 4 on
+        # MEM binds, 67 * 15 + syn + x + zc = 1,053
+        assert sweep_issue_cycles(15, 68, pc_pairs, TimingModel())[1] == horizon
+
+
+# ----------------------------------------------------------------------
+# every two-flip pattern of one block
+
+def two_flip_patterns(m: int):
+    """Every pair of distinct bits of one m x m block: its data cells
+    ``("data", i, j)`` and its check-bits ``(bank, diagonal)``."""
+    bits = ([("data", i, j) for i in range(m) for j in range(m)]
+            + [(bank, d) for bank in Bank for d in range(m)])
+    return itertools.combinations(bits, 2)
+
+
+def expected_two_flip_kind(pair, m: int) -> DiagnosisKind:
+    """What the code makes of two flips in one block: a leading and a
+    counter check-bit read as the data flip where their diagonals cross, a
+    data flip and a check-bit on one of its diagonals as a flip of its other
+    check-bit, and any other pair is detected."""
+    (a, *x), (b, *y) = pair
+    if (a, b) == (Bank.LEADING, Bank.COUNTER):
+        return DiagnosisKind.DATA_ERROR
+    if a == "data" and isinstance(b, Bank):
+        i, j = x
+        if (b, *y) in ((Bank.LEADING, (i + j) % m), (Bank.COUNTER, (i - j) % m)):
+            return DiagnosisKind.CHECK_BIT_ERROR
+    return DiagnosisKind.UNCORRECTABLE
+
+
+TWO_FLIP_TABLE = {  # m -> (detected, decoded as a check-bit error, miscorrected as data)
+    3: (78, 18, 9),
+    5: (520, 50, 25),
+    15: (31_710, 450, 225),
+}
+
+
+def tally(kinds) -> tuple[int, int, int]:
+    kinds = list(kinds)
+    return tuple(kinds.count(kind) for kind in (
+        DiagnosisKind.UNCORRECTABLE, DiagnosisKind.CHECK_BIT_ERROR, DiagnosisKind.DATA_ERROR))
+
+
+class TestTwoFlipTable:
+    """The codec's two-flip table (data and check-bits of one block): every
+    pattern is detected, decoded as a check-bit error or miscorrected as a
+    data error, as :func:`expected_two_flip_kind` says."""
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_through_a_line_check(self, m):
+        kinds = []
+        for pair in two_flip_patterns(m):
+            machine = Machine.blank(Geometry(m, m))
+            for bit in pair:
+                if bit[0] == "data":
+                    machine.inject_data_flip(*bit[1:])
+                else:
+                    machine.inject_check_flip(*bit, 0, 0)
+            (report,), _ = machine.check_block_row(0)
+            assert report.diagnosis.kind is expected_two_flip_kind(pair, m), pair
+            kinds.append(report.diagnosis.kind)
+        assert tally(kinds) == TWO_FLIP_TABLE[m]
+
+    def test_through_the_scalar_codec_at_m15(self):
+        m = 15
+        zero = np.zeros((m, m), dtype=np.uint8)
+        kinds = []
+        for pair in two_flip_patterns(m):
+            block, stored = zero.copy(), {bank: [0] * m for bank in Bank}
+            for bit in pair:
+                if bit[0] == "data":
+                    block[bit[1:]] ^= 1
+                else:
+                    stored[bit[0]][bit[1]] ^= 1
+            syndrome = compute_syndrome(encode_block(block), BlockParity(
+                tuple(stored[Bank.LEADING]), tuple(stored[Bank.COUNTER])))
+            kind = decode_syndrome(syndrome).kind
+            assert kind is expected_two_flip_kind(pair, m), pair
+            kinds.append(kind)
+        assert tally(kinds) == TWO_FLIP_TABLE[m]

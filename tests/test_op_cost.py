@@ -18,10 +18,10 @@ def test_every_case_is_timed(capsys):
                         "(per block for the checks, per trial for the campaign)")
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
              "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
-             "check_block_row", "full_memory_check", "full_memory_check dirty",
-             "injection_campaign trial"]
-    assert [line[:24].strip() for line in lines[1:]] == names
-    assert all(float(line[24:]) > 0 for line in lines[1:])
+             "check_block_row", "full_memory_check", "full_memory_check after 1-lane ops",
+             "full_memory_check dirty", "injection_campaign trial"]
+    assert [line[:36].strip() for line in lines[1:]] == names
+    assert all(float(line[36:]) > 0 for line in lines[1:])
 
 
 @pytest.mark.parametrize("argv", [

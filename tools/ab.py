@@ -2,7 +2,7 @@
 """Paired A/B runs of the benchmark on two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --workload simd [--pairs 10]
-        [--seconds 25] [--first-seed 1] [--layers]
+        [--seconds 25] [--first-seed 1] [--layers N]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed (``--first-seed``, then one more per pair). The side that runs
@@ -19,10 +19,17 @@ On ``work_per_ref_s`` it also prints the verdict of the claim rule: the
 change wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
 
-With ``--layers``, after the pairs it runs ``perfbench/run.py --trace 1``
-once in each checkout on the first seed and prints every per-layer metric
-of ``BENCHMARK.json`` whose value differs, parent -> change, so the report
-names the layers that moved.
+With ``--layers N``, after the pairs it runs ``perfbench/run.py --trace 1``
+N times in each checkout on the first seed, alternating as the pairs do,
+and prints every per-layer metric of ``BENCHMARK.json``: each side's median
+and interquartile range, the change of the median, and beside a layer's
+time its calls per item. A host that drifts moves every layer alike, so a
+layer reads ``moved`` only if the change of its median exceeds both sides'
+interquartile ranges and, for a time, its ratio to ``REFERENCE``, a layer
+no perf change touches, measured in the same run, moves the same way by
+more than both sides' ranges of that ratio; counts and bytes do not drift
+with the host and need no ratio. Equal medians read ``same``, and any other
+change ``unresolved``.
 
 Standard library only. Nothing is written besides what ``perfbench/run.py``
 itself writes in each checkout.
@@ -35,6 +42,12 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def alternate(i: int) -> tuple[str, str]:
+    """The order in which the two sides run in round i: the parent first in
+    even rounds, so that a drift of the host's speed favours neither."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -90,18 +103,68 @@ def bound_verdict(parent: list[float], change: list[float], higher_is_better: bo
     return rel, "WORSE" if worse > bound else "ok"
 
 
-def layer_lines(names: list[str], parent: dict, change: dict) -> list[str]:
-    """``name parent -> change (relative change)`` for each per-layer metric
-    whose value differs between two ``--trace 1`` results, in ``names``
-    order; a value one side lacks reads ``-``."""
-    fmt = lambda v: "-" if v is None else f"{v:.6g}"
+REFERENCE = "checkmem.machine_init.self_s"  # the untouched layer that times are read against
+
+
+def shift(parent: list[float], change: list[float]) -> int:
+    """+1 or -1 when the change's median is above or below the parent's by
+    more than each side's interquartile range, else 0."""
+    (p1, med_parent, p3), (c1, med_change, c3) = quartiles(parent), quartiles(change)
+    gap = med_change - med_parent
+    return (gap > 0) - (gap < 0) if abs(gap) > max(p3 - p1, c3 - c1) else 0
+
+
+def layer_verdict(parent: list[float], change: list[float],
+                  ratios: tuple[list[float], list[float]] | None = None) -> str:
+    """``same`` when both medians are equal; ``moved`` when the change's
+    median lies beyond each side's interquartile range and, if each side's
+    ``ratios`` to the reference are given (for a time), their median moves
+    the same way beyond each side's range of them; else ``unresolved``."""
+    if statistics.median(parent) == statistics.median(change):
+        return "same"
+    moved = shift(parent, change)
+    if ratios is not None and not (all(ratios) and shift(*ratios) == moved):
+        moved = 0
+    return "moved" if moved else "unresolved"
+
+
+def layer_lines(per_layer: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per metric of ``per_layer`` (``BENCHMARK.json`` entries),
+    read off each side's ``--trace 1`` metrics: ``name``, each side's
+    ``median (IQR)``, the relative change of the median, the verdict and,
+    beside a time, each side's median calls per item of the same layer. A
+    time's verdict also reads its ratio to :data:`REFERENCE` in each run,
+    whose own verdict is ``reference``; a side with no value reads ``-``."""
+    def values(runs, name):
+        return [run[name]["value"] for run in runs if name in run]
+
+    def ratios(runs, name):
+        return [run[name]["value"] / run[REFERENCE]["value"] for run in runs
+                if name in run and run.get(REFERENCE, {}).get("value")]
+
+    def summary(v):
+        q1, median, q3 = quartiles(v)
+        return f"{median:.4g} ({q3 - q1:.2g})"
+
     lines = []
-    for name in names:
-        p, c = (side.get(name, {}).get("value") for side in (parent, change))
-        if p == c:
-            continue
-        rel = f" ({(c - p) / abs(p):+.1%})" if p and c is not None else ""
-        lines.append(f"{name:40s} {fmt(p)} -> {fmt(c)}{rel}")
+    for spec in per_layer:
+        name = spec["name"]
+        sides = values(parent, name), values(change, name)
+        cols = [summary(v) if v else "-" for v in sides]
+        rel, verdict, calls = "", "unresolved", ""
+        if all(sides):
+            med_parent, med_change = map(statistics.median, sides)
+            if med_parent:
+                rel = f"{(med_change - med_parent) / abs(med_parent):+.1%}"
+            timed = spec["unit"] == "s"
+            verdict = ("reference" if name == REFERENCE else layer_verdict(
+                *sides, (ratios(parent, name), ratios(change, name)) if timed else None))
+            counted = [values(runs, name.removesuffix(".self_s") + ".calls")
+                       for runs in (parent, change)]
+            if timed and all(counted):
+                calls = "calls {:.4g} -> {:.4g}".format(*map(statistics.median, counted))
+        lines.append(f"{name:40s} {cols[0]:>20s} -> {cols[1]:20s} {rel:>7s}  "
+                     f"{verdict:10s} {calls}".rstrip())
     return lines
 
 
@@ -113,9 +176,9 @@ def parse_args(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--layers", action="store_true",
-                   help="after the pairs, one --trace 1 run per side; print the "
-                        "per-layer metrics that differ")
+    p.add_argument("--layers", type=int, default=0, metavar="N",
+                   help="after the pairs, N alternating --trace 1 runs per side "
+                        "(at least 3); print every per-layer metric and whether it moved")
     return p.parse_args(argv)
 
 
@@ -123,6 +186,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.pairs < 1:
         sys.exit("ab: --pairs must be at least 1")
+    if args.layers and args.layers < 3:
+        sys.exit("ab: --layers needs at least 3 runs per side for a spread")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -130,7 +195,7 @@ def main(argv=None) -> int:
     results = {side: [] for side in sides}
     for i in range(args.pairs):
         seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = alternate(i)
         for side in order:
             results[side].append(run_once(sides[side], args.workload, seed, args.seconds))
         line = "  ".join(
@@ -160,13 +225,15 @@ def main(argv=None) -> int:
                                   better[CLAIMED] == "higher")
     print(f"\nclaim on {CLAIMED}: {'HOLDS' if holds else 'DOES NOT HOLD'} ({why})")
     if args.layers:
-        traced = {side: run_once(sides[side], args.workload, args.first_seed,
-                                 args.seconds, trace=1)["metrics"] for side in sides}
-        lines = layer_lines([m["name"] for m in spec["per_layer"]],
-                            traced["parent"], traced["change"])
-        print(f"\nper-layer metrics that differ (--trace 1, seed {args.first_seed}), "
-              "parent -> change:")
-        print("\n".join(lines) if lines else "(none)")
+        traced = {side: [] for side in sides}
+        for i in range(args.layers):
+            order = alternate(i)
+            for side in order:
+                traced[side].append(run_once(sides[side], args.workload, args.first_seed,
+                                             args.seconds, trace=1)["metrics"])
+        print(f"\nper-layer metrics, {args.layers} runs per side (--trace 1, seed "
+              f"{args.first_seed}), median (IQR), parent -> change:")
+        print("\n".join(layer_lines(spec["per_layer"], traced["parent"], traced["change"])))
     return 0
 
 

@@ -22,6 +22,10 @@ built outside the timed region:
 - ``full_memory_check``: the same machine checked whole, row-wise, once per
   n/m ops (at least once), so that it checks about as many lines as
   ``check_block_row``; reported per block checked;
+- ``full_memory_check after 1-lane ops``: the same sweeps, of a machine on
+  which 2m one-lane critical ops ran first, untimed, so that every
+  check-bit crossbar holds windows of its own, as in a compiled schedule;
+  reported per block checked;
 - ``full_memory_check dirty``: the ``campaign`` workload's regime, as many
   whole row-wise checks, each of a fresh blank machine with each cell
   flipped with probability 1e-4 (seeded, the same flips every check), so
@@ -118,6 +122,11 @@ def cases(n: int, m: int):
             return count
         return run
 
+    def machine_after_one_lane_ops():
+        machine = preset_machine()
+        nors(one, True)(machine, 2 * m)  # every line offset, twice
+        return machine
+
     def resets(machine, count):
         for k in range(count):
             machine.block_ecc_reset(k // nb % nb, k % nb)
@@ -190,6 +199,7 @@ def cases(n: int, m: int):
         ("compute_syndrome", lambda: None, syndromes),
         ("check_block_row", random_machine, line_checks),
         ("full_memory_check", random_machine, memory_checks),
+        ("full_memory_check after 1-lane ops", machine_after_one_lane_ops, memory_checks),
         ("full_memory_check dirty", lambda: None, dirty_memory_checks),
         ("injection_campaign trial", lambda: None, trials),
     )
@@ -202,7 +212,7 @@ def main(argv=None) -> int:
     print(f"op_cost: n={args.n} m={args.m}, best of {args.repeat} x {args.ops} ops, "
           f"microseconds per op (per block for the checks, per trial for the campaign)")
     for name, seconds in rows:
-        print(f"{name:<24}{seconds * 1e6:10.2f}")
+        print(f"{name:<36}{seconds * 1e6:10.2f}")
     return 0
 
 
