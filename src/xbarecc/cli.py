@@ -113,7 +113,7 @@ def resolve_config(args) -> RunConfig:
         raise UsageError(f"-k/--pc-pairs must be in [1, {MAX_PC_PAIRS}], got {k}")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
     for key in ("n", "block_size", "pc_pairs", "seed"):
         value = getattr(args, key, None)
@@ -447,9 +447,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, default=None, help="crossbar side length")
     p.add_argument("-m", "--block-size", type=int, default=None, dest="block_size",
                    help="block side length (odd, divides n)")
+
+
+def _add_pc_pairs(p: argparse.ArgumentParser) -> None:
     p.add_argument("-k", "--pc-pairs", type=int, default=None, dest="pc_pairs",
                    help="processing-crossbar pairs")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
 
 
 def build_parser() -> _Parser:
@@ -464,6 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("netlist", help=".nl file or directory of .nl files")
     p.add_argument("--out-dir", help="where to write .events/.stats files")
     _add_common(p)
+    _add_pc_pairs(p)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("simulate", help="run a scheduled event log on the machine")
@@ -482,6 +485,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--out", help="write the report here instead of stdout")
     _add_common(p)
+    _add_pc_pairs(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("reliability", help="MTTF sensitivity sweep (CSV)")
@@ -496,6 +501,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("area", help="device counts per unit")
     _add_common(p)
+    _add_pc_pairs(p)
     p.set_defaults(func=cmd_area)
 
     return parser
@@ -514,7 +520,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     # OverflowError: a replay past cycle 2**31, which Machine's readiness rejects
     except (InputError, NetlistError, RowCapacityError, GeometryError,
-            MicroOpError, FileNotFoundError, UnicodeDecodeError, OverflowError) as exc:
+            MicroOpError, OSError, UnicodeDecodeError, OverflowError) as exc:
         print(f"xbarecc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DiagonalConflictError, RuntimeError, ValueError) as exc:

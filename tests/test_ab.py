@@ -2,6 +2,7 @@
 per-pair results."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -95,16 +96,18 @@ NOISE = [1.00, 0.97, 1.04, 0.99, 1.02, 0.96, 1.03]  # one host's run-to-run spre
 
 def host_runs(drift: float, phase: int = 0,
               scale: dict[str, float] | None = None) -> list[dict]:
-    """Seven synthetic runs of one side: every time scaled by the host's
-    ``drift`` and by its run's noise, which ``phase`` rotates, and a metric
-    named in ``scale`` by that factor too; counts and bytes exact."""
-    base = {"checkmem.machine_init.self_s": 2e-4, "checkmem.check_block_row.calls": 68.0,
+    """Seven synthetic runs of one side: every time, the reference kernel's
+    included, scaled by the host's ``drift`` and by its run's noise, which
+    ``phase`` rotates, and a metric named in ``scale`` by that factor too;
+    counts and bytes exact."""
+    base = {"reference_kernel_s": 0.06,
+            "checkmem.machine_init.self_s": 2e-4, "checkmem.check_block_row.calls": 68.0,
             "checkmem.check_block_row.self_s": 0.05, "checkmem.block_ecc_reset.self_s": 0.02,
             "engine.format_op.bytes": 4096.0}
     layers = {}
     for name, value in base.items():
         value *= (scale or {}).get(name, 1.0)
-        timed = name.endswith(".self_s")
+        timed = name.endswith("_s")
         # each layer sees its own share of the noise, rotated per layer
         shift = len(layers)
         layers[name] = [value * drift * NOISE[(k + shift + phase) % 7] if timed else value
@@ -128,7 +131,8 @@ class TestLayerVerdict:
         # the change side runs on a host 15% slower: every time rises alike
         lines = ab.layer_lines(PER_LAYER, host_runs(1.0), host_runs(1.15, 3))
         assert verdicts(lines) == {
-            "checkmem.machine_init.self_s": "reference",
+            "reference_kernel_s": "reference",
+            "checkmem.machine_init.self_s": "unresolved",
             "checkmem.check_block_row.calls": "same",
             "checkmem.check_block_row.self_s": "unresolved",
             "checkmem.block_ecc_reset.self_s": "unresolved",
@@ -160,21 +164,44 @@ class TestLayerVerdict:
         assert ab.layer_verdict(parent, change, ([2.0, 2.1, 2.2], [1.0, 1.1, 1.2])) == "unresolved"
         assert ab.layer_verdict(parent, change, ([], [])) == "unresolved"  # no reference
 
+    def test_machine_init_is_judged_like_any_other_layer(self):
+        change = host_runs(1.15, 3, {"checkmem.machine_init.self_s": 0.6})
+        got = verdicts(ab.layer_lines(PER_LAYER, host_runs(1.0), change))
+        assert got["checkmem.machine_init.self_s"] == "moved"
+        assert got["reference_kernel_s"] == "reference"
+
     def test_the_line_shows_medians_spreads_change_and_calls(self):
-        parent = traced_runs({"checkmem.machine_init.self_s": [1.0, 1.0, 1.0],
+        parent = traced_runs({"reference_kernel_s": [0.9, 1.0, 1.1],
                               "checkmem.check_block_row.calls": [68.0, 68.0, 68.0],
                               "checkmem.check_block_row.self_s": [0.4, 0.5, 0.6]})
-        change = traced_runs({"checkmem.machine_init.self_s": [1.0, 1.0, 1.0],
+        change = traced_runs({"reference_kernel_s": [1.0, 1.0, 1.0],
                               "checkmem.check_block_row.calls": [68.0, 68.0, 68.0],
                               "checkmem.check_block_row.self_s": [0.2, 0.25, 0.3]})
-        line = ab.layer_lines(PER_LAYER[2:3], parent, change)[0]
+        reference, line = ab.layer_lines(PER_LAYER[2:3], parent, change)
+        assert reference.split() == ["reference_kernel_s", "1", "(0.1)", "->", "1", "(0)",
+                                     "+0.0%", "reference", "IQR", "10.0%", "->", "0.0%",
+                                     "of", "median"]
         assert line.split() == ["checkmem.check_block_row.self_s", "0.5", "(0.1)", "->",
                                 "0.25", "(0.05)", "-50.0%", "moved", "calls", "68", "->", "68"]
 
     def test_a_missing_side_is_unresolved(self):
-        runs = traced_runs({"checkmem.machine_init.self_s": [1.0, 1.0, 1.0]})
-        (line,) = ab.layer_lines([{"name": "x.calls", "unit": "count"}], runs, runs)
+        runs = traced_runs({"reference_kernel_s": [1.0, 1.0, 1.0]})
+        _, line = ab.layer_lines([{"name": "x.calls", "unit": "count"}], runs, runs)
         assert line.split() == ["x.calls", "-", "->", "-", "unresolved"]
+        (reference,) = ab.layer_lines([], [{}], [{}])
+        assert reference.split() == ["reference_kernel_s", "-", "->", "-", "unresolved"]
+
+
+def test_the_reference_is_the_median_of_the_detail_lines_kernel_times():
+    detail = {"item_s": [0.5, 0.6, 0.7], "reference_kernel_s": [0.06, 0.09, 0.05]}
+    result = {"correct": True, "failed": 0,
+              "metrics": {"checkmem.machine_init.calls": {"value": 1.0, "unit": "count"}}}
+    stdout = "\n".join(["simd = 1.0 lanes/s (host time)", "# detail " + json.dumps(detail),
+                        json.dumps(result)])
+    got = ab.read_result(stdout)
+    assert got["metrics"] == {"checkmem.machine_init.calls": {"value": 1.0, "unit": "count"},
+                              "reference_kernel_s": {"value": 0.06, "unit": "s"}}
+    assert (got["correct"], got["failed"]) == (True, 0)
 
 
 @pytest.mark.parametrize("layers", ["1", "2"])

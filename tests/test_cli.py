@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import itertools
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -22,6 +24,7 @@ from xbarecc.cli import (
     MAX_SWEEP_POINTS,
     MAX_TRIALS,
     RunConfig,
+    build_parser,
     load_config,
     main,
     read_schedule_file,
@@ -529,6 +532,61 @@ class TestConfig:
 
     def test_usage_error_from_argparse(self):
         assert main(["__nope__"]) == EXIT_USAGE
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_usage() -> dict[str, set[str]]:
+    """The flags of each ``xbarecc <command>`` line of README's usage block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    return {line.split()[1]: set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line))
+            for line in block.splitlines() if line.startswith("xbarecc ")}
+
+
+def parser_options() -> dict[str, list[list[str]]]:
+    """Each subcommand's options, as their lists of aliases, without -h/--help."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: [action.option_strings for action in p._actions
+                   if action.option_strings and action.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+class TestCommandLine:
+    def test_readme_usage_block_matches_the_parser(self):
+        usage, options = readme_usage(), parser_options()
+        assert usage.keys() == options.keys()
+        for command, aliases in options.items():
+            missing = [a for a in aliases if not usage[command] & set(a)]
+            unknown = usage[command] - {flag for a in aliases for flag in a}
+            assert (command, missing, unknown) == (command, [], set())
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "x.nl", "--seed", "1"],
+        ["reliability", "--seed", "1"],
+        ["reliability", "-k", "3"],
+        ["area", "--seed", "1"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{dir}", "--inputs", "a=1"],
+        ["reliability", "--out", "{dir}"],
+        ["schedule", "{netlist}", "--out-dir", "{file}"],
+        ["area", "--config", "{dir}"],
+    ])
+    def test_a_path_that_cannot_be_read_or_written_is_an_input_error(
+            self, argv, corpus_dir, tmp_path, capsys):
+        file = tmp_path / "file"
+        file.write_text("")
+        paths = {"dir": tmp_path, "file": file, "netlist": fa_path(corpus_dir)}
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("xbarecc: input error: [Errno ")
 
 
 class TestDeterminism:

@@ -25,11 +25,14 @@ and prints every per-layer metric of ``BENCHMARK.json``: each side's median
 and interquartile range, the change of the median, and beside a layer's
 time its calls per item. A host that drifts moves every layer alike, so a
 layer reads ``moved`` only if the change of its median exceeds both sides'
-interquartile ranges and, for a time, its ratio to ``REFERENCE``, a layer
-no perf change touches, measured in the same run, moves the same way by
-more than both sides' ranges of that ratio; counts and bytes do not drift
-with the host and need no ratio. Equal medians read ``same``, and any other
-change ``unresolved``.
+interquartile ranges and, for a time, its ratio to ``REFERENCE``, a time
+no change to the program touches, measured in the same run, moves the same
+way by more than both sides' ranges of that ratio; counts and bytes do not
+drift with the host and need no ratio. Equal medians read ``same``, and any
+other change ``unresolved``. ``REFERENCE`` is the median of the
+reference-kernel times that ``perfbench/run.py`` takes around every item
+and prints on its ``# detail`` line; its own line comes first and shows
+each side's interquartile range relative to its median.
 
 Standard library only. Nothing is written besides what ``perfbench/run.py``
 itself writes in each checkout.
@@ -59,7 +62,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     if done.returncode != 0:
         sys.exit(f"ab: {' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                  f"{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    return read_result(done.stdout)
+
+
+DETAIL = "# detail "
+
+
+def read_result(stdout: str) -> dict:
+    """The JSON result line of one run's output, with the median of the
+    reference-kernel times of its ``# detail`` line as metric :data:`REFERENCE`."""
+    lines = stdout.splitlines()
+    detail = json.loads(next(line for line in lines if line.startswith(DETAIL))[len(DETAIL):])
+    result = json.loads(lines[-1])
+    result["metrics"][REFERENCE] = {"value": statistics.median(detail[REFERENCE]),
+                                    "unit": "s"}
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,6 +87,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 CLAIMED = "work_per_ref_s"  # the metric the claim rule is applied to
+REFERENCE = "reference_kernel_s"  # the time no change touches, that layer times are read against
 
 
 def claim_verdict(parent: list[float], change: list[float],
@@ -103,7 +121,6 @@ def bound_verdict(parent: list[float], change: list[float], higher_is_better: bo
     return rel, "WORSE" if worse > bound else "ok"
 
 
-REFERENCE = "checkmem.machine_init.self_s"  # the untouched layer that times are read against
 
 
 def shift(parent: list[float], change: list[float]) -> int:
@@ -133,8 +150,10 @@ def layer_lines(per_layer: list[dict], parent: list[dict], change: list[dict]) -
     read off each side's ``--trace 1`` metrics: ``name``, each side's
     ``median (IQR)``, the relative change of the median, the verdict and,
     beside a time, each side's median calls per item of the same layer. A
-    time's verdict also reads its ratio to :data:`REFERENCE` in each run,
-    whose own verdict is ``reference``; a side with no value reads ``-``."""
+    time's verdict also reads its ratio to :data:`REFERENCE` in each run.
+    The reference's own line comes first, with the verdict ``reference``
+    and each side's interquartile range relative to its median; a side with
+    no value reads ``-``."""
     def values(runs, name):
         return [run[name]["value"] for run in runs if name in run]
 
@@ -147,24 +166,29 @@ def layer_lines(per_layer: list[dict], parent: list[dict], change: list[dict]) -
         return f"{median:.4g} ({q3 - q1:.2g})"
 
     lines = []
-    for spec in per_layer:
+    for spec in [{"name": REFERENCE, "unit": "s"}, *per_layer]:
         name = spec["name"]
         sides = values(parent, name), values(change, name)
         cols = [summary(v) if v else "-" for v in sides]
-        rel, verdict, calls = "", "unresolved", ""
+        rel, verdict, note = "", "unresolved", ""
         if all(sides):
             med_parent, med_change = map(statistics.median, sides)
             if med_parent:
                 rel = f"{(med_change - med_parent) / abs(med_parent):+.1%}"
             timed = spec["unit"] == "s"
-            verdict = ("reference" if name == REFERENCE else layer_verdict(
-                *sides, (ratios(parent, name), ratios(change, name)) if timed else None))
             counted = [values(runs, name.removesuffix(".self_s") + ".calls")
                        for runs in (parent, change)]
-            if timed and all(counted):
-                calls = "calls {:.4g} -> {:.4g}".format(*map(statistics.median, counted))
+            if name == REFERENCE:
+                verdict = "reference"
+                note = "IQR {:.1%} -> {:.1%} of median".format(
+                    *((q3 - q1) / q2 for q1, q2, q3 in map(quartiles, sides)))
+            else:
+                verdict = layer_verdict(
+                    *sides, (ratios(parent, name), ratios(change, name)) if timed else None)
+                if timed and all(counted):
+                    note = "calls {:.4g} -> {:.4g}".format(*map(statistics.median, counted))
         lines.append(f"{name:40s} {cols[0]:>20s} -> {cols[1]:20s} {rel:>7s}  "
-                     f"{verdict:10s} {calls}".rstrip())
+                     f"{verdict:10s} {note}".rstrip())
     return lines
 
 
