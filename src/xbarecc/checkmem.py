@@ -4,7 +4,7 @@ The CMEM extends the data crossbar (MEM) with m check-bit crossbars per
 bank, processing crossbars that compute XOR3 off the critical path, and a
 checking crossbar that compares syndromes to zero. The barrel shifters
 that route MEM lines into per-block diagonal order appear only as the
-diagonal index math of :func:`touched_check_cells` and in the transistor
+diagonal index math of :class:`LaneFootprint` and in the transistor
 count of :func:`device_counts`.
 
 A critical operation (one that writes ECC-covered data) runs the
@@ -43,7 +43,6 @@ from .parity import (
     BlockParity,
     Diagnosis,
     DiagnosisKind,
-    DiagonalConflictError,
     compute_syndrome,
     decode_syndrome,
     diag_parity,
@@ -230,32 +229,6 @@ class UnitTimeline:
         return t
 
 
-def touched_check_cells(rows: np.ndarray, cols: np.ndarray,
-                        geom: Geometry) -> np.ndarray:
-    """Flat indices into :attr:`CheckMem.planes` of the check-bits that
-    writing the cells (rows, cols) touches.
-
-    The leading half comes first, entry k of each half belonging to the
-    k-th written cell. Raises :class:`DiagonalConflictError` if one op would
-    touch a check-bit twice; row/column-parallel ops never do, so this is an
-    internal guard.
-    """
-    n, m, nb = geom.n, geom.m, geom.blocks_per_side
-    if rows.size and not (min(rows.min(), cols.min()) >= 0
-                          and max(rows.max(), cols.max()) < n):
-        raise GeometryError(f"op writes cells outside the {n}x{n} crossbar")
-    i, j = rows % m, cols % m
-    block = cols // m * nb + rows // m
-    touched = np.concatenate([(i + j) % m * nb * nb + block,
-                              ((i - j) % m + m) * nb * nb + block])
-    keys = np.sort(touched)
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    if repeated.size:
-        key = tuple(int(k) for k in np.unravel_index(repeated[0], (2, m, nb, nb)))
-        raise DiagonalConflictError(f"op touches check-bit {key} twice")
-    return touched
-
-
 class LaneFootprint:
     """The check-bits that a row- or column-parallel op on one lane set
     touches, for whichever line it writes; :func:`lane_footprint` builds it
@@ -265,9 +238,9 @@ class LaneFootprint:
     at offset j of its block puts group r's cells on leading diagonal
     (r + j) mod m and on counter diagonal (r - j) mod m, or (j - r) mod m for
     a COLUMN op: one check-bit crossbar per bank, and in it one check-bit
-    per block of the group. A line therefore touches a check-bit twice
-    exactly when line 0 does, so the :class:`DiagonalConflictError` guard of
-    :func:`touched_check_cells` runs once, on line 0, when it is built.
+    per block of the group. An op's lanes are distinct, so no check-bit is
+    touched twice: lanes in different blocks touch different blocks, and
+    lanes in one block differ in r, so their diagonals differ in both banks.
     """
 
     def __init__(self, geom: Geometry, orientation: Orientation, lane_mask: frozenset[int]):
@@ -297,16 +270,14 @@ class LaneFootprint:
         # crossbar planes[b, d], at index b * m + d, names its check-bits
         # "C3@<block row>,<block column>" in the event log
         self._heads = tuple(f"{tag}{d}@" for tag in _BANK_TAGS for d in range(m))
-        line = np.zeros_like(lanes)
-        touched_check_cells(*((lanes, line) if self._row else (line, lanes)), geom)
 
     def at(self, line: int) -> tuple[np.ndarray, list[int], str]:
         """What writing ``line`` touches: the check-bits as a ``[bank, lane]``
         array of flat indices into :attr:`CheckMem.planes`, leading bank first
-        and each bank in ascending lane order, as :func:`touched_check_cells`
-        lists them; the touched check-bit crossbars, ascending; and the
-        check-bits' names, counter bank first, each bank by (diagonal, block
-        row, block column), as the event log lists them."""
+        and each bank in ascending lane order; the touched check-bit
+        crossbars, ascending; and the check-bits' names, counter bank first,
+        each bank by (diagonal, block row, block column), as the event log
+        lists them."""
         m, nb = self._m, self._nb
         q, j = divmod(line, m)
         step, base = self._sign * j, q * self._line_stride
@@ -540,7 +511,7 @@ class Machine:
 
     def noncritical_op(self, op: MicroOp, earliest: int = 0) -> int:
         """Plain MAGIC op: one MEM cycle, no ECC involvement."""
-        validate_op(self.state, op, self.engine_cfg)
+        validate_op(self.state, op)
         t = max(earliest, self.timeline.next_free("MEM"))
         self.timeline.reserve("MEM", t, 1)
         apply_op_inplace(self.state.cells, op, self.engine_cfg)
@@ -550,7 +521,7 @@ class Machine:
     def critical_op(self, op: MicroOp, earliest: int = 0) -> int:
         """Run the cancel/perform/add protocol around one MAGIC op; returns
         its issue cycle."""
-        validate_op(self.state, op, self.engine_cfg)
+        validate_op(self.state, op)
         tm = self.timing
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
         line = op.output_line

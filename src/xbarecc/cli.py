@@ -16,7 +16,6 @@ from .checkmem import Event, Machine, TimingModel, device_counts
 from .engine import MicroOpError, Orientation, parse_op
 from .geometry import Geometry, GeometryError
 from .netlist import NetlistError, load_netlist
-from .parity import DiagonalConflictError
 from .reliability import (
     MIN_BLOCK_TRIALS,
     CampaignScope,
@@ -339,9 +338,7 @@ def cmd_inject(args) -> int:
     if not 0 <= args.pbit <= 1:
         raise UsageError(f"--pbit must be in [0, 1], got {args.pbit}")
     if args.scope == CampaignScope.BLOCK:
-        if cfg.block_size < 1 or cfg.block_size % 2 == 0:
-            raise UsageError(f"-m/--block-size must be odd and at least 1, "
-                             f"got {cfg.block_size}")
+        Geometry(cfg.block_size, cfg.block_size)  # one block of side m
         est = monte_carlo_block_failure(args.pbit, cfg.block_size, args.trials,
                                         cfg.seed)
         closed = block_failure_probability(args.pbit, cfg.block_size)
@@ -406,7 +403,7 @@ def cmd_reliability(args) -> int:
     params = ReliabilityParams(
         lambda_fit=args.lambda_min,
         t_hours=args.t_hours,
-        geom=Geometry(cfg.n, cfg.block_size),
+        geom=cfg.geometry(),
         capacity_bits=args.capacity_bits,
     )
     rows = sweep(args.lambda_min, args.lambda_max, args.points_per_decade, params)
@@ -523,7 +520,7 @@ def main(argv=None) -> int:
             MicroOpError, OSError, UnicodeDecodeError, OverflowError) as exc:
         print(f"xbarecc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DiagonalConflictError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"xbarecc: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

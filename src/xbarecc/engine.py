@@ -1,8 +1,10 @@
 """Functional MAGIC execution engine with per-operation cycle accounting.
 
 A micro-op is a single row- or column-parallel MAGIC operation: the same
-gate applied across every active lane in one clock cycle. NOR outputs must
-be preset to 1 (the MAGIC initialization convention), which the engine
+gate applied across every active lane in one clock cycle. The gates are NOR
+of one or two input lines (a one-input NOR is a NOT) and Init, which presets
+a line to 1; an op's shape is checked once, when it is built. NOR outputs
+must be preset to 1 (the MAGIC initialization convention), which the engine
 enforces by default so that compilers forgetting Init ops fail loudly.
 """
 
@@ -27,13 +29,14 @@ class UninitializedOutputError(MicroOpError):
 class OpKind(Enum):
     NOR = "nor"
     INIT = "init"
-    READ = "read"
-    WRITE = "write"
 
 
 class Orientation(Enum):
     ROW = "row"
     COLUMN = "column"
+
+
+FAN_IN_MAX = 2  # input lines of a MAGIC NOR
 
 
 class LaneSet(NamedTuple):
@@ -77,7 +80,8 @@ class MicroOp:
     """One row/column-parallel MAGIC operation (one clock cycle).
 
     For ROW orientation the lanes are row indices and the lines are column
-    indices; COLUMN is the transpose. A 1-input NOR is a NOT.
+    indices; COLUMN is the transpose. A NOR has one or two input lines (a
+    1-input NOR is a NOT); an Init has none.
     """
 
     kind: OpKind
@@ -85,11 +89,10 @@ class MicroOp:
     input_lines: tuple[int, ...]
     output_line: int
     lane_mask: frozenset[int]
-    value: int  # written bit for WRITE ops; INIT always writes 1
     lane_set: LaneSet = field(init=False, repr=False, compare=False)  # lane_set(lane_mask)
 
     def __init__(self, kind: OpKind, orientation: Orientation, input_lines: tuple[int, ...],
-                 output_line: int, lane_mask: frozenset[int], value: int = 1):
+                 output_line: int, lane_mask: frozenset[int]):
         if output_line in input_lines:
             raise MicroOpError(f"output line {output_line} also listed as input")
         if len(set(input_lines)) != len(input_lines):
@@ -97,10 +100,12 @@ class MicroOp:
         lane_mask = frozenset(lane_mask)  # the same object when it is one already
         if not lane_mask:
             raise MicroOpError("empty lane mask")
-        if kind is OpKind.NOR and not input_lines:
-            raise MicroOpError("NOR needs at least one input line")
-        if value not in (0, 1):
-            raise MicroOpError(f"bit value must be 0 or 1, got {value}")
+        if kind is OpKind.NOR:
+            if not 1 <= len(input_lines) <= FAN_IN_MAX:
+                raise MicroOpError(f"NOR needs 1 to {FAN_IN_MAX} input lines, "
+                                   f"got {len(input_lines)}")
+        elif input_lines:
+            raise MicroOpError("Init takes no input lines")
         # written here rather than by a generated __init__ and __post_init__,
         # which look the setter up once per field and validate in a second call
         _set_field(self, "kind", kind)
@@ -108,7 +113,6 @@ class MicroOp:
         _set_field(self, "input_lines", input_lines)
         _set_field(self, "output_line", output_line)
         _set_field(self, "lane_mask", lane_mask)
-        _set_field(self, "value", value)
         _set_field(self, "lane_set", lane_set(lane_mask))
 
 
@@ -123,14 +127,9 @@ def init_op(orientation: Orientation, output: int, lanes) -> MicroOp:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Execution policy: max NOR fan-in and output-preset enforcement."""
+    """Execution policy: output-preset enforcement."""
 
-    fan_in_max: int = 2
     require_output_init: bool = True
-
-    def __post_init__(self):
-        if self.fan_in_max < 1:
-            raise MicroOpError(f"fan_in_max must be >= 1, got {self.fan_in_max}")
 
 
 class CrossbarState:
@@ -161,8 +160,9 @@ class CrossbarState:
                 and np.array_equal(self.cells, other.cells))
 
 
-def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
-    """Range- and fan-in-check an op against a concrete crossbar."""
+def validate_op(state: CrossbarState, op: MicroOp) -> None:
+    """Range-check an op against a concrete crossbar; its shape was checked
+    when it was built."""
     n = state.geom.n
     for line in (*op.input_lines, op.output_line):
         if not 0 <= line < n:
@@ -171,9 +171,6 @@ def validate_op(state: CrossbarState, op: MicroOp, cfg: EngineConfig) -> None:
     for lane in (lanes[0], lanes[-1]):  # sorted: the least and the greatest
         if not 0 <= lane < n:
             raise MicroOpError(f"lane index {lane} outside [0,{n})")
-    if op.kind is OpKind.NOR and len(op.input_lines) > cfg.fan_in_max:
-        raise MicroOpError(
-            f"fan-in {len(op.input_lines)} exceeds limit {cfg.fan_in_max}")
 
 
 def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
@@ -194,11 +191,8 @@ def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
         for line in op.input_lines[1:]:
             ored = ored | plane[lanes, line]
         plane[lanes, op.output_line] = ored == 0
-    elif op.kind is OpKind.INIT:
+    else:  # INIT
         plane[lanes, op.output_line] = 1
-    elif op.kind is OpKind.WRITE:
-        plane[lanes, op.output_line] = op.value
-    # READ: no state change
 
 
 def execute(state: CrossbarState, op: MicroOp,
@@ -209,27 +203,26 @@ def execute(state: CrossbarState, op: MicroOp,
     single op the outputs never feed back into the inputs, so a parallel op
     equals the composition of its single-lane parts on the same pre-state.
     """
-    validate_op(state, op, cfg)
+    validate_op(state, op)
     new = state.copy()
     apply_op_inplace(new.cells, op, cfg)
     return new
 
 
 def op_record(kind: OpKind, orientation: Orientation, output_line: int,
-              input_lines: tuple[int, ...], lanes: str, value: int = 1) -> str:
+              input_lines: tuple[int, ...], lanes: str) -> str:
     """The one renderer of an op record from its fields; ``lanes`` is the
     sorted lanes, comma-joined, as in :attr:`LaneSet.text`. :func:`format_op`
     and a block reset, which logs its Init records without building ops,
     both call it."""
-    text = (f"kind={kind.value} orient={orientation.value} out={output_line} "
+    return (f"kind={kind.value} orient={orientation.value} out={output_line} "
             f"in={','.join(map(str, input_lines)) or '-'} lanes={lanes}")
-    return text + f" value={value}" if kind is OpKind.WRITE else text
 
 
 def format_op(op: MicroOp) -> str:
     """Serialize a micro-op as the operand field of a trace/event record."""
     return op_record(op.kind, op.orientation, op.output_line, op.input_lines,
-                     op.lane_set.text, op.value)
+                     op.lane_set.text)
 
 
 def parse_op(text: str) -> MicroOp:
@@ -244,7 +237,6 @@ def parse_op(text: str) -> MicroOp:
         out = int(fields["out"])
         ins = () if fields["in"] == "-" else tuple(int(x) for x in fields["in"].split(","))
         lanes = frozenset(int(x) for x in fields["lanes"].split(","))
-        value = int(fields.get("value", 1))
     except (KeyError, ValueError) as exc:
         raise MicroOpError(f"bad op record {text!r}: {exc}") from None
-    return MicroOp(kind, orient, ins, out, lanes, value)
+    return MicroOp(kind, orient, ins, out, lanes)

@@ -7,14 +7,9 @@ import itertools
 
 import numpy as np
 import pytest
-from test_checkmem import written_cells
+from test_checkmem import touched_check_cells, written_cells
 
-from xbarecc.checkmem import (
-    Machine,
-    TimingModel,
-    device_counts,
-    touched_check_cells,
-)
+from xbarecc.checkmem import Machine, TimingModel, device_counts
 from xbarecc.engine import CrossbarState, Orientation, init_op
 from xbarecc.geometry import Bank, Geometry
 from xbarecc.netlist import BUNDLED, load_bundled

@@ -22,14 +22,12 @@ from xbarecc.checkmem import (
     device_counts,
     lane_footprint,
     run_stats,
-    touched_check_cells,
     xor3_tree_levels,
 )
 from xbarecc.engine import (
     CrossbarState,
     EngineConfig,
     MicroOp,
-    OpKind,
     Orientation,
     apply_op_inplace,
     execute,
@@ -42,6 +40,7 @@ from xbarecc.parity import (
     BlockParity,
     Diagnosis,
     DiagnosisKind,
+    DiagonalConflictError,
     Syndrome,
     apply_correction,
     compute_syndrome,
@@ -71,10 +70,36 @@ def consistent(machine) -> bool:
 
 
 def written_cells(op: MicroOp) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the cells an op writes, in ascending lane order; none for READ."""
-    lanes = np.array(op.lane_set.lanes if op.kind is not OpKind.READ else (), dtype=np.intp)
+    """(rows, cols) of the cells an op writes, in ascending lane order."""
+    lanes = np.array(op.lane_set.lanes, dtype=np.intp)
     line = np.full_like(lanes, op.output_line)
     return (lanes, line) if op.orientation is Orientation.ROW else (line, lanes)
+
+
+def touched_check_cells(rows: np.ndarray, cols: np.ndarray,
+                        geom: Geometry) -> np.ndarray:
+    """Flat indices into :attr:`CheckMem.planes` of the check-bits that
+    writing the cells (rows, cols) touches, worked out cell by cell: the
+    oracle of :class:`checkmem.LaneFootprint`.
+
+    The leading half comes first, entry k of each half belonging to the
+    k-th written cell. Raises :class:`DiagonalConflictError` if the cells
+    touch a check-bit twice, which the cells of one op never do.
+    """
+    n, m, nb = geom.n, geom.m, geom.blocks_per_side
+    if rows.size and not (min(rows.min(), cols.min()) >= 0
+                          and max(rows.max(), cols.max()) < n):
+        raise GeometryError(f"op writes cells outside the {n}x{n} crossbar")
+    i, j = rows % m, cols % m
+    block = cols // m * nb + rows // m
+    touched = np.concatenate([(i + j) % m * nb * nb + block,
+                              ((i - j) % m + m) * nb * nb + block])
+    keys = np.sort(touched)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        key = tuple(int(k) for k in np.unravel_index(repeated[0], (2, m, nb, nb)))
+        raise DiagonalConflictError(f"op touches check-bit {key} twice")
+    return touched
 
 
 def set_parity(cm, block_row, block_col, parity) -> None:
@@ -187,11 +212,12 @@ class TestCriticalOp:
             assert consistent(machine)
 
     def test_no_change_leaves_checkmem_unchanged(self):
-        machine = machine9()
+        cells = np.zeros((9, 9), dtype=np.uint8)
+        cells[:3, 4] = 1
+        machine = Machine(CrossbarState(G9, cells))
         before = CheckMem(machine.geom, machine.checkmem.planes.copy())
-        # writing 0 over 0 cancels exactly
-        op = MicroOp(OpKind.WRITE, Orientation.ROW, (), 4, frozenset({0, 1, 2}), value=0)
-        machine.critical_op(op)
+        # an Init over cells that are already 1: writing 1 over 1 cancels exactly
+        machine.critical_op(init_op(Orientation.ROW, 4, {0, 1, 2}))
         assert machine.checkmem == before
         assert consistent(machine)
 
@@ -274,8 +300,11 @@ def oracle_names(touched, geom) -> str:
 @st.composite
 def footprint_cases(draw):
     """A geometry, one lane, a contiguous run, a scattered set or every lane,
-    an orientation, a written line, an Init or a NOR, and a memory seed."""
-    geom = draw(st.sampled_from([Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)]))
+    an orientation, a written line, an Init or a NOR, and a memory seed. The
+    geometries have more blocks per side than m, fewer (3 blocks of 15), one
+    block, and the default's 68 blocks of 15."""
+    geom = draw(st.sampled_from([Geometry(30, 3), Geometry(45, 5), Geometry(63, 7),
+                                 Geometry(45, 15), Geometry(49, 49), Geometry(1020, 15)]))
     n = geom.n
     shape = draw(st.sampled_from(["one", "contiguous", "scattered", "all"]))
     if shape == "one":

@@ -206,6 +206,19 @@ class TestSimulateCommand:
         assert main(["simulate", str(events), "--inputs", "a=0,b=0,cin=0"]) \
             == EXIT_INPUT
 
+    @pytest.mark.parametrize("kind, value", [("write", " value=0"), ("read", "")])
+    def test_an_op_record_of_no_engine_kind_is_input_error(self, corpus_dir, tmp_path,
+                                                           kind, value, capsys):
+        events = self.schedule(corpus_dir, tmp_path)
+        lines = events.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines, start=1)
+                      if "\tkind=init " in line and "reset=1" not in line)
+        lines[lineno - 1] = lines[lineno - 1].replace("kind=init", "kind=" + kind).replace(
+            " critical=", value + " critical=")
+        events.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        assert f"input error: {events}:{lineno}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new", [
         ("inputs=a:0", "inputs=a:99"), ("inputs=a:0", "inputs=a:30"),
         ("inputs=a:0", "inputs=a:-1"), ("outputs=sum:3", "outputs=sum:99"),
@@ -372,13 +385,14 @@ class TestInjectCommand:
         assert main(args) == EXIT_USAGE
         assert "xbarecc: error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m", ["0", "-3", "4"])
+    @pytest.mark.parametrize("m", ["0", "-3", "4", "1", "4097"])
     def test_block_scope_rejects_an_impossible_block(self, m, capsys):
+        # one block of side m is a geometry, checked as at machine scope
         rc = main(["inject", "--scope", "block", "--pbit", "0.1",
                    "--trials", "10000", "-m", m])
-        assert rc == EXIT_USAGE
+        assert rc == EXIT_INPUT
         captured = capsys.readouterr()
-        assert "odd and at least 1" in captured.err
+        assert "xbarecc: input error:" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("scope", ["block", "machine"])

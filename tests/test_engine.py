@@ -1,6 +1,6 @@
 """MAGIC engine: truth tables, preconditions, locality, and symmetries."""
 
-import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,16 +46,14 @@ class TestNorTruthTable:
         out = execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}))
         assert out.cells[0, 2] == expect
 
-    @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
-    @pytest.mark.parametrize("orientation", list(Orientation))
-    def test_three_input_nor(self, bits, orientation):
-        state = state_with([[*bits, 1]])
-        if orientation is Orientation.COLUMN:
-            state = transposed(state)
-        out = execute(state, nor_op(orientation, (0, 1, 2), 3, {0}),
-                      EngineConfig(fan_in_max=3))
-        cell = out.cells[0, 3] if orientation is Orientation.ROW else out.cells[3, 0]
-        assert cell == (0 if any(bits) else 1)
+    @pytest.mark.parametrize("build", [
+        lambda: nor_op(Orientation.ROW, (0, 1, 2), 3, {0}),
+        lambda: replace(nor_op(Orientation.ROW, (0, 1), 3, {0}), input_lines=(0, 1, 2)),
+        lambda: parse_op("kind=nor orient=row out=3 in=0,1,2 lanes=0"),
+    ], ids=["nor_op", "replace", "parse_op"])
+    def test_three_input_nor_is_rejected_when_built(self, build):
+        with pytest.raises(MicroOpError, match="NOR needs 1 to 2 input lines, got 3"):
+            build()
 
     @pytest.mark.parametrize("a,expect", [(0, 1), (1, 0)])
     def test_not_via_single_input_nor(self, a, expect):
@@ -107,13 +105,6 @@ class TestInitAndPreconditions:
         out = execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}), cfg)
         assert out.cells[0, 2] == 1
 
-    def test_fan_in_limit(self):
-        state = execute(CrossbarState.zeros(GEOM), init_op(Orientation.ROW, 4, {0}))
-        with pytest.raises(MicroOpError):
-            execute(state, nor_op(Orientation.ROW, (0, 1, 2), 4, {0}))
-        wide = EngineConfig(fan_in_max=6)
-        execute(state, nor_op(Orientation.ROW, (0, 1, 2), 4, {0}), wide)
-
     def test_index_out_of_range(self):
         state = CrossbarState.zeros(GEOM)
         with pytest.raises(MicroOpError):
@@ -132,17 +123,11 @@ class TestInitAndPreconditions:
         with pytest.raises(MicroOpError):
             nor_op(Orientation.ROW, (2, 3), 2, {0})
 
-
-class TestReadWriteKinds:
-    def test_read_is_identity(self):
-        state = state_with([[1, 0, 1]])
-        op = MicroOp(OpKind.READ, Orientation.ROW, (), 1, frozenset({0}))
-        assert execute(state, op) == state
-
-    def test_write_sets_value(self):
-        state = state_with([[1, 1, 1]])
-        op = MicroOp(OpKind.WRITE, Orientation.ROW, (), 1, frozenset({0}), value=0)
-        assert execute(state, op).cells[0, 1] == 0
+    def test_a_nor_needs_an_input_and_an_init_takes_none(self):
+        with pytest.raises(MicroOpError, match="NOR needs 1 to 2 input lines, got 0"):
+            MicroOp(OpKind.NOR, Orientation.ROW, (), 2, frozenset({0}))
+        with pytest.raises(MicroOpError, match="Init takes no input lines"):
+            MicroOp(OpKind.INIT, Orientation.ROW, (0,), 2, frozenset({0}))
 
 
 def random_states(n=9):
@@ -217,40 +202,37 @@ def cell_loop(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> np.ndarray:
     for lane in op.lane_mask:
         if op.kind is OpKind.NOR:
             put(lane, 0 if any(at(before, lane, line) for line in op.input_lines) else 1)
-        elif op.kind is OpKind.INIT:
+        else:  # INIT
             put(lane, 1)
-        elif op.kind is OpKind.WRITE:
-            put(lane, op.value)
     return np.array(after, dtype=np.uint8)
 
 
 @st.composite
 def engine_cases(draw):
     """A random n x n state and a valid op on it: 1 to n lanes (any set, or a
-    contiguous run), either orientation, fan-in 1-3, any kind; the output
+    contiguous run), either orientation, fan-in 1-2, NOR or Init; the output
     line is preset on the op's lanes or left as drawn."""
     n = draw(st.sampled_from([3, 9, 15]))
     bits = draw(st.integers(0, 2**(n * n) - 1))
     cells = np.array([bits >> k & 1 for k in range(n * n)], dtype=np.uint8).reshape(n, n)
     lines = draw(st.permutations(range(n)))
-    out, inputs = lines[0], tuple(lines[1:1 + draw(st.sampled_from([3, 2, 1]))])
+    out, inputs = lines[0], tuple(lines[1:1 + draw(st.sampled_from([2, 1]))])
     if draw(st.booleans()):  # any set of lanes
         mask = draw(st.integers(1, 2**n - 1))
         lanes = {lane for lane in range(n) if mask >> lane & 1}
     else:  # a contiguous run, from one lane to all n
         lo = draw(st.integers(0, n - 1))
         lanes = set(range(lo, draw(st.integers(lo + 1, n))))
-    kind = draw(st.sampled_from([OpKind.NOR] * 3 + [OpKind.INIT, OpKind.WRITE, OpKind.READ]))
+    kind = draw(st.sampled_from([OpKind.NOR] * 3 + [OpKind.INIT]))
     op = MicroOp(kind, draw(st.sampled_from(Orientation)),
-                 inputs if kind is OpKind.NOR else (), out, frozenset(lanes),
-                 draw(st.integers(0, 1)) if kind is OpKind.WRITE else 1)
+                 inputs if kind is OpKind.NOR else (), out, frozenset(lanes))
     if draw(st.booleans()):
         for lane in lanes:
             if op.orientation is Orientation.ROW:
                 cells[lane, out] = 1
             else:
                 cells[out, lane] = 1
-    cfg = EngineConfig(fan_in_max=3, require_output_init=draw(st.booleans()))
+    cfg = EngineConfig(require_output_init=draw(st.booleans()))
     return cells, op, cfg
 
 
@@ -259,7 +241,7 @@ class TestEngineOracle:
     @settings(max_examples=500, deadline=None)
     def test_apply_matches_a_cell_by_cell_loop(self, case):
         cells, op, cfg = case
-        validate_op(CrossbarState(Geometry(cells.shape[0], 3), cells), op, cfg)
+        validate_op(CrossbarState(Geometry(cells.shape[0], 3), cells), op)
         got = cells.copy()
         try:
             expected = cell_loop(cells, op, cfg)
@@ -278,8 +260,6 @@ def reference_record(op: MicroOp) -> str:
               f"out={op.output_line}",
               "in=" + (",".join(str(line) for line in op.input_lines) or "-"),
               "lanes=" + ",".join(str(lane) for lane in sorted(op.lane_mask))]
-    if op.kind is OpKind.WRITE:
-        fields.append(f"value={op.value}")
     return " ".join(fields)
 
 
@@ -289,7 +269,6 @@ class TestOpSerialization:
             nor_op(Orientation.ROW, (0, 1), 2, {0, 3, 5}),
             nor_op(Orientation.COLUMN, (7,), 8, {2}),
             init_op(Orientation.ROW, 4, {1}),
-            MicroOp(OpKind.WRITE, Orientation.ROW, (), 3, frozenset({0}), value=0),
         ]
         for op in ops:
             assert parse_op(format_op(op)) == op
@@ -297,9 +276,8 @@ class TestOpSerialization:
     def test_record_text_is_pinned(self):
         assert format_op(nor_op(Orientation.COLUMN, (7, 2), 4, {10, 3, 0})) == \
             "kind=nor orient=column out=4 in=7,2 lanes=0,3,10"
-        assert format_op(MicroOp(OpKind.WRITE, Orientation.ROW, (), 3, frozenset({1}),
-                                 value=0)) == \
-            "kind=write orient=row out=3 in=- lanes=1 value=0"
+        assert format_op(init_op(Orientation.ROW, 3, {1})) == \
+            "kind=init orient=row out=3 in=- lanes=1"
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -313,15 +291,19 @@ class TestOpSerialization:
         for _ in range(data.draw(st.integers(1, 8))):
             lanes = frozenset(data.draw(st.sampled_from(pool)))
             kind = data.draw(st.sampled_from(list(OpKind)))
-            ins = (data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+            ins = (data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))
                    if kind is OpKind.NOR else [])
             op = MicroOp(kind, data.draw(st.sampled_from(list(Orientation))), tuple(ins),
-                         data.draw(st.integers(10, 20)), lanes,
-                         data.draw(st.integers(0, 1)) if kind is OpKind.WRITE else 1)
+                         data.draw(st.integers(10, 20)), lanes)
             text = format_op(op)
             assert text == reference_record(op)
             assert parse_op(text) == op
 
-    def test_bad_record_rejected(self):
+    @pytest.mark.parametrize("text", [
+        "kind=nor orient=row",
+        "kind=write orient=row out=3 in=- lanes=1 value=0",
+        "kind=read orient=row out=3 in=- lanes=1",
+    ])
+    def test_bad_record_rejected(self, text):
         with pytest.raises(MicroOpError):
-            parse_op("kind=nor orient=row")
+            parse_op(text)

@@ -39,7 +39,9 @@ class TestMicroOp:
             replace(op, output_line=1)
         with pytest.raises(MicroOpError, match="empty lane mask"):
             replace(op, lane_mask=frozenset())
-        assert replace(op, kind=OpKind.WRITE, value=0).value == 0
+        with pytest.raises(MicroOpError, match="NOR needs 1 to 2 input lines"):
+            replace(op, input_lines=())
+        assert replace(op, input_lines=(2,)) == nor_op(Orientation.COLUMN, (2,), 7, {8})
 
     def test_frozen_and_compared_by_its_fields(self):
         op = init_op(Orientation.ROW, 3, {1, 2})
@@ -49,7 +51,7 @@ class TestMicroOp:
         assert hash(op) == hash(init_op(Orientation.ROW, 3, [2, 1]))
         assert op != init_op(Orientation.ROW, 3, {1})
         assert [f.name for f in dataclasses.fields(op) if f.init] == [
-            "kind", "orientation", "input_lines", "output_line", "lane_mask", "value"]
+            "kind", "orientation", "input_lines", "output_line", "lane_mask"]
 
 
 class TestAction:

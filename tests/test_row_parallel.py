@@ -13,9 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_checkmem import written_cells
+from test_checkmem import touched_check_cells, written_cells
 
-from xbarecc.checkmem import Machine, touched_check_cells
+from xbarecc.checkmem import Machine
 from xbarecc.engine import CrossbarState, parse_op
 from xbarecc.geometry import Geometry
 from xbarecc.netlist import load_bundled
