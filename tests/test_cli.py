@@ -219,6 +219,17 @@ class TestSimulateCommand:
         assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
         assert f"input error: {events}:{lineno}: " in capsys.readouterr().err
 
+    def test_a_three_input_nor_record_is_input_error(self, corpus_dir, tmp_path, capsys):
+        events = self.schedule(corpus_dir, tmp_path)
+        lines = events.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines, start=1) if " in=0,1 " in line)
+        lines[lineno - 1] = lines[lineno - 1].replace(" in=0,1 ", " in=0,1,2 ")
+        events.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {events}:{lineno}: " in err
+        assert "NOR needs 1 to 2 input lines, got 3" in err
+
     @pytest.mark.parametrize("old, new", [
         ("inputs=a:0", "inputs=a:99"), ("inputs=a:0", "inputs=a:30"),
         ("inputs=a:0", "inputs=a:-1"), ("outputs=sum:3", "outputs=sum:99"),

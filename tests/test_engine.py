@@ -1,5 +1,6 @@
 """MAGIC engine: truth tables, preconditions, locality, and symmetries."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -39,12 +40,22 @@ def transposed(state: CrossbarState) -> CrossbarState:
     return CrossbarState(state.geom, state.cells.T.copy())
 
 
+def nor_cell(bits, orientation: Orientation) -> int:
+    """The cell a NOR of lines 0..k-1 writes on lane 0, line k, where lane 0
+    holds ``bits`` and a preset output, read along either orientation."""
+    state = state_with([[*bits, 1]])
+    if orientation is Orientation.COLUMN:
+        state = transposed(state)
+    k = len(bits)
+    out = execute(state, nor_op(orientation, tuple(range(k)), k, {0}))
+    return out.cells[0, k] if orientation is Orientation.ROW else out.cells[k, 0]
+
+
 class TestNorTruthTable:
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.value)
     @pytest.mark.parametrize("a,b,expect", [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    def test_two_input_nor(self, a, b, expect):
-        state = state_with([[a, b, 1]])
-        out = execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}))
-        assert out.cells[0, 2] == expect
+    def test_two_input_nor(self, a, b, expect, orientation):
+        assert nor_cell((a, b), orientation) == expect
 
     @pytest.mark.parametrize("build", [
         lambda: nor_op(Orientation.ROW, (0, 1, 2), 3, {0}),
@@ -55,11 +66,10 @@ class TestNorTruthTable:
         with pytest.raises(MicroOpError, match="NOR needs 1 to 2 input lines, got 3"):
             build()
 
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=lambda o: o.value)
     @pytest.mark.parametrize("a,expect", [(0, 1), (1, 0)])
-    def test_not_via_single_input_nor(self, a, expect):
-        state = state_with([[a, 1]])
-        out = execute(state, nor_op(Orientation.ROW, (0,), 1, {0}))
-        assert out.cells[0, 1] == expect
+    def test_not_via_single_input_nor(self, a, expect, orientation):
+        assert nor_cell((a,), orientation) == expect
 
     def test_row_parallel_example(self):
         # rows hold (0,0), (0,1), (1,1); NOR of cols 0,1 into col 2
@@ -122,6 +132,10 @@ class TestInitAndPreconditions:
     def test_output_cannot_be_input(self):
         with pytest.raises(MicroOpError):
             nor_op(Orientation.ROW, (2, 3), 2, {0})
+
+    def test_the_config_holds_only_the_preset_policy(self):
+        # the fan-in is the op's shape, checked when the op is built
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == ["require_output_init"]
 
     def test_a_nor_needs_an_input_and_an_init_takes_none(self):
         with pytest.raises(MicroOpError, match="NOR needs 1 to 2 input lines, got 0"):
@@ -301,6 +315,8 @@ class TestOpSerialization:
 
     @pytest.mark.parametrize("text", [
         "kind=nor orient=row",
+        "kind=nor orient=row out=3 in=- lanes=1",
+        "kind=init orient=row out=3 in=0 lanes=1",
         "kind=write orient=row out=3 in=- lanes=1 value=0",
         "kind=read orient=row out=3 in=- lanes=1",
     ])
