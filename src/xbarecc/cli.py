@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .checkmem import Event, Machine, TimingModel, device_counts
 from .engine import MicroOpError, Orientation, parse_op
-from .geometry import Geometry, GeometryError
+from .geometry import Geometry, GeometryError, check_block_size
 from .netlist import NetlistError, load_netlist
 from .reliability import (
     MIN_BLOCK_TRIALS,
@@ -146,12 +146,14 @@ def write_schedule_file(path: Path, schedule: EccSchedule) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_columns(text: str, n: int) -> dict[str, int]:
+def _parse_columns(text: str, n: int, kind: str) -> dict[str, int]:
     cols = {}
     if not text:
         return cols
     for part in text.split(","):
         name, _, col = part.partition(":")
+        if name in cols:
+            raise ValueError(f"{kind} {name!r} is listed twice")
         cols[name] = int(col)
         if not 0 <= cols[name] < n:
             raise ValueError(f"column of {name!r} is {col}, outside [0, {n})")
@@ -205,13 +207,17 @@ def read_schedule_file(path: Path) -> EccSchedule:
         pc_pairs = int(meta["pc_pairs"])
         if not 1 <= pc_pairs <= MAX_PC_PAIRS:
             raise ValueError(f"pc_pairs must be in [1, {MAX_PC_PAIRS}], got {pc_pairs}")
+        # an output may share an input's column (a pass-through); inputs may not
+        input_columns = _parse_columns(meta.get("inputs", ""), geom.n, "input")
+        if len(set(input_columns.values())) < len(input_columns):
+            raise ValueError(f"two inputs share a column in {meta['inputs']!r}")
         schedule = EccSchedule(
             name=meta.get("netlist", path.stem),
             geom=geom,
             timing=timing,
             pc_pairs=pc_pairs,
-            input_columns=_parse_columns(meta.get("inputs", ""), geom.n),
-            output_columns=_parse_columns(meta.get("outputs", ""), geom.n),
+            input_columns=input_columns,
+            output_columns=_parse_columns(meta.get("outputs", ""), geom.n, "output"),
             actions=tuple(actions),
             events=tuple(events),
             baseline_cycles=int(meta.get("baseline_cycles", "0")),
@@ -338,7 +344,7 @@ def cmd_inject(args) -> int:
     if not 0 <= args.pbit <= 1:
         raise UsageError(f"--pbit must be in [0, 1], got {args.pbit}")
     if args.scope == CampaignScope.BLOCK:
-        Geometry(cfg.block_size, cfg.block_size)  # one block of side m
+        check_block_size(cfg.block_size)
         est = monte_carlo_block_failure(args.pbit, cfg.block_size, args.trials,
                                         cfg.seed)
         closed = block_failure_probability(args.pbit, cfg.block_size)
@@ -403,7 +409,7 @@ def cmd_reliability(args) -> int:
     params = ReliabilityParams(
         lambda_fit=args.lambda_min,
         t_hours=args.t_hours,
-        geom=cfg.geometry(),
+        block_size=cfg.block_size,
         capacity_bits=args.capacity_bits,
     )
     rows = sweep(args.lambda_min, args.lambda_max, args.points_per_decade, params)
@@ -441,12 +447,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("-n", type=int, default=None, help="crossbar side length")
     p.add_argument("-m", "--block-size", type=int, default=None, dest="block_size",
-                   help="block side length (odd, divides n)")
+                   help="block side length (odd)")
 
 
-def _add_pc_pairs(p: argparse.ArgumentParser) -> None:
+def _add_crossbar(p: argparse.ArgumentParser) -> None:
+    """The machine's sizing, for the commands that build or count crossbars."""
+    p.add_argument("-n", type=int, default=None, help="crossbar side length, a multiple of m")
     p.add_argument("-k", "--pc-pairs", type=int, default=None, dest="pc_pairs",
                    help="processing-crossbar pairs")
 
@@ -463,7 +470,7 @@ def build_parser() -> _Parser:
     p.add_argument("netlist", help=".nl file or directory of .nl files")
     p.add_argument("--out-dir", help="where to write .events/.stats files")
     _add_common(p)
-    _add_pc_pairs(p)
+    _add_crossbar(p)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("simulate", help="run a scheduled event log on the machine")
@@ -482,7 +489,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--out", help="write the report here instead of stdout")
     _add_common(p)
-    _add_pc_pairs(p)
+    _add_crossbar(p)
     p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.set_defaults(func=cmd_inject)
 
@@ -498,7 +505,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("area", help="device counts per unit")
     _add_common(p)
-    _add_pc_pairs(p)
+    _add_crossbar(p)
     p.set_defaults(func=cmd_area)
 
     return parser

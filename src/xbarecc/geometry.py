@@ -25,6 +25,14 @@ class Bank(Enum):
     COUNTER = "counter"
 
 
+def check_block_size(m: int) -> None:
+    """Reject a block side the code cannot use: m must be odd and in [3, MAX_N]."""
+    if m % 2 == 0 or not 3 <= m <= MAX_N:
+        # even m: wrap-around diagonals intersect in two cells, so the
+        # (leading, counter) pair no longer identifies a cell
+        raise GeometryError(f"block size must be odd and in [3, {MAX_N}], got {m}")
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Crossbar side length n and block side length m, with m | n and m odd."""
@@ -33,15 +41,11 @@ class Geometry:
     m: int
 
     def __post_init__(self):
-        if self.m < 3 or not self.m <= self.n <= MAX_N:
-            raise GeometryError(
-                f"need {MAX_N} >= n >= m >= 3, got n={self.n}, m={self.m}")
+        check_block_size(self.m)
+        if not self.m <= self.n <= MAX_N:
+            raise GeometryError(f"crossbar size must be in [{self.m}, {MAX_N}], got {self.n}")
         if self.n % self.m != 0:
             raise GeometryError(f"block size {self.m} must divide crossbar size {self.n}")
-        if self.m % 2 == 0:
-            # even m: wrap-around diagonals intersect in two cells, so the
-            # (leading, counter) pair no longer identifies a cell
-            raise GeometryError(f"block size must be odd, got {self.m}")
 
     @property
     def blocks_per_side(self) -> int:
@@ -57,47 +61,11 @@ class Geometry:
             raise GeometryError(f"block ({block_row},{block_col}) outside the {nb}x{nb} blocks")
 
 
-@dataclass(frozen=True)
-class CellAddr:
-    """Absolute cell coordinates in the crossbar."""
-
-    row: int
-    col: int
-
-
-@dataclass(frozen=True)
-class BlockCoord:
-    """Block indices plus local coordinates within the block."""
-
-    block_row: int
-    block_col: int
-    local_i: int
-    local_j: int
-
-
-@dataclass(frozen=True)
-class DiagIdx:
-    """One diagonal of one block: which bank and which index in [0, m)."""
-
-    bank: Bank
-    idx: int
-
-
-def _check_local(i: int, j: int, m: int) -> None:
+def diags_of_cell(i: int, j: int, m: int) -> tuple[int, int]:
+    """The (leading, counter) diagonals of local cell (i, j); inverts cell_from_diags."""
     if not (0 <= i < m and 0 <= j < m):
         raise GeometryError(f"local coordinates ({i},{j}) outside {m}x{m} block")
-
-
-def leading_diag(i: int, j: int, m: int) -> int:
-    """Leading (bottom-left to top-right) wrap-around diagonal of local cell (i, j)."""
-    _check_local(i, j, m)
-    return (i + j) % m
-
-
-def counter_diag(i: int, j: int, m: int) -> int:
-    """Counter (bottom-right to top-left) wrap-around diagonal of local cell (i, j)."""
-    _check_local(i, j, m)
-    return (i - j) % m
+    return (i + j) % m, (i - j) % m
 
 
 def cell_from_diags(d_lead: int, d_counter: int, m: int) -> tuple[int, int]:
@@ -116,14 +84,8 @@ def cell_from_diags(d_lead: int, d_counter: int, m: int) -> tuple[int, int]:
     return i, j
 
 
-def block_decompose(addr: CellAddr, geom: Geometry) -> BlockCoord:
-    """Split an absolute cell address into block indices and local coordinates."""
-    geom.check_cell(addr.row, addr.col)
+def block_decompose(row: int, col: int, geom: Geometry) -> tuple[int, int, int, int]:
+    """Split an absolute cell address into (block_row, block_col, i, j)."""
+    geom.check_cell(row, col)
     m = geom.m
-    return BlockCoord(addr.row // m, addr.col // m, addr.row % m, addr.col % m)
-
-
-def diags_of_cell(i: int, j: int, m: int) -> tuple[DiagIdx, DiagIdx]:
-    """Both diagonals through local cell (i, j)."""
-    return (DiagIdx(Bank.LEADING, leading_diag(i, j, m)),
-            DiagIdx(Bank.COUNTER, counter_diag(i, j, m)))
+    return row // m, col // m, row % m, col % m

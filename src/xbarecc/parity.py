@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Bank, GeometryError, cell_from_diags, counter_diag, leading_diag
+from .geometry import Bank, GeometryError, cell_from_diags, diags_of_cell
 
 
 class CodecError(ValueError):
@@ -157,8 +157,7 @@ def update_parity(parity: BlockParity,
     seen_lead: set[int] = set()
     seen_ctr: set[int] = set()
     for i, j, old, new in cells_old_new:
-        dl = leading_diag(i, j, m)
-        dc = counter_diag(i, j, m)
+        dl, dc = diags_of_cell(i, j, m)
         if dl in seen_lead or dc in seen_ctr:
             raise DiagonalConflictError(
                 f"two updates on one diagonal (cell ({i},{j}), lead {dl}, counter {dc})")

@@ -13,21 +13,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Geometry
+from .geometry import check_block_size
 from .parity import DiagnosisKind
 
 
 @dataclass(frozen=True)
 class ReliabilityParams:
-    """Inputs of the closed-form model. Capacity defaults to 1 GB of data
-    bits (10^9 bytes); block geometry defaults to the 1020/15 case study."""
+    """Inputs of the closed-form model, which counts blocks and never crossbars.
+    Defaults: 1 GB of data bits (10^9 bytes) in the case study's 15 x 15 blocks."""
 
     lambda_fit: float
     t_hours: float = 24.0
-    geom: Geometry = Geometry(1020, 15)
+    block_size: int = 15
     capacity_bits: int = 8_000_000_000
 
     def __post_init__(self):
+        check_block_size(self.block_size)
         if self.lambda_fit <= 0 or self.t_hours <= 0 or self.capacity_bits <= 0:
             raise ValueError("lambda, T, and capacity must all be positive")
 
@@ -84,7 +85,7 @@ def mttf_proposed(params: ReliabilityParams) -> float:
     A block succeeds with zero or one flips (binomial); blocks are
     independent, and the data capacity spans capacity/m^2 of them.
     """
-    m = params.geom.m
+    m = params.block_size
     p = p_bit(params.lambda_fit, params.t_hours)
     q_block = block_failure_probability(p, m)
     if q_block == 0.0:

@@ -39,7 +39,7 @@ from xbarecc.netlist import (
     load_netlist,
     parse_netlist,
 )
-from xbarecc.reliability import sweep_points
+from xbarecc.reliability import ReliabilityParams, sweep, sweep_points, sweep_to_csv
 
 
 @pytest.fixture
@@ -244,6 +244,34 @@ class TestSimulateCommand:
             == EXIT_INPUT
         assert "outside [0, 30)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, fault", [
+        ("inputs=a:0,b:1,", "inputs=a:0,a:1,", "input 'a' is listed twice"),
+        ("outputs=sum:3,cout:4", "outputs=sum:3,sum:4", "output 'sum' is listed twice"),
+        ("inputs=a:0,b:1,", "inputs=a:0,b:0,", "two inputs share a column")],
+        ids=["input-name", "output-name", "input-column"])
+    def test_a_repeated_name_or_input_column_is_input_error(self, corpus_dir, tmp_path,
+                                                            old, new, fault, capsys):
+        # a later entry must not silently replace an earlier one
+        events = self.schedule(corpus_dir, tmp_path)
+        text = events.read_text()
+        assert old in text
+        events.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) \
+            == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"xbarecc: input error: {events}: ")
+        assert fault in captured.err
+        assert captured.out == ""
+
+    def test_an_output_may_share_an_input_column(self, corpus_dir, tmp_path, capsys):
+        # a pass-through output reads the input's own cell
+        events = self.schedule(corpus_dir, tmp_path)
+        text = events.read_text()
+        events.write_text(text.replace("outputs=sum:3,", "outputs=sum:0,", 1))
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_OK
+        assert "output.sum=1" in capsys.readouterr().out
+
     def test_schedule_file_round_trip(self, corpus_dir, tmp_path):
         events = self.schedule(corpus_dir, tmp_path)
         replay = read_schedule_file(events)
@@ -350,6 +378,19 @@ class TestScheduleFileRoundTrip:
             assert_round_trip(scheduler.insert_ecc(rp, rp.geom, tm, k), Path(directory))
 
 
+IMPOSSIBLE_BLOCKS = ["0", "-3", "4", "1", "4097"]
+
+
+def assert_block_size_error(rc, m, capsys):
+    """One block of side m breaks the block-size rule alone: no crossbar is named."""
+    assert rc == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("xbarecc: input error: block size ")
+    assert captured.err.endswith(f"got {m}\n")
+    assert "n=" not in captured.err
+    assert captured.out == ""
+
+
 class TestInjectCommand:
     def test_block_scope_report(self, capsys):
         rc = main(["inject", "--scope", "block", "--pbit", "0.01",
@@ -396,15 +437,11 @@ class TestInjectCommand:
         assert main(args) == EXIT_USAGE
         assert "xbarecc: error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m", ["0", "-3", "4", "1", "4097"])
+    @pytest.mark.parametrize("m", IMPOSSIBLE_BLOCKS)
     def test_block_scope_rejects_an_impossible_block(self, m, capsys):
-        # one block of side m is a geometry, checked as at machine scope
         rc = main(["inject", "--scope", "block", "--pbit", "0.1",
                    "--trials", "10000", "-m", m])
-        assert rc == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert "xbarecc: input error:" in captured.err
-        assert captured.out == ""
+        assert_block_size_error(rc, m, capsys)
 
     @pytest.mark.parametrize("scope", ["block", "machine"])
     def test_trials_past_the_bound_are_a_usage_error(self, scope, capsys):
@@ -426,6 +463,22 @@ class TestReliabilityCommand:
         flash = next(line for line in lines[1:]
                      if abs(float(line.split(",")[0]) - 1e-3) < 1e-9)
         assert float(flash.split(",")[3]) > 3e8
+
+    @pytest.mark.parametrize("source", [["-m", "7"], "n=1020", "n=30"],
+                             ids=["flag", "config-n1020", "config-n30"])
+    def test_the_block_size_alone_sizes_the_sweep(self, source, tmp_path, capsys):
+        # n=30 is no multiple of 7: the crossbar side is never read
+        if isinstance(source, str):
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{source}\nblock_size=7\n")
+            source = ["--config", str(cfgfile)]
+        assert main(["reliability", *source]) == EXIT_OK
+        params = ReliabilityParams(lambda_fit=1e-5, block_size=7)
+        assert capsys.readouterr().out == sweep_to_csv(sweep(1e-5, 1e3, 3.5, params))
+
+    @pytest.mark.parametrize("m", IMPOSSIBLE_BLOCKS)
+    def test_an_impossible_block_is_input_error(self, m, capsys):
+        assert_block_size_error(main(["reliability", "-m", m]), m, capsys)
 
     def test_inverted_range_is_usage_error(self):
         assert main(["reliability", "--lambda-min", "10",
@@ -591,6 +644,7 @@ class TestCommandLine:
         ["schedule", "x.nl", "--seed", "1"],
         ["reliability", "--seed", "1"],
         ["reliability", "-k", "3"],
+        ["reliability", "-n", "30"],
         ["area", "--seed", "1"],
     ])
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarecc.geometry import Bank, GeometryError, counter_diag, leading_diag
+from xbarecc.geometry import Bank, GeometryError, diags_of_cell
 from xbarecc.parity import (
     BlockParity,
     CodecError,
@@ -64,9 +64,10 @@ class TestEncode:
                 lead = ctr = 0
                 for i in range(m):
                     for j in range(m):
-                        if leading_diag(i, j, m) == d:
+                        dl, dc = diags_of_cell(i, j, m)
+                        if dl == d:
                             lead ^= int(block[i, j])
-                        if counter_diag(i, j, m) == d:
+                        if dc == d:
                             ctr ^= int(block[i, j])
                 assert parity.leading[d] == lead
                 assert parity.counter[d] == ctr
@@ -87,8 +88,9 @@ def loop_parity(block) -> BlockParity:
     for i in range(m):
         for j in range(m):
             bit = int(block[i][j])
-            lead[leading_diag(i, j, m)] ^= bit
-            ctr[counter_diag(i, j, m)] ^= bit
+            dl, dc = diags_of_cell(i, j, m)
+            lead[dl] ^= bit
+            ctr[dc] ^= bit
     return BlockParity(tuple(lead), tuple(ctr))
 
 
@@ -227,8 +229,9 @@ class TestSyndrome:
                 flipped[i, j] ^= 1
                 syn = compute_syndrome(encode_block(flipped), stored)
                 assert sum(syn.leading) == 1 and sum(syn.counter) == 1
-                assert syn.leading[leading_diag(i, j, m)] == 1
-                assert syn.counter[counter_diag(i, j, m)] == 1
+                dl, dc = diags_of_cell(i, j, m)
+                assert syn.leading[dl] == 1
+                assert syn.counter[dc] == 1
 
     def test_stored_check_bit_flip(self):
         block = np.zeros((3, 3), dtype=np.uint8)
