@@ -28,7 +28,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .engine import (
     CrossbarState,
-    EngineConfig,
     MicroOp,
     OpKind,
     Orientation,
@@ -418,7 +417,6 @@ class Machine:
         else:
             self.state, self.checkmem = state, _checkmem
         self.timing = timing or TimingModel()
-        self.engine_cfg = EngineConfig()
         self.timeline = UnitTimeline()
         self.events: list[Event] = []
         # processing-crossbar pairs, one crossbar per bank each
@@ -514,7 +512,7 @@ class Machine:
         validate_op(self.state, op)
         t = max(earliest, self.timeline.next_free("MEM"))
         self.timeline.reserve("MEM", t, 1)
-        apply_op_inplace(self.state.cells, op, self.engine_cfg)
+        apply_op_inplace(self.state.cells, op)
         self.log(t, "MEM", "op", format_op(op) + " critical=0")
         return t
 
@@ -546,7 +544,7 @@ class Machine:
         cells, index = self.state.cells, op.lane_set.index
         plane = cells if op.orientation is Orientation.ROW else cells.T
         old = plane[index, line].copy()
-        apply_op_inplace(cells, op, self.engine_cfg)
+        apply_op_inplace(cells, op)
         self.checkmem.planes.reshape(-1)[touched] ^= old ^ plane[index, line]
 
         unit, copy, bits = f"PC{pair}", f"line={line} pc={pair}", f"cells={diags}"

@@ -24,6 +24,7 @@ from .reliability import (
     block_failure_probability,
     injection_campaign,
     monte_carlo_block_failure,
+    p_bit,
     sweep,
     sweep_points,
     sweep_to_csv,
@@ -397,6 +398,9 @@ def cmd_reliability(args) -> int:
         raise UsageError(
             f"need 0 < lambda-min < lambda-max, got {args.lambda_min} "
             f"and {args.lambda_max}")
+    if p_bit(args.lambda_min, args.t_hours) == 0.0:
+        raise UsageError(f"--lambda-min {args.lambda_min} and --t-hours {args.t_hours} "
+                         "give a flip probability that underflows to 0; raise either")
     # bounded before sweep_points rounds it: a huge grid overflows to inf,
     # which round() rejects
     span = (math.log10(args.lambda_max) - math.log10(args.lambda_min)) * args.points_per_decade

@@ -5,7 +5,8 @@ gate applied across every active lane in one clock cycle. The gates are NOR
 of one or two input lines (a one-input NOR is a NOT) and Init, which presets
 a line to 1; an op's shape is checked once, when it is built. NOR outputs
 must be preset to 1 (the MAGIC initialization convention), which the engine
-enforces by default so that compilers forgetting Init ops fail loudly.
+always enforces, before an op writes or is booked, so that compilers
+forgetting Init ops fail loudly.
 """
 
 import functools
@@ -125,13 +126,6 @@ def init_op(orientation: Orientation, output: int, lanes) -> MicroOp:
     return MicroOp(OpKind.INIT, orientation, (), output, lanes)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Execution policy: output-preset enforcement."""
-
-    require_output_init: bool = True
-
-
 class CrossbarState:
     """n x n bit matrix of memristor logical states (1 = LRS, 0 = HRS)."""
 
@@ -161,8 +155,9 @@ class CrossbarState:
 
 
 def validate_op(state: CrossbarState, op: MicroOp) -> None:
-    """Range-check an op against a concrete crossbar; its shape was checked
-    when it was built."""
+    """Admit an op to ``state`` (its shape was checked when it was built):
+    raise :class:`MicroOpError` if a line or lane lies outside the crossbar,
+    then :class:`UninitializedOutputError` if a NOR's outputs are not all 1."""
     n = state.geom.n
     for line in (*op.input_lines, op.output_line):
         if not 0 <= line < n:
@@ -171,22 +166,24 @@ def validate_op(state: CrossbarState, op: MicroOp) -> None:
     for lane in (lanes[0], lanes[-1]):  # sorted: the least and the greatest
         if not 0 <= lane < n:
             raise MicroOpError(f"lane index {lane} outside [0,{n})")
+    if op.kind is OpKind.NOR:
+        cells, index = state.cells, op.lane_set.index
+        plane = cells if op.orientation is Orientation.ROW else cells.T
+        preset = plane[index, op.output_line] == 1
+        # one lane reads a numpy scalar, tested as it is: its .all() goes
+        # through an array conversion costing ~10x the compare
+        if not (preset if isinstance(index, int) else preset.all()):
+            raise UninitializedOutputError(
+                f"NOR output line {op.output_line} has non-preset cells")
 
 
-def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
-    """Apply one validated micro-op (:func:`validate_op`) directly to a cell
-    array (used by the machine model)."""
+def apply_op_inplace(cells: np.ndarray, op: MicroOp) -> None:
+    """Write one micro-op, admitted by :func:`validate_op`, directly to a
+    cell array (used by the machine model)."""
     lanes = op.lane_set.index
     # COLUMN ops are the ROW ops of the transpose; views keep this in-place
     plane = cells if op.orientation is Orientation.ROW else cells.T
     if op.kind is OpKind.NOR:
-        if cfg.require_output_init:
-            preset = plane[lanes, op.output_line] == 1
-            # one lane reads a numpy scalar, tested as it is: its .all() goes
-            # through an array conversion costing ~10x the compare
-            if not (preset if isinstance(lanes, int) else preset.all()):
-                raise UninitializedOutputError(
-                    f"NOR output line {op.output_line} has non-preset cells")
         ored = plane[lanes, op.input_lines[0]]
         for line in op.input_lines[1:]:
             ored = ored | plane[lanes, line]
@@ -195,8 +192,7 @@ def apply_op_inplace(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> None:
         plane[lanes, op.output_line] = 1
 
 
-def execute(state: CrossbarState, op: MicroOp,
-            cfg: EngineConfig = EngineConfig()) -> CrossbarState:
+def execute(state: CrossbarState, op: MicroOp) -> CrossbarState:
     """Execute one micro-op and return the successor state (one cycle).
 
     Only cells on the output line within the lane mask change; within a
@@ -205,7 +201,7 @@ def execute(state: CrossbarState, op: MicroOp,
     """
     validate_op(state, op)
     new = state.copy()
-    apply_op_inplace(new.cells, op, cfg)
+    apply_op_inplace(new.cells, op)
     return new
 
 

@@ -74,8 +74,7 @@ def cell_from_diags(d_lead: int, d_counter: int, m: int) -> tuple[int, int]:
     Solves i + j = d_lead, i - j = d_counter (mod m) using the inverse of 2,
     which exists exactly because m is odd.
     """
-    if m % 2 == 0:
-        raise GeometryError(f"no unique cell for even block size {m}")
+    check_block_size(m)
     if not (0 <= d_lead < m and 0 <= d_counter < m):
         raise GeometryError(f"diagonal indices ({d_lead},{d_counter}) outside [0,{m})")
     inv2 = (m + 1) // 2

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Bank, GeometryError, cell_from_diags, diags_of_cell
+from .geometry import Bank, cell_from_diags, check_block_size, diags_of_cell
 
 
 class CodecError(ValueError):
@@ -136,8 +136,7 @@ def encode_block(block) -> BlockParity:
     m = block.shape[0]
     if block.shape != (m, m):
         raise CodecError(f"block must be square, got {block.shape}")
-    if m % 2 == 0:
-        raise GeometryError(f"block size must be odd, got {m}")
+    check_block_size(m)
     lead, ctr = diag_parity(block.ravel(), m, m).tolist()
     return BlockParity(tuple(lead), tuple(ctr))
 

@@ -45,6 +45,8 @@ def mttf_baseline(params: ReliabilityParams) -> float:
     # log(1 - p_bit) is exactly -lambda*T/1e9
     log_surv = params.capacity_bits * (-params.lambda_fit * params.t_hours / 1e9)
     p_fail = -math.expm1(log_surv)
+    if p_fail == 0.0:  # lambda*T underflows: no flip is ever expected
+        return math.inf
     return params.t_hours / p_fail
 
 

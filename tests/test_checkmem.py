@@ -26,9 +26,9 @@ from xbarecc.checkmem import (
 )
 from xbarecc.engine import (
     CrossbarState,
-    EngineConfig,
     MicroOp,
     Orientation,
+    UninitializedOutputError,
     apply_op_inplace,
     execute,
     format_op,
@@ -274,16 +274,16 @@ class TestCriticalOp:
         rng = np.random.default_rng(42)
         machine = random_consistent_machine(41, pc_pairs=2)
         shadow = machine.state.copy()
-        cfg = EngineConfig(require_output_init=False)
-        machine.engine_cfg = cfg
         for _ in range(40):
             out = int(rng.integers(0, 9))
             ins = tuple({int(x) for x in rng.integers(0, 9, 2)} - {out}) or ((out + 1) % 9,)
             lanes = frozenset(int(x) for x in rng.integers(0, 9, rng.integers(1, 4)))
             orientation = Orientation.ROW if rng.integers(0, 2) else Orientation.COLUMN
             op = nor_op(orientation, ins, out, lanes)
+            preset = init_op(orientation, out, lanes)
+            machine.critical_op(preset)
             machine.critical_op(op)
-            shadow = execute(shadow, op, cfg)
+            shadow = execute(execute(shadow, preset), op)
         assert machine.state == shadow
         assert consistent(machine)
 
@@ -1065,7 +1065,7 @@ def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     for lc in range(m):
         op = init_op(Orientation.ROW, base_col + lc, lanes)
         machine.timeline.reserve("MEM", t, 1)
-        apply_op_inplace(machine.state.cells, op, machine.engine_cfg)
+        apply_op_inplace(machine.state.cells, op)
         machine.log(t, "MEM", "op", format_op(op) + " critical=0 reset=1")
         t += 1
     set_parity(machine.checkmem, block_row, block_col, BlockParity((1,) * m, (1,) * m))
@@ -1295,10 +1295,14 @@ class TestSameCellHazard:
         assert ready_cycles(machine) == expected
         assert consistent(machine)
 
-    @pytest.mark.parametrize("step", ["critical_op", "block_ecc_reset", "check_block_row"])
-    def test_a_cycle_past_int32_raises_overflow_error(self, step):
+    @pytest.mark.parametrize("step", [
+        "critical_op", "block_ecc_reset", "check_block_row",
+        "critical_nor_one_lane", "critical_nor_every_lane",
+        "noncritical_nor_one_lane", "noncritical_nor_every_lane"])
+    def test_a_step_that_raises_changes_nothing(self, step):
         # check-bit readiness is int32: a step that would end at or past
-        # cycle 2**31 raises before it books, logs or writes anything
+        # cycle 2**31 raises before it books, logs or writes anything; so
+        # does a NOR whose output is not preset (only cell (3, 0) is)
         machine = Machine.blank(Geometry(30, 3))
         machine.critical_op(init_op(Orientation.ROW, 0, {3}))
         machine.inject_check_flip(Bank.LEADING, 1, 0, 2)  # block (0, 2)
@@ -1309,13 +1313,19 @@ class TestSameCellHazard:
                     machine._check_ready.copy())
 
         before = snapshot()
-        with pytest.raises(OverflowError):
-            if step == "critical_op":
-                machine.critical_op(init_op(Orientation.ROW, 0, {3}), earliest=2**31)
-            elif step == "block_ecc_reset":
-                machine.block_ecc_reset(1, 0, earliest=2**31)
-            else:  # its compare ends at 2**31, its correction of (0, 2) later
-                machine.check_block_row(0, earliest=2**31 - 20)
+        if "nor" in step:
+            lanes = {4} if step.endswith("one_lane") else range(30)
+            run = getattr(machine, step.split("_nor")[0] + "_op")
+            with pytest.raises(UninitializedOutputError, match="non-preset"):
+                run(nor_op(Orientation.ROW, (1, 2), 0, frozenset(lanes)))
+        else:
+            with pytest.raises(OverflowError):
+                if step == "critical_op":
+                    machine.critical_op(init_op(Orientation.ROW, 0, {3}), earliest=2**31)
+                elif step == "block_ecc_reset":
+                    machine.block_ecc_reset(1, 0, earliest=2**31)
+                else:  # its compare ends at 2**31, its correction of (0, 2) later
+                    machine.check_block_row(0, earliest=2**31 - 20)
         after = snapshot()
         assert after[:2] == before[:2]
         assert all(np.array_equal(a, b) for a, b in zip(after[2:], before[2:]))

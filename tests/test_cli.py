@@ -219,6 +219,19 @@ class TestSimulateCommand:
         assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
         assert f"input error: {events}:{lineno}: " in capsys.readouterr().err
 
+    def test_a_nor_that_lost_its_init_is_input_error(self, corpus_dir, tmp_path, capsys):
+        # the first Init of the program presets a NOR's output; without it
+        # the replay stops at that NOR, before the op is booked
+        events = self.schedule(corpus_dir, tmp_path)
+        lines = events.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines)
+                      if "\tkind=init " in line and "reset=1" not in line)
+        del lines[lineno]
+        events.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error: " in err and "non-preset" in err
+
     def test_a_three_input_nor_record_is_input_error(self, corpus_dir, tmp_path, capsys):
         events = self.schedule(corpus_dir, tmp_path)
         lines = events.read_text().splitlines()
@@ -500,6 +513,16 @@ class TestReliabilityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""  # rejected before any sweep runs
         assert "xbarecc: error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--t-hours", "5e-324"], ["--lambda-min", "1e-320", "--lambda-max", "1e-310"]])
+    def test_a_flip_probability_that_underflows_is_usage_error(self, argv, capsys):
+        # lambda * T / 1e9 rounds to 0: the baseline's MTTF would divide by 0
+        assert main(["reliability", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "xbarecc: error: --lambda-min " in captured.err
+        assert "--t-hours" in captured.err and "Traceback" not in captured.err
 
     def test_internal_value_error_is_not_an_input_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -1,6 +1,5 @@
 """MAGIC engine: truth tables, preconditions, locality, and symmetries."""
 
-import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from xbarecc.engine import (
     CrossbarState,
-    EngineConfig,
     MicroOp,
     MicroOpError,
     OpKind,
@@ -109,12 +107,6 @@ class TestInitAndPreconditions:
             execute(state, nor_op(orientation, (0, 1), 2, lanes))
         execute(execute(state, preset), nor_op(orientation, (0, 1), 2, lanes))
 
-    def test_enforcement_can_be_disabled(self):
-        state = CrossbarState.zeros(GEOM)
-        cfg = EngineConfig(require_output_init=False)
-        out = execute(state, nor_op(Orientation.ROW, (0, 1), 2, {0}), cfg)
-        assert out.cells[0, 2] == 1
-
     def test_index_out_of_range(self):
         state = CrossbarState.zeros(GEOM)
         with pytest.raises(MicroOpError):
@@ -132,10 +124,6 @@ class TestInitAndPreconditions:
     def test_output_cannot_be_input(self):
         with pytest.raises(MicroOpError):
             nor_op(Orientation.ROW, (2, 3), 2, {0})
-
-    def test_the_config_holds_only_the_preset_policy(self):
-        # the fan-in is the op's shape, checked when the op is built
-        assert [f.name for f in dataclasses.fields(EngineConfig)] == ["require_output_init"]
 
     def test_a_nor_needs_an_input_and_an_init_takes_none(self):
         with pytest.raises(MicroOpError, match="NOR needs 1 to 2 input lines, got 0"):
@@ -160,15 +148,17 @@ def random_nor_ops():
                      st.integers(1, 2**9 - 1)).map(build)
 
 
-NO_INIT = EngineConfig(require_output_init=False)
+def preset(state: CrossbarState, op: MicroOp) -> CrossbarState:
+    """``state`` after the Init of ``op``'s output line on its lanes."""
+    return execute(state, init_op(op.orientation, op.output_line, op.lane_mask))
 
 
 class TestEngineProperties:
     @given(random_states(), random_nor_ops())
     @settings(max_examples=60, deadline=None)
     def test_determinism_and_locality(self, state, op):
-        out1 = execute(state, op, NO_INIT)
-        out2 = execute(state, op, NO_INIT)
+        out1 = execute(preset(state, op), op)
+        out2 = execute(preset(state, op), op)
         assert out1 == out2
         changed = np.argwhere(out1.cells != state.cells)
         for row, col in changed:
@@ -177,11 +167,12 @@ class TestEngineProperties:
     @given(random_states(), random_nor_ops())
     @settings(max_examples=60, deadline=None)
     def test_parallel_equals_composition_of_single_lanes(self, state, op):
-        parallel = execute(state, op, NO_INIT)
+        state = preset(state, op)
+        parallel = execute(state, op)
         merged = state.copy()
         for lane in op.lane_mask:
             single = execute(state, nor_op(op.orientation, op.input_lines,
-                                           op.output_line, {lane}), NO_INIT)
+                                           op.output_line, {lane}))
             merged.cells[lane, op.output_line] = single.cells[lane, op.output_line]
         assert parallel == merged
 
@@ -190,13 +181,15 @@ class TestEngineProperties:
     def test_transpose_symmetry(self, state, op):
         col_op = MicroOp(OpKind.NOR, Orientation.COLUMN, op.input_lines,
                          op.output_line, op.lane_mask)
-        via_column = execute(state, col_op, NO_INIT)
-        via_transpose = transposed(execute(transposed(state), op, NO_INIT))
+        state = preset(state, col_op)
+        via_column = execute(state, col_op)
+        via_transpose = transposed(execute(transposed(state), op))
         assert via_column == via_transpose
 
 
-def cell_loop(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> np.ndarray:
-    """Reference of ``apply_op_inplace``: one cell at a time, in plain Python."""
+def cell_loop(cells: np.ndarray, op: MicroOp) -> np.ndarray:
+    """Reference of ``validate_op`` on an in-range op, then ``apply_op_inplace``:
+    one cell at a time, in plain Python."""
     before = cells.tolist()
     after = cells.tolist()
 
@@ -209,7 +202,7 @@ def cell_loop(cells: np.ndarray, op: MicroOp, cfg: EngineConfig) -> np.ndarray:
         else:
             after[op.output_line][lane] = bit
 
-    if op.kind is OpKind.NOR and cfg.require_output_init:
+    if op.kind is OpKind.NOR:
         for lane in op.lane_mask:
             if at(before, lane, op.output_line) != 1:
                 raise UninitializedOutputError(f"lane {lane} not preset")
@@ -246,25 +239,24 @@ def engine_cases(draw):
                 cells[lane, out] = 1
             else:
                 cells[out, lane] = 1
-    cfg = EngineConfig(require_output_init=draw(st.booleans()))
-    return cells, op, cfg
+    return cells, op
 
 
 class TestEngineOracle:
     @given(engine_cases())
     @settings(max_examples=500, deadline=None)
     def test_apply_matches_a_cell_by_cell_loop(self, case):
-        cells, op, cfg = case
-        validate_op(CrossbarState(Geometry(cells.shape[0], 3), cells), op)
-        got = cells.copy()
+        cells, op = case
+        state = CrossbarState(Geometry(cells.shape[0], 3), cells)
         try:
-            expected = cell_loop(cells, op, cfg)
+            expected = cell_loop(cells, op)
         except UninitializedOutputError:
             with pytest.raises(UninitializedOutputError):
-                apply_op_inplace(got, op, cfg)
-            assert np.array_equal(got, cells)  # nothing written
+                validate_op(state, op)
             return
-        apply_op_inplace(got, op, cfg)
+        validate_op(state, op)
+        got = cells.copy()
+        apply_op_inplace(got, op)
         assert np.array_equal(got, expected)
 
 

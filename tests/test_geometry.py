@@ -65,9 +65,10 @@ class TestCellFromDiags:
                 assert diags_of_cell(*cell_from_diags(d_lead, d_counter, m), m) == \
                     (d_lead, d_counter)
 
-    def test_even_m_rejected(self):
-        with pytest.raises(GeometryError):
-            cell_from_diags(0, 0, 4)
+    @pytest.mark.parametrize("m", [1, 4, 4097])
+    def test_impossible_m_rejected(self, m):
+        with pytest.raises(GeometryError, match=f"block size must be odd .* got {m}"):
+            cell_from_diags(0, 0, m)
 
     def test_bad_indices_rejected(self):
         with pytest.raises(GeometryError):

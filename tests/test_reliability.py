@@ -93,6 +93,13 @@ class TestClosedForms:
             assert math.isfinite(base) and base > 0
             assert math.isfinite(prop) and prop > 0
 
+    @pytest.mark.parametrize("lam, t_hours", [(1e-5, 5e-324), (1e-320, 24.0)])
+    def test_an_underflowing_flip_probability_never_fails(self, lam, t_hours):
+        # lambda * T / 1e9 rounds to 0: neither memory ever fails
+        p = ReliabilityParams(lambda_fit=lam, t_hours=t_hours)
+        assert p_bit(lam, t_hours) == 0.0
+        assert mttf_baseline(p) == mttf_proposed(p) == math.inf
+
     def test_baseline_small_lambda_asymptote(self):
         # P_fail -> N*p, so MTTF -> T / (N * lambda * T / 1e9) = 1e9/(N*lambda)
         lam = 1e-10

@@ -12,8 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from xbarecc.checkmem import Machine, TimingModel, run_stats
-from xbarecc.engine import CrossbarState, EngineConfig, Orientation, nor_op
+from xbarecc.checkmem import Machine, TimingModel, lane_footprint, run_stats
+from xbarecc.engine import CrossbarState, Orientation, nor_op
 from xbarecc.geometry import Bank, Geometry
 from xbarecc.netlist import load_bundled
 from xbarecc.scheduler import execute_schedule, insert_ecc, map_to_row
@@ -68,6 +68,21 @@ def schedules_digest(geom: Geometry, k: int) -> str:
     return hashlib.sha256("".join(text).encode()).hexdigest()
 
 
+def preset_output(machine: Machine, op, critical: bool) -> None:
+    """Set ``op``'s output cells to 1 directly, logging nothing; for a
+    critical op, fold their old ^ 1 into its check-bits, as the op itself
+    folds old ^ new, so that ECC sees the preset as a covered write."""
+    cells = machine.state.cells
+    plane = cells if op.orientation is Orientation.ROW else cells.T
+    index = op.lane_set.index
+    old = plane[index, op.output_line].copy()
+    plane[index, op.output_line] = 1
+    if critical:
+        touched = lane_footprint(machine.geom, op.orientation, op.lane_mask).at(
+            op.output_line)[0]
+        machine.checkmem.planes.reshape(-1)[touched] ^= old ^ 1
+
+
 def interleaving_digest(geom: Geometry, seed: int, steps: int = 40) -> str:
     """Random critical ops (some full-lane), plain ops, line checks, block
     resets and flips, each issued with a random ``earliest``."""
@@ -77,7 +92,6 @@ def interleaving_digest(geom: Geometry, seed: int, steps: int = 40) -> str:
     cells = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
     machine = Machine(CrossbarState(geom, cells), timing=timing,
                       pc_pairs=int(rng.integers(1, 6)))
-    machine.engine_cfg = EngineConfig(require_output_init=False)
     orientations = list(Orientation)
     for _ in range(steps):
         earliest = int(rng.integers(0, machine.horizon + 20))
@@ -89,6 +103,7 @@ def interleaving_digest(geom: Geometry, seed: int, steps: int = 40) -> str:
             lanes = (range(n) if kind == 1 else
                      rng.integers(0, n, int(rng.integers(1, 6))).tolist())
             op = nor_op(orientation, ins, out, frozenset(lanes))
+            preset_output(machine, op, critical=kind != 2)
             if kind == 2:
                 machine.noncritical_op(op, earliest)
             else:
