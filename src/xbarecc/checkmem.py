@@ -39,6 +39,7 @@ from .engine import (
 )
 from .geometry import Bank, Geometry, GeometryError
 from .parity import (
+    CLEAN,
     BlockParity,
     Diagnosis,
     DiagnosisKind,
@@ -51,7 +52,7 @@ from .parity import (
 
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
 MAX_STEP_CYCLES = 1_000  # per timing step; config files and schedule headers set it
-CYCLE_END = 2**31  # critical ops, checks and resets end before it: readiness is int32
+CYCLE_END = 2**31  # every step ends before it: check-bit readiness is int32
 # bound on the temporary of one full_memory_check gather, 2 m^2 bytes per block:
 # a whole-memory one (2 MB at 1020/15) fragments the heap, so that 8 campaign
 # trials whose machines are kept end ~6 MB higher with it
@@ -143,11 +144,12 @@ class Event(NamedTuple):
 
 
 def _check_end(end: int) -> None:
-    """Raise OverflowError for a step that could end at or past :data:`CYCLE_END`,
-    worded as numpy words it for an int32; a step calls this before it
-    books, logs or writes anything, so a step that raises changes nothing."""
+    """Raise OverflowError, naming the cycle, for a step that could end at or
+    past :data:`CYCLE_END`; a step calls this before it books, logs or writes
+    anything, so a step that raises changes nothing."""
     if end >= CYCLE_END:
-        raise OverflowError(f"Python integer {end} out of bounds for int32")
+        raise OverflowError(f"a step would end at cycle {end}; the last cycle a step "
+                            f"may end at is {CYCLE_END - 1} (check-bit readiness is int32)")
 
 
 def run_stats(events) -> tuple[int, list[int]]:
@@ -371,7 +373,7 @@ class BlockReport:
     diagnosis: Diagnosis
 
 
-_CLEAN_REPORT = BlockReport(Diagnosis.clean())  # every clean block's, shared: it is immutable
+_CLEAN_REPORT = BlockReport(CLEAN)  # every clean block's, shared: it is immutable
 
 
 _report_kind = operator.attrgetter("diagnosis.kind")
@@ -511,6 +513,7 @@ class Machine:
         """Plain MAGIC op: one MEM cycle, no ECC involvement."""
         validate_op(self.state, op)
         t = max(earliest, self.timeline.next_free("MEM"))
+        _check_end(t + 1)
         self.timeline.reserve("MEM", t, 1)
         apply_op_inplace(self.state.cells, op)
         self.log(t, "MEM", "op", format_op(op) + " critical=0")

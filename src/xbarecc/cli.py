@@ -394,6 +394,8 @@ def cmd_reliability(args) -> int:
         if getattr(args, flag) <= 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be positive, "
                              f"got {getattr(args, flag)}")
+    if args.capacity_bits > sys.float_info.max:  # the model computes in floats
+        raise UsageError(f"--capacity-bits must be at most {sys.float_info.max:.6g}")
     if args.lambda_min <= 0 or args.lambda_min >= args.lambda_max:
         raise UsageError(
             f"need 0 < lambda-min < lambda-max, got {args.lambda_min} "

@@ -34,7 +34,9 @@ _set_field = object.__setattr__  # how the __init__ of a frozen dataclass writes
 
 @dataclass(frozen=True, slots=True, init=False)
 class BlockParity:
-    """Per-block check-bits: bit d is the XOR of the data-bits on diagonal d."""
+    """Diagonal parity of an m x m block: bit d is the XOR of the bits on
+    diagonal d. A block's stored check-bits, or, as a syndrome, the parity
+    of its error pattern."""
 
     leading: tuple[int, ...]
     counter: tuple[int, ...]
@@ -56,18 +58,6 @@ class BlockParity:
         return self.leading if bank is Bank.LEADING else self.counter
 
 
-@dataclass(frozen=True, slots=True)
-class Syndrome:
-    """Computed parity XOR stored parity; all-zero means consistent."""
-
-    leading: tuple[int, ...]
-    counter: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.leading)
-
-
 class DiagnosisKind(Enum):
     CLEAN = "clean"
     DATA_ERROR = "data_error"
@@ -85,24 +75,10 @@ class Diagnosis:
     bank: Bank | None = None
     idx: int | None = None
 
-    @classmethod
-    def clean(cls) -> "Diagnosis":
-        return _CLEAN
 
-    @classmethod
-    def data_error(cls, i: int, j: int) -> "Diagnosis":
-        return cls(DiagnosisKind.DATA_ERROR, i=i, j=j)
-
-    @classmethod
-    def check_bit_error(cls, bank: Bank, idx: int) -> "Diagnosis":
-        return cls(DiagnosisKind.CHECK_BIT_ERROR, bank=bank, idx=idx)
-
-    @classmethod
-    def uncorrectable(cls) -> "Diagnosis":
-        return cls(DiagnosisKind.UNCORRECTABLE)
-
-
-_CLEAN = Diagnosis(DiagnosisKind.CLEAN)
+# the two outcomes without a location, shared: a diagnosis is immutable
+CLEAN = Diagnosis(DiagnosisKind.CLEAN)
+UNCORRECTABLE = Diagnosis(DiagnosisKind.UNCORRECTABLE)
 
 
 @functools.cache
@@ -169,27 +145,28 @@ def update_parity(parity: BlockParity,
 
 
 @functools.cache
-def zero_syndrome(m: int) -> Syndrome:
+def zero_syndrome(m: int) -> BlockParity:
     """The all-zero syndrome of an m x m block, shared: it is immutable."""
-    return Syndrome((0,) * m, (0,) * m)
+    return BlockParity((0,) * m, (0,) * m)
 
 
-def compute_syndrome(fresh: BlockParity, stored: BlockParity) -> Syndrome:
-    """XOR of freshly computed and stored parity; equal bits give the shared
-    :func:`zero_syndrome`, which a line check tests by identity."""
+def compute_syndrome(fresh: BlockParity, stored: BlockParity) -> BlockParity:
+    """XOR of freshly computed and stored parity, the parity of the error;
+    equal bits give the shared :func:`zero_syndrome`, which a line check
+    tests by identity."""
     # almost every block a check reads is clean: equal bits skip the XOR,
     # and equal bits have equal lengths
     if fresh.leading == stored.leading and fresh.counter == stored.counter:
         return zero_syndrome(len(fresh.leading))
     if fresh.m != stored.m:
         raise CodecError(f"stored parity length {stored.m} != block size {fresh.m}")
-    return Syndrome(
+    return BlockParity(
         tuple(map(operator.xor, fresh.leading, stored.leading)),
         tuple(map(operator.xor, fresh.counter, stored.counter)),
     )
 
 
-def decode_syndrome(s: Syndrome) -> Diagnosis:
+def decode_syndrome(s: BlockParity) -> Diagnosis:
     """Classify a syndrome; total over all inputs.
 
     One set bit in each bank names a unique data cell; one set bit in a
@@ -201,17 +178,16 @@ def decode_syndrome(s: Syndrome) -> Diagnosis:
     n_lead = sum(s.leading)
     n_ctr = sum(s.counter)
     if n_lead == 0 and n_ctr == 0:
-        return _CLEAN
+        return CLEAN
     if n_lead == 1 and n_ctr == 1:
         d_lead = s.leading.index(1)
         d_ctr = s.counter.index(1)
         i, j = cell_from_diags(d_lead, d_ctr, s.m)
-        return Diagnosis.data_error(i, j)
-    if n_lead == 1 and n_ctr == 0:
-        return Diagnosis.check_bit_error(Bank.LEADING, s.leading.index(1))
-    if n_lead == 0 and n_ctr == 1:
-        return Diagnosis.check_bit_error(Bank.COUNTER, s.counter.index(1))
-    return Diagnosis.uncorrectable()
+        return Diagnosis(DiagnosisKind.DATA_ERROR, i=i, j=j)
+    if n_lead + n_ctr == 1:
+        bank = Bank.LEADING if n_lead else Bank.COUNTER
+        return Diagnosis(DiagnosisKind.CHECK_BIT_ERROR, bank=bank, idx=s.bits(bank).index(1))
+    return UNCORRECTABLE
 
 
 def apply_correction(block: np.ndarray, stored: BlockParity,

@@ -37,11 +37,11 @@ from xbarecc.engine import (
 )
 from xbarecc.geometry import Bank, Geometry, GeometryError
 from xbarecc.parity import (
+    UNCORRECTABLE,
     BlockParity,
     Diagnosis,
     DiagnosisKind,
     DiagonalConflictError,
-    Syndrome,
     apply_correction,
     compute_syndrome,
     decode_syndrome,
@@ -455,6 +455,17 @@ class TestCheckBlockRow:
         assert not machine.checkmem.planes.any()
 
     @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_every_uncorrectable_block_shares_one_diagnosis(self, orientation):
+        # every cell 1 and every check-bit 0: each diagonal of a 3 x 3 block
+        # holds three ones, so every bit of every syndrome is set
+        machine = Machine.blank(Geometry(30, 3))
+        machine.state.cells[:] = 1
+        reports, _ = machine.check_block_row(4, orientation)
+        assert len(reports) == 10
+        assert all(report.diagnosis is UNCORRECTABLE for report in reports)
+        assert not machine.checkmem.planes.any()  # nothing corrected
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
     def test_shared_clean_reports_do_not_leak_between_checks(self, orientation):
         # a data flip in the line's first block and a check-bit flip in its
         # last; every clean block's report is one shared object
@@ -468,8 +479,9 @@ class TestCheckBlockRow:
         machine.inject_data_flip(first_br * 5 + 1, first_bc * 5 + 3)
         machine.inject_check_flip(Bank.COUNTER, 2, last_br, last_bc)
         clean = [BlockReport(Diagnosis(DiagnosisKind.CLEAN))] * nb
-        expect = ([BlockReport(Diagnosis.data_error(1, 3))] + clean[1:-1]
-                  + [BlockReport(Diagnosis.check_bit_error(Bank.COUNTER, 2))])
+        expect = ([BlockReport(Diagnosis(DiagnosisKind.DATA_ERROR, i=1, j=3))] + clean[1:-1]
+                  + [BlockReport(Diagnosis(DiagnosisKind.CHECK_BIT_ERROR,
+                                           bank=Bank.COUNTER, idx=2))])
 
         first, _ = machine.check_block_row(index, orientation)
         assert first == expect
@@ -531,7 +543,8 @@ class TestFullMemoryCheck:
             br, bc = divmod(p, nb)
             if orientation is Orientation.COLUMN:
                 br, bc = bc, br
-            assert report.diagnosis == Diagnosis.data_error(br % m, bc % m), p
+            assert report.diagnosis == Diagnosis(DiagnosisKind.DATA_ERROR,
+                                                 i=br % m, j=bc % m), p
 
     def test_chains_pipeline_across_pc_pairs(self):
         machine = machine9(pc_pairs=3)
@@ -793,7 +806,7 @@ def oracle_line_check(machine, index, orientation):
         block = cells[br * m:(br + 1) * m, bc * m:(bc + 1) * m]
         stored = cm.parity(br, bc)
         fresh = encode_block(block)
-        diag = decode_syndrome(Syndrome(
+        diag = decode_syndrome(BlockParity(
             tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
             tuple(a ^ b for a, b in zip(fresh.counter, stored.counter))))
         reports.append(BlockReport(diag))
@@ -1296,7 +1309,7 @@ class TestSameCellHazard:
         assert consistent(machine)
 
     @pytest.mark.parametrize("step", [
-        "critical_op", "block_ecc_reset", "check_block_row",
+        "critical_op", "noncritical_op", "block_ecc_reset", "check_block_row",
         "critical_nor_one_lane", "critical_nor_every_lane",
         "noncritical_nor_one_lane", "noncritical_nor_every_lane"])
     def test_a_step_that_raises_changes_nothing(self, step):
@@ -1319,9 +1332,11 @@ class TestSameCellHazard:
             with pytest.raises(UninitializedOutputError, match="non-preset"):
                 run(nor_op(Orientation.ROW, (1, 2), 0, frozenset(lanes)))
         else:
-            with pytest.raises(OverflowError):
+            with pytest.raises(OverflowError, match="would end at cycle"):
                 if step == "critical_op":
                     machine.critical_op(init_op(Orientation.ROW, 0, {3}), earliest=2**31)
+                elif step == "noncritical_op":  # it ends at 2**31 + 1
+                    machine.noncritical_op(init_op(Orientation.ROW, 5, {0}), earliest=2**31)
                 elif step == "block_ecc_reset":
                     machine.block_ecc_reset(1, 0, earliest=2**31)
                 else:  # its compare ends at 2**31, its correction of (0, 2) later

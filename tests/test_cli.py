@@ -316,7 +316,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(Machine, "critical_op", lambda machine, op, earliest=0:
                             real(machine, op, earliest + 2**31))
         assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
-        assert "input error: Python integer" in capsys.readouterr().err
+        assert "input error: a step would end at cycle 2147" in capsys.readouterr().err
 
     @pytest.mark.parametrize("inputs", ["a=1,a=0,b=0,cin=0", "a=1,b=0,cin=0, a=1"])
     def test_repeated_input_is_usage_error(self, corpus_dir, tmp_path, capsys, inputs):
@@ -506,7 +506,8 @@ class TestReliabilityCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--t-hours", "inf"), ("--t-hours", "nan"), ("--t-hours", "0"),
         ("--t-hours", "-1"), ("--capacity-bits", "0"), ("--capacity-bits", "-1"),
-        ("--points-per-decade", "0"), ("--points-per-decade", "-1")])
+        ("--points-per-decade", "0"), ("--points-per-decade", "-1"),
+        pytest.param("--capacity-bits", str(10**400), id="--capacity-bits-10**400")])
     def test_non_positive_or_non_finite_flag_is_usage_error(self, flag, value,
                                                             capsys):
         assert main(["reliability", flag, value]) == EXIT_USAGE

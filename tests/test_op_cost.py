@@ -19,7 +19,8 @@ def test_every_case_is_timed(capsys):
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
              "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
              "check_block_row", "full_memory_check", "full_memory_check after 1-lane ops",
-             "full_memory_check dirty", "injection_campaign trial"]
+             "full_memory_check dirty", "full_memory_check every block dirty",
+             "injection_campaign trial"]
     assert [line[:36].strip() for line in lines[1:]] == names
     assert all(float(line[36:]) > 0 for line in lines[1:])
 

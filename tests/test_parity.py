@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from xbarecc.geometry import Bank, GeometryError, diags_of_cell
 from xbarecc.parity import (
+    CLEAN,
+    UNCORRECTABLE,
     BlockParity,
     CodecError,
     Diagnosis,
     DiagnosisKind,
     DiagonalConflictError,
-    Syndrome,
     apply_correction,
     compute_syndrome,
     decode_syndrome,
@@ -155,7 +156,7 @@ class TestSyndromeAgainstLoop:
             lead, ctr = rng.integers(0, 2, size=(2, m)).tolist()
             stored = BlockParity(tuple(lead), tuple(ctr))
             fresh = loop_parity(block)
-            assert compute_syndrome(encode_block(block), stored) == Syndrome(
+            assert compute_syndrome(encode_block(block), stored) == BlockParity(
                 tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
                 tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
             assert compute_syndrome(encode_block(block), fresh) == zero_syndrome(m)
@@ -235,6 +236,14 @@ class TestSyndrome:
                 assert syn.leading[dl] == 1
                 assert syn.counter[dc] == 1
 
+    @pytest.mark.parametrize("m", [3, 5, 15])
+    def test_a_syndrome_is_the_parity_of_the_error(self, m):
+        rng = np.random.default_rng(40 + m)
+        for _ in range(20):
+            block, error = random_block(rng, m), random_block(rng, m)
+            syn = compute_syndrome(encode_block(block ^ error), encode_block(block))
+            assert syn == encode_block(error)
+
     def test_stored_check_bit_flip(self):
         block = np.zeros((3, 3), dtype=np.uint8)
         stored = encode_block(block)
@@ -251,17 +260,25 @@ class TestSyndrome:
 
 class TestDecode:
     def test_zero_is_clean(self):
-        assert decode_syndrome(Syndrome((0, 0, 0), (0, 0, 0))).kind is DiagnosisKind.CLEAN
+        assert decode_syndrome(BlockParity((0, 0, 0), (0, 0, 0))) is CLEAN
+        assert CLEAN.kind is DiagnosisKind.CLEAN
 
     def test_data_error_example(self):
-        diag = decode_syndrome(Syndrome((0, 1, 0), (0, 0, 1)))
-        assert diag == Diagnosis.data_error(0, 1)
+        diag = decode_syndrome(BlockParity((0, 1, 0), (0, 0, 1)))
+        assert diag == Diagnosis(DiagnosisKind.DATA_ERROR, i=0, j=1)
 
     def test_check_bit_errors(self):
-        assert decode_syndrome(Syndrome((0, 0, 1), (0, 0, 0))) == \
-            Diagnosis.check_bit_error(Bank.LEADING, 2)
-        assert decode_syndrome(Syndrome((0, 0, 0), (1, 0, 0))) == \
-            Diagnosis.check_bit_error(Bank.COUNTER, 0)
+        assert decode_syndrome(BlockParity((0, 0, 1), (0, 0, 0))) == \
+            Diagnosis(DiagnosisKind.CHECK_BIT_ERROR, bank=Bank.LEADING, idx=2)
+        assert decode_syndrome(BlockParity((0, 0, 0), (1, 0, 0))) == \
+            Diagnosis(DiagnosisKind.CHECK_BIT_ERROR, bank=Bank.COUNTER, idx=0)
+
+    @pytest.mark.parametrize("syndrome", [
+        ((1, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 1)), ((1, 0, 0), (1, 1, 0)),
+        ((1, 1, 1), (1, 1, 1))])
+    def test_every_unlocated_error_is_the_shared_uncorrectable_diagnosis(self, syndrome):
+        assert decode_syndrome(BlockParity(*syndrome)) is UNCORRECTABLE
+        assert UNCORRECTABLE.kind is DiagnosisKind.UNCORRECTABLE
 
     def test_double_flip_on_shared_leading_diagonal(self):
         # (0,0) and (1,2) lie on leading diagonal 0: it cancels, counter keeps both
@@ -271,7 +288,7 @@ class TestDecode:
         block[1, 2] ^= 1
         syn = compute_syndrome(encode_block(block), stored)
         assert sum(syn.leading) == 0 and sum(syn.counter) == 2
-        assert decode_syndrome(syn).kind is DiagnosisKind.UNCORRECTABLE
+        assert decode_syndrome(syn) is UNCORRECTABLE
 
     def test_double_flips_never_clean_m3(self):
         # criterion: exhaustive data double-flip enumeration, never silent
@@ -298,7 +315,7 @@ class TestApplyCorrection:
                     bad = block.copy()
                     bad[i, j] ^= 1
                     diag = decode_syndrome(compute_syndrome(encode_block(bad), stored))
-                    assert diag == Diagnosis.data_error(i, j)
+                    assert diag == Diagnosis(DiagnosisKind.DATA_ERROR, i=i, j=j)
                     fixed, stored2 = apply_correction(bad, stored, diag)
                     assert np.array_equal(fixed, block)
                     assert compute_syndrome(encode_block(fixed), stored2) == zero_syndrome(m)
@@ -314,7 +331,7 @@ class TestApplyCorrection:
                 bad = (BlockParity(tuple(bits), stored.counter) if bank is Bank.LEADING
                        else BlockParity(stored.leading, tuple(bits)))
                 diag = decode_syndrome(compute_syndrome(encode_block(block), bad))
-                assert diag == Diagnosis.check_bit_error(bank, idx)
+                assert diag == Diagnosis(DiagnosisKind.CHECK_BIT_ERROR, bank=bank, idx=idx)
                 fixed, repaired = apply_correction(block, bad, diag)
                 assert repaired == stored
                 assert compute_syndrome(encode_block(fixed), repaired) == zero_syndrome(3)
@@ -334,9 +351,9 @@ class TestApplyCorrection:
     def test_clean_input_rejected(self):
         block = np.zeros((3, 3), dtype=np.uint8)
         with pytest.raises(CodecError):
-            apply_correction(block, encode_block(block), Diagnosis.clean())
+            apply_correction(block, encode_block(block), CLEAN)
         with pytest.raises(CodecError):
-            apply_correction(block, encode_block(block), Diagnosis.uncorrectable())
+            apply_correction(block, encode_block(block), UNCORRECTABLE)
 
     def test_known_blind_spot_miscorrects(self):
         # a leading-check flip plus a counter-check flip masquerades as a
@@ -405,6 +422,6 @@ def test_syndrome_is_the_per_bit_xor_of_fresh_and_stored_bits(case):
     block, stored = case
     fresh = loop_parity(block)
     syn = compute_syndrome(encode_block(block), stored)
-    assert syn == Syndrome(tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
-                           tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
+    assert syn == BlockParity(tuple(a ^ b for a, b in zip(fresh.leading, stored.leading)),
+                              tuple(a ^ b for a, b in zip(fresh.counter, stored.counter)))
     assert (syn == zero_syndrome(syn.m)) == (fresh == stored)

@@ -32,6 +32,11 @@ built outside the timed region:
   that the dirty blocks are decoded, reported and corrected; the blank
   machine and its flips are timed with the check, as a campaign trial
   builds them;
+- ``full_memory_check every block dirty``: as many whole row-wise checks of
+  a blank machine with every cell set to 1, built untimed: every diagonal
+  of a block holds an odd number of ones at any odd m, so every block is
+  uncorrectable and stays so, since a check corrects none of them;
+  reported per block checked;
 - ``injection_campaign trial``: one whole ``inject --scope machine`` trial
   at p = 1e-4, once per n/m ops (at least once), reported per trial: a
   blank machine, its flips drawn and counted per block, one row-wise
@@ -183,6 +188,11 @@ def cases(n: int, m: int):
             machine.full_memory_check()
         return checks * nb * nb
 
+    def all_ones_machine():
+        machine = Machine.blank(geom)
+        machine.state.cells[:] = 1
+        return machine
+
     def trials(_, count):
         count = max(1, count // nb)
         injection_campaign(lambda: Machine.blank(geom), FaultCampaign(n * m, count, P_FLIP))
@@ -201,6 +211,7 @@ def cases(n: int, m: int):
         ("full_memory_check", random_machine, memory_checks),
         ("full_memory_check after 1-lane ops", machine_after_one_lane_ops, memory_checks),
         ("full_memory_check dirty", lambda: None, dirty_memory_checks),
+        ("full_memory_check every block dirty", all_ones_machine, memory_checks),
         ("injection_campaign trial", lambda: None, trials),
     )
 
