@@ -40,6 +40,7 @@ from .engine import (
 from .geometry import Bank, Geometry, GeometryError
 from .parity import (
     CLEAN,
+    UNCORRECTABLE,
     BlockParity,
     Diagnosis,
     DiagnosisKind,
@@ -373,7 +374,9 @@ class BlockReport:
     diagnosis: Diagnosis
 
 
-_CLEAN_REPORT = BlockReport(CLEAN)  # every clean block's, shared: it is immutable
+# every clean block's and every uncorrectable block's, shared: they are immutable
+_CLEAN_REPORT = BlockReport(CLEAN)
+_UNCORRECTABLE_REPORT = BlockReport(UNCORRECTABLE)
 
 
 _report_kind = operator.attrgetter("diagnosis.kind")
@@ -612,11 +615,11 @@ class Machine:
         it to zero in the checking crossbar, every block's syndrome is taken
         first, before any correction writes a cell: one gather of the fresh
         check-bits of the line and one ``compute_syndrome`` per block. Only a
-        dirty block, whose syndrome is not the shared zero one, is decoded,
-        gets its own report and has the controller read its syndrome and
-        correct it, in ascending block order; every clean block gets the one
-        shared clean report. The stored check-bits are read once every write
-        in flight to them has landed.
+        dirty block, whose syndrome is not the shared zero one, is decoded
+        and has the controller read its syndrome and correct it, in ascending
+        block order; a located error gets its own report, and every clean or
+        uncorrectable block shares one report per outcome. The stored
+        check-bits are read once every write in flight to them has landed.
 
         ``_fresh`` is :meth:`full_memory_check`'s path: the line's fresh
         check-bits, ``[block, bank, diag]``, from the sweep's one gather.
@@ -670,9 +673,8 @@ class Machine:
         # the m line copies in one step, as critical_op logs its records
         self.events += (Event(t + k * c, "MEM", "copy_row", f"line={index * m + k} pc={pair}", c)
                         for k in range(m))
-        if levels:
-            self.log(t + m * c, f"PC{pair}", "xor3_tree",
-                     f"vectors={m} levels={levels}", span=levels * x)
+        self.log(t + m * c, f"PC{pair}", "xor3_tree",
+                 f"vectors={m} levels={levels}", span=levels * x)
         self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
         self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
 
@@ -680,14 +682,14 @@ class Machine:
         done = zero_at + zc
         for k, diag in dirty:
             br, bc = (index, k) if by_row else (k, index)
-            reports[k] = BlockReport(diag)
+            reports[k] = _UNCORRECTABLE_REPORT if diag is UNCORRECTABLE else BlockReport(diag)
             read_at = max(done, self.timeline.next_free("CTRL"))
             self.timeline.reserve("CTRL", read_at, tm.controller_read_cycles)
             self.log(read_at, "CTRL", "read_syndrome",
                      f"block={br},{bc} result={diag.kind.value}",
                      span=tm.controller_read_cycles)
             done = read_at + tm.controller_read_cycles
-            if diag.kind is DiagnosisKind.UNCORRECTABLE:
+            if diag is UNCORRECTABLE:
                 continue
             if diag.kind is DiagnosisKind.DATA_ERROR:
                 row = br * geom.m + diag.i

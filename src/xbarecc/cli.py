@@ -92,6 +92,8 @@ def load_config(path: str) -> RunConfig:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise InputError(f"{path}:{lineno}: config key {key!r} is set twice")
         try:
             values[key] = int(val)
         except ValueError:
@@ -173,12 +175,14 @@ def read_schedule_file(path: Path) -> EccSchedule:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        if line.startswith("# meta netlist="):
-            meta["netlist"] = line[len("# meta netlist="):]  # may hold spaces
-            continue
         if line.startswith("# meta "):
-            for tok in line[len("# meta "):].split(" "):
-                key, _, val = tok.partition("=")
+            if line.startswith("# meta netlist="):
+                pairs = [("netlist", line[len("# meta netlist="):])]  # may hold spaces
+            else:
+                pairs = [tok.partition("=")[::2] for tok in line[len("# meta "):].split()]
+            for key, val in pairs:
+                if key in meta:
+                    raise InputError(f"{path}:{lineno}: meta key {key!r} is set twice")
                 meta[key] = val
             continue
         if line.startswith("#"):
@@ -293,22 +297,27 @@ def _parse_assignment(text: str) -> dict[str, int]:
     return assignment
 
 
-def _parse_flip(text: str, geom: Geometry) -> tuple[int, int]:
-    try:
-        row, col = (int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad flip {text!r} (want row,col)")
-    try:
-        geom.check_cell(row, col)
-    except GeometryError as exc:
-        raise UsageError(str(exc))
-    return row, col
+def _parse_flips(texts: list[str], geom: Geometry) -> tuple[tuple[int, int], ...]:
+    flips = []
+    for text in texts:
+        try:
+            row, col = (int(x) for x in text.split(","))
+        except ValueError:
+            raise UsageError(f"bad flip {text!r} (want row,col)")
+        try:
+            geom.check_cell(row, col)
+        except GeometryError as exc:
+            raise UsageError(str(exc))
+        if (row, col) in flips:  # a second flip would undo the first
+            raise UsageError(f"cell {row},{col} flipped more than once")
+        flips.append((row, col))
+    return tuple(flips)
 
 
 def cmd_simulate(args) -> int:
     schedule = read_schedule_file(Path(args.schedule))
     assignment = _parse_assignment(args.inputs or "")
-    flips = tuple(_parse_flip(flip, schedule.geom) for flip in args.flip or [])
+    flips = _parse_flips(args.flip or [], schedule.geom)
     run = execute_schedule(schedule, assignment, flips)
 
     lines = [f"netlist={schedule.name}"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import check_block_size
-from .parity import DiagnosisKind
+from .parity import CLEAN, UNCORRECTABLE
 
 
 @dataclass(frozen=True)
@@ -249,26 +249,14 @@ class CampaignReport:
         return self.blocks_failed / self.blocks_observed if self.blocks_observed else 0.0
 
 
-def _classify_block(flips: int, restored: bool, diagnosis_kind,
-                    report: CampaignReport) -> None:
-    report.flips_injected += flips
-    if restored:
-        report.corrected += flips
-    elif diagnosis_kind is DiagnosisKind.UNCORRECTABLE:
-        report.uncorrectable += flips
-    elif diagnosis_kind is DiagnosisKind.CLEAN:
-        report.silent += flips  # cancelled in the syndrome: silent corruption
-    else:
-        report.miscorrected += flips
-
-
 def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignReport:
     """Inject uniform iid flips, run one full-memory check, classify every flip.
 
     ``machine_factory`` builds a pristine machine per trial (campaigns must
     not share mutable state across trials). The check reports every block,
     and nothing rewrites a block after a pure check pass, so each block is
-    classified by comparing it against its pre-injection contents.
+    classified by comparing it against the trial's one copy of the cells
+    taken before the flips.
     """
     report = CampaignReport(trials=campaign.trials)
 
@@ -279,28 +267,36 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
         machine = machine_factory()
         geom = machine.geom
         n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        cells = machine.state.cells
+        before = cells.copy()
         # drawn one block row at a time: the same stream as one whole-memory
         # draw, without its n x n float64 temporary; each row's flips are
-        # found by index and counted per block, each block they hit is saved
-        # as it was, and they are XORed through a view of the block row
-        # (whatever the cells' layout)
-        flipped = {}  # (block row, block col) -> (flips, cells before them), row-major
+        # found by index, XORed in whatever the cells' layout and counted per
+        # block, row-major
+        flips = np.zeros((nb, nb), dtype=np.int64)
         for br in range(nb):
             i, j = np.divmod(np.flatnonzero(rng.random((m, n)) < campaign.p_bit), n)
-            rows = machine.state.cells[br * m:(br + 1) * m]
-            counts = np.bincount(j // m)
-            for bc in np.flatnonzero(counts).tolist():
-                flipped[br, bc] = int(counts[bc]), rows[:, bc * m:(bc + 1) * m].copy()
-            rows[i, j] ^= 1
+            cells[br * m + i, j] ^= 1
+            flips[br] = np.bincount(j // m, minlength=nb)
 
-        # a ROW check reports every block, row-major
+        # a ROW check reports every block, row-major; a block failed if the
+        # check left it unlike its pre-injection contents
         summary = machine.full_memory_check()
         report.blocks_observed += len(summary.reports)
-        for (br, bc), (flips, before) in flipped.items():
-            restored = np.array_equal(
-                machine.state.cells[br * m:(br + 1) * m, bc * m:(bc + 1) * m], before)
-            if not restored:
-                report.blocks_failed += 1
-            _classify_block(flips, restored, summary.reports[br * nb + bc].diagnosis.kind,
-                            report)
+        failed = (cells != before).reshape(nb, m, n).any(axis=1).reshape(-1, m).any(axis=1)
+        flips = flips.ravel()
+        hit = np.flatnonzero(flips)
+        for k, count, bad in zip(hit.tolist(), flips[hit].tolist(), failed[hit].tolist()):
+            report.flips_injected += count
+            if not bad:
+                report.corrected += count
+                continue
+            report.blocks_failed += 1
+            diag = summary.reports[k].diagnosis
+            if diag is UNCORRECTABLE:
+                report.uncorrectable += count
+            elif diag is CLEAN:
+                report.silent += count  # cancelled in the syndrome: silent corruption
+            else:
+                report.miscorrected += count
     return report

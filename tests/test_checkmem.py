@@ -464,6 +464,13 @@ class TestCheckBlockRow:
         assert len(reports) == 10
         assert all(report.diagnosis is UNCORRECTABLE for report in reports)
         assert not machine.checkmem.planes.any()  # nothing corrected
+        # and one shared report, in every check and in a whole sweep
+        shared = reports[0]
+        assert all(report is shared for report in reports)
+        assert all(report is shared for report in machine.check_block_row(5, orientation)[0])
+        summary = machine.full_memory_check(orientation)
+        assert summary.uncorrectable == 100
+        assert all(report is shared for report in summary.reports)
 
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_shared_clean_reports_do_not_leak_between_checks(self, orientation):

@@ -277,6 +277,24 @@ class TestSimulateCommand:
         assert fault in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key", ["pc_pairs", "netlist"])
+    def test_a_repeated_meta_key_is_input_error(self, corpus_dir, tmp_path, key, capsys):
+        # a later value must not replace the one the schedule was issued with
+        events = self.schedule(corpus_dir, tmp_path)
+        lines = events.read_text().split("\n")
+        assert lines[1:3] == ["# meta netlist=full_adder", "# meta n=30 m=3 pc_pairs=4"]
+        if key == "netlist":
+            lines.insert(2, lines[1])
+        else:
+            lines[2] += " pc_pairs=9"
+        events.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (f"xbarecc: input error: {events}:3: "
+                                f"meta key {key!r} is set twice\n")
+        assert captured.out == ""
+
     def test_an_output_may_share_an_input_column(self, corpus_dir, tmp_path, capsys):
         # a pass-through output reads the input's own cell
         events = self.schedule(corpus_dir, tmp_path)
@@ -323,6 +341,18 @@ class TestSimulateCommand:
         events = self.schedule(corpus_dir, tmp_path)
         assert main(["simulate", str(events), "--inputs", inputs]) == EXIT_USAGE
         assert "'a' assigned more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flips", [["2,1", "2,1"], ["0,0", "2,1", "00,0"]])
+    def test_a_cell_flipped_twice_is_usage_error(self, corpus_dir, tmp_path, capsys, flips):
+        # a second flip of one cell would cancel the first, unreported
+        events = self.schedule(corpus_dir, tmp_path)
+        capsys.readouterr()
+        argv = ["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]
+        assert main(argv + [arg for flip in flips for arg in ("--flip", flip)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        cell = "2,1" if flips[0] == "2,1" else "0,0"
+        assert captured.err == f"xbarecc: error: cell {cell} flipped more than once\n"
+        assert captured.out == ""
 
     def test_netlist_name_with_a_space_survives_the_schedule_file(self, tmp_path,
                                                                   capsys):
@@ -625,6 +655,16 @@ class TestConfig:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("frobnicate=1\n")
         assert main(["area", "--config", str(cfgfile)]) == EXIT_INPUT
+
+    def test_a_key_set_twice_is_input_error(self, tmp_path, capsys):
+        # the second value must not silently replace the first
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("pc_pairs=0\n# a comment\npc_pairs=3\n")
+        assert main(["area", "-n", "30", "-m", "3", "--config", str(cfgfile)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (f"xbarecc: input error: {cfgfile}:3: "
+                                "config key 'pc_pairs' is set twice\n")
+        assert captured.out == ""
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -20,9 +20,9 @@ def test_every_case_is_timed(capsys):
              "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
              "check_block_row", "full_memory_check", "full_memory_check after 1-lane ops",
              "full_memory_check dirty", "full_memory_check every block dirty",
-             "injection_campaign trial"]
-    assert [line[:36].strip() for line in lines[1:]] == names
-    assert all(float(line[36:]) > 0 for line in lines[1:])
+             "injection_campaign trial", "injection_campaign trial every cell flipped"]
+    assert [line[:44].strip() for line in lines[1:]] == names
+    assert all(float(line[44:]) > 0 for line in lines[1:])
 
 
 @pytest.mark.parametrize("argv", [

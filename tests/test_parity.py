@@ -186,11 +186,11 @@ class TestUpdateParity:
             parity = encode_block(block)
             for i in range(3):
                 for j in range(3):
-                    flipped = block.copy()
-                    flipped[i, j] ^= 1
+                    corrupted = block.copy()
+                    corrupted[i, j] ^= 1
                     updated = update_parity(
-                        parity, [(i, j, int(block[i, j]), int(flipped[i, j]))])
-                    assert updated == encode_block(flipped)
+                        parity, [(i, j, int(block[i, j]), int(corrupted[i, j]))])
+                    assert updated == encode_block(corrupted)
 
     def test_batch_row_update_matches_reencode(self):
         # one written cell per block: a row-parallel op touching three blocks
@@ -228,9 +228,9 @@ class TestSyndrome:
         stored = encode_block(block)
         for i in range(m):
             for j in range(m):
-                flipped = block.copy()
-                flipped[i, j] ^= 1
-                syn = compute_syndrome(encode_block(flipped), stored)
+                corrupted = block.copy()
+                corrupted[i, j] ^= 1
+                syn = compute_syndrome(encode_block(corrupted), stored)
                 assert sum(syn.leading) == 1 and sum(syn.counter) == 1
                 dl, dc = diags_of_cell(i, j, m)
                 assert syn.leading[dl] == 1

@@ -1,14 +1,15 @@
 """Closed-form MTTF curves, Monte-Carlo cross-checks, and campaigns."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xbarecc import reliability
 from xbarecc.checkmem import CheckMem, Machine
 from xbarecc.engine import CrossbarState
 from xbarecc.geometry import Geometry
+from xbarecc.parity import DiagnosisKind
 from xbarecc.reliability import (
     CampaignReport,
     FaultCampaign,
@@ -228,18 +229,19 @@ class TestInjectionCampaign:
 
     @pytest.mark.parametrize("p", [0.0, 1e-4, 0.2, 1.0])
     @pytest.mark.parametrize("content", ["blank", "random", "random Fortran"])
-    def test_flips_match_the_whole_memory_mask_oracle(self, p, content, monkeypatch):
+    def test_flips_match_the_whole_memory_mask_oracle(self, p, content):
         # the oracle draws trial t's flips as one n x n boolean mask,
         # default_rng((seed, t)).random((n, n)) < p, XORs it into the cells
         # and sums it per block; the campaign draws, XORs and counts them one
-        # block row at a time
+        # block row at a time. The whole expected report is built from the
+        # mask, the check's diagnoses and the cells the check left.
         geom, seed, trials = Geometry(45, 5), 17, 3
         n, m, nb = geom.n, geom.m, geom.blocks_per_side
         values = np.random.default_rng(4505).integers(0, 2, (n, n), dtype=np.uint8)
         values *= content != "blank"
         layout = np.asfortranarray if content == "random Fortran" else np.copy
         runs = []  # per trial: the cells as flipped, the check's summary and
-        # the (flips, diagnosis kind) of each block classified, in order
+        # the cells as the check left them
 
         def factory():
             state = CrossbarState(geom, layout(values))
@@ -247,33 +249,55 @@ class TestInjectionCampaign:
             check = machine.full_memory_check
 
             def spied_check():
-                runs.append([machine.state.cells.copy(), None, []])
-                runs[-1][1] = check()
-                return runs[-1][1]
+                flipped = machine.state.cells.copy()
+                summary = check()
+                runs.append((flipped, summary, machine.state.cells.copy()))
+                return summary
 
             machine.full_memory_check = spied_check
             return machine
 
-        classify = reliability._classify_block
-
-        def spied_classify(flips, restored, kind, report):
-            runs[-1][2].append((flips, kind))
-            classify(flips, restored, kind, report)
-
-        monkeypatch.setattr(reliability, "_classify_block", spied_classify)
         report = injection_campaign(factory, FaultCampaign(seed, trials, p))
 
         assert len(runs) == trials
-        flips = 0
-        for t, (cells, summary, classified) in enumerate(runs):
+        expected = CampaignReport(trials=trials)
+        for t, (flipped, summary, checked) in enumerate(runs):
             mask = np.random.default_rng((seed, t)).random((n, n)) < p
-            assert np.array_equal(cells, values ^ mask)
+            assert np.array_equal(flipped, values ^ mask)
             per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
-            kinds = [r.diagnosis.kind for r in summary.reports]
-            assert classified == [(per_block[br, bc], kinds[br * nb + bc])
-                                  for br, bc in zip(*np.nonzero(per_block))]
-            flips += int(mask.sum())
-        assert report.flips_injected == flips
+            unlike = (checked != values).reshape(nb, m, nb, m).any(axis=(1, 3))
+            expected.blocks_observed += len(summary.reports)
+            for br, bc in zip(*np.nonzero(per_block)):
+                count = int(per_block[br, bc])
+                kind = summary.reports[br * nb + bc].diagnosis.kind
+                expected.flips_injected += count
+                if not unlike[br, bc]:
+                    expected.corrected += count
+                    continue
+                expected.blocks_failed += 1
+                if kind is DiagnosisKind.UNCORRECTABLE:
+                    expected.uncorrectable += count
+                elif kind is DiagnosisKind.CLEAN:
+                    expected.silent += count
+                else:
+                    expected.miscorrected += count
+        assert report == expected
+
+    def test_one_fully_flipped_trial_keeps_no_copy_per_block(self):
+        # p = 1 flips every cell of every block; the trial keeps one copy of
+        # the cells and one count per block, not a copy of each block hit,
+        # and shares one report among its 10,000 uncorrectable blocks
+        geom = Geometry(300, 3)
+        factory = lambda: Machine.blank(geom)
+        injection_campaign(factory, FaultCampaign(seed=0, trials=1, p_bit=0.0))  # warm caches
+        tracemalloc.start()
+        try:
+            report = injection_campaign(factory, FaultCampaign(seed=0, trials=1, p_bit=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.uncorrectable == report.flips_injected == 300 * 300
+        assert peak < 4.5 * 2**20
 
     def test_machine_level_frequency_tracks_closed_form(self):
         geom = Geometry(150, 15)

@@ -40,7 +40,10 @@ built outside the timed region:
 - ``injection_campaign trial``: one whole ``inject --scope machine`` trial
   at p = 1e-4, once per n/m ops (at least once), reported per trial: a
   blank machine, its flips drawn and counted per block, one row-wise
-  check and the classification of every flip.
+  check and the classification of every flip;
+- ``injection_campaign trial every cell flipped``: the same trials at
+  p = 1, the dense regime: every block takes m * m flips and every block
+  is reported uncorrectable.
 
 The package is imported from ``src/`` of the same checkout; nothing is
 written. A geometry the package rejects (``--m`` even, or not dividing
@@ -193,10 +196,12 @@ def cases(n: int, m: int):
         machine.state.cells[:] = 1
         return machine
 
-    def trials(_, count):
-        count = max(1, count // nb)
-        injection_campaign(lambda: Machine.blank(geom), FaultCampaign(n * m, count, P_FLIP))
-        return count
+    def trials(p):
+        def run(_, count):
+            count = max(1, count // nb)
+            injection_campaign(lambda: Machine.blank(geom), FaultCampaign(n * m, count, p))
+            return count
+        return run
 
     return (
         ("critical_op 1 lane", preset_machine, nors(one, True)),
@@ -212,7 +217,8 @@ def cases(n: int, m: int):
         ("full_memory_check after 1-lane ops", machine_after_one_lane_ops, memory_checks),
         ("full_memory_check dirty", lambda: None, dirty_memory_checks),
         ("full_memory_check every block dirty", all_ones_machine, memory_checks),
-        ("injection_campaign trial", lambda: None, trials),
+        ("injection_campaign trial", lambda: None, trials(P_FLIP)),
+        ("injection_campaign trial every cell flipped", lambda: None, trials(1.0)),
     )
 
 
@@ -223,7 +229,7 @@ def main(argv=None) -> int:
     print(f"op_cost: n={args.n} m={args.m}, best of {args.repeat} x {args.ops} ops, "
           f"microseconds per op (per block for the checks, per trial for the campaign)")
     for name, seconds in rows:
-        print(f"{name:<36}{seconds * 1e6:10.2f}")
+        print(f"{name:<44}{seconds * 1e6:10.2f}")
     return 0
 
 
