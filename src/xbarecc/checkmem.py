@@ -16,7 +16,6 @@ and write the result back. The MEM is occupied for only the three transfer
 
 import functools
 import math
-import operator
 import struct
 from bisect import bisect_right
 from collections import defaultdict
@@ -379,9 +378,6 @@ _CLEAN_REPORT = BlockReport(CLEAN)
 _UNCORRECTABLE_REPORT = BlockReport(UNCORRECTABLE)
 
 
-_report_kind = operator.attrgetter("diagnosis.kind")
-
-
 @dataclass(frozen=True)
 class CheckSummary:
     """Aggregated result of a full-memory check."""
@@ -393,12 +389,19 @@ class CheckSummary:
 
     @classmethod
     def of(cls, reports) -> "CheckSummary":
-        """The reports and their counts by outcome: one map reads every
-        report's kind, and two ``list.count`` calls count them in C."""
-        kinds = list(map(_report_kind, reports))
-        clean = kinds.count(DiagnosisKind.CLEAN)
-        uncorrectable = kinds.count(DiagnosisKind.UNCORRECTABLE)
-        return cls(clean, len(kinds) - clean - uncorrectable, uncorrectable, tuple(reports))
+        """The reports and their counts by outcome, counted against the
+        shared reports. A check gives every clean block and every
+        uncorrectable one the shared report of its outcome, which ``count``
+        matches by identity in C; any other report it compares by value, a
+        call of the dataclass's ``__eq__``. So the uncorrectable ones are
+        counted among the reports that are not the shared clean one: most
+        reports are, and each would cost such a call. A report built anew
+        counts as the outcome it equals; a located error equals neither."""
+        reports = tuple(reports)
+        clean = reports.count(_CLEAN_REPORT)
+        uncorrectable = [report for report in reports
+                         if report is not _CLEAN_REPORT].count(_UNCORRECTABLE_REPORT)
+        return cls(clean, len(reports) - clean - uncorrectable, uncorrectable, reports)
 
 
 class Machine:
@@ -614,12 +617,17 @@ class Machine:
         As the CMEM XORs a whole line in a processing crossbar and compares
         it to zero in the checking crossbar, every block's syndrome is taken
         first, before any correction writes a cell: one gather of the fresh
-        check-bits of the line and one ``compute_syndrome`` per block. Only a
-        dirty block, whose syndrome is not the shared zero one, is decoded
-        and has the controller read its syndrome and correct it, in ascending
-        block order; a located error gets its own report, and every clean or
-        uncorrectable block shares one report per outcome. The stored
-        check-bits are read once every write in flight to them has landed.
+        check-bits of the line, one ``BlockParity`` per distinct check-bit
+        pattern among the line's fresh and stored bits, and one
+        ``compute_syndrome`` per block. A clean block's fresh and stored bits
+        are then one record, which the syndrome's equality test passes by
+        identity: a blank line builds one record, a random clean one nb.
+        Only a dirty block, whose syndrome is not the shared zero one, is
+        decoded and has the controller read its syndrome and correct it, in
+        ascending block order; a located error gets its own report, and
+        every clean or uncorrectable block shares one report per outcome.
+        The stored check-bits are read once every write in flight to them
+        has landed.
 
         ``_fresh`` is :meth:`full_memory_check`'s path: the line's fresh
         check-bits, ``[block, bank, diag]``, from the sweep's one gather.
@@ -633,19 +641,23 @@ class Machine:
 
         # functional: the fresh check-bits of the line, in one gather unless
         # the sweep's gather passed them, and the stored ones, both uint8
-        # [block, bank, diag], read as one m-tuple per bank and block, leading
-        # then counter, so that one iterator passed twice to map pairs them
-        # into a block's record; then every block's syndrome
+        # [block, bank, diag], read as one 2m-byte key per block, leading then
+        # counter; one record per distinct key, each bank unpacked from the
+        # key as an m-tuple, so that a clean block's fresh and stored bits are
+        # one object; then every block's syndrome
         by_row = orientation is Orientation.ROW
         line = (..., index) if by_row else (slice(None), slice(None), index)  # of planes
         if _fresh is None:
             spans = block_spans(self.state.cells, m)
             _fresh = diag_parity(spans[index] if by_row else spans[:, index], m, geom.n)
         stored = self.checkmem.planes[line].transpose(2, 0, 1)
-        fresh = struct.iter_unpack(f"{m}B", _fresh.tobytes())
-        stored = struct.iter_unpack(f"{m}B", stored.tobytes())
-        syndromes = map(compute_syndrome, map(BlockParity, fresh, fresh),
-                        map(BlockParity, stored, stored))
+        fresh = [key for key, in struct.iter_unpack(f"{2 * m}s", _fresh.tobytes())]
+        stored = [key for key, in struct.iter_unpack(f"{2 * m}s", stored.tobytes())]
+        keys = list({*fresh, *stored})
+        leading, counter = struct.Struct(f"{m}B{m}x").unpack, struct.Struct(f"{m}x{m}B").unpack
+        records = dict(zip(keys, map(BlockParity, map(leading, keys), map(counter, keys))))
+        syndromes = map(compute_syndrome, map(records.__getitem__, fresh),
+                        map(records.__getitem__, stored))
         zero = zero_syndrome(m)
         dirty = [(k, decode_syndrome(s)) for k, s in enumerate(syndromes) if s is not zero]
 

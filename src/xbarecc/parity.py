@@ -155,8 +155,10 @@ def compute_syndrome(fresh: BlockParity, stored: BlockParity) -> BlockParity:
     equal bits give the shared :func:`zero_syndrome`, which a line check
     tests by identity."""
     # almost every block a check reads is clean: equal bits skip the XOR,
-    # and equal bits have equal lengths
-    if fresh.leading == stored.leading and fresh.counter == stored.counter:
+    # and equal bits have equal lengths; a line check passes a clean block's
+    # bits as one record, which the identity test passes without comparing
+    if fresh is stored or (fresh.leading == stored.leading
+                           and fresh.counter == stored.counter):
         return zero_syndrome(len(fresh.leading))
     if fresh.m != stored.m:
         raise CodecError(f"stored parity length {stored.m} != block size {fresh.m}")

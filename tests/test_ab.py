@@ -208,3 +208,93 @@ def test_the_reference_is_the_median_of_the_detail_lines_kernel_times():
 def test_fewer_than_three_traced_runs_are_refused(layers, tmp_path):
     with pytest.raises(SystemExit, match="at least 3 runs"):
         ab.main([str(tmp_path), str(tmp_path), "--workload", "simd", "--layers", layers])
+
+
+SPEC = {"end_to_end": [{"name": "work_per_ref_s", "better": "higher", "bound": 0.25},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+                       {"name": "sim_cycles", "better": "lower", "bound": 0.25}],
+        "per_layer": PER_LAYER}
+
+
+def untraced(rate: float, failed: int = 0) -> dict:
+    """One synthetic ``--trace 0`` result, as :func:`ab.read_result` returns it."""
+    return {"correct": True, "failed": failed,
+            "metrics": {"work_per_ref_s": {"value": rate, "unit": "1/s"},
+                        "peak_rss_mb": {"value": 80.0, "unit": "MB"},
+                        "sim_cycles": {"value": 23458, "unit": "cycles"},
+                        "reference_kernel_s": {"value": 0.06, "unit": "s"}}}
+
+
+def synthetic_sides(pairs: int = 10) -> dict[str, list[dict]]:
+    """A change that wins every pair by a fifth, the simulated cycles equal."""
+    return {"parent": [untraced(100.0 + k) for k in range(pairs)],
+            "change": [untraced(120.0 + k) for k in range(pairs)]}
+
+
+class TestRecord:
+    ARGS = ab.parse_args(["p", "c", "--workload", "campaign", "--pairs", "10",
+                          "--seconds", "8", "--first-seed", "31"])
+    TREES = {"parent": {"commit": "a" * 40, "dirty": False},
+             "change": {"commit": "a" * 40, "dirty": True}}
+    HOST = {"python": "3.11.7", "numpy": "2.4.6", "cpus": 2, "machine": "x86_64"}
+
+    def test_holds_trees_host_seeds_pairs_verdicts_and_claim(self):
+        results = synthetic_sides()
+        record = ab.build_record(self.ARGS, SPEC, self.TREES, self.HOST, results, None)
+        assert json.loads(json.dumps(record)) == record  # plain JSON
+        assert (record["workload"], record["seconds"]) == ("campaign", 8.0)
+        assert record["seeds"] == list(range(31, 41))
+        assert (record["trees"], record["host"]) == (self.TREES, self.HOST)
+        assert [p["first"] for p in record["pairs"][:3]] == ["parent", "change", "parent"]
+        first = record["pairs"][0]
+        assert first["seed"] == 31 and first["parent"]["failed"] == 0
+        assert first["change"]["metrics"] == {"work_per_ref_s": 120.0, "peak_rss_mb": 80.0,
+                                              "sim_cycles": 23458,
+                                              "reference_kernel_s": 0.06}
+        rows = {row["name"]: row for row in record["metrics"]}
+        assert list(rows) == ["work_per_ref_s", "peak_rss_mb", "sim_cycles"]
+        rate = rows["work_per_ref_s"]
+        assert rate["parent"] == list(ab.quartiles([100.0 + k for k in range(10)]))
+        assert rate["change"][1] == 124.5 and rate["rel"] == pytest.approx(20 / 104.5)
+        assert (rate["wins"], rate["same"], rate["verdict"]) == (10, 0, "ok")
+        assert (rows["sim_cycles"]["same"], rows["sim_cycles"]["rel"]) == (10, 0.0)
+        _, _, why = ab.claim_verdict([100.0 + k for k in range(10)],
+                                     [120.0 + k for k in range(10)], True)
+        assert record["claim"] == {"metric": "work_per_ref_s", "wins": 10, "needed": 9,
+                                   "holds": True, "why": why}
+        assert "layers" not in record
+
+    def test_traced_runs_add_each_layers_verdict(self):
+        change = host_runs(1.15, 3, {"checkmem.check_block_row.self_s": 0.6})
+        record = ab.build_record(self.ARGS, SPEC, self.TREES, self.HOST, synthetic_sides(),
+                                 {"parent": host_runs(1.0), "change": change})
+        layers = record["layers"]
+        assert (layers["runs"], layers["seed"]) == (7, 31)
+        verdicts = {row["name"]: row["verdict"] for row in layers["rows"]}
+        assert verdicts == {
+            "reference_kernel_s": "reference",
+            "checkmem.machine_init.self_s": "unresolved",
+            "checkmem.check_block_row.calls": "same",
+            "checkmem.check_block_row.self_s": "moved",
+            "checkmem.block_ecc_reset.self_s": "unresolved",
+            "engine.format_op.bytes": "same"}
+        row = next(r for r in layers["rows"] if r["name"] == "checkmem.check_block_row.self_s")
+        assert row["calls"] == [68.0, 68.0]
+        assert row["rel"] == pytest.approx(1.15 * 0.6 - 1, abs=0.05)
+
+    def test_main_writes_the_record_without_running_git_or_the_benchmark(
+            self, tmp_path, monkeypatch, capsys):
+        rates = iter([100.0, 120.0, 125.0, 104.0, 102.0, 118.0])  # alternating order
+        monkeypatch.setattr(ab, "run_once", lambda *args, **kw: untraced(next(rates)))
+        monkeypatch.setattr(ab, "tree", lambda checkout: {"commit": None, "dirty": None})
+        monkeypatch.setattr(ab, "host", lambda: self.HOST)
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        path = tmp_path / "BENCH_0_campaign.json"
+        assert ab.main([str(tmp_path), str(tmp_path), "--workload", "campaign", "--pairs",
+                        "3", "--seconds", "1", "--record", str(path)]) == 0
+        assert f"record written to {path}" in capsys.readouterr().out
+        record = json.loads(path.read_text())
+        assert [(p["parent"]["metrics"]["work_per_ref_s"], p["change"]["metrics"]
+                 ["work_per_ref_s"]) for p in record["pairs"]] == [
+            (100.0, 120.0), (104.0, 125.0), (102.0, 118.0)]
+        assert record["claim"]["wins"] == 3 and record["claim"]["holds"] is True

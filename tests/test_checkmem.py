@@ -14,6 +14,7 @@ from xbarecc import checkmem
 from xbarecc.checkmem import (
     BlockReport,
     CheckMem,
+    CheckSummary,
     Event,
     Machine,
     TimingModel,
@@ -37,6 +38,7 @@ from xbarecc.engine import (
 )
 from xbarecc.geometry import Bank, Geometry, GeometryError
 from xbarecc.parity import (
+    CLEAN,
     UNCORRECTABLE,
     BlockParity,
     Diagnosis,
@@ -835,12 +837,32 @@ def oracle_line_check(machine, index, orientation):
     return reports, cells, cm, records
 
 
+MEMORIES = ("random", "blank", "all-ones", "tiled")
+
+
+def consistent_memory(geom, memory, seed) -> Machine:
+    """A machine whose check-bits encode its cells: random cells, all zero,
+    all one, or one random block tiled over the memory, so that every block
+    of a line holds the same bits."""
+    n, m, nb = geom.n, geom.m, geom.blocks_per_side
+    rng = np.random.default_rng(seed)
+    cells = {"random": lambda: rng.integers(0, 2, (n, n), dtype=np.uint8),
+             "blank": lambda: np.zeros((n, n), dtype=np.uint8),
+             "all-ones": lambda: np.ones((n, n), dtype=np.uint8),
+             "tiled": lambda: np.tile(rng.integers(0, 2, (m, m), dtype=np.uint8), (nb, nb)),
+             }[memory]()
+    return Machine(CrossbarState(geom, cells))
+
+
 @st.composite
 def faulty_lines(draw):
-    """A geometry, a line of blocks and up to two faults in each block.
+    """A geometry, its memory (:data:`MEMORIES`), a line of blocks and up
+    to two faults in each block.
 
     A fault is a data-bit or a stored check-bit flip; the explicit pair of
     one leading and one counter check-bit flip is the decoder's blind spot.
+    On a blank, all-ones or tiled line, a block with only check-bit faults
+    keeps fresh bits equal to those of every clean block of the line.
     """
     geom = draw(st.sampled_from([Geometry(45, 3), Geometry(45, 5), Geometry(63, 7)]))
     m, nb = geom.m, geom.blocks_per_side
@@ -850,27 +872,60 @@ def faulty_lines(draw):
     blind = st.tuples(diag, diag).map(
         lambda dd: [("check", Bank.LEADING, dd[0]), ("check", Bank.COUNTER, dd[1])])
     faults = st.one_of(st.lists(st.one_of(data, check), max_size=2), blind)
-    return (geom, draw(st.sampled_from(list(Orientation))), draw(st.integers(0, nb - 1)),
-            draw(st.integers(0, 2**32 - 1)),
+    return (geom, draw(st.sampled_from(MEMORIES)), draw(st.sampled_from(list(Orientation))),
+            draw(st.integers(0, nb - 1)), draw(st.integers(0, 2**32 - 1)),
             draw(st.lists(faults, min_size=nb, max_size=nb)))
+
+
+def inject_line_faults(machine, index, orientation, faults) -> None:
+    """Inject each block's faults, block k of the line taking ``faults[k]``,
+    and one data flip in a block off the line, which stays where it is."""
+    m, nb = machine.geom.m, machine.geom.blocks_per_side
+    for k, block_faults in enumerate(faults):
+        br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
+        for kind, a, b in block_faults:
+            if kind == "data":
+                machine.inject_data_flip(br * m + a, bc * m + b)
+            else:
+                machine.inject_check_flip(a, b, br, bc)
+    machine.inject_data_flip(((index + 1) % nb) * m, ((index + 1) % nb) * m)
 
 
 class TestLineCheckOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=faulty_lines())
     def test_reports_cells_planes_and_events_match_the_scalar_oracle(self, case):
-        geom, orientation, index, seed, faults = case
-        m, nb = geom.m, geom.blocks_per_side
-        machine = random_consistent_machine(seed, geom)
-        for k, block_faults in enumerate(faults):
-            br, bc = (index, k) if orientation is Orientation.ROW else (k, index)
-            for kind, a, b in block_faults:
-                if kind == "data":
-                    machine.inject_data_flip(br * m + a, bc * m + b)
-                else:
-                    machine.inject_check_flip(a, b, br, bc)
-        # a flip in a block off the line stays where it is
-        machine.inject_data_flip(((index + 1) % nb) * m, ((index + 1) % nb) * m)
+        geom, memory, orientation, index, seed, faults = case
+        machine = consistent_memory(geom, memory, seed)
+        inject_line_faults(machine, index, orientation, faults)
+        self.check_against_oracle(machine, index, orientation)
+
+    @pytest.mark.parametrize("memory", ["blank", "all-ones", "tiled"])
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_a_dirty_block_whose_fresh_bits_equal_a_clean_neighbours(self, memory,
+                                                                       orientation):
+        # blocks 1 and 4 hold a flipped check-bit, so their fresh bits are
+        # those of their clean neighbours and only their stored bits differ;
+        # block 6 holds the blind spot, block 2 a data flip
+        geom = Geometry(45, 5)
+        faults = [[] for _ in range(geom.blocks_per_side)]
+        faults[1] = [("check", Bank.LEADING, 3)]
+        faults[2] = [("data", 1, 4)]
+        faults[4] = [("check", Bank.COUNTER, 0)]
+        faults[6] = [("check", Bank.LEADING, 2), ("check", Bank.COUNTER, 4)]
+        machine = consistent_memory(geom, memory, 3)
+        inject_line_faults(machine, 5, orientation, faults)
+        reports = self.check_against_oracle(machine, 5, orientation)
+        kinds = [r.diagnosis.kind for r in reports]
+        assert kinds[1] is kinds[4] is DiagnosisKind.CHECK_BIT_ERROR
+        assert kinds[2] is kinds[6] is DiagnosisKind.DATA_ERROR  # the blind spot
+        assert kinds.count(DiagnosisKind.CLEAN) == geom.blocks_per_side - 4
+
+    @staticmethod
+    def check_against_oracle(machine, index, orientation) -> list[BlockReport]:
+        """Check the line and compare its reports, cells, check-bits and
+        records with :func:`oracle_line_check`'s; returns the reports."""
+        m = machine.geom.m
         reports, cells, cm, records = oracle_line_check(machine, index, orientation)
         logged = len(machine.events)
 
@@ -886,6 +941,7 @@ class TestLineCheckOracle:
             + ["syndrome_xor3", "zero_compare"])
         assert [(ev.unit, ev.action, ev.operands) for ev in events[prologue:]] == records
         assert done == max(ev.end for ev in events)
+        return got
 
 
 @st.composite
@@ -990,6 +1046,56 @@ class TestOneSyndromePerBlock:
         summary = machine.full_memory_check(orientation)
         assert len(decoded) == 2 and zero_syndrome(5) not in decoded
         assert summary.corrected == 2
+
+
+class TestOneRecordPerPattern:
+    """A line check builds one ``BlockParity`` per distinct check-bit
+    pattern among its blocks' fresh and stored bits."""
+
+    @staticmethod
+    def records_built(machine, monkeypatch, orientation) -> int:
+        built = []
+
+        def counted(leading, counter):
+            built.append(leading + counter)
+            return BlockParity(leading, counter)
+
+        monkeypatch.setattr(checkmem, "BlockParity", counted)
+        machine.check_block_row(2, orientation)
+        return len(built)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_at_45_5(self, orientation, monkeypatch):
+        geom = Geometry(45, 5)
+        nb = geom.blocks_per_side
+        assert self.records_built(Machine.blank(geom), monkeypatch, orientation) == 1
+        ones = Machine.blank(geom)
+        ones.state.cells[:] = 1  # fresh bits all one, stored all zero
+        assert self.records_built(ones, monkeypatch, orientation) == 2
+        random = random_consistent_machine(45, geom)
+        assert self.records_built(random, monkeypatch, orientation) <= nb
+
+
+class TestCheckSummary:
+    def test_counts_match_a_kind_by_kind_count(self):
+        # the shared reports, value-equal copies built anew and located errors
+        located = [BlockReport(Diagnosis(DiagnosisKind.DATA_ERROR, i=1, j=2)),
+                   BlockReport(Diagnosis(DiagnosisKind.CHECK_BIT_ERROR, bank=Bank.COUNTER,
+                                         idx=3))]
+        reports = [checkmem._CLEAN_REPORT, BlockReport(CLEAN), located[0],
+                   checkmem._UNCORRECTABLE_REPORT, BlockReport(UNCORRECTABLE),
+                   BlockReport(Diagnosis(DiagnosisKind.CLEAN)), located[1],
+                   checkmem._CLEAN_REPORT, BlockReport(Diagnosis(DiagnosisKind.UNCORRECTABLE)),
+                   located[0]]
+        kinds = [r.diagnosis.kind for r in reports]
+        # a one-shot iterator, as a generator of reports is, is read once
+        summary = CheckSummary.of(iter(reports))
+        assert summary.reports == tuple(reports)
+        assert (summary.clean, summary.corrected, summary.uncorrectable) == (
+            kinds.count(DiagnosisKind.CLEAN),
+            kinds.count(DiagnosisKind.DATA_ERROR) + kinds.count(DiagnosisKind.CHECK_BIT_ERROR),
+            kinds.count(DiagnosisKind.UNCORRECTABLE)) == (4, 3, 3)
+        assert CheckSummary.of([]) == CheckSummary(0, 0, 0, ())
 
 
 def sweep_faults(geom, case):

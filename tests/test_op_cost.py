@@ -18,7 +18,8 @@ def test_every_case_is_timed(capsys):
                         "(per block for the checks, per trial for the campaign)")
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
              "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
-             "check_block_row", "full_memory_check", "full_memory_check after 1-lane ops",
+             "check_block_row", "check_block_row blank", "full_memory_check",
+             "full_memory_check blank", "full_memory_check after 1-lane ops",
              "full_memory_check dirty", "full_memory_check every block dirty",
              "injection_campaign trial", "injection_campaign trial every cell flipped"]
     assert [line[:44].strip() for line in lines[1:]] == names

@@ -34,13 +34,24 @@ reference-kernel times that ``perfbench/run.py`` takes around every item
 and prints on its ``# detail`` line; its own line comes first and shows
 each side's interquartile range relative to its median.
 
-Standard library only. Nothing is written besides what ``perfbench/run.py``
-itself writes in each checkout.
+With ``--record PATH`` it also writes everything it printed as one JSON
+file (:func:`build_record`): each tree's commit and whether its files
+differ from it, the host (Python, numpy, CPUs), the seeds, every pair's
+metrics, each end-to-end metric's quartiles and verdict, the
+claim verdict and, with ``--layers``, each layer's verdict. A perf change
+commits its record as ``BENCH_<change>_<workload>.json``;
+``tools/trajectory.py`` chains the records into one table.
+
+Standard library only. Nothing is written besides the record and what
+``perfbench/run.py`` itself writes in each checkout.
 """
 
 import argparse
+import importlib.metadata
 import json
 import math
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -145,15 +156,15 @@ def layer_verdict(parent: list[float], change: list[float],
     return "moved" if moved else "unresolved"
 
 
-def layer_lines(per_layer: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per metric of ``per_layer`` (``BENCHMARK.json`` entries),
+def layer_rows(per_layer: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
+    """One row per metric of ``per_layer`` (``BENCHMARK.json`` entries),
     read off each side's ``--trace 1`` metrics: ``name``, each side's
-    ``median (IQR)``, the relative change of the median, the verdict and,
-    beside a time, each side's median calls per item of the same layer. A
-    time's verdict also reads its ratio to :data:`REFERENCE` in each run.
-    The reference's own line comes first, with the verdict ``reference``
-    and each side's interquartile range relative to its median; a side with
-    no value reads ``-``."""
+    quartiles (``None`` for a side with no value), the relative change of
+    the median (``None`` unless both sides have a nonzero parent median),
+    the verdict and, beside a time, each side's median calls per item of
+    the same layer. A time's verdict also reads its ratio to
+    :data:`REFERENCE` in each run. The reference's own row comes first,
+    with the verdict ``reference``."""
     def values(runs, name):
         return [run[name]["value"] for run in runs if name in run]
 
@@ -161,35 +172,130 @@ def layer_lines(per_layer: list[dict], parent: list[dict], change: list[dict]) -
         return [run[name]["value"] / run[REFERENCE]["value"] for run in runs
                 if name in run and run.get(REFERENCE, {}).get("value")]
 
-    def summary(v):
-        q1, median, q3 = quartiles(v)
-        return f"{median:.4g} ({q3 - q1:.2g})"
-
-    lines = []
+    rows = []
     for spec in [{"name": REFERENCE, "unit": "s"}, *per_layer]:
         name = spec["name"]
         sides = values(parent, name), values(change, name)
-        cols = [summary(v) if v else "-" for v in sides]
-        rel, verdict, note = "", "unresolved", ""
-        if all(sides):
-            med_parent, med_change = map(statistics.median, sides)
-            if med_parent:
-                rel = f"{(med_change - med_parent) / abs(med_parent):+.1%}"
-            timed = spec["unit"] == "s"
-            counted = [values(runs, name.removesuffix(".self_s") + ".calls")
-                       for runs in (parent, change)]
-            if name == REFERENCE:
-                verdict = "reference"
-                note = "IQR {:.1%} -> {:.1%} of median".format(
-                    *((q3 - q1) / q2 for q1, q2, q3 in map(quartiles, sides)))
-            else:
-                verdict = layer_verdict(
-                    *sides, (ratios(parent, name), ratios(change, name)) if timed else None)
-                if timed and all(counted):
-                    note = "calls {:.4g} -> {:.4g}".format(*map(statistics.median, counted))
-        lines.append(f"{name:40s} {cols[0]:>20s} -> {cols[1]:20s} {rel:>7s}  "
-                     f"{verdict:10s} {note}".rstrip())
+        parent_q, change_q = (list(quartiles(v)) if v else None for v in sides)
+        row = {"name": name, "parent": parent_q, "change": change_q, "rel": None,
+               "verdict": "unresolved", "calls": None}
+        rows.append(row)
+        if not all(sides):
+            continue
+        med_parent, med_change = map(statistics.median, sides)
+        if med_parent:
+            row["rel"] = (med_change - med_parent) / abs(med_parent)
+        timed = spec["unit"] == "s"
+        counted = [values(runs, name.removesuffix(".self_s") + ".calls")
+                   for runs in (parent, change)]
+        if name == REFERENCE:
+            row["verdict"] = "reference"
+        else:
+            row["verdict"] = layer_verdict(
+                *sides, (ratios(parent, name), ratios(change, name)) if timed else None)
+            if timed and all(counted):
+                row["calls"] = [statistics.median(c) for c in counted]
+    return rows
+
+
+def layer_lines(per_layer: list[dict], parent: list[dict], change: list[dict]) -> list[str]:
+    """:func:`layer_rows` as text, one line each: ``name``, each side's
+    ``median (IQR)``, the relative change of the median, the verdict and,
+    beside a time, ``calls`` per item; the reference's line shows each
+    side's interquartile range relative to its median instead. A side with
+    no value reads ``-``."""
+    def summary(q):
+        return f"{q[1]:.4g} ({q[2] - q[0]:.2g})" if q else "-"
+
+    lines = []
+    for row in layer_rows(per_layer, parent, change):
+        rel = "" if row["rel"] is None else f"{row['rel']:+.1%}"
+        note = ""
+        if row["verdict"] == "reference":
+            note = "IQR {:.1%} -> {:.1%} of median".format(
+                *((q3 - q1) / q2 for q1, q2, q3 in (row["parent"], row["change"])))
+        elif row["calls"]:
+            note = "calls {:.4g} -> {:.4g}".format(*row["calls"])
+        lines.append(f"{row['name']:40s} {summary(row['parent']):>20s} -> "
+                     f"{summary(row['change']):20s} {rel:>7s}  {row['verdict']:10s} "
+                     f"{note}".rstrip())
     return lines
+
+
+def metric_rows(spec: dict, results: dict[str, list[dict]]) -> list[dict]:
+    """One row per end-to-end metric of ``spec`` (``BENCHMARK.json``), read
+    off each side's untraced results, pair by pair: each side's quartiles,
+    the pairs the change won and those that read the same, the relative
+    change of the median and the bound verdict."""
+    rows = []
+    for metric in spec["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent, change = ([r["metrics"][name]["value"] for r in results[side]]
+                          for side in ("parent", "change"))
+        wins, _, _ = claim_verdict(parent, change, higher)
+        rel, verdict = bound_verdict(parent, change, higher, metric["bound"])
+        rows.append({"name": name, "better": metric["better"], "bound": metric["bound"],
+                     "parent": list(quartiles(parent)), "change": list(quartiles(change)),
+                     "wins": wins, "same": sum(p == c for p, c in zip(parent, change)),
+                     "rel": rel, "verdict": verdict})
+    return rows
+
+
+def claim_row(spec: dict, results: dict[str, list[dict]]) -> dict:
+    """The claim rule on :data:`CLAIMED`: pairs won, pairs needed, whether it
+    holds and why."""
+    higher = {m["name"]: m["better"] for m in spec["end_to_end"]}[CLAIMED] == "higher"
+    parent, change = ([r["metrics"][CLAIMED]["value"] for r in results[side]]
+                      for side in ("parent", "change"))
+    wins, holds, why = claim_verdict(parent, change, higher)
+    return {"metric": CLAIMED, "wins": wins, "needed": math.ceil(0.9 * len(parent)),
+            "holds": holds, "why": why}
+
+
+def tree(checkout: Path) -> dict:
+    """A checkout's commit (``None`` outside git) and whether its tracked
+    or untracked files differ from that commit."""
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    return {"commit": commit, "dirty": bool(git("status", "--porcelain")) if commit else None}
+
+
+def host() -> dict:
+    """The Python, numpy and CPUs that both sides run on."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {"python": platform.python_version(), "numpy": numpy,
+            "cpus": os.cpu_count(), "machine": platform.machine()}
+
+
+def build_record(args, spec: dict, trees: dict, host_facts: dict,
+                 results: dict[str, list[dict]], traced: dict[str, list[dict]] | None) -> dict:
+    """The JSON record of one ``ab`` run: what it ran (``workload``,
+    ``seconds``, ``seeds``), the two ``trees`` and the ``host``, every
+    pair's seed, order, ``failed`` counts and metric values, each
+    end-to-end metric's row (:func:`metric_rows`), the ``claim`` and, if
+    ``traced`` runs were made, their ``layers`` (:func:`layer_rows`)."""
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    pairs = [{"seed": seed, "first": alternate(i)[0],
+              **{side: {"failed": results[side][i]["failed"],
+                        "metrics": {name: m["value"]
+                                    for name, m in results[side][i]["metrics"].items()}}
+                 for side in ("parent", "change")}}
+             for i, seed in enumerate(seeds)]
+    record = {"workload": args.workload, "seconds": args.seconds, "seeds": seeds,
+              "trees": trees, "host": host_facts, "pairs": pairs,
+              "metrics": metric_rows(spec, results), "claim": claim_row(spec, results)}
+    if traced is not None:
+        record["layers"] = {"runs": len(traced["parent"]), "seed": args.first_seed,
+                            "rows": layer_rows(spec["per_layer"], traced["parent"],
+                                               traced["change"])}
+    return record
 
 
 def parse_args(argv=None):
@@ -203,6 +309,9 @@ def parse_args(argv=None):
     p.add_argument("--layers", type=int, default=0, metavar="N",
                    help="after the pairs, N alternating --trace 1 runs per side "
                         "(at least 3); print every per-layer metric and whether it moved")
+    p.add_argument("--record", type=Path, metavar="PATH",
+                   help="also write the trees, host, seeds, every pair's metrics and "
+                        "every verdict to this JSON file")
     return p.parse_args(argv)
 
 
@@ -213,8 +322,6 @@ def main(argv=None) -> int:
     if args.layers and args.layers < 3:
         sys.exit("ab: --layers needs at least 3 runs per side for a spread")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     results = {side: [] for side in sides}
     for i in range(args.pairs):
@@ -232,22 +339,15 @@ def main(argv=None) -> int:
           f"failed operations: parent {failed['parent']}, change {failed['change']}")
     print(f"{'metric':28s} {'parent q1/median/q3':36s} {'change q1/median/q3':36s} "
           f"wins  same   median  bound")
-    for name, direction in better.items():
-        values = {side: [r["metrics"][name]["value"] for r in results[side]]
-                  for side in sides}
-        wins, _, _ = claim_verdict(values["parent"], values["change"],
-                                   direction == "higher")
-        same = sum(p == c for p, c in zip(values["parent"], values["change"]))
-        rel, verdict = bound_verdict(values["parent"], values["change"],
-                                     direction == "higher", bounds[name])
-        cols = ["/".join(f"{q:.6g}" for q in quartiles(values[side])) for side in sides]
-        print(f"{name:28s} {cols[0]:36s} {cols[1]:36s} {wins:>4}  {same:>4}  "
-              f"{rel:+7.1%}  {verdict} (bound {bounds[name]:.0%})")
-    values = {side: [r["metrics"][CLAIMED]["value"] for r in results[side]]
-              for side in sides}
-    _, holds, why = claim_verdict(values["parent"], values["change"],
-                                  better[CLAIMED] == "higher")
-    print(f"\nclaim on {CLAIMED}: {'HOLDS' if holds else 'DOES NOT HOLD'} ({why})")
+    for row in metric_rows(spec, results):
+        cols = ["/".join(f"{q:.6g}" for q in row[side]) for side in sides]
+        print(f"{row['name']:28s} {cols[0]:36s} {cols[1]:36s} {row['wins']:>4}  "
+              f"{row['same']:>4}  {row['rel']:+7.1%}  {row['verdict']} "
+              f"(bound {row['bound']:.0%})")
+    claim = claim_row(spec, results)
+    print(f"\nclaim on {CLAIMED}: {'HOLDS' if claim['holds'] else 'DOES NOT HOLD'} "
+          f"({claim['why']})")
+    traced = None
     if args.layers:
         traced = {side: [] for side in sides}
         for i in range(args.layers):
@@ -258,6 +358,11 @@ def main(argv=None) -> int:
         print(f"\nper-layer metrics, {args.layers} runs per side (--trace 1, seed "
               f"{args.first_seed}), median (IQR), parent -> change:")
         print("\n".join(layer_lines(spec["per_layer"], traced["parent"], traced["change"])))
+    if args.record:
+        record = build_record(args, spec, {side: tree(path) for side, path in sides.items()},
+                              host(), results, traced)
+        args.record.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"\nrecord written to {args.record}")
     return 0
 
 

@@ -10,22 +10,26 @@ a campaign) in microseconds. A machine case starts each repetition on a fresh ma
 built outside the timed region:
 
 - ``critical_op 1 lane`` and ``critical_op all lanes``: a NOR on row 0, or
-  on every row, whose output line moves one column per op, so the ops
-  cover every line offset within a block;
+  on every row, of the preset machine (columns 0 and 1 zero, every other
+  cell one), whose output line moves one column per op, so the ops cover
+  every line offset within a block;
 - ``noncritical_op 1 lane``: the same one-lane NORs, without ECC;
 - ``block_ecc_reset``: one block after another, row by row;
 - ``MicroOp``, ``Action`` and ``Event``: building one record each;
 - ``compute_syndrome``: the fresh and stored check-bits of one clean
   m x m block, two equal ``BlockParity`` records;
-- ``check_block_row``: a clean line of a random consistent machine, one
-  line after another, reported per block checked;
-- ``full_memory_check``: the same machine checked whole, row-wise, once per
-  n/m ops (at least once), so that it checks about as many lines as
-  ``check_block_row``; reported per block checked;
-- ``full_memory_check after 1-lane ops``: the same sweeps, of a machine on
-  which 2m one-lane critical ops ran first, untimed, so that every
-  check-bit crossbar holds windows of its own, as in a compiled schedule;
+- ``check_block_row`` and ``check_block_row blank``: clean lines, one
+  after another, of the random machine (random cells, check-bits encoded
+  from them) or of the blank one (every cell and check-bit zero, so every
+  block of a line holds one check-bit pattern); reported per block checked;
+- ``full_memory_check`` and ``full_memory_check blank``: the random or the
+  blank machine checked whole, row-wise, once per n/m ops (at least
+  once), so that it checks about as many lines as ``check_block_row``;
   reported per block checked;
+- ``full_memory_check after 1-lane ops``: the same sweeps, of the preset
+  machine on which 2m one-lane critical ops ran first, untimed, so that
+  every check-bit crossbar holds windows of its own, as in a compiled
+  schedule; reported per block checked;
 - ``full_memory_check dirty``: the ``campaign`` workload's regime, as many
   whole row-wise checks, each of a fresh blank machine with each cell
   flipped with probability 1e-4 (seeded, the same flips every check), so
@@ -33,10 +37,11 @@ built outside the timed region:
   machine and its flips are timed with the check, as a campaign trial
   builds them;
 - ``full_memory_check every block dirty``: as many whole row-wise checks of
-  a blank machine with every cell set to 1, built untimed: every diagonal
-  of a block holds an odd number of ones at any odd m, so every block is
-  uncorrectable and stays so, since a check corrects none of them;
-  reported per block checked;
+  the all-ones machine, a blank machine with every cell set to 1 and its
+  check-bits left zero, built untimed: every diagonal of a block holds an
+  odd number of ones at any odd m, so every block is uncorrectable and
+  stays so, since a check corrects none of them; reported per block
+  checked;
 - ``injection_campaign trial``: one whole ``inject --scope machine`` trial
   at p = 1e-4, once per n/m ops (at least once), reported per trial: a
   blank machine, its flips drawn and counted per block, one row-wise
@@ -213,7 +218,9 @@ def cases(n: int, m: int):
         ("Event", lambda: None, events),
         ("compute_syndrome", lambda: None, syndromes),
         ("check_block_row", random_machine, line_checks),
+        ("check_block_row blank", lambda: Machine.blank(geom), line_checks),
         ("full_memory_check", random_machine, memory_checks),
+        ("full_memory_check blank", lambda: Machine.blank(geom), memory_checks),
         ("full_memory_check after 1-lane ops", machine_after_one_lane_ops, memory_checks),
         ("full_memory_check dirty", lambda: None, dirty_memory_checks),
         ("full_memory_check every block dirty", all_ones_machine, memory_checks),
