@@ -844,12 +844,13 @@ def consistent_memory(geom, memory, seed) -> Machine:
     """A machine whose check-bits encode its cells: random cells, all zero,
     all one, or one random block tiled over the memory, so that every block
     of a line holds the same bits."""
+    if memory == "random":
+        return random_consistent_machine(seed, geom)
     n, m, nb = geom.n, geom.m, geom.blocks_per_side
-    rng = np.random.default_rng(seed)
-    cells = {"random": lambda: rng.integers(0, 2, (n, n), dtype=np.uint8),
-             "blank": lambda: np.zeros((n, n), dtype=np.uint8),
+    cells = {"blank": lambda: np.zeros((n, n), dtype=np.uint8),
              "all-ones": lambda: np.ones((n, n), dtype=np.uint8),
-             "tiled": lambda: np.tile(rng.integers(0, 2, (m, m), dtype=np.uint8), (nb, nb)),
+             "tiled": lambda: np.tile(np.random.default_rng(seed).integers(
+                 0, 2, (m, m), dtype=np.uint8), (nb, nb)),
              }[memory]()
     return Machine(CrossbarState(geom, cells))
 

@@ -23,15 +23,19 @@ SPEC = {"end_to_end": [{"name": "work_per_ref_s", "better": "higher", "bound": 0
         "per_layer": []}
 
 
-def record(workload: str, parent: float, change: float, pairs: int = 5) -> dict:
+def record(workload: str, parent: float, change: float, pairs: int = 5,
+           commits: tuple = ("a" * 40, "b" * 40), dirty: bool = False) -> dict:
     """An ab record whose change reads ``change`` against ``parent`` in
-    every pair, ``setup_s`` equal."""
+    every pair, ``setup_s`` equal, between the parent and change
+    ``commits``; ``dirty`` marks the change side's files as differing."""
     def run(rate):
         return {"failed": 0, "metrics": {"work_per_ref_s": {"value": rate},
                                          "setup_s": {"value": 0.5}}}
 
     args = ab.parse_args(["p", "c", "--workload", workload, "--pairs", str(pairs)])
-    return ab.build_record(args, SPEC, {"parent": {}, "change": {}}, {},
+    trees = {"parent": {"commit": commits[0], "dirty": False},
+             "change": {"commit": commits[1], "dirty": dirty}}
+    return ab.build_record(args, SPEC, trees, {},
                            {"parent": [run(parent)] * pairs, "change": [run(change)] * pairs},
                            None)
 
@@ -42,30 +46,46 @@ def write(tmp_path, name, content) -> Path:
     return path
 
 
-def table(capsys, *argv) -> list[list[str]]:
+def table(capsys, *argv) -> tuple[list[list[str]], list[str]]:
+    """The rows that ``main`` prints, split, and its warnings."""
     assert trajectory.main([str(a) for a in argv]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
     assert header.split() == ["record", "workload", "pairs", "parent", "change", "ratio",
                               "chained", "claim"]
-    return [row.split() for row in rows]
+    return [row.split() for row in rows], err.splitlines()
 
 
 def test_ratios_chain_per_workload_in_record_order(tmp_path, capsys):
-    paths = [write(tmp_path, "BENCH_30_campaign.json", record("campaign", 40.0, 50.0)),
+    c28, c30, c100 = "2" * 40, "3" * 40, "4" * 40
+    paths = [write(tmp_path, "BENCH_30_campaign.json",
+                   record("campaign", 40.0, 50.0, commits=(c28, c30))),
              write(tmp_path, "BENCH_4_simd.json", record("simd", 10.0, 10.5)),
-             write(tmp_path, "BENCH_28_campaign.json", record("campaign", 30.0, 36.0)),
-             write(tmp_path, "BENCH_100_campaign.json", record("campaign", 50.0, 49.0))]
-    assert table(capsys, *paths) == [
+             write(tmp_path, "BENCH_28_campaign.json",
+                   record("campaign", 30.0, 36.0, commits=("1" * 40, c28))),
+             write(tmp_path, "BENCH_100_campaign.json",
+                   record("campaign", 50.0, 49.0, commits=(c30, c100)))]
+    rows, warnings = table(capsys, *paths)
+    assert rows == [
         ["BENCH_28_campaign.json", "campaign", "5", "30", "36", "1.200", "1.200", "HOLDS"],
         ["BENCH_30_campaign.json", "campaign", "5", "40", "50", "1.250", "1.500", "HOLDS"],
         ["BENCH_100_campaign.json", "campaign", "5", "50", "49", "0.980", "1.470", "no"],
         ["BENCH_4_simd.json", "simd", "5", "10", "10.5", "1.050", "1.050", "HOLDS"]]
+    assert warnings == []  # every link is checked and holds
 
 
-def test_another_metric_is_chained_on_request(tmp_path, capsys):
-    path = write(tmp_path, "BENCH_28_campaign.json", record("campaign", 30.0, 36.0))
-    (row,) = table(capsys, path, "--metric", "setup_s")
-    assert row[3:7] == ["0.5", "0.5", "1.000", "1.000"]
+def test_a_broken_or_unnamed_link_is_a_warning_naming_the_record(tmp_path, capsys):
+    paths = [write(tmp_path, "BENCH_28_campaign.json",
+                   record("campaign", 30.0, 36.0, commits=("1" * 40, "2" * 40))),
+             write(tmp_path, "BENCH_30_campaign.json",
+                   record("campaign", 40.0, 50.0, commits=("9" * 40, "3" * 40), dirty=True))]
+    rows, warnings = table(capsys, *paths)
+    assert rows[1][:7] == ["BENCH_30_campaign.json", "campaign", "5", "40", "50",
+                           "1.250", "1.500"]  # still chained
+    assert warnings == [
+        "trajectory: warning: BENCH_30_campaign.json: the change tree is not a commit",
+        "trajectory: warning: BENCH_30_campaign.json: parent 999999999999 is not the "
+        "change of BENCH_28_campaign.json"]
 
 
 @pytest.mark.parametrize("content, why", [
@@ -73,6 +93,7 @@ def test_another_metric_is_chained_on_request(tmp_path, capsys):
     ({"workload": "campaign"}, "not a tools/ab.py record"),
     ({**record("campaign", 1.0, 2.0), "metrics": []}, "no metric 'work_per_ref_s'"),
     ({**record("campaign", 1.0, 2.0), "pairs": []}, "at least one pair"),
+    ({**record("campaign", 1.0, 2.0), "trees": {"parent": {}}}, "not a tools/ab.py record"),
     (record("campaign", 0.0, 2.0), "positive parent median"),
 ])
 def test_a_malformed_record_is_an_error_naming_it(tmp_path, content, why):
