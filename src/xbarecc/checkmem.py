@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .engine import (
     CrossbarState,
@@ -314,18 +313,6 @@ def lane_footprint(geom: Geometry, orientation: Orientation,
     return LaneFootprint(geom, orientation, lane_mask)
 
 
-def block_spans(cells: np.ndarray, m: int) -> np.ndarray:
-    """Read-only view ``[block_row, block_col, span]`` of the m x m blocks of
-    the n x n ``cells``, each span running from a block's first cell to its
-    last with rows n apart, as :func:`diag_parity` reads it with pitch n.
-    C-ordered cells are not copied; any other layout is copied to C order."""
-    cells = np.ascontiguousarray(cells)
-    n = cells.shape[1]
-    return as_strided(cells, (n // m, n // m, (m - 1) * n + m),
-                      (m * cells.strides[0], m * cells.strides[1], cells.strides[1]),
-                      writeable=False)
-
-
 class CheckMem:
     """Check-bit storage: m crossbars of (n/m) x (n/m) cells per bank.
 
@@ -347,9 +334,8 @@ class CheckMem:
     @classmethod
     def from_state(cls, state: CrossbarState) -> "CheckMem":
         """Encode every block of the given memory contents."""
-        geom = state.geom
-        sums = diag_parity(block_spans(state.cells, geom.m), geom.m, geom.n)
-        return cls(geom, sums.transpose(2, 3, 1, 0))  # [br, bc, bank, d] -> [bank, d, bc, br]
+        sums = diag_parity(state.blocks)
+        return cls(state.geom, sums.transpose(2, 3, 1, 0))  # [br, bc, bank, d] -> [bank, d, bc, br]
 
     def parity(self, block_row: int, block_col: int) -> BlockParity:
         lead, ctr = self.planes[:, :, block_col, block_row].tolist()
@@ -617,8 +603,9 @@ class Machine:
         As the CMEM XORs a whole line in a processing crossbar and compares
         it to zero in the checking crossbar, every block's syndrome is taken
         first, before any correction writes a cell: one gather of the fresh
-        check-bits of the line, one ``BlockParity`` per distinct check-bit
-        pattern among the line's fresh and stored bits, and one
+        check-bits of the line's blocks, read through the memory's block view
+        :attr:`CrossbarState.blocks`, one ``BlockParity`` per distinct
+        check-bit pattern among the line's fresh and stored bits, and one
         ``compute_syndrome`` per block. A clean block's fresh and stored bits
         are then one record, which the syndrome's equality test passes by
         identity: a blank line builds one record, a random clean one nb.
@@ -648,8 +635,8 @@ class Machine:
         by_row = orientation is Orientation.ROW
         line = (..., index) if by_row else (slice(None), slice(None), index)  # of planes
         if _fresh is None:
-            spans = block_spans(self.state.cells, m)
-            _fresh = diag_parity(spans[index] if by_row else spans[:, index], m, geom.n)
+            blocks = self.state.blocks
+            _fresh = diag_parity(blocks[index] if by_row else blocks[:, index])
         stored = self.checkmem.planes[line].transpose(2, 0, 1)
         fresh = [key for key, in struct.iter_unpack(f"{2 * m}s", _fresh.tobytes())]
         stored = [key for key, in struct.iter_unpack(f"{2 * m}s", stored.tobytes())]
@@ -731,21 +718,22 @@ class Machine:
         """Sweep every row (or column) of blocks, one :meth:`check_block_row`
         each; chains pipeline through the PC pairs.
 
-        The fresh check-bits come from one gather per group of lines, as
-        :meth:`CheckMem.from_state` takes them, before the group's first line
-        is checked: as many lines as keep the gather's temporary within
+        The fresh check-bits come from one gather per group of lines of
+        :attr:`CrossbarState.blocks`, as :meth:`CheckMem.from_state` takes
+        them from the whole view, before the group's first line is checked:
+        as many lines as keep the gather's temporary within
         :data:`SWEEP_GATHER_BYTES` (4 lines at 1020/15, every line at 45/5).
         That is exact: a correction writes only a cell or a check-bit of the
         block it corrects, and a sweep checks each block once, so no block's
         cells or check-bits change before its own line is checked."""
         m, nb = self.geom.m, self.geom.blocks_per_side
-        spans = block_spans(self.state.cells, m)
+        blocks = self.state.blocks
         if orientation is Orientation.COLUMN:
-            spans = spans.swapaxes(0, 1)  # [line, block, span] in both orientations
+            blocks = blocks.swapaxes(0, 1)  # [line, block, i, j] in both orientations
         step = max(1, SWEEP_GATHER_BYTES // (2 * m * m * nb))
         reports: list[BlockReport] = []
         for first in range(0, nb, step):
-            fresh = diag_parity(spans[first:first + step], m, self.geom.n)
+            fresh = diag_parity(blocks[first:first + step])
             for index, line in enumerate(fresh, first):
                 reports += self.check_block_row(index, orientation, earliest, _fresh=line)[0]
         return CheckSummary.of(reports)

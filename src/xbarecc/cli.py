@@ -298,7 +298,7 @@ def _parse_assignment(text: str) -> dict[str, int]:
 
 
 def _parse_flips(texts: list[str], geom: Geometry) -> tuple[tuple[int, int], ...]:
-    flips = []
+    flips: dict[tuple[int, int], None] = {}  # an ordered set
     for text in texts:
         try:
             row, col = (int(x) for x in text.split(","))
@@ -310,7 +310,7 @@ def _parse_flips(texts: list[str], geom: Geometry) -> tuple[tuple[int, int], ...
             raise UsageError(str(exc))
         if (row, col) in flips:  # a second flip would undo the first
             raise UsageError(f"cell {row},{col} flipped more than once")
-        flips.append((row, col))
+        flips[row, col] = None
     return tuple(flips)
 
 

@@ -148,6 +148,15 @@ class CrossbarState:
         return self.cells[block_row * m:(block_row + 1) * m,
                           block_col * m:(block_col + 1) * m]
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """Read-only view ``[block_row, block_col, i, j]`` of the m x m blocks,
+        the codec's one read of them; the reshape copies cells not in C order."""
+        m, nb = self.geom.m, self.geom.blocks_per_side
+        blocks = self.cells.reshape(nb, m, nb, m).swapaxes(1, 2)
+        blocks.flags.writeable = False
+        return blocks
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, CrossbarState)
                 and self.geom == other.geom

@@ -77,8 +77,9 @@ def _check_ident(tok: str, lineno: int) -> str:
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
-    inputs: list[str] = []
-    outputs: list[str] = []
+    # ordered sets: a dict keeps the file's order and tests a name in O(1)
+    inputs: dict[str, None] = {}
+    outputs: dict[str, None] = {}
     raw_gates: dict[str, tuple[int, Gate]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -93,13 +94,13 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                     raise NetlistError(f"line {lineno}: duplicate input {tok!r}")
                 if tok in raw_gates:  # a gate defined it on an earlier line
                     raise NetlistError(f"line {lineno}: {tok!r} defined twice")
-                inputs.append(tok)
+                inputs[tok] = None
         elif toks[0] == ".outputs":
             for tok in toks[1:]:
                 _check_ident(tok, lineno)
                 if tok in outputs:
                     raise NetlistError(f"line {lineno}: duplicate output {tok!r}")
-                outputs.append(tok)
+                outputs[tok] = None
         elif len(toks) >= 2 and toks[1] == "=":
             gate_id = _check_ident(toks[0], lineno)
             if len(toks) < 3:

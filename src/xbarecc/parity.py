@@ -82,27 +82,27 @@ UNCORRECTABLE = Diagnosis(DiagnosisKind.UNCORRECTABLE)
 
 
 @functools.cache
-def _diag_index(m: int, pitch: int) -> np.ndarray:
-    """Flat gather index of the diagonals, ``[m, 2, m]``.
+def _diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index ``(row, column)`` of the diagonals, ``[m, 2, m]`` once
+    the row index ``[m, 1, 1]`` broadcasts.
 
-    Entry ``[i, bank, d]`` is the offset ``i * pitch + j`` of the cell of row
-    i on diagonal d, for blocks whose rows start ``pitch`` elements apart:
-    column j = (d - i) mod m on leading diagonal d, (i - d) mod m on counter
+    Entry ``[i, bank, d]`` names the cell of row i on diagonal d: column
+    j = (d - i) mod m on leading diagonal d, (i - d) mod m on counter
     diagonal d.
     """
     i = np.arange(m)[:, None]
     d = np.arange(m)[None, :]
-    return i[:, None] * pitch + np.stack([(d - i) % m, (i - d) % m], axis=1)
+    return i[:, None], np.stack([(d - i) % m, (i - d) % m], axis=1)
 
 
-def diag_parity(flat: np.ndarray, m: int, pitch: int) -> np.ndarray:
-    """Check-bits ``[..., 2, m]`` of the m x m bit blocks laid out along the
-    last axis of ``flat``, row i of each block starting at offset ``i * pitch``.
+def diag_parity(blocks: np.ndarray) -> np.ndarray:
+    """Check-bits ``[..., 2, m]`` of the m x m bit blocks ``[..., m, m]``.
 
     Entry ``[..., 0, d]`` is the parity of leading diagonal d, ``[..., 1, d]``
     that of counter diagonal d. The one gather of the codec.
     """
-    cells = flat[..., _diag_index(m, pitch)]
+    rows, cols = _diag_index(blocks.shape[-1])
+    cells = blocks[..., rows, cols]
     return np.bitwise_xor.reduce(cells, axis=-3, dtype=np.uint8)
 
 
@@ -113,7 +113,7 @@ def encode_block(block) -> BlockParity:
     if block.shape != (m, m):
         raise CodecError(f"block must be square, got {block.shape}")
     check_block_size(m)
-    lead, ctr = diag_parity(block.ravel(), m, m).tolist()
+    lead, ctr = diag_parity(block).tolist()
     return BlockParity(tuple(lead), tuple(ctr))
 
 

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -969,7 +970,8 @@ LAYOUTS = {
 
 class TestLayoutSafeGather:
     """The one gather of the check path reads the right cells whatever the
-    memory's layout: a line's fresh check-bits, ``CheckMem.from_state`` and
+    memory's layout: a line's fresh check-bits through
+    ``CrossbarState.blocks``, ``CheckMem.from_state`` and
     ``check_block_row``'s reports against a per-block ``encode_block`` oracle."""
 
     @settings(max_examples=40, deadline=None)
@@ -985,11 +987,11 @@ class TestLayoutSafeGather:
         for name, lay_out in LAYOUTS.items():
             cells = lay_out(values.copy())
             assert np.array_equal(cells, values), name
-            spans = checkmem.block_spans(cells, m)
-            fresh = diag_parity(spans[index] if by_row else spans[:, index], m, n).tolist()
+            state = CrossbarState(geom, cells)
+            blocks = state.blocks
+            fresh = diag_parity(blocks[index] if by_row else blocks[:, index]).tolist()
             assert [BlockParity(tuple(lead), tuple(ctr)) for lead, ctr in fresh] == [
                 expect[block] for block in line], name
-            state = CrossbarState(geom, cells)
             cm = CheckMem.from_state(state)
             assert {block: cm.parity(*block) for block in expect} == expect, name
 
@@ -1007,6 +1009,26 @@ class TestLayoutSafeGather:
             assert got == reports, name
             assert np.array_equal(machine.state.cells, after), name
             assert machine.checkmem == planes, name
+
+    def test_the_block_view_neither_copies_nor_writes(self):
+        geom = Geometry(1020, 15)
+        cells = np.random.default_rng(5).integers(0, 2, (1020, 1020), dtype=np.uint8)
+        machine = Machine(CrossbarState(geom, cells))
+        blocks = machine.state.blocks
+        assert blocks.shape == (68, 68, 15, 15)
+        assert np.shares_memory(blocks, machine.state.cells)
+        assert not blocks.flags.writeable
+        assert np.array_equal(blocks[3, 5], machine.state.block(3, 5))
+        machine.check_block_row(1)  # warm the codec's caches
+        for orientation in Orientation:
+            tracemalloc.start()
+            try:
+                machine.check_block_row(0, orientation)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a copy of the memory would be 1 MiB; the line's gather is ~30 KiB
+            assert peak < 256 * 2**10, orientation
 
 
 class TestOneSyndromePerBlock:

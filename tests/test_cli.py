@@ -5,6 +5,7 @@ import itertools
 import re
 import shutil
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_scheduler import dag_row_programs
 
-from xbarecc import scheduler
+from xbarecc import cli, scheduler
 from xbarecc.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -353,6 +354,13 @@ class TestSimulateCommand:
         cell = "2,1" if flips[0] == "2,1" else "0,0"
         assert captured.err == f"xbarecc: error: cell {cell} flipped more than once\n"
         assert captured.out == ""
+
+    def test_the_duplicate_flip_check_is_linear(self):
+        cells = [(k // 1020, k % 1020) for k in range(40_000)]
+        start = time.process_time()
+        flips = cli._parse_flips([f"{row},{col}" for row, col in cells], Geometry(1020, 15))
+        assert time.process_time() - start < 3  # ~20 s when each test scanned a list
+        assert flips == tuple(cells)
 
     def test_netlist_name_with_a_space_survives_the_schedule_file(self, tmp_path,
                                                                   capsys):

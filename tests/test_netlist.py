@@ -1,6 +1,7 @@
 """Netlist parsing, validation, and direct evaluation."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,18 @@ class TestParsing:
         with pytest.raises(NetlistError) as got:
             parse_netlist(text)
         assert str(got.value) == f"line {line}: 'x' defined twice"
+
+    def test_the_duplicate_name_checks_are_linear(self):
+        inputs = [f"i{k}" for k in range(20_000)]
+        gates = [f"g{k}" for k in range(20_000)]
+        text = "".join([".inputs ", " ".join(inputs), "\n.outputs ", " ".join(inputs + gates),
+                        "\n", *(f"{g} = NOT {i}\n" for g, i in zip(gates, inputs))])
+        start = time.process_time()
+        nl = parse_netlist(text)
+        assert time.process_time() - start < 3  # ~20 s when each test scanned a list
+        assert nl.inputs == tuple(inputs)
+        assert nl.outputs == tuple(inputs + gates)
+        assert len(nl.gates) == 20_000
 
     def test_undefined_output(self):
         with pytest.raises(NetlistError, match="undefined output"):

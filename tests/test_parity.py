@@ -110,7 +110,7 @@ class TestCodecAgainstLoop:
             block = random_block(rng, m).astype(dtype)
             expect = loop_parity(block)
             assert encode_block(block) == expect
-            lead, ctr = diag_parity(block.reshape(m * m), m, m).tolist()
+            lead, ctr = diag_parity(block).tolist()
             assert (tuple(lead), tuple(ctr)) == (expect.leading, expect.counter)
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -118,7 +118,7 @@ class TestCodecAgainstLoop:
     def test_stack_of_blocks(self, m, dtype):
         blocks = np.random.default_rng(100 + m).integers(
             0, 2, size=(2, 3, m, m)).astype(dtype)
-        sums = diag_parity(blocks.reshape(2, 3, m * m), m, m)
+        sums = diag_parity(blocks)
         assert sums.shape == (2, 3, 2, m)
         for a, b in itertools.product(range(2), range(3)):
             expect = loop_parity(blocks[a, b])
