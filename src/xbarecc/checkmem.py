@@ -18,7 +18,7 @@ import functools
 import math
 import struct
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,14 +151,27 @@ def _check_end(end: int) -> None:
                             f"may end at is {CYCLE_END - 1} (check-bit readiness is int32)")
 
 
-def run_stats(events) -> tuple[int, list[int]]:
-    """A run's stall cycles and the ascending indices of the processing-
-    crossbar pairs that did any work, read off its events: every stall is
-    logged as one ``SCHED stall`` record, and every pair taken logs at
-    least one record on its unit ``PC<index>``."""
+class RunStats(NamedTuple):
+    """A run's statistics, as :func:`run_stats` reads them off its events."""
+
+    stall_cycles: int
+    pairs: list[int]  # ascending indices of the pairs that did any work
+    corrected: int  # dirty blocks whose error was located and corrected
+    uncorrectable: int  # dirty blocks left as they were
+
+
+def run_stats(events) -> RunStats:
+    """A run's statistics, read off its events' units and action names alone:
+    every stall is logged as one ``SCHED stall`` record, every pair taken logs
+    at least one record on its unit ``PC<index>``, and every dirty block a
+    check finds logs one ``read_syndrome`` record, followed by one
+    ``correct_data`` or ``correct_check`` record if its error was located."""
     stall = sum(ev.span for ev in events if ev.action == "stall" and ev.unit == "SCHED")
     units = {ev.unit for ev in events}
-    return stall, sorted(int(unit[2:]) for unit in units if unit.startswith("PC"))
+    actions = Counter(ev.action for ev in events)
+    corrected = actions["correct_data"] + actions["correct_check"]
+    return RunStats(stall, sorted(int(unit[2:]) for unit in units if unit.startswith("PC")),
+                    corrected, actions["read_syndrome"] - corrected)
 
 
 def _append(busy: list[int], start: int, end: int) -> None:
@@ -364,32 +377,6 @@ _CLEAN_REPORT = BlockReport(CLEAN)
 _UNCORRECTABLE_REPORT = BlockReport(UNCORRECTABLE)
 
 
-@dataclass(frozen=True)
-class CheckSummary:
-    """Aggregated result of a full-memory check."""
-
-    clean: int
-    corrected: int
-    uncorrectable: int
-    reports: tuple[BlockReport, ...]
-
-    @classmethod
-    def of(cls, reports) -> "CheckSummary":
-        """The reports and their counts by outcome, counted against the
-        shared reports. A check gives every clean block and every
-        uncorrectable one the shared report of its outcome, which ``count``
-        matches by identity in C; any other report it compares by value, a
-        call of the dataclass's ``__eq__``. So the uncorrectable ones are
-        counted among the reports that are not the shared clean one: most
-        reports are, and each would cost such a call. A report built anew
-        counts as the outcome it equals; a located error equals neither."""
-        reports = tuple(reports)
-        clean = reports.count(_CLEAN_REPORT)
-        uncorrectable = [report for report in reports
-                         if report is not _CLEAN_REPORT].count(_UNCORRECTABLE_REPORT)
-        return cls(clean, len(reports) - clean - uncorrectable, uncorrectable, reports)
-
-
 class Machine:
     """One MEM + CMEM instance with its unit timelines and event log.
 
@@ -495,7 +482,7 @@ class Machine:
         self.checkmem.flip_bit(bank, diag, block_row, block_col)
 
     def block_consistent(self, block_row: int, block_col: int) -> bool:
-        return (encode_block(self.state.block(block_row, block_col))
+        return (encode_block(self.state.blocks[block_row, block_col])
                 == self.checkmem.parity(block_row, block_col))
 
     # ------------------------------------------------------------------
@@ -714,9 +701,10 @@ class Machine:
         return reports, done
 
     def full_memory_check(self, orientation: Orientation = Orientation.ROW,
-                          earliest: int = 0) -> CheckSummary:
+                          earliest: int = 0) -> list[BlockReport]:
         """Sweep every row (or column) of blocks, one :meth:`check_block_row`
-        each; chains pipeline through the PC pairs.
+        each; chains pipeline through the PC pairs. Returns every block's
+        report, in block order; :func:`run_stats` counts the outcomes.
 
         The fresh check-bits come from one gather per group of lines of
         :attr:`CrossbarState.blocks`, as :meth:`CheckMem.from_state` takes
@@ -736,7 +724,7 @@ class Machine:
             fresh = diag_parity(blocks[first:first + step])
             for index, line in enumerate(fresh, first):
                 reports += self.check_block_row(index, orientation, earliest, _fresh=line)[0]
-        return CheckSummary.of(reports)
+        return reports
 
 
 # ----------------------------------------------------------------------

@@ -205,7 +205,11 @@ def read_schedule_file(path: Path) -> EccSchedule:
             raise InputError(f"{path}:{lineno}: {exc}")
     try:
         geom = Geometry(int(meta["n"]), int(meta["m"]))
-        timing_vals = dict(kv.split(":") for kv in meta["timing"].split(","))
+        timing_vals: dict[str, str] = {}
+        for key, _, val in (kv.partition(":") for kv in meta["timing"].split(",")):
+            if key in timing_vals:
+                raise ValueError(f"timing key {key!r} is set twice")
+            timing_vals[key] = val
         if timing_vals.keys() != _TIMING_KEYS:
             raise ValueError(f"timing keys are {sorted(timing_vals)}, not {sorted(_TIMING_KEYS)}")
         timing = TimingModel(**{k: int(v) for k, v in timing_vals.items()})

@@ -142,12 +142,6 @@ class CrossbarState:
     def copy(self) -> "CrossbarState":
         return CrossbarState(self.geom, self.cells.copy())
 
-    def block(self, block_row: int, block_col: int) -> np.ndarray:
-        """View of one m x m block (no copy)."""
-        m = self.geom.m
-        return self.cells[block_row * m:(block_row + 1) * m,
-                          block_col * m:(block_col + 1) * m]
-
     @property
     def blocks(self) -> np.ndarray:
         """Read-only view ``[block_row, block_col, i, j]`` of the m x m blocks,

@@ -281,8 +281,8 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
 
         # a ROW check reports every block, row-major; a block failed if the
         # check left it unlike its pre-injection contents
-        summary = machine.full_memory_check()
-        report.blocks_observed += len(summary.reports)
+        reports = machine.full_memory_check()
+        report.blocks_observed += len(reports)
         failed = (cells != before).reshape(nb, m, n).any(axis=1).reshape(-1, m).any(axis=1)
         flips = flips.ravel()
         hit = np.flatnonzero(flips)
@@ -292,7 +292,7 @@ def injection_campaign(machine_factory, campaign: FaultCampaign) -> CampaignRepo
                 report.corrected += count
                 continue
             report.blocks_failed += 1
-            diag = summary.reports[k].diagnosis
+            diag = reports[k].diagnosis
             if diag is UNCORRECTABLE:
                 report.uncorrectable += count
             elif diag is CLEAN:

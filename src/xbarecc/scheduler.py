@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .checkmem import CheckSummary, Event, Machine, TimingModel, check_chain_cycles, run_stats
+from .checkmem import Event, Machine, RunStats, TimingModel, check_chain_cycles, run_stats
 from .engine import (
     CrossbarState,
     MicroOp,
@@ -193,7 +193,7 @@ class EccSchedule:
 
     @property
     def stall_cycles(self) -> int:
-        return run_stats(self.events)[0]
+        return run_stats(self.events).stall_cycles
 
     @property
     def critical_ops(self) -> int:
@@ -208,13 +208,20 @@ class EccSchedule:
 
 @dataclass
 class ScheduleRun:
-    """Result of executing a schedule on a concrete machine."""
+    """Result of executing a schedule on a concrete machine; its counts of
+    corrected and uncorrectable blocks are read off the machine's events."""
 
     total_cycles: int
-    corrected: int
-    uncorrectable: int
+    machine: Machine
     outputs: dict[str, int] = field(default_factory=dict)
-    machine: Machine | None = None
+
+    @property
+    def corrected(self) -> int:
+        return run_stats(self.machine.events).corrected
+
+    @property
+    def uncorrectable(self) -> int:
+        return run_stats(self.machine.events).uncorrectable
 
 
 def build_actions(rp: RowProgram) -> tuple[Action, ...]:
@@ -252,14 +259,9 @@ def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
     performs) has completed, since unverified inputs must not feed gates.
     """
     floor = 0
-    corrected = uncorrectable = 0
     for action in actions:
         if action.kind is ActionKind.CHECK_ROW:
-            row_reports, done = machine.check_block_row(
-                action.index, action.orientation)
-            summary = CheckSummary.of(row_reports)
-            corrected += summary.corrected
-            uncorrectable += summary.uncorrectable
+            _, done = machine.check_block_row(action.index, action.orientation)
             floor = max(floor, done)
         elif action.kind is ActionKind.BLOCK_RESET:
             machine.block_ecc_reset(*action.block, earliest=floor)
@@ -267,7 +269,7 @@ def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
             machine.critical_op(action.op, earliest=floor)
         else:
             machine.noncritical_op(action.op, earliest=floor)
-    return ScheduleRun(machine.horizon, corrected, uncorrectable)
+    return ScheduleRun(machine.horizon, machine)
 
 
 def _issue_on_blank(schedule: EccSchedule, k_pc_pairs: int) -> EccSchedule:
@@ -316,7 +318,6 @@ def execute_schedule(schedule: EccSchedule, assignment: dict[str, int],
     run = run_actions(machine, schedule.actions)
     run.outputs = {name: int(machine.state.cells[PROGRAM_ROW, col])
                    for name, col in schedule.output_columns.items()}
-    run.machine = machine
     return run
 
 
@@ -338,12 +339,12 @@ class ScheduleStats:
 PAIR_CAP = 64  # the most processing-crossbar pairs min_pc_pairs reports
 
 
-def _pairs_read_off(schedule: EccSchedule) -> int | None:
-    """min_pc_pairs as far as one schedule decides it, else None."""
-    stall_cycles, pairs_used = run_stats(schedule.events)
-    if stall_cycles == 0:
-        return min(max(1, len(pairs_used)), PAIR_CAP)
-    if schedule.pc_pairs >= PAIR_CAP:
+def _pairs_read_off(stats: RunStats, pc_pairs: int) -> int | None:
+    """min_pc_pairs as far as the statistics ``stats`` of one schedule with
+    ``pc_pairs`` pairs decide it, else None."""
+    if stats.stall_cycles == 0:
+        return min(max(1, len(stats.pairs)), PAIR_CAP)
+    if pc_pairs >= PAIR_CAP:
         return PAIR_CAP
     return None
 
@@ -360,7 +361,7 @@ def min_pc_pairs(rp: RowProgram, tm: TimingModel) -> int:
     1), at most the cap; a schedule that still stalls at the cap gives the
     cap. One schedule at the cap decides it.
     """
-    return _pairs_read_off(insert_ecc(rp, rp.geom, tm, PAIR_CAP))
+    return _pairs_read_off(run_stats(insert_ecc(rp, rp.geom, tm, PAIR_CAP).events), PAIR_CAP)
 
 
 def report(schedule: EccSchedule) -> ScheduleStats:
@@ -374,15 +375,16 @@ def report(schedule: EccSchedule) -> ScheduleStats:
     baseline = schedule.baseline_cycles
     proposed = schedule.total_cycles
     overhead = 100.0 * (proposed - baseline) / baseline if baseline else 0.0
-    pairs = _pairs_read_off(schedule)
+    stats = run_stats(schedule.events)
+    pairs = _pairs_read_off(stats, schedule.pc_pairs)
     if pairs is None:
-        pairs = _pairs_read_off(_issue_on_blank(schedule, PAIR_CAP))
+        pairs = _pairs_read_off(run_stats(_issue_on_blank(schedule, PAIR_CAP).events), PAIR_CAP)
     return ScheduleStats(
         baseline=baseline,
         proposed=proposed,
         overhead_percent=overhead,
         min_pc_pairs=pairs,
-        stall_cycles=schedule.stall_cycles,
+        stall_cycles=stats.stall_cycles,
         input_check_cycles=schedule.input_check_cycles,
         critical_ops=schedule.critical_ops,
         # map_to_row lowers every gate to one Init and one NOR

@@ -15,7 +15,6 @@ from xbarecc import checkmem
 from xbarecc.checkmem import (
     BlockReport,
     CheckMem,
-    CheckSummary,
     Event,
     Machine,
     TimingModel,
@@ -147,7 +146,7 @@ class TestCheckMemLayout:
         cm = machine.checkmem
         for br in range(3):
             for bc in range(3):
-                parity = encode_block(machine.state.block(br, bc))
+                parity = encode_block(machine.state.blocks[br, bc])
                 for d in range(3):
                     # crossbar d, cell (a, b) = (block_col, block_row)
                     assert cm.planes[0, d, bc, br] == parity.leading[d]
@@ -184,23 +183,6 @@ class TestBlankMachine:
         assert blank.state == built.state and blank.checkmem == built.checkmem
 
 
-class TestOneTouchPerDiagonal:
-    def test_exhaustive_n9_m3(self):
-        # every single op touches each (block, bank, diagonal) at most once
-        lane_masks = [frozenset(s) for s in itertools.combinations(range(9), 1)]
-        lane_masks += [frozenset(s) for s in itertools.combinations(range(9), 3)]
-        lane_masks += [frozenset(range(9))]
-        count = 0
-        for orientation in Orientation:
-            for out in range(9):
-                for lanes in lane_masks:
-                    op = init_op(orientation, out, lanes)
-                    touched = touched_check_cells(*written_cells(op), G9)
-                    assert len(touched) == 2 * len(lanes)
-                    count += 1
-        assert count == 2 * 9 * (9 + 84 + 1)
-
-
 class TestCriticalOp:
     def test_reencode_matches_stored_after_any_critical_op(self):
         machine = random_consistent_machine(99)
@@ -229,7 +211,7 @@ class TestCriticalOp:
         assert machine.critical_op(init_op(Orientation.ROW, 0, {0})) == 0
         # after the first writeback frees the pair
         assert machine.critical_op(init_op(Orientation.ROW, 4, {3})) == 12
-        assert run_stats(machine.events) == (12 - 3, [0])
+        assert run_stats(machine.events) == (12 - 3, [0], 0, 0)
 
     def test_four_pairs_reach_steady_state_every_three_cycles(self):
         machine = machine9(pc_pairs=4)
@@ -240,7 +222,7 @@ class TestCriticalOp:
             lane = 3 * ((k // 3) % 3)
             issues.append(machine.critical_op(init_op(Orientation.ROW, out, {lane})))
         assert issues == [3 * k for k in range(8)]
-        assert run_stats(machine.events) == (0, [0, 1, 2, 3])
+        assert run_stats(machine.events) == (0, [0, 1, 2, 3], 0, 0)
 
     def test_mem_busy_exactly_three_cycles(self):
         machine = machine9()
@@ -471,9 +453,9 @@ class TestCheckBlockRow:
         shared = reports[0]
         assert all(report is shared for report in reports)
         assert all(report is shared for report in machine.check_block_row(5, orientation)[0])
-        summary = machine.full_memory_check(orientation)
-        assert summary.uncorrectable == 100
-        assert all(report is shared for report in summary.reports)
+        reports = machine.full_memory_check(orientation)
+        assert len(reports) == 100 and all(report is shared for report in reports)
+        assert run_stats(machine.events)[2:] == (0, 10 + 10 + 100)
 
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_shared_clean_reports_do_not_leak_between_checks(self, orientation):
@@ -515,26 +497,24 @@ class TestCheckBlockRow:
 class TestFullMemoryCheck:
     def test_clean(self):
         machine = random_consistent_machine(2)
-        summary = machine.full_memory_check()
-        assert summary.corrected == 0 and summary.uncorrectable == 0
-        assert summary.clean == 9
+        assert machine.full_memory_check() == [BlockReport(CLEAN)] * 9
+        assert run_stats(machine.events)[2:] == (0, 0)
 
     def test_five_flips_in_five_blocks(self):
         machine = random_consistent_machine(3)
         golden = machine.state.cells.copy()
         for k, (row, col) in enumerate([(0, 0), (0, 3), (4, 4), (8, 2), (5, 8)]):
             machine.inject_data_flip(row, col)
-        summary = machine.full_memory_check()
-        assert summary.corrected == 5
-        assert summary.uncorrectable == 0
+        machine.full_memory_check()
+        assert run_stats(machine.events)[2:] == (5, 0)
         assert np.array_equal(machine.state.cells, golden)
 
     def test_two_flips_one_block_uncorrectable(self):
         machine = random_consistent_machine(4)
         machine.inject_data_flip(4, 4)
         machine.inject_data_flip(5, 3)
-        summary = machine.full_memory_check()
-        assert summary.uncorrectable == 1
+        machine.full_memory_check()
+        assert run_stats(machine.events)[2:] == (0, 1)
 
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_a_report_names_its_block_by_position(self, orientation):
@@ -547,7 +527,7 @@ class TestFullMemoryCheck:
         for br in range(nb):
             for bc in range(nb):
                 machine.inject_data_flip(br * m + br % m, bc * m + bc % m)
-        reports = machine.full_memory_check(orientation).reports
+        reports = machine.full_memory_check(orientation)
         assert len(reports) == nb * nb
         for p, report in enumerate(reports):
             br, bc = divmod(p, nb)
@@ -576,9 +556,8 @@ class TestFullScaleGeometry:
             by_block.setdefault((row // 15, col // 15), (int(row), int(col)))
         for row, col in by_block.values():  # one flip per block: all correctable
             machine.inject_data_flip(row, col)
-        summary = machine.full_memory_check()
-        assert summary.corrected == len(by_block)
-        assert summary.uncorrectable == 0
+        machine.full_memory_check()
+        assert run_stats(machine.events)[2:] == (len(by_block), 0)
         assert np.array_equal(machine.state.cells, golden)
         assert consistent(machine)
 
@@ -606,9 +585,16 @@ class TestEventDiscipline:
                   Event(1, "PC2", "xor3", "line=3", 8), Event(2, "SCHED", "block_reset"),
                   Event(3, "PC0", "writeback", "cells=C0@0,0;L0@0,0"),
                   Event(4, "MEM", "op", "kind=init"), Event(9, "SCHED", "stall", "", 2),
-                  Event(11, "PC2", "xor3_tree", "vectors=3 levels=1", 8)]
-        assert run_stats(events) == (6, [0, 2])
-        assert run_stats([]) == (0, [])
+                  Event(11, "PC2", "xor3_tree", "vectors=3 levels=1", 8),
+                  Event(19, "CTRL", "read_syndrome", "block=0,1 result=data_error"),
+                  Event(20, "MEM", "correct_data", "cell=1,4"),
+                  Event(21, "CTRL", "read_syndrome", "block=0,2 result=uncorrectable"),
+                  Event(22, "CTRL", "read_syndrome", "block=1,0 result=check_bit_error"),
+                  Event(23, "CBX:counter:1", "correct_check", "block=1,0 diag=1")]
+        stats = run_stats(events)
+        assert stats == (6, [0, 2], 2, 1)
+        assert (stats.stall_cycles, stats.pairs, stats.corrected, stats.uncorrectable) == stats
+        assert run_stats([]) == (0, [], 0, 0)
 
     def test_event_line_round_trip(self):
         machine = machine9()
@@ -681,7 +667,7 @@ class TestMultiLaneCriticalOps:
         cells = rng.integers(0, 2, size=(45, 45), dtype=np.uint8)
         machine = Machine(CrossbarState(self.GEOM, cells), pc_pairs=pc_pairs)
         m, nb = 5, 9
-        oracle = {(br, bc): encode_block(machine.state.block(br, bc))
+        oracle = {(br, bc): encode_block(machine.state.blocks[br, bc])
                   for br in range(nb) for bc in range(nb)}
         machine.block_ecc_reset(4, 2)
         oracle[(4, 2)] = encode_block(np.ones((m, m), dtype=np.uint8))
@@ -709,7 +695,7 @@ class TestMultiLaneCriticalOps:
         for (br, bc), parity in oracle.items():
             assert machine.checkmem.parity(br, bc) == parity
         assert consistent(machine)
-        assert run_stats(machine.events)[0] > 0
+        assert run_stats(machine.events).stall_cycles > 0
 
     @pytest.mark.parametrize("pc_pairs", [1, 4])
     def test_events_and_planes_match_pinned_digests(self, pc_pairs):
@@ -754,30 +740,30 @@ class TestCheckPathPinned:
         machine.inject_data_flip(33, 34)
         machine.inject_check_flip(Bank.LEADING, 1, 7, 3)  # block (7, 3), blind spot
         machine.inject_check_flip(Bank.COUNTER, 4, 7, 3)
-        summary = machine.full_memory_check(orientation)
-        reports = [(*block, r.diagnosis.kind.value, r.diagnosis.i,
-                    r.diagnosis.j, r.diagnosis.bank and r.diagnosis.bank.value,
-                    r.diagnosis.idx) for block, r in self._by_block(summary, orientation)]
+        reports = machine.full_memory_check(orientation)
+        rows = [(*block, r.diagnosis.kind.value, r.diagnosis.i,
+                 r.diagnosis.j, r.diagnosis.bank and r.diagnosis.bank.value,
+                 r.diagnosis.idx) for block, r in self._by_block(reports, orientation)]
         events = "\n".join(ev.to_line() for ev in machine.events)
         planes = machine.checkmem.planes.tobytes()
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (
-            repr(reports).encode(), events.encode(),
+            repr(rows).encode(), events.encode(),
             machine.state.cells.tobytes(), planes))
-        return summary, digests
+        return machine, reports, digests
 
-    def _by_block(self, summary, orientation):
+    def _by_block(self, reports, orientation):
         """((block row, block column), report) in sweep order: a sweep lists
         line after line, each line's blocks in order."""
         nb = self.GEOM.blocks_per_side
-        for p, report in enumerate(summary.reports):
+        for p, report in enumerate(reports):
             line, k = divmod(p, nb)
             yield ((line, k) if orientation is Orientation.ROW else (k, line)), report
 
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_every_diagnosis_kind_is_reported(self, orientation):
-        summary, _ = self._run(orientation)
+        machine, reports, _ = self._run(orientation)
         dirty = {block: r.diagnosis.kind
-                 for block, r in self._by_block(summary, orientation)
+                 for block, r in self._by_block(reports, orientation)
                  if r.diagnosis.kind is not DiagnosisKind.CLEAN}
         assert dirty == {
             (0, 0): DiagnosisKind.DATA_ERROR,
@@ -787,11 +773,11 @@ class TestCheckPathPinned:
             (6, 6): DiagnosisKind.UNCORRECTABLE,
             (7, 3): DiagnosisKind.DATA_ERROR,
         }
-        assert (summary.clean, summary.corrected, summary.uncorrectable) == (75, 5, 1)
+        assert run_stats(machine.events)[2:] == (5, 1)
 
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_reports_events_cells_and_planes_match_pinned_digests(self, orientation):
-        _, digests = self._run(orientation)
+        _, _, digests = self._run(orientation)
         assert digests == self.DIGESTS[orientation]
 
 
@@ -942,6 +928,11 @@ class TestLineCheckOracle:
             ["check_row"] + ["copy_row"] * m + ["xor3_tree"] * (xor3_tree_levels(m) > 0)
             + ["syndrome_xor3", "zero_compare"])
         assert [(ev.unit, ev.action, ev.operands) for ev in events[prologue:]] == records
+        # the events count the outcomes the reports name
+        kinds = [r.diagnosis.kind for r in got]
+        assert run_stats(events)[2:] == (
+            kinds.count(DiagnosisKind.DATA_ERROR) + kinds.count(DiagnosisKind.CHECK_BIT_ERROR),
+            kinds.count(DiagnosisKind.UNCORRECTABLE))
         assert done == max(ev.end for ev in events)
         return got
 
@@ -1018,7 +1009,6 @@ class TestLayoutSafeGather:
         assert blocks.shape == (68, 68, 15, 15)
         assert np.shares_memory(blocks, machine.state.cells)
         assert not blocks.flags.writeable
-        assert np.array_equal(blocks[3, 5], machine.state.block(3, 5))
         machine.check_block_row(1)  # warm the codec's caches
         for orientation in Orientation:
             tracemalloc.start()
@@ -1048,9 +1038,9 @@ class TestOneSyndromePerBlock:
         geom = Geometry(45, 5)
         machine = random_consistent_machine(45, geom)
         machine.inject_data_flip(7, 31)
-        summary = machine.full_memory_check(orientation)
+        machine.full_memory_check(orientation)
         assert calls == [5] * geom.blocks_per_side ** 2
-        assert summary.corrected == 1
+        assert run_stats(machine.events).corrected == 1
 
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_only_dirty_blocks_are_decoded(self, orientation, monkeypatch):
@@ -1066,9 +1056,9 @@ class TestOneSyndromePerBlock:
         machine = random_consistent_machine(45, geom)
         machine.inject_data_flip(7, 31)                   # block (1, 6)
         machine.inject_check_flip(Bank.LEADING, 2, 8, 0)  # block (8, 0)
-        summary = machine.full_memory_check(orientation)
+        machine.full_memory_check(orientation)
         assert len(decoded) == 2 and zero_syndrome(5) not in decoded
-        assert summary.corrected == 2
+        assert run_stats(machine.events).corrected == 2
 
 
 class TestOneRecordPerPattern:
@@ -1097,28 +1087,6 @@ class TestOneRecordPerPattern:
         assert self.records_built(ones, monkeypatch, orientation) == 2
         random = random_consistent_machine(45, geom)
         assert self.records_built(random, monkeypatch, orientation) <= nb
-
-
-class TestCheckSummary:
-    def test_counts_match_a_kind_by_kind_count(self):
-        # the shared reports, value-equal copies built anew and located errors
-        located = [BlockReport(Diagnosis(DiagnosisKind.DATA_ERROR, i=1, j=2)),
-                   BlockReport(Diagnosis(DiagnosisKind.CHECK_BIT_ERROR, bank=Bank.COUNTER,
-                                         idx=3))]
-        reports = [checkmem._CLEAN_REPORT, BlockReport(CLEAN), located[0],
-                   checkmem._UNCORRECTABLE_REPORT, BlockReport(UNCORRECTABLE),
-                   BlockReport(Diagnosis(DiagnosisKind.CLEAN)), located[1],
-                   checkmem._CLEAN_REPORT, BlockReport(Diagnosis(DiagnosisKind.UNCORRECTABLE)),
-                   located[0]]
-        kinds = [r.diagnosis.kind for r in reports]
-        # a one-shot iterator, as a generator of reports is, is read once
-        summary = CheckSummary.of(iter(reports))
-        assert summary.reports == tuple(reports)
-        assert (summary.clean, summary.corrected, summary.uncorrectable) == (
-            kinds.count(DiagnosisKind.CLEAN),
-            kinds.count(DiagnosisKind.DATA_ERROR) + kinds.count(DiagnosisKind.CHECK_BIT_ERROR),
-            kinds.count(DiagnosisKind.UNCORRECTABLE)) == (4, 3, 3)
-        assert CheckSummary.of([]) == CheckSummary(0, 0, 0, ())
 
 
 def sweep_faults(geom, case):
@@ -1174,13 +1142,13 @@ class TestSweepGather:
                 machine.inject_check_flip(a, b, br, bc)
         lines = copy.deepcopy(machine)
 
-        summary = machine.full_memory_check(orientation, earliest=2)
+        swept = machine.full_memory_check(orientation, earliest=2)
         reports = []
         for index in range(nb):
             reports += lines.check_block_row(index, orientation, earliest=2)[0]
 
-        assert list(summary.reports) == reports
-        assert summary.corrected > 0
+        assert swept == reports
+        assert run_stats(machine.events).corrected > 0
         assert np.array_equal(machine.state.cells, lines.state.cells)
         assert machine.checkmem == lines.checkmem
         assert machine.events == lines.events
@@ -1197,8 +1165,8 @@ class TestManyLines:
         geom = Geometry(771, 3)
         machine = Machine.blank(geom)
         for _ in range(2):
-            summary = machine.full_memory_check()
-            assert summary.clean == len(summary.reports) == geom.blocks_per_side ** 2
+            reports = machine.full_memory_check()
+            assert reports == [BlockReport(CLEAN)] * geom.blocks_per_side ** 2
 
 
 def reset_by_init_ops(machine, block_row, block_col, earliest=0):
@@ -1772,9 +1740,9 @@ class TestSweepOracle:
     def test_a_clean_sweep_issues_by_the_recurrence(self, geom, orientation, pc_pairs, steps):
         timing = TimingModel(*steps)
         machine = Machine.blank(geom, timing=timing, pc_pairs=pc_pairs)
-        summary = machine.full_memory_check(orientation)
+        reports = machine.full_memory_check(orientation)
         issued, horizon = sweep_issue_cycles(geom.m, geom.blocks_per_side, pc_pairs, timing)
-        assert summary.clean == geom.blocks_per_side ** 2
+        assert reports == [BlockReport(CLEAN)] * geom.blocks_per_side ** 2
         assert [ev.cycle for ev in machine.events if ev.action == "check_row"] == issued
         assert machine.horizon == horizon
 

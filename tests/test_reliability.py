@@ -240,7 +240,7 @@ class TestInjectionCampaign:
         values = np.random.default_rng(4505).integers(0, 2, (n, n), dtype=np.uint8)
         values *= content != "blank"
         layout = np.asfortranarray if content == "random Fortran" else np.copy
-        runs = []  # per trial: the cells as flipped, the check's summary and
+        runs = []  # per trial: the cells as flipped, the check's reports and
         # the cells as the check left them
 
         def factory():
@@ -250,9 +250,9 @@ class TestInjectionCampaign:
 
             def spied_check():
                 flipped = machine.state.cells.copy()
-                summary = check()
-                runs.append((flipped, summary, machine.state.cells.copy()))
-                return summary
+                reports = check()
+                runs.append((flipped, reports, machine.state.cells.copy()))
+                return reports
 
             machine.full_memory_check = spied_check
             return machine
@@ -261,15 +261,15 @@ class TestInjectionCampaign:
 
         assert len(runs) == trials
         expected = CampaignReport(trials=trials)
-        for t, (flipped, summary, checked) in enumerate(runs):
+        for t, (flipped, reports, checked) in enumerate(runs):
             mask = np.random.default_rng((seed, t)).random((n, n)) < p
             assert np.array_equal(flipped, values ^ mask)
             per_block = mask.reshape(nb, m, nb, m).sum(axis=(1, 3))
             unlike = (checked != values).reshape(nb, m, nb, m).any(axis=(1, 3))
-            expected.blocks_observed += len(summary.reports)
+            expected.blocks_observed += len(reports)
             for br, bc in zip(*np.nonzero(per_block)):
                 count = int(per_block[br, bc])
-                kind = summary.reports[br * nb + bc].diagnosis.kind
+                kind = reports[br * nb + bc].diagnosis.kind
                 expected.flips_injected += count
                 if not unlike[br, bc]:
                     expected.corrected += count

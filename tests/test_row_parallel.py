@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_checkmem import touched_check_cells, written_cells
+from test_checkmem import oracle_names, touched_check_cells, written_cells
 
 from xbarecc.checkmem import Machine
 from xbarecc.engine import CrossbarState, parse_op
@@ -55,18 +55,6 @@ def run_wide(name: str, geom: Geometry, seed: int):
         machine.inject_data_flip(br * m + int(rng.integers(m)), int(rng.integers(in_width)))
     run = run_actions(machine, widen(build_actions(rp), geom))
     return nl, rp, inputs, machine, run
-
-
-def check_bit_names(op, geom: Geometry) -> list[str]:
-    """The check-bits an op touches, named and ordered as the event log
-    names them: ``C<diag>@<block_row>,<block_col>`` (counter) before
-    ``L<diag>@...`` (leading), each bank by diagonal, block row, block column."""
-    m, nb = geom.m, geom.blocks_per_side
-    names = []
-    for flat in touched_check_cells(*written_cells(op), geom).tolist():
-        bank, diag, bc, br = np.unravel_index(flat, (2, m, nb, nb))
-        names.append(("LC"[bank], int(diag), int(br), int(bc)))
-    return [f"{tag}{d}@{br},{bc}" for tag, d, br, bc in sorted(names)]
 
 
 CASES = [pytest.param(name, geom, id=f"{name}-{geom.n}/{geom.m}")
@@ -120,7 +108,7 @@ class TestWidenedNetlists:
             op = parse_op(events[k].operands.removesuffix(" critical=1"))
             load, writeback = events[k + 1], events[k + 4]
             assert (load.action, writeback.action) == ("load_check", "writeback")
-            cells = "cells=" + ";".join(check_bit_names(op, geom))
+            cells = "cells=" + oracle_names(touched_check_cells(*written_cells(op), geom), geom)
             assert load.operands == writeback.operands == cells
 
     def test_events_cells_and_planes_match_pinned_digests(self, name, geom):

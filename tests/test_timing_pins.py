@@ -39,8 +39,8 @@ def _record(events, stall, horizon, pcs) -> str:
 def _machine_record(machine: Machine) -> str:
     """A machine's events, with the statistics read off them: its stall
     cycles and the indices of the pairs that did any work."""
-    stall, pairs = run_stats(machine.events)
-    return _record(machine.events, stall, machine.horizon, pairs)
+    stats = run_stats(machine.events)
+    return _record(machine.events, stats.stall_cycles, machine.horizon, stats.pairs)
 
 
 def pinned_schedules(geom: Geometry, k: int):
