@@ -183,6 +183,23 @@ class TestBlankMachine:
         assert blank.state == built.state and blank.checkmem == built.checkmem
 
 
+class TestOneTouchPerDiagonal:
+    def test_exhaustive_n9_m3(self):
+        # every single op touches each (block, bank, diagonal) at most once
+        lane_masks = [frozenset(s) for s in itertools.combinations(range(9), 1)]
+        lane_masks += [frozenset(s) for s in itertools.combinations(range(9), 3)]
+        lane_masks += [frozenset(range(9))]
+        count = 0
+        for orientation in Orientation:
+            for out in range(9):
+                for lanes in lane_masks:
+                    op = init_op(orientation, out, lanes)
+                    touched = touched_check_cells(*written_cells(op), G9)
+                    assert len(touched) == 2 * len(lanes)
+                    count += 1
+        assert count == 2 * 9 * (9 + 84 + 1)
+
+
 class TestCriticalOp:
     def test_reencode_matches_stored_after_any_critical_op(self):
         machine = random_consistent_machine(99)

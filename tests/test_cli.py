@@ -740,3 +740,28 @@ class TestCommandLine:
         assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("xbarecc: input error: [Errno ")
 
+
+class TestDeterminism:
+    def test_repeated_runs_byte_identical(self, corpus_dir, tmp_path, capsys):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        for out in (out1, out2):
+            assert main(["schedule", str(corpus_dir), "--out-dir", str(out)]
+                        + SMALL) == EXIT_OK
+        capsys.readouterr()
+        for name in ("corpus_summary.txt", "full_adder.events", "full_adder.stats",
+                     "ripple_adder4.events", "decoder3to8.stats"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_reliability_csv_deterministic(self, tmp_path):
+        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for f in (f1, f2):
+            assert main(["reliability", "--out", str(f)]) == EXIT_OK
+        assert f1.read_bytes() == f2.read_bytes()
+
+    def test_inject_deterministic(self, tmp_path):
+        f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        for f in (f1, f2):
+            assert main(["inject", "--scope", "block", "--pbit", "0.01",
+                         "--trials", "10000", "-m", "3", "--seed", "11",
+                         "--out", str(f)]) == EXIT_OK
+        assert f1.read_bytes() == f2.read_bytes()
