@@ -16,10 +16,12 @@ and write the result back. The MEM is occupied for only the three transfer
 
 import functools
 import math
+import operator
 import struct
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +40,7 @@ from .engine import (
 from .geometry import Bank, Geometry, GeometryError
 from .parity import (
     CLEAN,
+    SWEEP_GATHER_BYTES,
     UNCORRECTABLE,
     BlockParity,
     Diagnosis,
@@ -52,10 +55,6 @@ from .parity import (
 PC_ROWS = 11  # 3 operand rows (old data, new data, old check) + 8 XOR3 scratch
 MAX_STEP_CYCLES = 1_000  # per timing step; config files and schedule headers set it
 CYCLE_END = 2**31  # every step ends before it: check-bit readiness is int32
-# bound on the temporary of one full_memory_check gather, 2 m^2 bytes per block:
-# a whole-memory one (2 MB at 1020/15) fragments the heap, so that 8 campaign
-# trials whose machines are kept end ~6 MB higher with it
-SWEEP_GATHER_BYTES = 1 << 17
 _BANKS = tuple(Bank)  # first index of CheckMem.planes -> Bank
 _BANK_TAGS = tuple(bank.value[0].upper() for bank in _BANKS)  # event-log prefix
 
@@ -567,10 +566,12 @@ class Machine:
         # written as one slice and logged from their fields
         timeline.reserve("MEM", t0, m)
         self.state.cells[base_row:base_row + m, base_col:base_col + m] = 1
-        for lc in range(m):
-            self.log(t0 + lc, "MEM", "op", op_record(
-                OpKind.INIT, Orientation.ROW, base_col + lc, (), lanes)
-                + " critical=0 reset=1")
+        # the records differ only in their output line: rendered once, then
+        # split around it
+        head, _, tail = (op_record(OpKind.INIT, Orientation.ROW, base_col, (), lanes)
+                         + " critical=0 reset=1").partition(f" out={base_col} ")
+        self.events += (Event(t0 + lc, "MEM", "op", f"{head} out={base_col + lc} {tail}")
+                        for lc in range(m))
         self.checkmem.planes[:, :, block_col, block_row] = 1
         timeline.book(("CBX",), t, write)
         ready[...] = t + wb  # the block's check-bits are readable once the write has landed
@@ -578,8 +579,53 @@ class Machine:
         self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
         return t + wb
 
+    def _check_index(self, index: int) -> None:
+        """Raise GeometryError unless ``index`` names a row (or column) of blocks."""
+        nb = self.geom.blocks_per_side
+        if not 0 <= index < nb:
+            raise GeometryError(f"block row index {index} outside [0,{nb})")
+
+    def _dirty_blocks(self, lines: list[int], orientation: Orientation,
+                      ) -> list[list[tuple[int, Diagnosis]]]:
+        """The dirty blocks of each of ``lines``, distinct lines of one
+        orientation, as (position in the line, diagnosis) in ascending
+        position: the codec pass of a line check, made once for all of them.
+
+        The fresh check-bits of the lines' blocks come from one gather of
+        :attr:`CrossbarState.blocks`, of a slice of it when the lines are
+        contiguous; they and the stored ones, both uint8 [line, block, bank,
+        diag], are read as one 2m-byte key per block, leading then counter;
+        one ``BlockParity`` is built per distinct key, each bank unpacked
+        from the key as an m-tuple, so that a clean block's fresh and stored
+        bits are one record; then every block's syndrome, and only the
+        blocks whose syndrome is not the shared zero one are decoded."""
+        m, nb = self.geom.m, self.geom.blocks_per_side
+        first = lines[0]
+        pick = (slice(first, first + len(lines))
+                if lines == list(range(first, first + len(lines))) else lines)
+        blocks, planes = self.state.blocks, self.checkmem.planes
+        if orientation is Orientation.ROW:
+            fresh = diag_parity(blocks[pick])
+            stored = planes[..., pick].transpose(3, 2, 0, 1)
+        else:
+            fresh = diag_parity(blocks[:, pick].swapaxes(0, 1))
+            stored = planes[:, :, pick].transpose(2, 3, 0, 1)
+        fresh = [key for key, in struct.iter_unpack(f"{2 * m}s", fresh.tobytes())]
+        stored = [key for key, in struct.iter_unpack(f"{2 * m}s", stored.tobytes())]
+        keys = list({*fresh, *stored})
+        leading, counter = struct.Struct(f"{m}B{m}x").unpack, struct.Struct(f"{m}x{m}B").unpack
+        records = dict(zip(keys, map(BlockParity, map(leading, keys), map(counter, keys))))
+        syndromes = list(map(compute_syndrome, map(records.__getitem__, fresh),
+                             map(records.__getitem__, stored)))
+        dirty: list[list[tuple[int, Diagnosis]]] = [[] for _ in lines]
+        for k in compress(count(), map(operator.is_not, syndromes, repeat(zero_syndrome(m)))):
+            line, block = divmod(k, nb)
+            dirty[line].append((block, decode_syndrome(syndromes[k])))
+        return dirty
+
     def check_block_row(self, index: int, orientation: Orientation = Orientation.ROW,
-                        earliest: int = 0, *, _fresh: np.ndarray | None = None,
+                        earliest: int = 0, *,
+                        _dirty: list[tuple[int, Diagnosis]] | None = None,
                         ) -> tuple[list[BlockReport], int]:
         """Check one row (or column) of blocks; corrects what it can.
 
@@ -589,51 +635,30 @@ class Machine:
 
         As the CMEM XORs a whole line in a processing crossbar and compares
         it to zero in the checking crossbar, every block's syndrome is taken
-        first, before any correction writes a cell: one gather of the fresh
-        check-bits of the line's blocks, read through the memory's block view
-        :attr:`CrossbarState.blocks`, one ``BlockParity`` per distinct
-        check-bit pattern among the line's fresh and stored bits, and one
-        ``compute_syndrome`` per block. A clean block's fresh and stored bits
-        are then one record, which the syndrome's equality test passes by
-        identity: a blank line builds one record, a random clean one nb.
-        Only a dirty block, whose syndrome is not the shared zero one, is
-        decoded and has the controller read its syndrome and correct it, in
-        ascending block order; a located error gets its own report, and
-        every clean or uncorrectable block shares one report per outcome.
-        The stored check-bits are read once every write in flight to them
-        has landed.
+        first, before any correction writes a cell, in the codec pass of
+        :meth:`_dirty_blocks`: one ``BlockParity`` per distinct check-bit
+        pattern among the line's fresh and stored bits, and one
+        ``compute_syndrome`` per block, whose equality test passes a clean
+        block's one record by identity. Only a dirty block, whose syndrome
+        is not the shared zero one, is decoded and has the controller read
+        its syndrome and correct it, in ascending block order; a located
+        error gets its own report, and every clean or uncorrectable block
+        shares one report per outcome. The stored check-bits are read once
+        every write in flight to them has landed.
 
-        ``_fresh`` is :meth:`full_memory_check`'s path: the line's fresh
-        check-bits, ``[block, bank, diag]``, from the sweep's one gather.
+        ``_dirty`` is :meth:`check_lines`' path: the line's dirty blocks,
+        from the codec pass of the run's group of lines.
         """
         geom, tm = self.geom, self.timing
         m, nb = geom.m, geom.blocks_per_side
-        if not 0 <= index < nb:
-            raise GeometryError(f"block row index {index} outside [0,{nb})")
+        dirty = _dirty
+        if dirty is None:
+            self._check_index(index)
+            dirty, = self._dirty_blocks([index], orientation)
         c, x, zc = tm.copy_cycles, tm.xor3_cycles, tm.zero_compare_cycles
         levels = xor3_tree_levels(m)
-
-        # functional: the fresh check-bits of the line, in one gather unless
-        # the sweep's gather passed them, and the stored ones, both uint8
-        # [block, bank, diag], read as one 2m-byte key per block, leading then
-        # counter; one record per distinct key, each bank unpacked from the
-        # key as an m-tuple, so that a clean block's fresh and stored bits are
-        # one object; then every block's syndrome
         by_row = orientation is Orientation.ROW
         line = (..., index) if by_row else (slice(None), slice(None), index)  # of planes
-        if _fresh is None:
-            blocks = self.state.blocks
-            _fresh = diag_parity(blocks[index] if by_row else blocks[:, index])
-        stored = self.checkmem.planes[line].transpose(2, 0, 1)
-        fresh = [key for key, in struct.iter_unpack(f"{2 * m}s", _fresh.tobytes())]
-        stored = [key for key, in struct.iter_unpack(f"{2 * m}s", stored.tobytes())]
-        keys = list({*fresh, *stored})
-        leading, counter = struct.Struct(f"{m}B{m}x").unpack, struct.Struct(f"{m}x{m}B").unpack
-        records = dict(zip(keys, map(BlockParity, map(leading, keys), map(counter, keys))))
-        syndromes = map(compute_syndrome, map(records.__getitem__, fresh),
-                        map(records.__getitem__, stored))
-        zero = zero_syndrome(m)
-        dirty = [(k, decode_syndrome(s)) for k, s in enumerate(syndromes) if s is not zero]
 
         # the stored check-bits are read at t + syn, once every write in flight
         # to them has landed, the compare is at t + syn + x; the corrections
@@ -700,31 +725,49 @@ class Machine:
             done = write_at + tm.correction_write_cycles
         return reports, done
 
-    def full_memory_check(self, orientation: Orientation = Orientation.ROW,
-                          earliest: int = 0) -> list[BlockReport]:
-        """Sweep every row (or column) of blocks, one :meth:`check_block_row`
-        each; chains pipeline through the PC pairs. Returns every block's
-        report, in block order; :func:`run_stats` counts the outcomes.
+    def check_lines(self, indices, orientation: Orientation = Orientation.ROW,
+                    earliest: int = 0) -> tuple[list[BlockReport], int]:
+        """Check a run of lines, distinct rows (or columns) of blocks, in
+        order, each no earlier than ``earliest``. Returns every line's
+        reports, in the run's order, and the cycle after the last check (and
+        any corrections) completed.
 
-        The fresh check-bits come from one gather per group of lines of
-        :attr:`CrossbarState.blocks`, as :meth:`CheckMem.from_state` takes
-        them from the whole view, before the group's first line is checked:
-        as many lines as keep the gather's temporary within
-        :data:`SWEEP_GATHER_BYTES` (4 lines at 1020/15, every line at 45/5).
-        That is exact: a correction writes only a cell or a check-bit of the
-        block it corrects, and a sweep checks each block once, so no block's
-        cells or check-bits change before its own line is checked."""
+        Every index is validated first, so a bad one raises GeometryError
+        before any line is checked, and a repeated one ValueError. The
+        codec pass (:meth:`_dirty_blocks`) runs once per group of the run's
+        lines, before the group's first line is checked: as many lines as
+        keep the gather's temporary within :data:`SWEEP_GATHER_BYTES` (4
+        lines at 1020/15, every line at 45/5). Each line is then checked by
+        one :meth:`check_block_row`, which does its timing, records and
+        corrections. That is exact: a correction writes only a cell or a
+        check-bit of the block it corrects, and distinct lines of one
+        orientation share no block, so no block's cells or check-bits
+        change before its own line is checked."""
+        lines = list(indices)
+        for index in lines:
+            self._check_index(index)
+        if len(set(lines)) != len(lines):
+            raise ValueError(f"a run of line checks repeats a line: {lines}")
         m, nb = self.geom.m, self.geom.blocks_per_side
-        blocks = self.state.blocks
-        if orientation is Orientation.COLUMN:
-            blocks = blocks.swapaxes(0, 1)  # [line, block, i, j] in both orientations
         step = max(1, SWEEP_GATHER_BYTES // (2 * m * m * nb))
         reports: list[BlockReport] = []
-        for first in range(0, nb, step):
-            fresh = diag_parity(blocks[first:first + step])
-            for index, line in enumerate(fresh, first):
-                reports += self.check_block_row(index, orientation, earliest, _fresh=line)[0]
-        return reports
+        done = earliest
+        for first in range(0, len(lines), step):
+            group = lines[first:first + step]
+            for index, dirty in zip(group, self._dirty_blocks(group, orientation)):
+                line_reports, line_done = self.check_block_row(index, orientation, earliest,
+                                                               _dirty=dirty)
+                reports += line_reports
+                done = max(done, line_done)
+        return reports, done
+
+    def full_memory_check(self, orientation: Orientation = Orientation.ROW,
+                          earliest: int = 0) -> list[BlockReport]:
+        """Sweep every row (or column) of blocks as one run of
+        :meth:`check_lines`; chains pipeline through the PC pairs. Returns
+        every block's report, in block order; :func:`run_stats` counts the
+        outcomes."""
+        return self.check_lines(range(self.geom.blocks_per_side), orientation, earliest)[0]
 
 
 # ----------------------------------------------------------------------

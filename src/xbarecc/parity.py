@@ -81,8 +81,15 @@ CLEAN = Diagnosis(DiagnosisKind.CLEAN)
 UNCORRECTABLE = Diagnosis(DiagnosisKind.UNCORRECTABLE)
 
 
-@functools.cache
-def _diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+# bound on the temporary of one gather of many blocks, 2 m^2 bytes per block,
+# and on a gather index that is kept for reuse, 16 m^2 bytes: a whole-memory
+# gather (2 MB at 1020/15) fragments the heap, so that 8 campaign trials whose
+# machines are kept end ~6 MB higher with it, and a kept index at m=1023 would
+# hold 16 MiB for the life of the process
+SWEEP_GATHER_BYTES = 1 << 17
+
+
+def _build_diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index ``(row, column)`` of the diagonals, ``[m, 2, m]`` once
     the row index ``[m, 1, 1]`` broadcasts.
 
@@ -93,6 +100,18 @@ def _diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(m)[:, None]
     d = np.arange(m)[None, :]
     return i[:, None], np.stack([(d - i) % m, (i - d) % m], axis=1)
+
+
+_cached_diag_index = functools.cache(_build_diag_index)
+
+
+def _diag_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_build_diag_index`, kept for reuse only while its column index
+    fits in :data:`SWEEP_GATHER_BYTES` (m <= 90): at most ~2 MB for every
+    such m together, where a larger one is built for each gather."""
+    if 16 * m * m <= SWEEP_GATHER_BYTES:
+        return _cached_diag_index(m)
+    return _build_diag_index(m)
 
 
 def diag_parity(blocks: np.ndarray) -> np.ndarray:

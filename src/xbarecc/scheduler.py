@@ -13,6 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 
 from .checkmem import Event, Machine, RunStats, TimingModel, check_chain_cycles, run_stats
 from .engine import (
@@ -252,23 +253,46 @@ def build_actions(rp: RowProgram) -> tuple[Action, ...]:
     return tuple(actions)
 
 
+def _check_runs(checks):
+    """(orientation, lines) of each maximal run of consecutive line checks
+    that has one orientation and no repeated line: a run ends where the
+    orientation changes or a line comes again."""
+    lines: list[int] = []
+    seen: set[int] = set()
+    orientation = None
+    for check in checks:
+        if lines and (check.orientation is not orientation or check.index in seen):
+            yield orientation, lines
+            lines, seen = [], set()
+        orientation = check.orientation
+        lines.append(check.index)
+        seen.add(check.index)
+    if lines:
+        yield orientation, lines
+
+
 def run_actions(machine: Machine, actions: tuple[Action, ...]) -> ScheduleRun:
     """Issue actions in order against the machine's unit timelines.
 
-    Function ops are held until the input check (plus any corrections it
-    performs) has completed, since unverified inputs must not feed gates.
+    Each maximal run of consecutive line checks with one orientation and no
+    repeated line goes to one :meth:`Machine.check_lines`, which equals its
+    lines checked one by one (any other action ends a run). Function ops
+    are held until the input checks (plus any corrections they perform)
+    have completed, since unverified inputs must not feed gates.
     """
     floor = 0
-    for action in actions:
-        if action.kind is ActionKind.CHECK_ROW:
-            _, done = machine.check_block_row(action.index, action.orientation)
-            floor = max(floor, done)
-        elif action.kind is ActionKind.BLOCK_RESET:
-            machine.block_ecc_reset(*action.block, earliest=floor)
-        elif action.critical:
-            machine.critical_op(action.op, earliest=floor)
-        else:
-            machine.noncritical_op(action.op, earliest=floor)
+    for is_check, group in groupby(actions, lambda a: a.kind is ActionKind.CHECK_ROW):
+        if is_check:
+            for orientation, lines in _check_runs(group):
+                floor = max(floor, machine.check_lines(lines, orientation)[1])
+            continue
+        for action in group:
+            if action.kind is ActionKind.BLOCK_RESET:
+                machine.block_ecc_reset(*action.block, earliest=floor)
+            elif action.critical:
+                machine.critical_op(action.op, earliest=floor)
+            else:
+                machine.noncritical_op(action.op, earliest=floor)
     return ScheduleRun(machine.horizon, machine)
 
 

@@ -52,6 +52,7 @@ from xbarecc.parity import (
     update_parity,
     zero_syndrome,
 )
+from xbarecc.scheduler import Action, ActionKind, run_actions
 
 G9 = Geometry(9, 3)
 
@@ -1172,6 +1173,123 @@ class TestSweepGather:
         assert np.array_equal(machine._check_ready, lines._check_ready)
         assert machine.horizon == lines.horizon
         assert machine.state.cells.strides == lines.state.cells.strides
+
+
+def check_run_actions(geom, zero_cell):
+    """The action list of :class:`TestCheckRuns`: a full-lane
+    critical op whose writebacks are still in flight, then runs of line
+    checks that repeat a line or switch orientation, with a noncritical op
+    (an ECC-blind write of ``zero_cell``, a 0 cell of block (nb-2, 0)) and a
+    reset (of block (nb-1, 2), which holds a flip) between them. The flips
+    of :func:`sweep_faults` lie in lines that come later in a run."""
+    m, nb, n = geom.m, geom.blocks_per_side, geom.n
+    row, col = zero_cell
+
+    def checks(orientation, lines):
+        return [Action(ActionKind.CHECK_ROW, index=k, orientation=orientation) for k in lines]
+
+    return (Action(ActionKind.OP, init_op(Orientation.ROW, m + 1, frozenset(range(n))), True),
+            *checks(Orientation.ROW, [1, 2, 3, 1, 0]),            # line 1 again
+            *checks(Orientation.COLUMN, [nb - 1, 0]),             # switches orientation
+            Action(ActionKind.BLOCK_RESET, block=(nb - 1, 2)),
+            Action(ActionKind.OP, init_op(Orientation.ROW, col, frozenset({row}))),
+            *checks(Orientation.ROW, [nb - 1, nb - 2, 0]),
+            *checks(Orientation.COLUMN, [2, 0, 2]))
+
+
+def issue_one_by_one(machine, actions) -> list[BlockReport]:
+    """Oracle of ``run_actions``: every line check issued alone through
+    ``check_block_row``; returns the checks' reports in order."""
+    floor, reports = 0, []
+    for action in actions:
+        if action.kind is ActionKind.CHECK_ROW:
+            line_reports, done = machine.check_block_row(action.index, action.orientation)
+            reports += line_reports
+            floor = max(floor, done)
+        elif action.kind is ActionKind.BLOCK_RESET:
+            machine.block_ecc_reset(*action.block, earliest=floor)
+        elif action.critical:
+            machine.critical_op(action.op, earliest=floor)
+        else:
+            machine.noncritical_op(action.op, earliest=floor)
+    return reports
+
+
+class TestCheckRuns:
+    """``run_actions`` passes each maximal run of consecutive line checks of
+    one orientation and distinct lines to one ``check_lines``, which takes
+    the codec pass of a group of its lines before the group's first line.
+    The run splits where a line comes again or the orientation changes, and
+    any other action ends it, so a schedule equals its checks issued one
+    at a time, with every line in one group or with two lines per group."""
+
+    @pytest.mark.parametrize("geom", [Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)])
+    @pytest.mark.parametrize("case", ["single flips", "two flips in one block",
+                                      "check-bit flips"])
+    @pytest.mark.parametrize("lines_per_gather", ["all", 2])
+    def test_runs_equal_their_lines_checked_one_by_one(self, geom, case, lines_per_gather,
+                                                       monkeypatch):
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        if lines_per_gather == "all":
+            assert checkmem.SWEEP_GATHER_BYTES >= nb * 2 * m * m * nb
+        else:
+            monkeypatch.setattr(checkmem, "SWEEP_GATHER_BYTES",
+                                lines_per_gather * 2 * m * m * nb + 1)
+        machine = random_consistent_machine(n * m, geom, pc_pairs=2)
+        for kind, a, b, br, bc in sweep_faults(geom, case):
+            if kind == "data":
+                machine.inject_data_flip(br * m + a, bc * m + b)
+            else:
+                machine.inject_check_flip(a, b, br, bc)
+        block = machine.state.cells[(nb - 2) * m:(nb - 1) * m, :m]
+        i, j = np.argwhere(block == 0)[0]
+        actions = check_run_actions(geom, ((nb - 2) * m + int(i), int(j)))
+        lines = copy.deepcopy(machine)
+
+        runs = []
+        real = Machine.check_lines
+
+        def spied(self, indices, orientation=Orientation.ROW, earliest=0):
+            reports, done = real(self, indices, orientation, earliest)
+            runs.append(reports)
+            return reports, done
+
+        monkeypatch.setattr(Machine, "check_lines", spied)
+        run = run_actions(machine, actions)
+        expected = issue_one_by_one(lines, actions)
+
+        assert len(runs) == 6
+        assert [report for reports in runs for report in reports] == expected
+        assert run_stats(machine.events).corrected > 0
+        assert np.array_equal(machine.state.cells, lines.state.cells)
+        assert machine.checkmem == lines.checkmem
+        assert machine.events == lines.events
+        assert np.array_equal(machine._check_ready, lines._check_ready)
+        assert run.total_cycles == machine.horizon == lines.horizon
+
+    @pytest.mark.parametrize("bad", [-1, "nb"])
+    def test_a_bad_line_in_a_run_changes_nothing(self, bad):
+        geom = Geometry(45, 5)
+        nb = geom.blocks_per_side
+        bad = nb if bad == "nb" else bad
+        machine = random_consistent_machine(7, geom)
+        machine.inject_data_flip(2, 3)  # a flip in line 0, checked first
+        before = copy.deepcopy(machine)
+        checks = tuple(Action(ActionKind.CHECK_ROW, index=k) for k in (0, 1, bad, 2))
+        for issue in (lambda: run_actions(machine, checks),
+                      lambda: machine.check_lines([0, 1, bad, 2])):
+            with pytest.raises(GeometryError, match=rf"block row index {bad} outside \[0,{nb}\)"):
+                issue()
+            assert machine.events == before.events == []
+            assert np.array_equal(machine.state.cells, before.state.cells)
+            assert machine.checkmem == before.checkmem
+            assert np.array_equal(machine._check_ready, before._check_ready)
+
+    def test_a_repeated_line_in_one_call_is_refused(self):
+        machine = Machine.blank(G9)
+        with pytest.raises(ValueError, match="repeats a line"):
+            machine.check_lines([0, 2, 0])
+        assert machine.events == []
 
 
 class TestManyLines:

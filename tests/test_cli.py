@@ -208,6 +208,16 @@ class TestSimulateCommand:
         assert main(["simulate", str(events), "--inputs", "a=0,b=0,cin=0"]) \
             == EXIT_INPUT
 
+    @pytest.mark.parametrize("index", [10, -1])
+    def test_a_check_of_a_line_outside_the_memory_is_input_error(self, corpus_dir, tmp_path,
+                                                                  index, capsys):
+        events = self.schedule(corpus_dir, tmp_path)  # n=30, m=3: lines 0 to 9
+        text = events.read_text()
+        assert "\tindex=0 orient=row" in text
+        events.write_text(text.replace("\tindex=0 orient=row", f"\tindex={index} orient=row", 1))
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        assert f"block row index {index} outside [0,10)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, value", [("write", " value=0"), ("read", "")])
     def test_an_op_record_of_no_engine_kind_is_input_error(self, corpus_dir, tmp_path,
                                                            kind, value, capsys):

@@ -6,6 +6,7 @@ double-detection guarantees.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,22 @@ class TestCodecAgainstLoop:
             expect = loop_parity(blocks[a, b])
             assert tuple(sums[a, b, 0].tolist()) == expect.leading
             assert tuple(sums[a, b, 1].tolist()) == expect.counter
+
+    def test_a_large_block_leaves_no_gather_index_behind(self):
+        # the gather index of m=1023 takes 16 MiB; one that size is built per
+        # call, not kept for the life of the process
+        block = np.random.default_rng(1023).integers(0, 2, (1023, 1023), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            lead, ctr = diag_parity(block).tolist()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        i = np.arange(1023)
+        for d in (0, 1, 511, 1022):  # the cells of row i on diagonal d, as diags_of_cell names them
+            assert lead[d] == np.bitwise_xor.reduce(block[i, (d - i) % 1023])
+            assert ctr[d] == np.bitwise_xor.reduce(block[i, (i - d) % 1023])
 
     def test_sums_past_255_keep_their_parity(self):
         # each diagonal of an all-ones 257 x 257 block sums to 257

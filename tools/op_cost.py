@@ -22,6 +22,12 @@ built outside the timed region:
   after another, of the random machine (random cells, check-bits encoded
   from them) or of the blank one (every cell and check-bit zero, so every
   block of a line holds one check-bit pattern); reported per block checked;
+- ``check run``: the ``simd`` workload's input checks, all n/m ROW line
+  checks issued as one run through ``run_actions``, once per n/m ops (at
+  least once), of a machine whose columns 0 to 2 are random inputs (every
+  other cell zero, check-bits encoded) and that takes one data flip per
+  block row in those columns before each run (timed; the run corrects
+  them); reported per block checked;
 - ``full_memory_check`` and ``full_memory_check blank``: the random or the
   blank machine checked whole, row-wise, once per n/m ops (at least
   once), so that it checks about as many lines as ``check_block_row``;
@@ -62,6 +68,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 P_FLIP = 1e-4  # per-cell flip probability of the dirty check: the campaign's --pbit
+INPUT_COLUMNS = 3  # random input columns of the check run, as a widened mux2's
 
 
 def parse_args(argv=None):
@@ -111,7 +118,7 @@ def cases(n: int, m: int):
     from xbarecc.geometry import Geometry
     from xbarecc.parity import compute_syndrome, encode_block
     from xbarecc.reliability import FaultCampaign, injection_campaign
-    from xbarecc.scheduler import Action, ActionKind
+    from xbarecc.scheduler import Action, ActionKind, run_actions
 
     geom = Geometry(n, m)
     nb = geom.blocks_per_side
@@ -179,6 +186,24 @@ def cases(n: int, m: int):
             machine.check_block_row(k % nb)
         return count * nb
 
+    def input_machine():
+        state = CrossbarState.zeros(geom)
+        state.cells[:, :INPUT_COLUMNS] = np.random.default_rng(n * m).integers(
+            0, 2, (n, INPUT_COLUMNS), dtype=np.uint8)
+        return Machine(state)
+
+    rng = np.random.default_rng(m)
+    flip_rows = np.arange(nb) * m + rng.integers(m, size=nb)
+    flip_cols = rng.integers(INPUT_COLUMNS, size=nb)
+    input_checks = tuple(Action(ActionKind.CHECK_ROW, index=k) for k in range(nb))
+
+    def check_runs(machine, count):
+        runs = max(1, count // nb)
+        for _ in range(runs):
+            machine.state.cells[flip_rows, flip_cols] ^= 1
+            run_actions(machine, input_checks)
+        return runs * nb * nb
+
     def memory_checks(machine, count):
         checks = max(1, count // nb)
         for _ in range(checks):
@@ -219,6 +244,7 @@ def cases(n: int, m: int):
         ("compute_syndrome", lambda: None, syndromes),
         ("check_block_row", random_machine, line_checks),
         ("check_block_row blank", lambda: Machine.blank(geom), line_checks),
+        ("check run", input_machine, check_runs),
         ("full_memory_check", random_machine, memory_checks),
         ("full_memory_check blank", lambda: Machine.blank(geom), memory_checks),
         ("full_memory_check after 1-lane ops", machine_after_one_lane_ops, memory_checks),
