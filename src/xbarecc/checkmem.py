@@ -17,6 +17,7 @@ and write the result back. The MEM is occupied for only the three transfer
 import functools
 import math
 import operator
+import re
 import struct
 from bisect import bisect_right
 from collections import Counter, defaultdict
@@ -35,6 +36,7 @@ from .engine import (
     format_op,
     lane_set,
     op_record,
+    parse_op,
     validate_op,
 )
 from .geometry import Bank, Geometry, GeometryError
@@ -103,8 +105,79 @@ def check_chain_cycles(m: int, tm: TimingModel) -> int:
             + tm.zero_compare_cycles)
 
 
+def _waiting(text: str) -> str:
+    """What a stall waited for: a critical op's output line or a line check."""
+    if text not in ("op_out", "check"):
+        raise ValueError(f"a stall waits for op_out or check, not {text!r}")
+    return text
+
+
+# The operand text of each action's records, a str.format template, and the
+# type that reads each of its fields back from the text; "op", "load_check"
+# and "writeback" records are rendered and read by their own functions below
+_FORMATS = {
+    "stall": ("{}={} wait={}", (_waiting, int, int)),
+    "copy_old": ("line={} pc={}", (int, int)),
+    "copy_new": ("line={} pc={}", (int, int)),
+    "copy_row": ("line={} pc={}", (int, int)),
+    "xor3": ("line={}", (int,)),
+    "block_reset": ("block={},{}", (int, int)),
+    "ecc_write": ("block={},{}", (int, int)),
+    "check_row": ("index={} orient={.value}", (int, Orientation)),
+    "xor3_tree": ("vectors={} levels={}", (int, int)),
+    "syndrome_xor3": ("banks=leading,counter", ()),
+    "zero_compare": ("blocks={}", (int,)),
+    "read_syndrome": ("block={},{} result={.value}", (int, int, DiagnosisKind)),
+    "correct_data": ("cell={},{}", (int, int)),
+    "correct_check": ("block={},{} diag={}", (int, int, int)),
+}
+_PATTERNS = {action: re.compile("(.*?)".join(
+    map(re.escape, re.split(r"\{(?:\.value)?\}", template))))
+    for action, (template, _) in _FORMATS.items()}
+_CELLS = ("load_check", "writeback")  # the records that name a critical op's check-bits
+
+
+@functools.lru_cache(maxsize=64)
+def _block_lanes(block_row: int, m: int) -> str:
+    """The lanes of a block reset's Init records, the rows of the block row,
+    as record text: the m records of a reset share it."""
+    return ",".join(map(str, range(block_row * m, block_row * m + m)))
+
+
+def _op_text(*fields) -> str:
+    """An op record's text: a program op's fields are (op, critical), a
+    block reset's Init's (block row, block column, line offset, m)."""
+    if len(fields) == 2:
+        op, critical = fields
+        return format_op(op) + (" critical=1" if critical else " critical=0")
+    block_row, block_col, offset, m = fields
+    return (op_record(OpKind.INIT, Orientation.ROW, block_col * m + offset, (),
+                      _block_lanes(block_row, m)) + " critical=0 reset=1")
+
+
+def _op_fields(text: str) -> tuple:
+    """The fields of an op record's text, as :func:`_op_text` lays them out."""
+    op = parse_op(text)
+    if not text.endswith(" reset=1"):
+        return op, text.endswith(" critical=1")
+    lanes = op.lane_set.lanes
+    return (lanes[0] // len(lanes), *divmod(op.output_line, len(lanes)), len(lanes))
+
+
 class Event(NamedTuple):
     """One scheduled occurrence: a unit doing an action for span cycles.
+
+    A record keeps its fields, and its text is rendered at the edge:
+    :meth:`to_line` is the one renderer of a record, :attr:`operands` the
+    text of its fields alone. The fields of each action the machine logs
+    are a tuple, laid out as its template in ``_FORMATS`` reads them, but
+    for three actions that refer to what the machine already holds: an
+    ``op`` record's are its ``MicroOp`` and whether it is critical, or, for
+    a block reset's Init, which holds no op, the block, the line offset and
+    m; a ``load_check`` or ``writeback`` record's are the critical op's
+    :class:`LaneFootprint` and written line, whose check-bit names are
+    rendered only when the record is. ``fields`` is a str for a record of
+    any other action, whose text is kept as it is.
 
     A named tuple, because a machine logs one per record: it is built in
     one call, where a frozen dataclass makes one ``object.__setattr__`` per
@@ -113,12 +186,24 @@ class Event(NamedTuple):
     cycle: int
     unit: str
     action: str
-    operands: str = ""
+    fields: tuple | str = ""
     span: int = 1
 
     @property
     def end(self) -> int:
         return self.cycle + self.span
+
+    @property
+    def operands(self) -> str:
+        fields = self.fields
+        if type(fields) is str:
+            return fields
+        if self.action == "op":
+            return _op_text(*fields)
+        if self.action in _CELLS:
+            footprint, line = fields
+            return "cells=" + footprint.names(line)
+        return _FORMATS[self.action][0].format(*fields)
 
     def to_line(self) -> str:
         ops = self.operands
@@ -127,18 +212,40 @@ class Event(NamedTuple):
         return f"{self.cycle}\t{self.unit}\t{self.action}\t{ops}"
 
     @classmethod
-    def from_line(cls, line: str) -> "Event":
-        parts = line.rstrip("\n").split("\t", 3)
-        if len(parts) < 3:
+    def from_line(cls, line: str, written: "tuple[LaneFootprint, int] | None" = None,
+                  ) -> "Event":
+        """The record that renders ``line``. The text of an action the
+        machine logs is read back into its fields; a ``load_check`` or
+        ``writeback`` record's are ``written``, the footprint and line of
+        the critical op it follows. Raises ValueError, naming the fault, if
+        the text does not read back or the record does not render back to
+        exactly ``line``: a line is never silently changed."""
+        line = line.rstrip("\n")
+        parts = line.split("\t", 3)
+        if len(parts) < 4:
             raise ValueError(f"bad event record: {line!r}")
-        cycle, unit, action = int(parts[0]), parts[1], parts[2]
-        operands = parts[3] if len(parts) > 3 else ""
-        span = 1
-        toks = operands.split()
-        if toks and toks[-1].startswith("cycles="):
-            span = int(toks[-1].split("=", 1)[1])
-            operands = " ".join(toks[:-1])
-        return cls(cycle, unit, action, operands, span)
+        action, text, span = parts[2], parts[3], 1
+        head, _, last = text.rpartition(" ")
+        if last.startswith("cycles="):
+            text, span = head, int(last[len("cycles="):])
+        if action == "op":
+            fields = _op_fields(text)
+        elif action in _CELLS:
+            if written is None:
+                raise ValueError(f"a {action} record that follows no critical op")
+            fields = written
+        elif action in _FORMATS:
+            match = _PATTERNS[action].fullmatch(text)
+            if match is None:
+                raise ValueError(f"bad {action} record: {text!r}")
+            fields = tuple(read(value) for read, value in zip(_FORMATS[action][1],
+                                                               match.groups()))
+        else:
+            fields = text
+        event = cls(int(parts[0]), parts[1], action, fields, span)
+        if event.to_line() != line:
+            raise ValueError(f"record does not render back to its own text: {line!r}")
+        return event
 
 
 def _check_end(end: int) -> None:
@@ -253,10 +360,15 @@ class LaneFootprint:
     per block of the group. An op's lanes are distinct, so no check-bit is
     touched twice: lanes in different blocks touch different blocks, and
     lanes in one block differ in r, so their diagonals differ in both banks.
+
+    A critical op's ``load_check`` and ``writeback`` records hold its
+    footprint and line; :meth:`names` renders the check-bits they list only
+    when a record is rendered.
     """
 
     def __init__(self, geom: Geometry, orientation: Orientation, lane_mask: frozenset[int]):
         m, nb = geom.m, geom.blocks_per_side
+        self._key = (geom, orientation, lane_mask)
         self._m, self._nb = m, nb
         self._row = orientation is Orientation.ROW
         self._sign = sign = 1 if self._row else -1
@@ -283,32 +395,50 @@ class LaneFootprint:
         # "C3@<block row>,<block column>" in the event log
         self._heads = tuple(f"{tag}{d}@" for tag in _BANK_TAGS for d in range(m))
 
-    def at(self, line: int) -> tuple[np.ndarray, list[int], str]:
-        """What writing ``line`` touches: the check-bits as a ``[bank, lane]``
-        array of flat indices into :attr:`CheckMem.planes`, leading bank first
-        and each bank in ascending lane order; the touched check-bit
-        crossbars, ascending; and the check-bits' names, counter bank first,
-        each bank by (diagonal, block row, block column), as the event log
-        lists them."""
-        m, nb = self._m, self._nb
-        q, j = divmod(line, m)
-        step, base = self._sign * j, q * self._line_stride
-        # the line's block is the column of a ROW op's names, the row of a COLUMN op's
-        block = str(q)
-        before, after = ("", "," + block) if self._row else (block + ",", "")
+    def __eq__(self, other) -> bool:
+        """Footprints are equal when they are of one (geometry, orientation,
+        lane set), as a record read back from its text is to the one logged."""
+        return isinstance(other, LaneFootprint) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def _crossbars(self, j: int) -> list[tuple[int, tuple[str, ...]]]:
+        """(crossbar, block numbers as text) of each group on a line at
+        offset j, ascending: distinct, one crossbar per bank per group."""
+        m, step = self._m, self._sign * j
         crossbars = []
         for lead, counter, texts in self._groups:
             crossbars += (((lead + j) % m, texts), (m + (counter - step) % m, texts))
-        crossbars.sort()  # distinct: one crossbar per bank per group
+        crossbars.sort()
+        return crossbars
+
+    def at(self, line: int) -> tuple[np.ndarray, list[int]]:
+        """What writing ``line`` touches: the check-bits as a ``[bank, lane]``
+        array of flat indices into :attr:`CheckMem.planes`, leading bank first
+        and each bank in ascending lane order; and the touched check-bit
+        crossbars, ascending."""
+        q, j = divmod(line, self._m)
+        touched = (self._diagonals + j * self._steps) % self._m
+        touched *= self._nb * self._nb
+        touched += self._offsets + q * self._line_stride
+        return touched, [crossbar for crossbar, _ in self._crossbars(j)]
+
+    def names(self, line: int) -> str:
+        """The names of the check-bits that writing ``line`` touches, as the
+        event log lists them: counter bank first, each bank by (diagonal,
+        block row, block column)."""
+        q, j = divmod(line, self._m)
+        # the line's block is the column of a ROW op's names, the row of a COLUMN op's
+        block = str(q)
+        before, after = ("", "," + block) if self._row else (block + ",", "")
+        crossbars = self._crossbars(j)
         half = len(self._groups)
         names = []
         for crossbar, texts in crossbars[half:] + crossbars[:half]:
             first = self._heads[crossbar] + before
             names.append(first + (after + ";" + first).join(texts) + after)
-        touched = (self._diagonals + j * self._steps) % m
-        touched *= nb * nb
-        touched += self._offsets + base
-        return touched, [crossbar for crossbar, _ in crossbars], ";".join(names)
+        return ";".join(names)
 
 
 @functools.lru_cache(maxsize=4)
@@ -399,6 +529,7 @@ class Machine:
         self.timing = timing or TimingModel()
         self.timeline = UnitTimeline()
         self.events: list[Event] = []
+        self._horizon = 0  # the latest end of any record; every step logs through log or sets it
         # processing-crossbar pairs, one crossbar per bank each
         self._pc_units = tuple(f"PC{i}" for i in range(pc_pairs))
         m = self.geom.m
@@ -426,12 +557,12 @@ class Machine:
             geom, np.zeros((2, geom.m, nb, nb), dtype=np.uint8)))
 
     def _issue(self, earliest: int, floor: int, cbx_units, windows, mem_span: int,
-               pair_span: int, waiting: str, reach: int = 0) -> tuple[int, int]:
+               pair_span: int, waiting: tuple[str, int], reach: int = 0) -> tuple[int, int]:
         """Issue a critical op or a line check at t, the first cycle at or after
         ``earliest``, ``floor``, MEM's free cycle and some pair's at which the
         (offset, span) ``windows`` are idle on the check-bit crossbars
         ``cbx_units``. A wait is logged as one ``SCHED stall`` record,
-        ``<waiting> wait=<cycles>``. Holds MEM for ``mem_span`` cycles and the
+        ``<what>=<line> wait=<cycles>`` for ``waiting`` (what, line). Holds MEM for ``mem_span`` cycles and the
         lowest pair free at t for ``pair_span``, books the windows, on "CBX"
         if the step takes every crossbar, and returns (t, pair).
 
@@ -449,8 +580,7 @@ class Machine:
         t = timeline.first_free(search, max(mem_ready, floor, min(frees)), windows)
         _check_end(t + max(pair_span, reach))
         if t > mem_ready:
-            self.log(mem_ready, "SCHED", "stall", f"{waiting} wait={t - mem_ready}",
-                     span=t - mem_ready)
+            self.log(mem_ready, "SCHED", "stall", (*waiting, t - mem_ready), span=t - mem_ready)
         timeline.reserve("MEM", t, mem_span)
         pair = next(i for i, free in enumerate(frees) if free <= t)
         timeline.reserve(self._pc_units[pair], t, pair_span)
@@ -459,12 +589,15 @@ class Machine:
 
     @property
     def horizon(self) -> int:
-        """One past the last busy cycle (total cycles so far)."""
-        return max((ev.end for ev in self.events), default=0)
+        """One past the last busy cycle (total cycles so far): the latest
+        end of any record logged, kept as records are logged."""
+        return self._horizon
 
-    def log(self, cycle: int, unit: str, action: str, operands: str = "",
+    def log(self, cycle: int, unit: str, action: str, fields: tuple | str = "",
             span: int = 1) -> None:
-        self.events.append(Event(cycle, unit, action, operands, span))
+        self.events.append(Event(cycle, unit, action, fields, span))
+        if cycle + span > self._horizon:
+            self._horizon = cycle + span
 
     def inject_data_flip(self, row: int, col: int) -> None:
         """Soft error: flip one MEM cell without touching the check-bits."""
@@ -494,7 +627,7 @@ class Machine:
         _check_end(t + 1)
         self.timeline.reserve("MEM", t, 1)
         apply_op_inplace(self.state.cells, op)
-        self.log(t, "MEM", "op", format_op(op) + " critical=0")
+        self.log(t, "MEM", "op", (op, False))
         return t
 
     def critical_op(self, op: MicroOp, earliest: int = 0) -> int:
@@ -505,7 +638,7 @@ class Machine:
         c, x, wb = tm.copy_cycles, tm.xor3_cycles, tm.writeback_cycles
         line = op.output_line
         footprint = lane_footprint(self.geom, op.orientation, op.lane_mask)
-        touched, crossbars, diags = footprint.at(line)
+        touched, crossbars = footprint.at(line)
 
         # one parallel line access per crossbar, even when several blocks
         # along the written line share a diagonal index; the check-bits are
@@ -515,7 +648,7 @@ class Machine:
         t, pair = self._issue(
             earliest, int(self._check_ready.take(touched).max()) - c,
             [self._cbx_units[u] for u in crossbars], ((c, c), (back, wb)),
-            tm.mem_cycles_per_critical, back + wb, f"op_out={line}")
+            tm.mem_cycles_per_critical, back + wb, ("op_out", line))
         write_at = t + back
         self._check_ready.put(touched, write_at + wb)  # put indexes the flat view
 
@@ -528,15 +661,18 @@ class Machine:
         apply_op_inplace(cells, op)
         self.checkmem.planes.reshape(-1)[touched] ^= old ^ plane[index, line]
 
-        unit, copy, bits = f"PC{pair}", f"line={line} pc={pair}", f"cells={diags}"
+        # the records hold the op and its footprint; the check-bits' names
+        # are rendered only when the records are
+        unit, copy, bits = f"PC{pair}", (line, pair), (footprint, line)
         self.events += (
             Event(t, "MEM", "copy_old", copy, c),
-            Event(t + c, "MEM", "op", format_op(op) + " critical=1"),
+            Event(t + c, "MEM", "op", (op, True)),
             Event(t + c, unit, "load_check", bits, c),
             Event(t + c + 1, "MEM", "copy_new", copy, c),
-            Event(t + 2 * c + 1, unit, "xor3", f"line={line}", x),
+            Event(t + 2 * c + 1, unit, "xor3", (line,), x),
             Event(write_at, unit, "writeback", bits, wb),
         )
+        self._horizon = max(self._horizon, write_at + wb)  # the writeback ends last
         return t
 
     def block_ecc_reset(self, block_row: int, block_col: int,
@@ -560,23 +696,18 @@ class Machine:
                                                      int(ready.max())), write)
         _check_end(t + wb)
         base_row, base_col = block_row * m, block_col * m
-        lanes = ",".join(map(str, range(base_row, base_row + m)))
-        self.log(t0, "SCHED", "block_reset", f"block={block_row},{block_col}")
+        self.log(t0, "SCHED", "block_reset", (block_row, block_col))
         # m row-parallel Init ops, one per line of the block, one cycle each,
-        # written as one slice and logged from their fields
+        # written as one slice and logged from their fields, without ops
         timeline.reserve("MEM", t0, m)
         self.state.cells[base_row:base_row + m, base_col:base_col + m] = 1
-        # the records differ only in their output line: rendered once, then
-        # split around it
-        head, _, tail = (op_record(OpKind.INIT, Orientation.ROW, base_col, (), lanes)
-                         + " critical=0 reset=1").partition(f" out={base_col} ")
-        self.events += (Event(t0 + lc, "MEM", "op", f"{head} out={base_col + lc} {tail}")
+        self.events += (Event(t0 + lc, "MEM", "op", (block_row, block_col, lc, m))
                         for lc in range(m))
         self.checkmem.planes[:, :, block_col, block_row] = 1
         timeline.book(("CBX",), t, write)
         ready[...] = t + wb  # the block's check-bits are readable once the write has landed
         timeline.reserve("CTRL", t, wb)
-        self.log(t, "CTRL", "ecc_write", f"block={block_row},{block_col}", span=wb)
+        self.log(t, "CTRL", "ecc_write", (block_row, block_col), span=wb)
         return t + wb
 
     def _check_index(self, index: int) -> None:
@@ -671,7 +802,7 @@ class Machine:
                            *map(self.timeline.next_free, self._every_cbx)) + tail)
         floor = max(self.timeline.next_free("CHECK") - x, int(self._check_ready[line].max()))
         t, pair = self._issue(earliest, floor - syn, self._cbx_units, ((syn, c),), m * c,
-                              syn + x, f"check={index}", syn + max(x + zc, c) + tail)
+                              syn + x, ("check", index), syn + max(x + zc, c) + tail)
         syn_at = t + syn
         # no write lands on the line's stored bits before they are read: the
         # floor put syn_at past every write in flight, so this only raises them
@@ -679,15 +810,13 @@ class Machine:
         zero_at = syn_at + x
         self.timeline.reserve("CHECK", zero_at, zc)
 
-        self.log(t, "SCHED", "check_row",
-                 f"index={index} orient={orientation.value}")
+        self.log(t, "SCHED", "check_row", (index, orientation))
         # the m line copies in one step, as critical_op logs its records
-        self.events += (Event(t + k * c, "MEM", "copy_row", f"line={index * m + k} pc={pair}", c)
+        self.events += (Event(t + k * c, "MEM", "copy_row", (index * m + k, pair), c)
                         for k in range(m))
-        self.log(t + m * c, f"PC{pair}", "xor3_tree",
-                 f"vectors={m} levels={levels}", span=levels * x)
-        self.log(syn_at, f"PC{pair}", "syndrome_xor3", "banks=leading,counter", span=x)
-        self.log(zero_at, "CHECK", "zero_compare", f"blocks={nb}", span=zc)
+        self.log(t + m * c, f"PC{pair}", "xor3_tree", (m, levels), span=levels * x)
+        self.log(syn_at, f"PC{pair}", "syndrome_xor3", (), span=x)
+        self.log(zero_at, "CHECK", "zero_compare", (nb,), span=zc)
 
         reports = [_CLEAN_REPORT] * nb
         done = zero_at + zc
@@ -696,8 +825,7 @@ class Machine:
             reports[k] = _UNCORRECTABLE_REPORT if diag is UNCORRECTABLE else BlockReport(diag)
             read_at = max(done, self.timeline.next_free("CTRL"))
             self.timeline.reserve("CTRL", read_at, tm.controller_read_cycles)
-            self.log(read_at, "CTRL", "read_syndrome",
-                     f"block={br},{bc} result={diag.kind.value}",
+            self.log(read_at, "CTRL", "read_syndrome", (br, bc, diag.kind),
                      span=tm.controller_read_cycles)
             done = read_at + tm.controller_read_cycles
             if diag is UNCORRECTABLE:
@@ -708,7 +836,7 @@ class Machine:
                 self.state.cells[row, col] ^= 1
                 write_at = max(done, self.timeline.next_free("MEM"))
                 self.timeline.reserve("MEM", write_at, tm.correction_write_cycles)
-                self.log(write_at, "MEM", "correct_data", f"cell={row},{col}",
+                self.log(write_at, "MEM", "correct_data", (row, col),
                          span=tm.correction_write_cycles)
             else:
                 self.checkmem.flip_bit(diag.bank, diag.idx, br, bc)
@@ -719,8 +847,7 @@ class Machine:
                 self.timeline.book((unit,), write_at, write)
                 # the corrected bit is readable once its write has landed
                 self._check_ready[bank, diag.idx, bc, br] = write_at + tm.correction_write_cycles
-                self.log(write_at, unit, "correct_check",
-                         f"block={br},{bc} diag={diag.idx}",
+                self.log(write_at, unit, "correct_check", (br, bc, diag.idx),
                          span=tm.correction_write_cycles)
             done = write_at + tm.correction_write_cycles
         return reports, done

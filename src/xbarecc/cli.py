@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .checkmem import Event, Machine, TimingModel, device_counts
-from .engine import MicroOpError, Orientation, parse_op
+from .checkmem import Event, Machine, TimingModel, device_counts, lane_footprint
+from .engine import MicroOpError, check_bounds
 from .geometry import Geometry, GeometryError, check_block_size
 from .netlist import NetlistError, load_netlist
 from .reliability import (
@@ -164,13 +164,15 @@ def _parse_columns(text: str, n: int, kind: str) -> dict[str, int]:
 
 
 def read_schedule_file(path: Path) -> EccSchedule:
-    """The schedule a ``.events`` file was written from."""
+    """The schedule a ``.events`` file was written from. Its metadata is read
+    first, then each record, into the fields it was logged with
+    (:meth:`Event.from_line`): a record that does not render back to exactly
+    its line, or an op record outside the crossbar, is an input error."""
     lines = path.read_text().splitlines()
     if not lines or lines[0] != SCHEDULE_MAGIC:
         raise InputError(f"{path}: not a schedule file (missing header)")
     meta: dict[str, str] = {}
-    actions: list[Action] = []
-    events: list[Event] = []
+    records: list[tuple[int, str]] = []
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -184,25 +186,8 @@ def read_schedule_file(path: Path) -> EccSchedule:
                 if key in meta:
                     raise InputError(f"{path}:{lineno}: meta key {key!r} is set twice")
                 meta[key] = val
-            continue
-        if line.startswith("#"):
-            continue
-        try:  # MicroOpError is a ValueError
-            ev = Event.from_line(line)
-            events.append(ev)
-            operands = dict(tok.partition("=")[::2] for tok in ev.operands.split())
-            if ev.action == "check_row":
-                actions.append(Action(ActionKind.CHECK_ROW,
-                                      index=int(operands["index"]),
-                                      orientation=Orientation(operands["orient"])))
-            elif ev.action == "block_reset":
-                br, bc = operands["block"].split(",")
-                actions.append(Action(ActionKind.BLOCK_RESET, block=(int(br), int(bc))))
-            elif ev.action == "op" and operands.get("reset") != "1":
-                actions.append(Action(ActionKind.OP, op=parse_op(ev.operands),
-                                      critical=operands.get("critical") == "1"))
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}")
+        elif not line.startswith("#"):
+            records.append((lineno, line))
     try:
         geom = Geometry(int(meta["n"]), int(meta["m"]))
         timing_vals: dict[str, str] = {}
@@ -220,21 +205,46 @@ def read_schedule_file(path: Path) -> EccSchedule:
         input_columns = _parse_columns(meta.get("inputs", ""), geom.n, "input")
         if len(set(input_columns.values())) < len(input_columns):
             raise ValueError(f"two inputs share a column in {meta['inputs']!r}")
-        schedule = EccSchedule(
-            name=meta.get("netlist", path.stem),
-            geom=geom,
-            timing=timing,
-            pc_pairs=pc_pairs,
-            input_columns=input_columns,
-            output_columns=_parse_columns(meta.get("outputs", ""), geom.n, "output"),
-            actions=tuple(actions),
-            events=tuple(events),
-            baseline_cycles=int(meta.get("baseline_cycles", "0")),
-            total_cycles=int(meta.get("total_cycles", "0")),
-        )
+        output_columns = _parse_columns(meta.get("outputs", ""), geom.n, "output")
+        baseline_cycles = int(meta.get("baseline_cycles", "0"))
+        total_cycles = int(meta.get("total_cycles", "0"))
     except (KeyError, ValueError, GeometryError) as exc:
         raise InputError(f"{path}: bad or incomplete schedule metadata: {exc}")
-    return schedule
+
+    actions: list[Action] = []
+    events: list[Event] = []
+    written = None  # the footprint and line of the last critical op
+    for lineno, line in records:
+        try:  # MicroOpError is a ValueError
+            ev = Event.from_line(line, written)
+            events.append(ev)
+            if ev.action == "check_row":
+                index, orientation = ev.fields
+                actions.append(Action(ActionKind.CHECK_ROW, index=index,
+                                      orientation=orientation))
+            elif ev.action == "block_reset":
+                actions.append(Action(ActionKind.BLOCK_RESET, block=ev.fields))
+            elif ev.action == "op" and len(ev.fields) == 2:  # not a block reset's Init
+                op, critical = ev.fields
+                check_bounds(op, geom.n)
+                actions.append(Action(ActionKind.OP, op, critical))
+                if critical:
+                    written = (lane_footprint(geom, op.orientation, op.lane_mask),
+                               op.output_line)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}")
+    return EccSchedule(
+        name=meta.get("netlist", path.stem),
+        geom=geom,
+        timing=timing,
+        pc_pairs=pc_pairs,
+        input_columns=input_columns,
+        output_columns=output_columns,
+        actions=tuple(actions),
+        events=tuple(events),
+        baseline_cycles=baseline_cycles,
+        total_cycles=total_cycles,
+    )
 
 
 def stats_lines(name: str, stats) -> list[str]:

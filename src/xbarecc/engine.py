@@ -157,11 +157,9 @@ class CrossbarState:
                 and np.array_equal(self.cells, other.cells))
 
 
-def validate_op(state: CrossbarState, op: MicroOp) -> None:
-    """Admit an op to ``state`` (its shape was checked when it was built):
-    raise :class:`MicroOpError` if a line or lane lies outside the crossbar,
-    then :class:`UninitializedOutputError` if a NOR's outputs are not all 1."""
-    n = state.geom.n
+def check_bounds(op: MicroOp, n: int) -> None:
+    """Raise :class:`MicroOpError` if a line or lane of ``op`` lies outside
+    an n x n crossbar."""
     for line in (*op.input_lines, op.output_line):
         if not 0 <= line < n:
             raise MicroOpError(f"line index {line} outside [0,{n})")
@@ -169,6 +167,14 @@ def validate_op(state: CrossbarState, op: MicroOp) -> None:
     for lane in (lanes[0], lanes[-1]):  # sorted: the least and the greatest
         if not 0 <= lane < n:
             raise MicroOpError(f"lane index {lane} outside [0,{n})")
+
+
+def validate_op(state: CrossbarState, op: MicroOp) -> None:
+    """Admit an op to ``state`` (its shape was checked when it was built):
+    raise :class:`MicroOpError` if a line or lane lies outside the crossbar
+    (:func:`check_bounds`), then :class:`UninitializedOutputError` if a
+    NOR's outputs are not all 1."""
+    check_bounds(op, state.geom.n)
     if op.kind is OpKind.NOR:
         cells, index = state.cells, op.lane_set.index
         plane = cells if op.orientation is Orientation.ROW else cells.T
@@ -212,8 +218,8 @@ def op_record(kind: OpKind, orientation: Orientation, output_line: int,
               input_lines: tuple[int, ...], lanes: str) -> str:
     """The one renderer of an op record from its fields; ``lanes`` is the
     sorted lanes, comma-joined, as in :attr:`LaneSet.text`. :func:`format_op`
-    and a block reset, which logs its Init records without building ops,
-    both call it."""
+    and the text of a block reset's Init record, which holds no op, both
+    call it."""
     return (f"kind={kind.value} orient={orientation.value} out={output_line} "
             f"in={','.join(map(str, input_lines)) or '-'} lanes={lanes}")
 

@@ -282,6 +282,21 @@ class TestRecord:
         assert row["calls"] == [68.0, 68.0]
         assert row["rel"] == pytest.approx(1.15 * 0.6 - 1, abs=0.05)
 
+    def test_the_claim_is_read_on_the_metric_named(self):
+        sides = synthetic_sides()
+        for run in sides["change"]:
+            run["metrics"]["peak_rss_mb"]["value"] = 76.0  # a lower peak wins
+        args = ab.parse_args(["p", "c", "--workload", "simd", "--claim", "peak_rss_mb"])
+        record = ab.build_record(args, SPEC, self.TREES, self.HOST, sides, None)
+        assert record["claim"] == {
+            "metric": "peak_rss_mb", "wins": 10, "needed": 9, "holds": True,
+            "why": "10/10 pairs won (need 9), median gap 4 vs parent IQR 0"}
+
+    def test_a_claim_on_no_end_to_end_metric_is_refused(self, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        with pytest.raises(SystemExit, match="--claim setup is not an end-to-end metric"):
+            ab.main([str(tmp_path), str(tmp_path), "--workload", "simd", "--claim", "setup"])
+
     def test_main_writes_the_record_without_running_git_or_the_benchmark(
             self, tmp_path, monkeypatch, capsys):
         rates = iter([100.0, 120.0, 125.0, 104.0, 102.0, 118.0])  # alternating order

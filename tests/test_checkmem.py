@@ -358,15 +358,17 @@ class TestLaneFootprintOracle:
             set_parity(expected, *block, update_parity(expected.parity(*block), cell_deltas))
         assert machine.checkmem == expected
         # the check-bits it folds, in the oracle's order, and the ones it books
-        bits, crossbars, names = lane_footprint(geom, orientation, lanes).at(line)
+        footprint = lane_footprint(geom, orientation, lanes)
+        bits, crossbars = footprint.at(line)
         assert np.ravel(bits).tolist() == touched.tolist()
         assert crossbars == sorted(set((touched // (nb * nb)).tolist()))
         booked = {unit for unit in machine._cbx_units if crossbar_busy(machine.timeline, unit)}
         assert booked == {machine._cbx_units[c] for c in crossbars}
-        # its names, logged when the check-bits are loaded and written back
+        # the records of the check-bits' load and writeback hold the footprint
+        # and line, and render the oracle's names
         logged = {ev.action: ev for ev in machine.events}
-        assert (logged["load_check"].operands == logged["writeback"].operands
-                == "cells=" + oracle_names(touched, geom))
+        assert logged["load_check"].fields == logged["writeback"].fields == (footprint, line)
+        assert logged["load_check"].operands == "cells=" + oracle_names(touched, geom)
         # its check-bits are read once they are ready, and ready again when
         # the writeback ends; no other check-bit's readiness moves
         assert logged["load_check"].cycle >= ready.reshape(-1)[touched].max()
@@ -377,11 +379,11 @@ class TestLaneFootprintOracle:
     def test_two_geometries_sharing_a_lane_set_get_their_own_footprints(self, lanes):
         for geom in (Geometry(30, 3), Geometry(45, 5), Geometry(30, 3), Geometry(63, 7)):
             for orientation in Orientation:
-                bits, _, names = lane_footprint(geom, orientation, lanes).at(13)
+                footprint = lane_footprint(geom, orientation, lanes)
                 touched = touched_check_cells(
                     *written_cells(init_op(orientation, 13, lanes)), geom)
-                assert np.ravel(bits).tolist() == touched.tolist()
-                assert names == oracle_names(touched, geom)
+                assert np.ravel(footprint.at(13)[0]).tolist() == touched.tolist()
+                assert footprint.names(13) == oracle_names(touched, geom)
 
 
 class TestCheckBlockRow:
@@ -615,10 +617,13 @@ class TestEventDiscipline:
         assert run_stats([]) == (0, [], 0, 0)
 
     def test_event_line_round_trip(self):
+        # a load_check or writeback record reads back with its op's footprint
         machine = machine9()
-        machine.critical_op(init_op(Orientation.ROW, 4, {1, 2}))
+        op = init_op(Orientation.ROW, 4, {1, 2})
+        machine.critical_op(op)
+        written = (lane_footprint(machine.geom, op.orientation, op.lane_mask), 4)
         for ev in machine.events:
-            assert Event.from_line(ev.to_line()) == ev
+            assert Event.from_line(ev.to_line(), written) == ev
 
 
 class TestDeviceCounts:
@@ -808,7 +813,7 @@ def oracle_line_check(machine, index, orientation):
     Each block of the line is re-encoded and compared with its stored
     check-bits, then decoded and corrected on copies. Returns the reports in
     block order, the final cells and check-bits, and the (unit, action,
-    operands) of every record logged after the check's fixed prologue.
+    fields) of every record logged after the check's fixed prologue.
     """
     geom = machine.geom
     m, nb = geom.m, geom.blocks_per_side
@@ -826,19 +831,17 @@ def oracle_line_check(machine, index, orientation):
         reports.append(BlockReport(diag))
         if diag.kind is DiagnosisKind.CLEAN:
             continue
-        records.append(("CTRL", "read_syndrome",
-                        f"block={br},{bc} result={diag.kind.value}"))
+        records.append(("CTRL", "read_syndrome", (br, bc, diag.kind)))
         if diag.kind is DiagnosisKind.UNCORRECTABLE:
             continue
         fixed, parity = apply_correction(block, stored, diag)
         block[...] = fixed
         set_parity(cm, br, bc, parity)
         if diag.kind is DiagnosisKind.DATA_ERROR:
-            records.append(("MEM", "correct_data",
-                            f"cell={br * m + diag.i},{bc * m + diag.j}"))
+            records.append(("MEM", "correct_data", (br * m + diag.i, bc * m + diag.j)))
         else:
             records.append((f"CBX:{diag.bank.value}:{diag.idx}", "correct_check",
-                            f"block={br},{bc} diag={diag.idx}"))
+                            (br, bc, diag.idx)))
     return reports, cells, cm, records
 
 
@@ -945,7 +948,7 @@ class TestLineCheckOracle:
         assert [ev.action for ev in events[:prologue]] == (
             ["check_row"] + ["copy_row"] * m + ["xor3_tree"] * (xor3_tree_levels(m) > 0)
             + ["syndrome_xor3", "zero_compare"])
-        assert [(ev.unit, ev.action, ev.operands) for ev in events[prologue:]] == records
+        assert [(ev.unit, ev.action, ev.fields) for ev in events[prologue:]] == records
         # the events count the outcomes the reports name
         kinds = [r.diagnosis.kind for r in got]
         assert run_stats(events)[2:] == (
@@ -1304,6 +1307,11 @@ class TestManyLines:
             assert reports == [BlockReport(CLEAN)] * geom.blocks_per_side ** 2
 
 
+def lines(machine) -> list[str]:
+    """The machine's records as its event log renders them."""
+    return [ev.to_line() for ev in machine.events]
+
+
 def reset_by_init_ops(machine, block_row, block_col, earliest=0):
     """Oracle of ``block_ecc_reset``: one Init op per line of the block, then
     the all-ones check-bits written directly, once every write in flight to
@@ -1371,7 +1379,7 @@ class TestBlockResetOracle:
         oracle = copy.deepcopy(machine)
         done = machine.block_ecc_reset(*block, earliest=earliest)
         assert done == reset_by_init_ops(oracle, *block, earliest=earliest)
-        assert machine.events == oracle.events
+        assert lines(machine) == lines(oracle)
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
         assert np.array_equal(machine._check_ready, oracle._check_ready)
@@ -1388,7 +1396,7 @@ class TestBlockResetOracle:
             earliest = 7 * k if k % 3 == 0 else 0
             assert (machine.block_ecc_reset(*block, earliest=earliest)
                     == reset_by_init_ops(oracle, *block, earliest=earliest))
-        assert machine.events == oracle.events
+        assert lines(machine) == lines(oracle)
         assert np.array_equal(machine.state.cells, oracle.state.cells)
         assert machine.checkmem == oracle.checkmem
         assert np.array_equal(machine._check_ready, oracle._check_ready)
@@ -1473,32 +1481,36 @@ def reads_before_writes(machine):
     critical op's ``load_check`` and a line check's ``syndrome_xor3``, which
     reads the stored bits of every block of its line for ``copy_cycles``;
     the writes are ``writeback``, ``ecc_write`` and ``correct_check``, and
-    each must also start once the write before it has ended. Bits are named
-    as in the event log, e.g. ``L2@1,0``."""
+    each must also start once the write before it has ended. Bits are read
+    off the records' fields and named (bank, diagonal, block row, block
+    column), bank 0 the leading one."""
     m, nb = machine.geom.m, machine.geom.blocks_per_side
     c = machine.timing.copy_cycles
 
-    def block_bits(block):
-        return [f"{tag}{d}@{block}" for tag in "LC" for d in range(m)]
+    def block_bits(br, bc):
+        return [(bank, d, br, bc) for bank in range(2) for d in range(m)]
 
     written, read, early, line = {}, {}, [], []
     for ev in machine.events:
         if ev.action == "check_row":  # its syndrome_xor3 follows
-            fields = dict(field.split("=") for field in ev.operands.split())
-            index = int(fields["index"])
+            index, orientation = ev.fields
             line = [bit for k in range(nb) for bit in block_bits(
-                f"{index},{k}" if fields["orient"] == "row" else f"{k},{index}")]
+                *((index, k) if orientation is Orientation.ROW else (k, index)))]
             continue
         if ev.action == "syndrome_xor3":
             bits, write = line, False
         elif ev.action == "ecc_write":
-            bits, write = block_bits(ev.operands.removeprefix("block=")), True
+            bits, write = block_bits(*ev.fields), True
         elif ev.action == "correct_check":  # unit CBX:<bank>:<diag>
             _, bank, diag = ev.unit.split(":")
-            block = ev.operands.split()[0].removeprefix("block=")
-            bits, write = [f"{bank[0].upper()}{diag}@{block}"], True
+            br, bc, _ = ev.fields
+            bits, write = [(tuple(Bank).index(Bank(bank)), int(diag), br, bc)], True
         elif ev.action in ("load_check", "writeback"):
-            bits, write = ev.operands.removeprefix("cells=").split(";"), ev.action == "writeback"
+            footprint, written_line = ev.fields
+            bank, diag, bc, br = np.unravel_index(np.ravel(footprint.at(written_line)[0]),
+                                                  (2, m, nb, nb))
+            bits = list(zip(bank.tolist(), diag.tolist(), br.tolist(), bc.tolist()))
+            write = ev.action == "writeback"
         else:
             continue
         early += [(bit, ev.cycle, written[bit]) for bit in bits
@@ -1510,6 +1522,24 @@ def reads_before_writes(machine):
             end = ev.cycle + c
             read.update((bit, max(read.get(bit, 0), end)) for bit in bits)
     return early
+
+
+class TestHorizon:
+    @settings(max_examples=60, deadline=None)
+    @given(geom=st.sampled_from([Geometry(30, 3), Geometry(45, 5)]),
+           pc_pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_latest_end_of_any_record_after_every_step(self, geom, pc_pairs, seed):
+        # a line check's read window on the check-bit crossbars may outlast
+        # every record, so the horizon is read off the records, not the timeline
+        timing, steps = hazard_program(seed, geom)
+        machine = random_consistent_machine(seed, geom, timing=timing, pc_pairs=pc_pairs)
+        assert machine.horizon == 0
+        for step in steps:
+            run_program(machine, [step])
+            assert machine.horizon == max(ev.cycle + ev.span for ev in machine.events)
+        out = steps[0][1][1] if steps[0][0] == "op" else 0
+        machine.noncritical_op(init_op(Orientation.ROW, out, {0}), earliest=machine.horizon + 5)
+        assert machine.horizon == machine.events[-1].end == max(ev.end for ev in machine.events)
 
 
 class TestSameCellHazard:
@@ -1538,7 +1568,7 @@ class TestSameCellHazard:
             machine._check_ready[bit] = in_flight
         machine.check_block_row(0)
         (fix,) = [ev for ev in machine.events if ev.action == "correct_check"]
-        assert (fix.unit, fix.operands) == ("CBX:leading:1", "block=0,2 diag=1")
+        assert (fix.unit, fix.fields) == ("CBX:leading:1", (0, 2, 1))
         (read,) = [ev for ev in machine.events if ev.action == "syndrome_xor3"]
         assert machine._check_ready[bit] == max(fix.end, in_flight or 0)
         line = np.ravel_multi_index(np.indices((2, geom.m, nb)), (2, geom.m, nb)) * nb
@@ -1610,7 +1640,7 @@ class TestSameCellHazard:
         read, back = logged["syndrome_xor3"], logged["writeback"]
         assert (read.cycle, back.operands) == (21, "cells=C1@0,0;L3@0,0")
         assert back.cycle >= read.cycle + machine.timing.copy_cycles
-        assert logged["stall"].operands == "op_out=1 wait=16"
+        assert logged["stall"].fields == ("op_out", 1, 16)
         assert reads_before_writes(machine) == []
         assert consistent(machine)
 

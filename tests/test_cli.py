@@ -322,6 +322,47 @@ class TestSimulateCommand:
         assert set(replay.input_columns) == {"a", "b", "cin"}
         assert any(a.critical for a in replay.actions)
 
+    @pytest.mark.parametrize("action, old, new", [
+        ("copy_row", " pc=", " pc=0"),  # a pair of 00
+        ("load_check", "cells=C", "cells=L"),  # another check-bit's name
+        ("op", " critical=1", " critical=2"),
+        ("op", "orient=row out=", "orient=row  out="),
+        ("stall", "\tstall\t", "\tstall\t "),
+        ("zero_compare", "blocks=", "cycles=3 blocks=")])
+    def test_a_record_that_does_not_render_back_is_input_error(
+            self, corpus_dir, tmp_path, action, old, new, capsys):
+        # -k 1 makes the critical ops stall, so every listed record is logged
+        out = tmp_path / "out"
+        assert main(["schedule", fa_path(corpus_dir), "--out-dir", str(out), "-n", "30",
+                     "-m", "3", "-k", "1"]) == EXIT_OK
+        events = out / "full_adder.events"
+        lines = events.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines, start=1)
+                      if line.split("\t")[2:3] == [action] and old in line)
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        events.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"xbarecc: input error: {events}:{lineno}: ")
+
+    def test_a_record_of_another_action_is_kept_as_it_is(self, corpus_dir, tmp_path, capsys):
+        events = self.schedule(corpus_dir, tmp_path)
+        note = "7\tMEM\tnote\tany  text, = or ; cycles=3"
+        events.write_text(events.read_text() + note + "\n")
+        assert read_schedule_file(events).events[-1].to_line() == note
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_OK
+
+    def test_an_op_record_outside_the_crossbar_is_input_error_at_its_line(
+            self, corpus_dir, tmp_path, capsys):
+        events = self.schedule(corpus_dir, tmp_path)  # n=30
+        lines = events.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines, start=1) if " critical=1" in line)
+        lines[lineno - 1] = lines[lineno - 1].replace("lanes=0 ", "lanes=30 ")
+        events.write_text("\n".join(lines) + "\n")
+        assert main(["simulate", str(events), "--inputs", "a=1,b=0,cin=0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (f"xbarecc: input error: {events}:{lineno}: "
+                                           "lane index 30 outside [0,30)\n")
+
     def test_timing_keys_read_back_in_any_order(self, corpus_dir, tmp_path):
         events = self.schedule(corpus_dir, tmp_path)
         timing = read_schedule_file(events).timing

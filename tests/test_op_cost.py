@@ -17,7 +17,8 @@ def test_every_case_is_timed(capsys):
     assert lines[0] == ("op_cost: n=30 m=3, best of 2 x 40 ops, microseconds per op "
                         "(per block for the checks, per trial for the campaign)")
     names = ["critical_op 1 lane", "critical_op all lanes", "noncritical_op 1 lane",
-             "block_ecc_reset", "MicroOp", "Action", "Event", "compute_syndrome",
+             "block_ecc_reset", "MicroOp", "Action", "Event", "to_line op all lanes",
+             "to_line load_check all lanes", "to_line reset Init", "compute_syndrome",
              "check_block_row", "check_block_row blank", "check run", "full_memory_check",
              "full_memory_check blank", "full_memory_check after 1-lane ops",
              "full_memory_check dirty", "full_memory_check every block dirty",

@@ -9,14 +9,15 @@ row by row against ``Netlist.evaluate``, and every ``load_check`` and
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_checkmem import oracle_names, touched_check_cells, written_cells
 
-from xbarecc.checkmem import Machine
-from xbarecc.engine import CrossbarState, parse_op
+from xbarecc.checkmem import Machine, lane_footprint
+from xbarecc.engine import CrossbarState
 from xbarecc.geometry import Geometry
 from xbarecc.netlist import load_bundled
 from xbarecc.scheduler import ActionKind, build_actions, map_to_row, run_actions
@@ -102,12 +103,14 @@ class TestWidenedNetlists:
         _, _, _, machine, _ = self._run(name, geom)
         events = machine.events
         critical = [k for k, ev in enumerate(events)
-                    if ev.action == "op" and ev.operands.endswith(" critical=1")]
+                    if ev.action == "op" and ev.fields[1:] == (True,)]
         assert critical
         for k in critical:
-            op = parse_op(events[k].operands.removesuffix(" critical=1"))
+            op = events[k].fields[0]
             load, writeback = events[k + 1], events[k + 4]
             assert (load.action, writeback.action) == ("load_check", "writeback")
+            assert load.fields == writeback.fields == (
+                lane_footprint(geom, op.orientation, op.lane_mask), op.output_line)
             cells = "cells=" + oracle_names(touched_check_cells(*written_cells(op), geom), geom)
             assert load.operands == writeback.operands == cells
 
@@ -117,3 +120,30 @@ class TestWidenedNetlists:
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (
             events, machine.state.cells.tobytes(), machine.checkmem.planes.tobytes()))
         assert digests == DIGESTS[(name, f"{geom.n}/{geom.m}")]
+
+
+def test_a_widened_run_logs_fields_not_text():
+    # a widened ripple_adder4 at 1020/15 logs 2,749 records; with the text of
+    # its all-lane ops, check-bit names and reset Inits built at issue time
+    # the run grew the traced heap by 1.32 MB, ~1.00 MB of it that text
+    geom = Geometry(1020, 15)
+    rp = map_to_row(load_bundled("ripple_adder4"), geom)
+    actions = widen(build_actions(rp), geom)
+    rng = np.random.default_rng(1020)
+    state = CrossbarState.zeros(geom)
+    cols = list(rp.input_columns.values())
+    state.cells[:, cols] = rng.integers(0, 2, size=(geom.n, len(cols)), dtype=np.uint8)
+    run_actions(Machine(state), actions)  # the lane-set and footprint memos, filled
+    machine = Machine(state)
+    for br in range(geom.blocks_per_side):
+        machine.inject_data_flip(br * geom.m + int(rng.integers(geom.m)),
+                                 int(rng.integers(geom.m)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = run_actions(machine, actions)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (run.corrected, len(machine.events)) == (geom.blocks_per_side, 2749)
+    assert grown <= 0.7e6

@@ -178,7 +178,7 @@ class TestInsertEcc:
                     mem_cycles.setdefault(ev.action, []).append(c)
         # critical op holds the MEM exactly 3 cycles: both copies + execute
         critical = [ev for ev in schedule.events
-                    if ev.action == "op" and "critical=1" in ev.operands]
+                    if ev.action == "op" and ev.fields[1:] == (True,)]
         assert len(critical) == 1
         t = critical[0].cycle
         assert set(mem_cycles["copy_old"]) >= {t - 1} or (t - 1) in mem_cycles["copy_old"]
@@ -332,8 +332,8 @@ class TestAmortizedOverhead:
             rp = map_to_row(parse_netlist(text), geom)
             schedule = insert_ecc(rp, geom, TM, 4)
             mem_busy = sum(ev.span for ev in schedule.events if ev.unit == "MEM")
-            resets = sum(ev.span for ev in schedule.events
-                         if ev.unit == "MEM" and "reset=1" in ev.operands)
+            resets = sum(ev.span for ev in schedule.events  # a block reset's Init records
+                         if ev.unit == "MEM" and ev.action == "op" and len(ev.fields) == 4)
             copies = sum(ev.span for ev in schedule.events
                          if ev.unit == "MEM" and ev.action == "copy_row")
             gate_ops = 6
@@ -360,10 +360,10 @@ def bisected_min_pc_pairs(rp, tm):
 
 
 @st.composite
-def dag_row_programs(draw):
+def dag_row_programs(draw, geoms=(Geometry(30, 3), Geometry(45, 3), Geometry(45, 5))):
     """A random NOR/NOT DAG (at most 4 inputs, 10 gates, 6 outputs) mapped
-    to 30/3, 45/3 or 45/5."""
-    geom = draw(st.sampled_from((Geometry(30, 3), Geometry(45, 3), Geometry(45, 5))))
+    to one of ``geoms``, by default 30/3, 45/3 or 45/5."""
+    geom = draw(st.sampled_from(geoms))
     values = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
     lines = [".inputs " + " ".join(values)]
     for g in range(draw(st.integers(0, 10))):

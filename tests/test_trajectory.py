@@ -24,15 +24,18 @@ SPEC = {"end_to_end": [{"name": "work_per_ref_s", "better": "higher", "bound": 0
 
 
 def record(workload: str, parent: float, change: float, pairs: int = 5,
-           commits: tuple = ("a" * 40, "b" * 40), dirty: bool = False) -> dict:
-    """An ab record whose change reads ``change`` against ``parent`` in
-    every pair, ``setup_s`` equal, between the parent and change
-    ``commits``; ``dirty`` marks the change side's files as differing."""
-    def run(rate):
-        return {"failed": 0, "metrics": {"work_per_ref_s": {"value": rate},
-                                         "setup_s": {"value": 0.5}}}
+           commits: tuple = ("a" * 40, "b" * 40), dirty: bool = False,
+           claim: str = "work_per_ref_s") -> dict:
+    """An ab record whose change reads ``change`` against ``parent`` on the
+    ``claim`` metric in every pair, the other metric equal, between the
+    parent and change ``commits``; ``dirty`` marks the change side's files
+    as differing."""
+    def run(value):
+        metrics = {"work_per_ref_s": {"value": 50.0}, "setup_s": {"value": 0.5}}
+        return {"failed": 0, "metrics": {**metrics, claim: {"value": value}}}
 
-    args = ab.parse_args(["p", "c", "--workload", workload, "--pairs", str(pairs)])
+    args = ab.parse_args(["p", "c", "--workload", workload, "--pairs", str(pairs),
+                          "--claim", claim])
     trees = {"parent": {"commit": commits[0], "dirty": False},
              "change": {"commit": commits[1], "dirty": dirty}}
     return ab.build_record(args, SPEC, trees, {},
@@ -51,8 +54,8 @@ def table(capsys, *argv) -> tuple[list[list[str]], list[str]]:
     assert trajectory.main([str(a) for a in argv]) == 0
     out, err = capsys.readouterr()
     header, *rows = out.splitlines()
-    assert header.split() == ["record", "workload", "pairs", "parent", "change", "ratio",
-                              "chained", "claim"]
+    assert header.split() == ["record", "workload", "metric", "pairs", "parent", "change",
+                              "ratio", "chained", "claim"]
     return [row.split() for row in rows], err.splitlines()
 
 
@@ -66,12 +69,30 @@ def test_ratios_chain_per_workload_in_record_order(tmp_path, capsys):
              write(tmp_path, "BENCH_100_campaign.json",
                    record("campaign", 50.0, 49.0, commits=(c30, c100)))]
     rows, warnings = table(capsys, *paths)
+    rate = "work_per_ref_s"
     assert rows == [
-        ["BENCH_28_campaign.json", "campaign", "5", "30", "36", "1.200", "1.200", "HOLDS"],
-        ["BENCH_30_campaign.json", "campaign", "5", "40", "50", "1.250", "1.500", "HOLDS"],
-        ["BENCH_100_campaign.json", "campaign", "5", "50", "49", "0.980", "1.470", "no"],
-        ["BENCH_4_simd.json", "simd", "5", "10", "10.5", "1.050", "1.050", "HOLDS"]]
+        ["BENCH_28_campaign.json", "campaign", rate, "5", "30", "36", "1.200", "1.200", "HOLDS"],
+        ["BENCH_30_campaign.json", "campaign", rate, "5", "40", "50", "1.250", "1.500", "HOLDS"],
+        ["BENCH_100_campaign.json", "campaign", rate, "5", "50", "49", "0.980", "1.470", "no"],
+        ["BENCH_4_simd.json", "simd", rate, "5", "10", "10.5", "1.050", "1.050", "HOLDS"]]
     assert warnings == []  # every link is checked and holds
+
+
+def test_records_claimed_on_another_metric_chain_apart(tmp_path, capsys):
+    # a record claimed on setup_s starts its own chain of its workload
+    paths = [write(tmp_path, "BENCH_4_simd.json", record("simd", 10.0, 10.5)),
+             write(tmp_path, "BENCH_5_simd.json",
+                   record("simd", 0.5, 0.4, commits=("9" * 40, "c" * 40), claim="setup_s")),
+             write(tmp_path, "BENCH_6_simd.json",
+                   record("simd", 10.0, 12.0, commits=("b" * 40, "d" * 40)))]
+    rows, warnings = table(capsys, *paths)
+    assert rows == [
+        ["BENCH_5_simd.json", "simd", "setup_s", "5", "0.5", "0.4", "0.800", "0.800", "HOLDS"],
+        ["BENCH_4_simd.json", "simd", "work_per_ref_s", "5", "10", "10.5", "1.050", "1.050",
+         "HOLDS"],
+        ["BENCH_6_simd.json", "simd", "work_per_ref_s", "5", "10", "12", "1.200", "1.260",
+         "HOLDS"]]
+    assert warnings == []
 
 
 def test_a_broken_or_unnamed_link_is_a_warning_naming_the_record(tmp_path, capsys):
@@ -80,8 +101,8 @@ def test_a_broken_or_unnamed_link_is_a_warning_naming_the_record(tmp_path, capsy
              write(tmp_path, "BENCH_30_campaign.json",
                    record("campaign", 40.0, 50.0, commits=("9" * 40, "3" * 40), dirty=True))]
     rows, warnings = table(capsys, *paths)
-    assert rows[1][:7] == ["BENCH_30_campaign.json", "campaign", "5", "40", "50",
-                           "1.250", "1.500"]  # still chained
+    assert rows[1][:8] == ["BENCH_30_campaign.json", "campaign", "work_per_ref_s", "5",
+                           "40", "50", "1.250", "1.500"]  # still chained
     assert warnings == [
         "trajectory: warning: BENCH_30_campaign.json: the change tree is not a commit",
         "trajectory: warning: BENCH_30_campaign.json: parent 999999999999 is not the "

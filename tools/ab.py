@@ -2,7 +2,7 @@
 """Paired A/B runs of the benchmark on two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --workload simd [--pairs 10]
-        [--seconds 25] [--first-seed 1] [--layers N]
+        [--seconds 25] [--first-seed 1] [--claim METRIC] [--layers N]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed (``--first-seed``, then one more per pair). The side that runs
@@ -15,8 +15,9 @@ change of the median relative to the parent's and checks it against the
 metric's ``bound``: ``ok`` when it is no worse than the bound, ``WORSE``
 when it is, and ``unresolved`` when the parent's own interquartile range,
 relative to its median, is wider than the bound, so no verdict can be read.
-On ``work_per_ref_s`` it also prints the verdict of the claim rule: the
-change wins at least 9 of every 10 pairs, and its median is better than the
+On the claimed metric, ``work_per_ref_s`` unless ``--claim`` names another
+end-to-end metric, it also prints the verdict of the claim rule: the change
+wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
 
 With ``--layers N``, after the pairs it runs ``perfbench/run.py --trace 1``
@@ -97,7 +98,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-CLAIMED = "work_per_ref_s"  # the metric the claim rule is applied to
+CLAIMED = "work_per_ref_s"  # the metric the claim rule is applied to, unless --claim names one
 REFERENCE = "reference_kernel_s"  # the time no change touches, that layer times are read against
 
 
@@ -241,14 +242,14 @@ def metric_rows(spec: dict, results: dict[str, list[dict]]) -> list[dict]:
     return rows
 
 
-def claim_row(spec: dict, results: dict[str, list[dict]]) -> dict:
-    """The claim rule on :data:`CLAIMED`: pairs won, pairs needed, whether it
+def claim_row(spec: dict, results: dict[str, list[dict]], metric: str = CLAIMED) -> dict:
+    """The claim rule on ``metric``: pairs won, pairs needed, whether it
     holds and why."""
-    higher = {m["name"]: m["better"] for m in spec["end_to_end"]}[CLAIMED] == "higher"
-    parent, change = ([r["metrics"][CLAIMED]["value"] for r in results[side]]
+    higher = {m["name"]: m["better"] for m in spec["end_to_end"]}[metric] == "higher"
+    parent, change = ([r["metrics"][metric]["value"] for r in results[side]]
                       for side in ("parent", "change"))
     wins, holds, why = claim_verdict(parent, change, higher)
-    return {"metric": CLAIMED, "wins": wins, "needed": math.ceil(0.9 * len(parent)),
+    return {"metric": metric, "wins": wins, "needed": math.ceil(0.9 * len(parent)),
             "holds": holds, "why": why}
 
 
@@ -290,7 +291,8 @@ def build_record(args, spec: dict, trees: dict, host_facts: dict,
              for i, seed in enumerate(seeds)]
     record = {"workload": args.workload, "seconds": args.seconds, "seeds": seeds,
               "trees": trees, "host": host_facts, "pairs": pairs,
-              "metrics": metric_rows(spec, results), "claim": claim_row(spec, results)}
+              "metrics": metric_rows(spec, results),
+              "claim": claim_row(spec, results, args.claim)}
     if traced is not None:
         record["layers"] = {"runs": len(traced["parent"]), "seed": args.first_seed,
                             "rows": layer_rows(spec["per_layer"], traced["parent"],
@@ -306,6 +308,9 @@ def parse_args(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--first-seed", type=int, default=1)
+    p.add_argument("--claim", default=CLAIMED, metavar="METRIC",
+                   help="the end-to-end metric the claim rule is read on "
+                        f"(default {CLAIMED})")
     p.add_argument("--layers", type=int, default=0, metavar="N",
                    help="after the pairs, N alternating --trace 1 runs per side "
                         "(at least 3); print every per-layer metric and whether it moved")
@@ -322,6 +327,8 @@ def main(argv=None) -> int:
     if args.layers and args.layers < 3:
         sys.exit("ab: --layers needs at least 3 runs per side for a spread")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.claim not in {metric["name"] for metric in spec["end_to_end"]}:
+        sys.exit(f"ab: --claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
     sides = {"parent": args.parent, "change": args.change}
     results = {side: [] for side in sides}
     for i in range(args.pairs):
@@ -330,7 +337,7 @@ def main(argv=None) -> int:
         for side in order:
             results[side].append(run_once(sides[side], args.workload, seed, args.seconds))
         line = "  ".join(
-            f"{side}={results[side][-1]['metrics'][CLAIMED]['value']:.6g}"
+            f"{side}={results[side][-1]['metrics'][args.claim]['value']:.6g}"
             for side in sides)
         print(f"pair {i + 1}/{args.pairs} seed {seed} first={order[0]}: {line}", flush=True)
 
@@ -344,8 +351,8 @@ def main(argv=None) -> int:
         print(f"{row['name']:28s} {cols[0]:36s} {cols[1]:36s} {row['wins']:>4}  "
               f"{row['same']:>4}  {row['rel']:+7.1%}  {row['verdict']} "
               f"(bound {row['bound']:.0%})")
-    claim = claim_row(spec, results)
-    print(f"\nclaim on {CLAIMED}: {'HOLDS' if claim['holds'] else 'DOES NOT HOLD'} "
+    claim = claim_row(spec, results, args.claim)
+    print(f"\nclaim on {args.claim}: {'HOLDS' if claim['holds'] else 'DOES NOT HOLD'} "
           f"({claim['why']})")
     traced = None
     if args.layers:

@@ -15,7 +15,12 @@ built outside the timed region:
   every line offset within a block;
 - ``noncritical_op 1 lane``: the same one-lane NORs, without ECC;
 - ``block_ecc_reset``: one block after another, row by row;
-- ``MicroOp``, ``Action`` and ``Event``: building one record each;
+- ``MicroOp``, ``Action`` and ``Event``: building one record each, the
+  ``Event`` an op record as ``noncritical_op`` logs it, from its op;
+- ``to_line op all lanes``, ``to_line load_check all lanes`` and
+  ``to_line reset Init``: rendering one record's line, as a schedule file
+  is written: an all-lane critical op's op and ``load_check`` records, and
+  a block reset's first Init record;
 - ``compute_syndrome``: the fresh and stored check-bits of one clean
   m x m block, two equal ``BlockParity`` records;
 - ``check_block_row`` and ``check_block_row blank``: clean lines, one
@@ -166,8 +171,24 @@ def cases(n: int, m: int):
 
     def events(_, count):
         for k in range(count):
-            Event(k, "MEM", "op", "critical=0", 1)
+            Event(k, "MEM", "op", (op, False))  # as noncritical_op logs one
         return count
+
+    logged = preset_machine()
+    logged.critical_op(nor_op(Orientation.ROW, (0, 1), 2, every))
+    logged.block_ecc_reset(0, 1)
+
+    def renders(action, size):
+        """Render the first logged record of the action with that many
+        fields: 2 for a program op, 4 for a block reset's Init."""
+        record = next(ev for ev in logged.events
+                      if ev.action == action and len(ev.fields) == size)
+
+        def run(_, count):
+            for _ in range(count):
+                record.to_line()
+            return count
+        return run
 
     def random_machine():
         rng = np.random.default_rng(n * m)
@@ -241,6 +262,9 @@ def cases(n: int, m: int):
         ("MicroOp", lambda: None, micro_ops),
         ("Action", lambda: None, actions),
         ("Event", lambda: None, events),
+        ("to_line op all lanes", lambda: None, renders("op", 2)),
+        ("to_line load_check all lanes", lambda: None, renders("load_check", 2)),
+        ("to_line reset Init", lambda: None, renders("op", 4)),
         ("compute_syndrome", lambda: None, syndromes),
         ("check_block_row", random_machine, line_checks),
         ("check_block_row blank", lambda: Machine.blank(geom), line_checks),

@@ -6,15 +6,15 @@
 Each record holds paired runs of a change against its parent on one
 workload. Absolute rates do not carry from one host or day to the
 next, but the ratio of the two sides' medians, measured in alternating
-pairs on one host, does. So each row shows a record's parent and change
-medians of the metric its claim was read on (``tools/ab.py``'s
-``work_per_ref_s``), their ratio, and the product of that workload's
-ratios up to and including the record: the change's speed relative to the
-parent of the workload's first record, if each record's parent is the
-change of the one before it. The records are taken in the order of the
-number in their names (``BENCH_<number>_<workload>.json``), then by name;
-the rows are grouped by workload. The last column is the record's claim
-verdict.
+pairs on one host, does. So each row shows the metric a record's claim was
+read on (``tools/ab.py``'s ``work_per_ref_s`` unless its ``--claim`` named
+another), the record's parent and change medians of it, their ratio, and
+the product of the ratios of that workload and metric up to and including
+the record: the change's value relative to the parent of the first such
+record, if each record's parent is the change of the one before it. The
+records are taken in the order of the number in their names
+(``BENCH_<number>_<workload>.json``), then by name; the rows are grouped by
+workload, then by metric. The last column is the record's claim verdict.
 
 A record's chain link is checked: a side whose files differed from its
 commit, or that names none, cannot be tied to a tree, and a record whose
@@ -50,7 +50,8 @@ def read_record(path: Path) -> dict:
         row = next((r for r in record["metrics"] if r["name"] == metric), None)
         if row is None:
             sys.exit(f"trajectory: {path}: no metric {metric!r}")
-        fields = {"workload": str(record["workload"]), "pairs": len(record["pairs"]),
+        fields = {"workload": str(record["workload"]), "metric": str(metric),
+                  "pairs": len(record["pairs"]),
                   "parent": float(row["parent"][1]), "change": float(row["change"][1]),
                   "claim": "HOLDS" if record["claim"]["holds"] else "no",
                   "commits": {side: None if record["trees"][side]["dirty"]
@@ -64,17 +65,19 @@ def read_record(path: Path) -> dict:
 
 
 def rows(paths: list[Path]) -> list[dict]:
-    """One row per record, grouped by workload in record order, with the
-    ratio of its medians, the workload's chained ratio and the warnings on
-    its chain link."""
+    """One row per record, grouped by workload and metric in record order,
+    with the ratio of its medians, the chained ratio of its workload and
+    metric and the warnings on its chain link."""
     records = sorted(((path, read_record(path)) for path in paths),
-                     key=lambda record: (record[1]["workload"], order(record[0])))
+                     key=lambda record: (record[1]["workload"], record[1]["metric"],
+                                         order(record[0])))
     table, last = [], {}
     for path, fields in records:
         commits = fields["commits"]
         warnings = [f"the {side} tree is not a commit" for side in ("parent", "change")
                     if commits[side] is None]
-        before = last.get(fields["workload"])
+        chain = fields["workload"], fields["metric"]
+        before = last.get(chain)
         if before is not None and commits["parent"] is not None \
                 and commits["parent"] != before["commits"]["change"]:
             warnings.append(f"parent {commits['parent'][:12]} is not the change of "
@@ -83,7 +86,7 @@ def rows(paths: list[Path]) -> list[dict]:
         chained = (before["chained"] if before else 1.0) * ratio
         table.append({"record": path.name, **fields, "ratio": ratio, "chained": chained,
                       "warnings": warnings})
-        last[fields["workload"]] = table[-1]
+        last[chain] = table[-1]
     return table
 
 
@@ -97,12 +100,12 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     table = rows(args.records)
     width = max(len("record"), *(len(row["record"]) for row in table))
-    print(f"{'record':{width}s}  {'workload':10s} {'pairs':>5s} {'parent':>10s} "
-          f"{'change':>10s} {'ratio':>7s} {'chained':>8s}  claim")
+    print(f"{'record':{width}s}  {'workload':10s} {'metric':14s} {'pairs':>5s} "
+          f"{'parent':>10s} {'change':>10s} {'ratio':>7s} {'chained':>8s}  claim")
     for row in table:
-        print(f"{row['record']:{width}s}  {row['workload']:10s} {row['pairs']:5d} "
-              f"{row['parent']:10.4g} {row['change']:10.4g} {row['ratio']:7.3f} "
-              f"{row['chained']:8.3f}  {row['claim']}")
+        print(f"{row['record']:{width}s}  {row['workload']:10s} {row['metric']:14s} "
+              f"{row['pairs']:5d} {row['parent']:10.4g} {row['change']:10.4g} "
+              f"{row['ratio']:7.3f} {row['chained']:8.3f}  {row['claim']}")
         for warning in row["warnings"]:
             print(f"trajectory: warning: {row['record']}: {warning}", file=sys.stderr)
     return 0
