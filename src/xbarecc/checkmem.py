@@ -17,7 +17,6 @@ and write the result back. The MEM is occupied for only the three transfer
 import functools
 import math
 import operator
-import re
 import struct
 from bisect import bisect_right
 from collections import Counter, defaultdict
@@ -30,15 +29,12 @@ import numpy as np
 from .engine import (
     CrossbarState,
     MicroOp,
-    OpKind,
     Orientation,
     apply_op_inplace,
-    format_op,
     lane_set,
-    op_record,
-    parse_op,
     validate_op,
 )
+from .events import Event
 from .geometry import Bank, Geometry, GeometryError
 from .parity import (
     CLEAN,
@@ -103,149 +99,6 @@ def check_chain_cycles(m: int, tm: TimingModel) -> int:
     return (m * tm.copy_cycles
             + (xor3_tree_levels(m) + 1) * tm.xor3_cycles
             + tm.zero_compare_cycles)
-
-
-def _waiting(text: str) -> str:
-    """What a stall waited for: a critical op's output line or a line check."""
-    if text not in ("op_out", "check"):
-        raise ValueError(f"a stall waits for op_out or check, not {text!r}")
-    return text
-
-
-# The operand text of each action's records, a str.format template, and the
-# type that reads each of its fields back from the text; "op", "load_check"
-# and "writeback" records are rendered and read by their own functions below
-_FORMATS = {
-    "stall": ("{}={} wait={}", (_waiting, int, int)),
-    "copy_old": ("line={} pc={}", (int, int)),
-    "copy_new": ("line={} pc={}", (int, int)),
-    "copy_row": ("line={} pc={}", (int, int)),
-    "xor3": ("line={}", (int,)),
-    "block_reset": ("block={},{}", (int, int)),
-    "ecc_write": ("block={},{}", (int, int)),
-    "check_row": ("index={} orient={.value}", (int, Orientation)),
-    "xor3_tree": ("vectors={} levels={}", (int, int)),
-    "syndrome_xor3": ("banks=leading,counter", ()),
-    "zero_compare": ("blocks={}", (int,)),
-    "read_syndrome": ("block={},{} result={.value}", (int, int, DiagnosisKind)),
-    "correct_data": ("cell={},{}", (int, int)),
-    "correct_check": ("block={},{} diag={}", (int, int, int)),
-}
-_PATTERNS = {action: re.compile("(.*?)".join(
-    map(re.escape, re.split(r"\{(?:\.value)?\}", template))))
-    for action, (template, _) in _FORMATS.items()}
-_CELLS = ("load_check", "writeback")  # the records that name a critical op's check-bits
-
-
-@functools.lru_cache(maxsize=64)
-def _block_lanes(block_row: int, m: int) -> str:
-    """The lanes of a block reset's Init records, the rows of the block row,
-    as record text: the m records of a reset share it."""
-    return ",".join(map(str, range(block_row * m, block_row * m + m)))
-
-
-def _op_text(*fields) -> str:
-    """An op record's text: a program op's fields are (op, critical), a
-    block reset's Init's (block row, block column, line offset, m)."""
-    if len(fields) == 2:
-        op, critical = fields
-        return format_op(op) + (" critical=1" if critical else " critical=0")
-    block_row, block_col, offset, m = fields
-    return (op_record(OpKind.INIT, Orientation.ROW, block_col * m + offset, (),
-                      _block_lanes(block_row, m)) + " critical=0 reset=1")
-
-
-def _op_fields(text: str) -> tuple:
-    """The fields of an op record's text, as :func:`_op_text` lays them out."""
-    op = parse_op(text)
-    if not text.endswith(" reset=1"):
-        return op, text.endswith(" critical=1")
-    lanes = op.lane_set.lanes
-    return (lanes[0] // len(lanes), *divmod(op.output_line, len(lanes)), len(lanes))
-
-
-class Event(NamedTuple):
-    """One scheduled occurrence: a unit doing an action for span cycles.
-
-    A record keeps its fields, and its text is rendered at the edge:
-    :meth:`to_line` is the one renderer of a record, :attr:`operands` the
-    text of its fields alone. The fields of each action the machine logs
-    are a tuple, laid out as its template in ``_FORMATS`` reads them, but
-    for three actions that refer to what the machine already holds: an
-    ``op`` record's are its ``MicroOp`` and whether it is critical, or, for
-    a block reset's Init, which holds no op, the block, the line offset and
-    m; a ``load_check`` or ``writeback`` record's are the critical op's
-    :class:`LaneFootprint` and written line, whose check-bit names are
-    rendered only when the record is. ``fields`` is a str for a record of
-    any other action, whose text is kept as it is.
-
-    A named tuple, because a machine logs one per record: it is built in
-    one call, where a frozen dataclass makes one ``object.__setattr__`` per
-    field."""
-
-    cycle: int
-    unit: str
-    action: str
-    fields: tuple | str = ""
-    span: int = 1
-
-    @property
-    def end(self) -> int:
-        return self.cycle + self.span
-
-    @property
-    def operands(self) -> str:
-        fields = self.fields
-        if type(fields) is str:
-            return fields
-        if self.action == "op":
-            return _op_text(*fields)
-        if self.action in _CELLS:
-            footprint, line = fields
-            return "cells=" + footprint.names(line)
-        return _FORMATS[self.action][0].format(*fields)
-
-    def to_line(self) -> str:
-        ops = self.operands
-        if self.span != 1:
-            ops = (ops + " " if ops else "") + f"cycles={self.span}"
-        return f"{self.cycle}\t{self.unit}\t{self.action}\t{ops}"
-
-    @classmethod
-    def from_line(cls, line: str, written: "tuple[LaneFootprint, int] | None" = None,
-                  ) -> "Event":
-        """The record that renders ``line``. The text of an action the
-        machine logs is read back into its fields; a ``load_check`` or
-        ``writeback`` record's are ``written``, the footprint and line of
-        the critical op it follows. Raises ValueError, naming the fault, if
-        the text does not read back or the record does not render back to
-        exactly ``line``: a line is never silently changed."""
-        line = line.rstrip("\n")
-        parts = line.split("\t", 3)
-        if len(parts) < 4:
-            raise ValueError(f"bad event record: {line!r}")
-        action, text, span = parts[2], parts[3], 1
-        head, _, last = text.rpartition(" ")
-        if last.startswith("cycles="):
-            text, span = head, int(last[len("cycles="):])
-        if action == "op":
-            fields = _op_fields(text)
-        elif action in _CELLS:
-            if written is None:
-                raise ValueError(f"a {action} record that follows no critical op")
-            fields = written
-        elif action in _FORMATS:
-            match = _PATTERNS[action].fullmatch(text)
-            if match is None:
-                raise ValueError(f"bad {action} record: {text!r}")
-            fields = tuple(read(value) for read, value in zip(_FORMATS[action][1],
-                                                               match.groups()))
-        else:
-            fields = text
-        event = cls(int(parts[0]), parts[1], action, fields, span)
-        if event.to_line() != line:
-            raise ValueError(f"record does not render back to its own text: {line!r}")
-        return event
 
 
 def _check_end(end: int) -> None:
@@ -561,10 +414,11 @@ class Machine:
         """Issue a critical op or a line check at t, the first cycle at or after
         ``earliest``, ``floor``, MEM's free cycle and some pair's at which the
         (offset, span) ``windows`` are idle on the check-bit crossbars
-        ``cbx_units``. A wait is logged as one ``SCHED stall`` record,
-        ``<what>=<line> wait=<cycles>`` for ``waiting`` (what, line). Holds MEM for ``mem_span`` cycles and the
-        lowest pair free at t for ``pair_span``, books the windows, on "CBX"
-        if the step takes every crossbar, and returns (t, pair).
+        ``cbx_units``. A wait is logged as one ``SCHED stall`` record of
+        ``waiting``, (what, line), and the cycles waited. Holds MEM for
+        ``mem_span`` cycles and the lowest pair free at t for ``pair_span``,
+        books the windows, on "CBX" if the step takes every crossbar, and
+        returns (t, pair).
 
         First raises OverflowError, having changed nothing, if the step could
         end at or past :data:`CYCLE_END`: its pair is busy until t +

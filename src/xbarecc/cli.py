@@ -12,8 +12,9 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .checkmem import Event, Machine, TimingModel, device_counts, lane_footprint
+from .checkmem import Machine, TimingModel, device_counts, lane_footprint
 from .engine import MicroOpError, check_bounds
+from .events import Event
 from .geometry import Geometry, GeometryError, check_block_size
 from .netlist import NetlistError, load_netlist
 from .reliability import (

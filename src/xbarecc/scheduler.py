@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
 
-from .checkmem import Event, Machine, RunStats, TimingModel, check_chain_cycles, run_stats
+from .checkmem import Machine, RunStats, TimingModel, check_chain_cycles, run_stats
 from .engine import (
     CrossbarState,
     MicroOp,
@@ -24,6 +24,7 @@ from .engine import (
     init_op,
     nor_op,
 )
+from .events import Event
 from .geometry import Geometry
 from .netlist import Netlist, NetlistError, check_assignment
 

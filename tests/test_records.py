@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarecc import checkmem
-from xbarecc.checkmem import BlockReport, Event
+from xbarecc import events
+from xbarecc.checkmem import BlockReport
+from xbarecc.events import Event
 from xbarecc.engine import MicroOp, MicroOpError, OpKind, Orientation, init_op, nor_op
 from xbarecc.geometry import Bank
 from xbarecc.parity import BlockParity, CodecError, Diagnosis, DiagnosisKind
@@ -81,7 +82,7 @@ class TestAction:
 # tab-free unit and action names, and operands of space-separated tokens,
 # none of them a "cycles=" count
 _NAME = st.text("ABCKMPSX:abcdegiklmnoprstuvwxyz_0123456789", min_size=1, max_size=12)
-_LOGGED = {*checkmem._FORMATS, "op", *checkmem._CELLS}
+_LOGGED = set(events._TEXT)  # the actions the machine logs
 _TOKEN = _NAME.filter(lambda tok: not tok.startswith("cycles=")) | st.sampled_from(
     ["line=3", "pc=0", "cells=C0@1,0;L0@1,0", "kind=nor", "lanes=0,1,2", "in=-"])
 
@@ -92,8 +93,7 @@ class TestEvent:
            action=_NAME.filter(lambda name: name not in _LOGGED),
            operands=st.lists(_TOKEN, max_size=5).map(" ".join),
            span=st.integers(1, 1_000))
-    def test_a_line_of_another_action_keeps_its_text(self, cycle, unit, action, operands,
-                                                     span):
+    def test_a_line_reads_back_into_an_equal_event(self, cycle, unit, action, operands, span):
         event = Event(cycle, unit, action, operands, span)
         back = Event.from_line(event.to_line())
         assert back == event
@@ -115,7 +115,7 @@ class TestEvent:
                                       "3\tPC0\tload_check\tcells=C0@0,0;L0@0,0",
                                       "3\tMEM\top\tkind=init orient=row out=1 in=- "
                                       "lanes=1,0 critical=0"])
-    def test_a_line_that_does_not_render_back_is_refused(self, line):
+    def test_a_bad_line_is_rejected(self, line):
         # a line that reads into no record, or into one whose text differs
         with pytest.raises(ValueError):
             Event.from_line(line)
