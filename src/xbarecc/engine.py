@@ -219,8 +219,10 @@ def op_record(kind: OpKind, orientation: Orientation, output_line: int,
     """The one renderer of an op record from its fields; ``lanes`` is the
     sorted lanes, comma-joined, as in :attr:`LaneSet.text`. :func:`format_op`
     and the text of a block reset's Init record, which holds no op, both
-    call it."""
-    return (f"kind={kind.value} orient={orientation.value} out={output_line} "
+    call it. It reads the enums' ``_value_``, their documented value
+    attribute: the ``value`` property costs ~130 ns a read on Python 3.11,
+    twice per record, and a schedule file renders every op record."""
+    return (f"kind={kind._value_} orient={orientation._value_} out={output_line} "
             f"in={','.join(map(str, input_lines)) or '-'} lanes={lanes}")
 
 
