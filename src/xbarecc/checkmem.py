@@ -133,6 +133,40 @@ def run_stats(events) -> RunStats:
                     corrected, actions["read_syndrome"] - corrected)
 
 
+def _check_records(tm: TimingModel, t: int, index: int, orientation: Orientation, pair: int,
+                   syn_at: int, zero_at: int, m: int, levels: int, nb: int) -> list[Event]:
+    """The fixed records of a line check issued at t on pair ``pair``, the
+    one builder of them: the check, its m line copies, the XOR3 tree, the
+    XOR3 against the stored bits at ``syn_at`` and the zero compare at
+    ``zero_at``."""
+    unit, c = f"PC{pair}", tm.copy_cycles
+    records = [Event(t, "SCHED", "check_row", (index, orientation))]
+    records += (Event(t + k * c, "MEM", "copy_row", (index * m + k, pair), c) for k in range(m))
+    records += (Event(t + m * c, unit, "xor3_tree", (m, levels), levels * tm.xor3_cycles),
+                Event(syn_at, unit, "syndrome_xor3", (), tm.xor3_cycles),
+                Event(zero_at, "CHECK", "zero_compare", (nb,), tm.zero_compare_cycles))
+    return records
+
+
+def _reset_records(tm: TimingModel, t0: int, t: int, block_row: int, block_col: int,
+                   m: int) -> list[Event]:
+    """The records of a block reset whose Init ops start at t0 and whose
+    check-bit write starts at t, the one builder of them: the reset, its m
+    Init records, logged from their fields without ops, and the write."""
+    block = (block_row, block_col)
+    records = [Event(t0, "SCHED", "block_reset", block)]
+    records += (Event(t0 + lc, "MEM", "op", (block_row, block_col, lc, m)) for lc in range(m))
+    records.append(Event(t, "CTRL", "ecc_write", block, tm.writeback_cycles))
+    return records
+
+
+def _lines_per_gather(geom: Geometry) -> int:
+    """Lines of blocks, at least one, whose codec gather, 2m^2 bytes per
+    block, keeps within :data:`SWEEP_GATHER_BYTES`: 4 at 1020/15, every
+    line at 45/5."""
+    return max(1, SWEEP_GATHER_BYTES // (2 * geom.m * geom.m * geom.blocks_per_side))
+
+
 def _append(busy: list[int], start: int, end: int) -> None:
     """Add the window [start, end), which starts at or after every busy one,
     merged with the last if that one ends at start."""
@@ -328,9 +362,18 @@ class CheckMem:
 
     @classmethod
     def from_state(cls, state: CrossbarState) -> "CheckMem":
-        """Encode every block of the given memory contents."""
-        sums = diag_parity(state.blocks)
-        return cls(state.geom, sums.transpose(2, 3, 1, 0))  # [br, bc, bank, d] -> [bank, d, bc, br]
+        """Encode every block of the given memory contents, a group of
+        block rows per gather, in the groups of :meth:`Machine.check_lines`,
+        so the gather's temporary stays within :data:`SWEEP_GATHER_BYTES`."""
+        geom, blocks = state.geom, state.blocks
+        m, nb = geom.m, geom.blocks_per_side
+        step = _lines_per_gather(geom)
+        # [bank, d, br, bc], the layout in which diag_parity returns the bits
+        sums = np.empty((2, m, nb, nb), dtype=np.uint8)
+        for first in range(0, nb, step):
+            rows = slice(first, first + step)
+            sums[:, :, rows] = diag_parity(blocks[rows]).transpose(2, 3, 0, 1)
+        return cls(geom, sums.transpose(0, 1, 3, 2))
 
     def parity(self, block_row: int, block_col: int) -> BlockParity:
         lead, ctr = self.planes[:, :, block_col, block_row].tolist()
@@ -381,8 +424,11 @@ class Machine:
             self.state, self.checkmem = state, _checkmem
         self.timing = timing or TimingModel()
         self.timeline = UnitTimeline()
-        self.events: list[Event] = []
-        self._horizon = 0  # the latest end of any record; every step logs through log or sets it
+        # the event log: Events, and each line check's and block reset's
+        # (builder, *fields) entry, whose records :attr:`events` builds in place
+        self._log: list = []
+        self._unbuilt: int | None = None  # index of the first such entry; None if none
+        self._horizon = 0  # the latest end of any record; every step logs through log or _defer
         # processing-crossbar pairs, one crossbar per bank each
         self._pc_units = tuple(f"PC{i}" for i in range(pc_pairs))
         m = self.geom.m
@@ -444,14 +490,44 @@ class Machine:
     @property
     def horizon(self) -> int:
         """One past the last busy cycle (total cycles so far): the latest
-        end of any record logged, kept as records are logged."""
+        end of any record logged, kept as steps are logged."""
         return self._horizon
+
+    @property
+    def events(self) -> list[Event]:
+        """The event log, one list for the machine's life, in the order the
+        steps logged their records. A line check and a block reset each log
+        one entry of their fields (:meth:`_defer`); the first read after
+        such entries were logged builds their records in place, so a run
+        whose log is never read never builds them."""
+        log, first = self._log, self._unbuilt
+        if first is not None:
+            self._unbuilt = None
+            tm, built = self.timing, []
+            for entry in log[first:]:
+                if type(entry) is tuple:  # (builder, *fields); an Event's type is Event
+                    built += entry[0](tm, *entry[1:])
+                else:
+                    built.append(entry)
+            log[first:] = built
+        return log
 
     def log(self, cycle: int, unit: str, action: str, fields: tuple | str = "",
             span: int = 1) -> None:
-        self.events.append(Event(cycle, unit, action, fields, span))
+        self._log.append(Event(cycle, unit, action, fields, span))
         if cycle + span > self._horizon:
             self._horizon = cycle + span
+
+    def _defer(self, entry: tuple, end: int) -> None:
+        """Log a step as one ``(builder, *fields)`` entry, a plain tuple,
+        which :attr:`events` replaces with ``builder(timing, *fields)``, the
+        step's records, when it is read; ``end`` is the latest end of those
+        records."""
+        if self._unbuilt is None:
+            self._unbuilt = len(self._log)
+        self._log.append(entry)
+        if end > self._horizon:
+            self._horizon = end
 
     def inject_data_flip(self, row: int, col: int) -> None:
         """Soft error: flip one MEM cell without touching the check-bits."""
@@ -518,7 +594,7 @@ class Machine:
         # the records hold the op and its footprint; the check-bits' names
         # are rendered only when the records are
         unit, copy, bits = f"PC{pair}", (line, pair), (footprint, line)
-        self.events += (
+        self._log += (
             Event(t, "MEM", "copy_old", copy, c),
             Event(t + c, "MEM", "op", (op, True)),
             Event(t + c, unit, "load_check", bits, c),
@@ -550,18 +626,16 @@ class Machine:
                                                      int(ready.max())), write)
         _check_end(t + wb)
         base_row, base_col = block_row * m, block_col * m
-        self.log(t0, "SCHED", "block_reset", (block_row, block_col))
         # m row-parallel Init ops, one per line of the block, one cycle each,
-        # written as one slice and logged from their fields, without ops
+        # written as one slice
         timeline.reserve("MEM", t0, m)
         self.state.cells[base_row:base_row + m, base_col:base_col + m] = 1
-        self.events += (Event(t0 + lc, "MEM", "op", (block_row, block_col, lc, m))
-                        for lc in range(m))
         self.checkmem.planes[:, :, block_col, block_row] = 1
         timeline.book(("CBX",), t, write)
         ready[...] = t + wb  # the block's check-bits are readable once the write has landed
         timeline.reserve("CTRL", t, wb)
-        self.log(t, "CTRL", "ecc_write", (block_row, block_col), span=wb)
+        # the check-bit write ends last of the reset's records
+        self._defer((_reset_records, t0, t, block_row, block_col, m), t + wb)
         return t + wb
 
     def _check_index(self, index: int) -> None:
@@ -664,16 +738,11 @@ class Machine:
         zero_at = syn_at + x
         self.timeline.reserve("CHECK", zero_at, zc)
 
-        self.log(t, "SCHED", "check_row", (index, orientation))
-        # the m line copies in one step, as critical_op logs its records
-        self.events += (Event(t + k * c, "MEM", "copy_row", (index * m + k, pair), c)
-                        for k in range(m))
-        self.log(t + m * c, f"PC{pair}", "xor3_tree", (m, levels), span=levels * x)
-        self.log(syn_at, f"PC{pair}", "syndrome_xor3", (), span=x)
-        self.log(zero_at, "CHECK", "zero_compare", (nb,), span=zc)
+        done = zero_at + zc  # the zero compare ends last of the check's fixed records
+        self._defer((_check_records, t, index, orientation, pair, syn_at, zero_at, m, levels, nb),
+                    done)
 
         reports = [_CLEAN_REPORT] * nb
-        done = zero_at + zc
         for k, diag in dirty:
             br, bc = (index, k) if by_row else (k, index)
             reports[k] = _UNCORRECTABLE_REPORT if diag is UNCORRECTABLE else BlockReport(diag)
@@ -716,21 +785,19 @@ class Machine:
         Every index is validated first, so a bad one raises GeometryError
         before any line is checked, and a repeated one ValueError. The
         codec pass (:meth:`_dirty_blocks`) runs once per group of the run's
-        lines, before the group's first line is checked: as many lines as
-        keep the gather's temporary within :data:`SWEEP_GATHER_BYTES` (4
-        lines at 1020/15, every line at 45/5). Each line is then checked by
-        one :meth:`check_block_row`, which does its timing, records and
-        corrections. That is exact: a correction writes only a cell or a
-        check-bit of the block it corrects, and distinct lines of one
-        orientation share no block, so no block's cells or check-bits
+        lines, before the group's first line is checked, a group being as
+        many lines as :func:`_lines_per_gather` allows. Each line is then
+        checked by one :meth:`check_block_row`, which does its timing,
+        records and corrections. That is exact: a correction writes only a
+        cell or a check-bit of the block it corrects, and distinct lines of
+        one orientation share no block, so no block's cells or check-bits
         change before its own line is checked."""
         lines = list(indices)
         for index in lines:
             self._check_index(index)
         if len(set(lines)) != len(lines):
             raise ValueError(f"a run of line checks repeats a line: {lines}")
-        m, nb = self.geom.m, self.geom.blocks_per_side
-        step = max(1, SWEEP_GATHER_BYTES // (2 * m * m * nb))
+        step = _lines_per_gather(self.geom)
         reports: list[BlockReport] = []
         done = earliest
         for first in range(0, len(lines), step):

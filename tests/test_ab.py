@@ -204,9 +204,9 @@ def test_the_reference_is_the_median_of_the_detail_lines_kernel_times():
     assert (got["correct"], got["failed"]) == (True, 0)
 
 
-@pytest.mark.parametrize("layers", ["1", "2"])
-def test_fewer_than_three_traced_runs_are_refused(layers, tmp_path):
-    with pytest.raises(SystemExit, match="at least 3 runs"):
+@pytest.mark.parametrize("layers", ["1", "2", "3", "4"])
+def test_fewer_than_five_traced_runs_are_refused(layers, tmp_path):
+    with pytest.raises(SystemExit, match="at least 5 runs"):
         ab.main([str(tmp_path), str(tmp_path), "--workload", "simd", "--layers", layers])
 
 
@@ -296,6 +296,20 @@ class TestRecord:
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
         with pytest.raises(SystemExit, match="--claim setup is not an end-to-end metric"):
             ab.main([str(tmp_path), str(tmp_path), "--workload", "simd", "--claim", "setup"])
+
+    def test_five_traced_runs_per_side_are_made(self, tmp_path, monkeypatch, capsys):
+        traces = []
+
+        def run_once(checkout, workload, seed, seconds, trace=0):
+            traces.append((seed, trace))
+            return untraced(100.0)
+
+        monkeypatch.setattr(ab, "run_once", run_once)
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        assert ab.main([str(tmp_path), str(tmp_path), "--workload", "simd", "--pairs", "1",
+                        "--first-seed", "4", "--layers", "5"]) == 0
+        assert traces == [(4, 0)] * 2 + [(4, 1)] * 10
+        assert "per-layer metrics, 5 runs per side" in capsys.readouterr().out
 
     def test_main_writes_the_record_without_running_git_or_the_benchmark(
             self, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1022,6 +1023,45 @@ class TestLayoutSafeGather:
             assert np.array_equal(machine.state.cells, after), name
             assert machine.checkmem == planes, name
 
+    @pytest.mark.parametrize("geom", [Geometry(30, 3), Geometry(45, 5), Geometry(63, 7)])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("lines_per_gather", ["all", 2, 1])
+    def test_encoding_in_groups_matches_the_scalar_codec(self, geom, layout, lines_per_gather,
+                                                         monkeypatch):
+        n, m, nb = geom.n, geom.m, geom.blocks_per_side
+        if lines_per_gather != "all":  # 9 or 10 lines: the last group may be short
+            monkeypatch.setattr(checkmem, "SWEEP_GATHER_BYTES",
+                                lines_per_gather * 2 * m * m * nb + 1)
+        values = np.random.default_rng(n + m).integers(0, 2, (n, n), dtype=np.uint8)
+        cm = CheckMem.from_state(CrossbarState(geom, LAYOUTS[layout](values.copy())))
+        assert cm.planes.flags.c_contiguous
+        for br in range(nb):
+            for bc in range(nb):
+                block = values[br * m:(br + 1) * m, bc * m:(bc + 1) * m]
+                assert cm.parity(br, bc) == encode_block(block), (br, bc)
+
+    def test_encoding_keeps_to_the_sweep_gather(self):
+        # a whole-memory gather would be 2 MiB beside the 1 MiB of cells; in
+        # the machine's peak it hides behind the 2.7 MiB readiness array,
+        # made after the encoding, so the encoding is measured alone too
+        geom = Geometry(1023, 3)
+        cells = np.random.default_rng(1023).integers(0, 2, (1023, 1023), dtype=np.uint8)
+        state = CrossbarState(geom, cells)
+        Machine(state)  # warm the codec's caches
+        peaks = []
+        for build in (Machine, CheckMem.from_state):
+            tracemalloc.start()
+            try:
+                built = build(state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        machine_peak, encode_peak = peaks
+        planes, gathers = built.planes.nbytes, 2 * checkmem.SWEEP_GATHER_BYTES
+        assert encode_peak < 2 * planes + gathers
+        kept = cells.nbytes + planes + np.zeros(built.planes.shape, dtype=np.int32).nbytes
+        assert machine_peak < kept + gathers
+
     def test_the_block_view_neither_copies_nor_writes(self):
         geom = Geometry(1020, 15)
         cells = np.random.default_rng(5).integers(0, 2, (1020, 1020), dtype=np.uint8)
@@ -1540,6 +1580,75 @@ class TestHorizon:
         out = steps[0][1][1] if steps[0][0] == "op" else 0
         machine.noncritical_op(init_op(Orientation.ROW, out, {0}), earliest=machine.horizon + 5)
         assert machine.horizon == machine.events[-1].end == max(ev.end for ev in machine.events)
+
+
+def mem_windows(events) -> list[int]:
+    """MEM's records, in log order, as a flat ``[start, end, ...]`` list
+    with touching windows merged; each must start once the one before it
+    has ended, as MEM is reserved in order."""
+    merged = []
+    for ev in events:
+        if ev.unit == "MEM":
+            assert not merged or ev.cycle >= merged[-1], f"MEM record out of order: {ev}"
+            if merged and merged[-1] == ev.cycle:
+                merged[-1] = ev.end
+            else:
+                merged += (ev.cycle, ev.end)
+    return merged
+
+
+class TestDeferredRecords:
+    """A line check and a block reset each log one entry of their fields,
+    and :attr:`Machine.events` builds their records, in place, when it is
+    read: reading the log after every step or only at the end gives the
+    same machine, and a run whose log is not read builds none of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=st.sampled_from([Geometry(30, 3), Geometry(45, 5)]),
+           pc_pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_reading_late_equals_reading_early(self, geom, pc_pairs, seed):
+        timing, steps = hazard_program(seed, geom)
+        early, late = (random_consistent_machine(seed, geom, timing=timing, pc_pairs=pc_pairs)
+                       for _ in range(2))
+        early_log, late_log = early.events, late.events
+        for step in steps:
+            run_program(early, [step])
+            assert early.events is early_log
+            assert early.horizon == max(ev.end for ev in early_log)
+        run_program(late, steps)
+        assert late.events is late_log
+        assert late_log == early_log
+        assert late.horizon == early.horizon == max(ev.end for ev in late_log)
+        # the records on MEM are the windows the timeline booked on it
+        assert mem_windows(late_log) == late.timeline._windows["MEM"]
+        assert np.array_equal(late.state.cells, early.state.cells)
+        assert late.checkmem == early.checkmem
+        assert np.array_equal(late._check_ready, early._check_ready)
+
+    def test_a_sweep_and_resets_build_their_records_when_read(self, monkeypatch):
+        built = Counter()
+
+        def counted(cycle, unit, action, fields="", span=1):
+            built[action] += 1
+            return Event(cycle, unit, action, fields, span)
+
+        monkeypatch.setattr(checkmem, "Event", counted)
+        geom = Geometry(1020, 15)
+        m, nb = geom.m, geom.blocks_per_side
+        machine = Machine.blank(geom)
+        for br in range(nb):  # one data flip per block row, each in its own block
+            machine.inject_data_flip(br * m + br % m, br * m % geom.n)
+        machine.full_memory_check()
+        for br in range(nb):  # a widened reset of block column 5
+            machine.block_ecc_reset(br, 5)
+        assert set(built) <= {"stall", "read_syndrome", "correct_data"}
+        assert built["read_syndrome"] == built["correct_data"] == nb
+        eager = built.total()
+        events = machine.events
+        assert len(events) == 19 * nb + 2 * nb + 17 * nb + built["stall"]
+        assert built.total() == len(events) == eager + (19 + 17) * nb
+        assert machine.events is events and built.total() == len(events)  # built once
+        assert run_stats(events).corrected == nb
 
 
 class TestSameCellHazard:

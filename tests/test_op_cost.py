@@ -22,7 +22,8 @@ def test_every_case_is_timed(capsys):
              "check_block_row", "check_block_row blank", "check run", "full_memory_check",
              "full_memory_check blank", "full_memory_check after 1-lane ops",
              "full_memory_check dirty", "full_memory_check every block dirty",
-             "injection_campaign trial", "injection_campaign trial every cell flipped"]
+             "events after sweep", "injection_campaign trial",
+             "injection_campaign trial every cell flipped"]
     assert [line[:44].strip() for line in lines[1:]] == names
     assert all(float(line[44:]) > 0 for line in lines[1:])
 

@@ -21,7 +21,7 @@ wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
 
 With ``--layers N``, after the pairs it runs ``perfbench/run.py --trace 1``
-N times in each checkout on the first seed, alternating as the pairs do,
+N times, at least 5, in each checkout on the first seed, alternating as the pairs do,
 and prints every per-layer metric of ``BENCHMARK.json``: each side's median
 and interquartile range, the change of the median, and beside a layer's
 time its calls per item. A host that drifts moves every layer alike, so a
@@ -98,6 +98,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+# traced runs per side that --layers needs: the quartiles of 3 runs are 2 or
+# 3 of its points, so that layers no change touched read moved
+MIN_LAYER_RUNS = 5
 CLAIMED = "work_per_ref_s"  # the metric the claim rule is applied to, unless --claim names one
 REFERENCE = "reference_kernel_s"  # the time no change touches, that layer times are read against
 
@@ -313,7 +316,8 @@ def parse_args(argv=None):
                         f"(default {CLAIMED})")
     p.add_argument("--layers", type=int, default=0, metavar="N",
                    help="after the pairs, N alternating --trace 1 runs per side "
-                        "(at least 3); print every per-layer metric and whether it moved")
+                        f"(at least {MIN_LAYER_RUNS}); print every per-layer metric and "
+                        "whether it moved")
     p.add_argument("--record", type=Path, metavar="PATH",
                    help="also write the trees, host, seeds, every pair's metrics and "
                         "every verdict to this JSON file")
@@ -324,8 +328,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.pairs < 1:
         sys.exit("ab: --pairs must be at least 1")
-    if args.layers and args.layers < 3:
-        sys.exit("ab: --layers needs at least 3 runs per side for a spread")
+    if args.layers and args.layers < MIN_LAYER_RUNS:
+        sys.exit(f"ab: --layers needs at least {MIN_LAYER_RUNS} runs per side for a spread")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.claim not in {metric["name"] for metric in spec["end_to_end"]}:
         sys.exit(f"ab: --claim {args.claim} is not an end-to-end metric of BENCHMARK.json")

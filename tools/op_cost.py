@@ -53,6 +53,10 @@ built outside the timed region:
   odd number of ones at any odd m, so every block is uncorrectable and
   stays so, since a check corrects none of them; reported per block
   checked;
+- ``events after sweep``: the first read of ``Machine.events`` after one
+  whole row-wise check of the blank machine, made untimed: the read builds
+  the records of every line check of the sweep, which the checks log as
+  one entry each; reported per block checked;
 - ``injection_campaign trial``: one whole ``inject --scope machine`` trial
   at p = 1e-4, once per n/m ops (at least once), reported per trial: a
   blank machine, its flips drawn and counted per block, one row-wise
@@ -247,6 +251,15 @@ def cases(n: int, m: int):
         machine.state.cells[:] = 1
         return machine
 
+    def swept_machine():
+        machine = Machine.blank(geom)
+        machine.full_memory_check()
+        return machine
+
+    def first_read(machine, _):
+        machine.events
+        return nb * nb
+
     def trials(p):
         def run(_, count):
             count = max(1, count // nb)
@@ -274,6 +287,7 @@ def cases(n: int, m: int):
         ("full_memory_check after 1-lane ops", machine_after_one_lane_ops, memory_checks),
         ("full_memory_check dirty", lambda: None, dirty_memory_checks),
         ("full_memory_check every block dirty", all_ones_machine, memory_checks),
+        ("events after sweep", swept_machine, first_read),
         ("injection_campaign trial", lambda: None, trials(P_FLIP)),
         ("injection_campaign trial every cell flipped", lambda: None, trials(1.0)),
     )
