@@ -1041,8 +1041,8 @@ class TestLayoutSafeGather:
                 assert cm.parity(br, bc) == encode_block(block), (br, bc)
 
     def test_encoding_keeps_to_the_sweep_gather(self):
-        # a whole-memory gather would be 2 MiB beside the 1 MiB of cells; in
-        # the machine's peak it hides behind the 2.7 MiB readiness array,
+        # a whole-memory gather would be 2.1 MB beside the 1.0 MB of cells; in
+        # the machine's peak it hides behind the 2.8 MB readiness array,
         # made after the encoding, so the encoding is measured alone too
         geom = Geometry(1023, 3)
         cells = np.random.default_rng(1023).integers(0, 2, (1023, 1023), dtype=np.uint8)
@@ -1643,10 +1643,10 @@ class TestDeferredRecords:
             machine.block_ecc_reset(br, 5)
         assert set(built) <= {"stall", "read_syndrome", "correct_data"}
         assert built["read_syndrome"] == built["correct_data"] == nb
-        eager = built.total()
+        before_read = built.total()
         events = machine.events
         assert len(events) == 19 * nb + 2 * nb + 17 * nb + built["stall"]
-        assert built.total() == len(events) == eager + (19 + 17) * nb
+        assert built.total() == len(events) == before_read + (19 + 17) * nb
         assert machine.events is events and built.total() == len(events)  # built once
         assert run_stats(events).corrected == nb
 

@@ -21,10 +21,10 @@ wins at least 9 of every 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range.
 
 With ``--layers N``, after the pairs it runs ``perfbench/run.py --trace 1``
-N times, at least 5, in each checkout on the first seed, alternating as the pairs do,
-and prints every per-layer metric of ``BENCHMARK.json``: each side's median
-and interquartile range, the change of the median, and beside a layer's
-time its calls per item. A host that drifts moves every layer alike, so a
+N times, at least 5, in each checkout on the first seed, alternating as the
+pairs do, and prints every per-layer metric of ``BENCHMARK.json``: each
+side's median and interquartile range, the change of the median, and beside
+a layer's time its calls per item. A host that drifts moves every layer alike, so a
 layer reads ``moved`` only if the change of its median exceeds both sides'
 interquartile ranges and, for a time, its ratio to ``REFERENCE``, a time
 no change to the program touches, measured in the same run, moves the same
@@ -99,7 +99,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 # traced runs per side that --layers needs: the quartiles of 3 runs are 2 or
-# 3 of its points, so that layers no change touched read moved
+# 3 of their points, so layers that no change touched read moved
 MIN_LAYER_RUNS = 5
 CLAIMED = "work_per_ref_s"  # the metric the claim rule is applied to, unless --claim names one
 REFERENCE = "reference_kernel_s"  # the time no change touches, that layer times are read against
